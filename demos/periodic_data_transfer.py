@@ -15,7 +15,6 @@ from cocyclelab import (
     SymbolicPoint,
     build_transfer,
     check_periodic_data,
-    estimate_holder,
     uniform_distance,
     verify_cohomology,
     verify_lemma1,
@@ -51,7 +50,7 @@ lem = verify_lemma1(T, points=list(T.class_points)[::8], tol=1e-6)
 print("cohomological residual:", coh.worst)
 print("forward/backward agreement residual:", lem.worst)
 
-exponent, const = estimate_holder(T)
+exponent, const = T.holder_estimate  # regressed over the class on this first read
 print(f"Holder regression: exponent {exponent:.3f}, constant {const:.3f}")
 print("exponent budget (product of holonomy budgets):", round(T.beta_budget, 3))
 

@@ -17,6 +17,7 @@ from .errors import InvalidExponent, ResourceLimit
 
 SEGMENT_EPS = 1e-14  # float mode: shorter segments are merged away
 SLOPE_EPS = 1e-11  # float mode: slope changes below this are not breakpoints
+_ZERO = Fraction(0)
 
 
 def _coerce(values):
@@ -75,13 +76,15 @@ class PLMap:
 
     @classmethod
     def identity(cls) -> "PLMap":
-        return cls((Fraction(0),), (Fraction(0),))
+        return cls((_ZERO,), (_ZERO,))
 
     @classmethod
     def rotation(cls, angle) -> "PLMap":
-        angle, exact = _coerce([angle])
-        zero = Fraction(0) if exact else 0.0
-        return cls((zero,), (angle[0] % 1,))
+        if isinstance(angle, float):
+            return cls((0.0,), (float(angle) % 1,))
+        if not isinstance(angle, Fraction):  # compose and invert pass Fractions
+            angle = Fraction(angle)
+        return cls((_ZERO,), (angle % 1,))
 
     @property
     def is_exact(self) -> bool:

@@ -18,6 +18,7 @@ from .circlemaps import PLMap, compose, invert, uniform_distance
 from .cocycles import CocycleSpec, iterate, power_domination
 from .errors import (
     DepthUnreachable,
+    InadmissibleLoop,
     InsufficientScales,
     MissingSample,
     NotDominated,
@@ -71,6 +72,25 @@ def check_periodic_data(
     return PeriodicDataReport(max_period, worst, worst <= tol, tuple(rows))
 
 
+class _LazyHolderEstimate:
+    """``TransferMap.holder_estimate``: the class-wide regression, computed on
+    first read and cached; an assigned value, None included, is kept as is.
+    The descriptor itself is the "not computed yet" default."""
+
+    def __get__(self, T, owner=None):
+        if T is None:
+            return self
+        if T.__dict__.get("_holder_estimate", self) is self:
+            try:
+                T._holder_estimate = estimate_holder(T)
+            except InsufficientScales:
+                T._holder_estimate = None
+        return T._holder_estimate
+
+    def __set__(self, T, value):
+        T._holder_estimate = value
+
+
 @dataclass(eq=False)
 class TransferMap:
     """Conjugacy phi sampled on the homoclinic class of a periodic base point.
@@ -79,6 +99,8 @@ class TransferMap:
     the base point, caching holonomy quotients; the stored ``samples`` are the
     enumerated class.  ``normalized`` records that phi at the base point is the
     identity (true for transfer builds; regularised conjugacies may differ).
+    ``holder_estimate`` is the regression over ``_default_points``, computed
+    when first read unless given.
     """
 
     F: CocycleSpec
@@ -88,7 +110,8 @@ class TransferMap:
     samples: dict
     beta_budget: float
     tol: float
-    holder_estimate: tuple | None = None
+    # left out of repr so that printing a map does not run the regression
+    holder_estimate: tuple | None = field(default=_LazyHolderEstimate(), repr=False)
     construction_residual: float | None = None
     normalized: bool = True
     class_points: tuple = ()
@@ -180,10 +203,6 @@ def build_transfer(
         rhs = compose(compose(T.phi_at(y.shift(1)), G.generator(y)), invert(T.phi_at(y)))
         worst = max(worst, float(uniform_distance(lhs, rhs)))
     T.construction_residual = worst
-    try:
-        T.holder_estimate = estimate_holder(T)
-    except InsufficientScales:
-        T.holder_estimate = None
     return T
 
 
@@ -194,6 +213,7 @@ class ResidualReport:
     tol: float
     passed: bool
     diagnostics: tuple = ()
+    skipped: int = 0  # shadow bridges with no admissible closing point
 
 
 def _default_points(T):
@@ -246,6 +266,7 @@ def verify_lemma1(
         return ResidualReport(tuple(rows), worst, tol, worst <= tol)
     left_ref = x0.shift(n0 - 1)
     diags = []
+    skipped = 0
     for y in pts:
         ks = math.ceil((stable_agreement_onset(y, x0) + w) / n0) + 1
         ku = math.ceil((unstable_agreement_onset(y, left_ref) + w) / n0) + 1
@@ -262,7 +283,8 @@ def verify_lemma1(
             lo, hi = -n * n0 + 1, n * n0
             try:
                 z = closing_point_range(y, lo, hi)
-            except Exception:
+            except InadmissibleLoop:
+                skipped += 1
                 continue
             zf = compose(invert(iterate(F, z, hi)), iterate(G, z, hi))
             zb = compose(invert(iterate(F, z, lo)), iterate(G, z, lo))
@@ -273,7 +295,7 @@ def verify_lemma1(
             rows.append((z, gap))
             worst = max(worst, gap)
             diags.append((y, n, gap, near))
-    return ResidualReport(tuple(rows), worst, tol, worst <= tol, tuple(diags))
+    return ResidualReport(tuple(rows), worst, tol, worst <= tol, tuple(diags), skipped)
 
 
 def verify_lemma_hol_conj(T: TransferMap, pairs, tol: float = 1e-6) -> ResidualReport:
@@ -295,28 +317,42 @@ def holder_regression(points, lookup, rho: float, min_samples: int = 30):
 
     Returns (exponent, constant); exponent is inf when the map is constant
     across the samples (all numerators vanish).  Pairs with zero numerator are
-    dropped from the fit.
+    dropped from the fit.  ``lookup`` is called once per point and each
+    distance once per distinct ordered pair of values.
     """
     pts = list(points)
+    if len(pts) < min_samples:
+        raise InsufficientScales(f"need at least {min_samples} samples, got {len(pts)}")
+    # number the distinct values; an exact map and its float copy compare and
+    # hash equal but round differently in uniform_distance, so the mode is part
+    # of the key
+    ids, idx = {}, []
+    for y in pts:
+        m = lookup(y)
+        idx.append(ids.setdefault((m, m.is_exact), len(ids)))
+    vals = [m for m, _ in ids]
+    log_rho = math.log(rho)
     log_d, log_r = [], []
     scales = set()
     any_pairs = False
+    dist = {}
     for i, y in enumerate(pts):
-        for z in pts[i + 1 :]:
-            n = distance_exponent(y, z)
+        for j in range(i + 1, len(pts)):
+            n = distance_exponent(y, pts[j])
             if n is None:
                 continue
             any_pairs = True
-            r = float(uniform_distance(lookup(y), lookup(z)))
+            pair = (idx[i], idx[j])
+            r = dist.get(pair)
+            if r is None:
+                r = dist[pair] = float(uniform_distance(vals[pair[0]], vals[pair[1]]))
             if r == 0:
                 continue
             scales.add(n)
-            log_d.append(-n * math.log(rho))
+            log_d.append(-n * log_rho)
             log_r.append(math.log(r))
     if any_pairs and not log_r:
         return (math.inf, 0.0)
-    if len(pts) < min_samples:
-        raise InsufficientScales(f"need at least {min_samples} samples, got {len(pts)}")
     if len(scales) < 3:
         raise InsufficientScales(f"only {len(scales)} distance scales present")
     slope, intercept = np.polyfit(np.array(log_d), np.array(log_r), 1)

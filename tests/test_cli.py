@@ -101,6 +101,16 @@ def test_tolerance_override(tmp_path):
     assert main(["run", "--config", str(cfg), "--tol", "triples"]) == 2
 
 
+def test_metric_suite_chain_bound_at_large_seed(tmp_path):
+    # float triples of this seed overshoot L(g)L(f) by a few ulps (3.2e-12
+    # absolute), which an absolute 1e-12 bound rejected
+    cfg = write_config(tmp_path, {"experiment": "metric-suite", "seed": 1227336022000})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "rows.csv").read_text().splitlines()
+    chain = next(r for r in rows if r.startswith("lipschitz-chain-bound,"))
+    assert chain.endswith(",1")
+
+
 def test_deterministic_rows(tmp_path):
     cfg_doc = {"experiment": "closing-lemma", "seed": 9}
     cfg = write_config(tmp_path, cfg_doc)

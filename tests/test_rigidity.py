@@ -24,6 +24,7 @@ from cocyclelab.fixtures import (
     rotation_cocycle,
     rotation_conjugacy_rule,
 )
+from cocyclelab import transfer
 from cocyclelab.transfer import holder_regression
 
 
@@ -183,6 +184,18 @@ def test_regularize_requires_domination(setup):
     phi = MeasurableConjugacy(rule)
     with pytest.raises(NotDominated):
         regularize(phi, expanding_cocycle(space), G, 20, 1e-8, mu=mu, seed=71)
+
+
+def test_regularize_missing_regression_stays_none(setup, monkeypatch):
+    space, F, G, _, _, rule, mu = setup
+    out, rep = regularize(MeasurableConjugacy(rule), F, G, 4, 1e-8, mu=mu, seed=81)
+    assert rep.regression is None  # fewer targets than the regression needs
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("an explicit None must not start a regression")
+
+    monkeypatch.setattr(transfer, "holder_regression", no_call)
+    assert out.holder_estimate is None and out.to_json()["holder_estimate"] is None
 
 
 def test_regularize_exponent_report(setup):

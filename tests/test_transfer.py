@@ -1,8 +1,11 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from cocyclelab import transfer
 from cocyclelab import (
     CocycleSpec,
     PLMap,
@@ -11,9 +14,10 @@ from cocyclelab import (
     build_transfer,
     check_periodic_data,
     compose,
-    distance,
     estimate_holder,
     extend_transfer,
+    holder_regression,
+    homoclinic_points,
     invert,
     iterate,
     uniform_distance,
@@ -27,6 +31,7 @@ from cocyclelab.errors import (
     NotDominated,
     PeriodicDataMismatch,
 )
+from cocyclelab.symbolic import distance_exponent
 from cocyclelab.fixtures import (
     conjugated_pair,
     decaying_rotation_rule,
@@ -199,12 +204,82 @@ def test_estimate_holder_decaying_amplitudes(family):
 def test_estimate_holder_requires_scales(family):
     space, F, G, _, x0 = family
     T = build_transfer(F, G, x0, 3, tol=1e-10)
-    pts = [y for y in T.class_points if distance(y, x0) == 1][:35]
-    if len(pts) >= 30:
-        with pytest.raises(InsufficientScales):
-            estimate_holder(T, pts)
+    # values that differ only between cylinders give a single distance scale
+    pts = list(T.class_points)
+    assert len(pts) >= 30 and len({y[0] for y in pts}) == 2
+    with pytest.raises(InsufficientScales, match="1 distance scales"):
+        holder_regression(pts, lambda y: PLMap.rotation(Fraction(y[0], 4)), 2.0)
     with pytest.raises(InsufficientScales):
         estimate_holder(T, list(T.class_points)[:5])
+    # too few samples is reported even when the map is constant on them
+    with pytest.raises(InsufficientScales):
+        holder_regression(list(T.class_points)[:5], lambda y: PLMap.identity(), 2.0)
+
+
+def _naive_regression(points, lookup, rho, min_samples):
+    """Reference: one lookup pair and one distance per pair of points."""
+    pts = list(points)
+    if len(pts) < min_samples:
+        raise InsufficientScales("too few samples")
+    log_d, log_r = [], []
+    scales = set()
+    any_pairs = False
+    for i, y in enumerate(pts):
+        for z in pts[i + 1 :]:
+            n = distance_exponent(y, z)
+            if n is None:
+                continue
+            any_pairs = True
+            r = float(uniform_distance(lookup(y), lookup(z)))
+            if r == 0:
+                continue
+            scales.add(n)
+            log_d.append(-n * math.log(rho))
+            log_r.append(math.log(r))
+    if any_pairs and not log_r:
+        return (math.inf, 0.0)
+    if len(scales) < 3:
+        raise InsufficientScales("too few scales")
+    slope, intercept = np.polyfit(np.array(log_d), np.array(log_r), 1)
+    return (float(slope), float(math.exp(intercept)))
+
+
+def _float_copy(m):
+    return PLMap.make([float(b) for b in m.breaks], [float(v) for v in m.vals])
+
+
+def _dyadic_map(rng, n_breaks=3):
+    """Exact map on a 1/64 grid: its float copy compares and hashes equal to it,
+    while its slopes are not dyadic, so the two modes round differently."""
+    breaks = sorted(rng.choice(64, size=n_breaks, replace=False))
+    v0 = int(rng.integers(0, 64))
+    vals = sorted(rng.choice(np.arange(v0, v0 + 64), size=n_breaks, replace=False))
+    return PLMap.make([Fraction(int(b), 64) for b in breaks], [Fraction(int(v), 64) for v in vals])
+
+
+_POOL_POINTS = homoclinic_points(SymbolicPoint.fixed(SFTSpace.full_shift(2), 0), 3)
+_EXACT_POOL = [_dyadic_map(np.random.default_rng(k)) for k in range(4)] + [
+    PLMap.rotation(Fraction(1, 4)),
+]
+_MAP_POOL = _EXACT_POOL + [_float_copy(m) for m in _EXACT_POOL]
+
+
+@given(
+    st.lists(st.integers(0, len(_POOL_POINTS) - 1), min_size=2, max_size=16),
+    st.lists(st.integers(0, len(_MAP_POOL) - 1), min_size=len(_POOL_POINTS),
+             max_size=len(_POOL_POINTS)),
+)
+def test_holder_regression_matches_per_pair_reference(picks, assignment):
+    pts = [_POOL_POINTS[i] for i in picks]
+    value = {y: _MAP_POOL[k] for y, k in zip(_POOL_POINTS, assignment)}
+
+    def outcome(fn):
+        try:
+            return fn(pts, value.__getitem__, 2.0, 4)
+        except InsufficientScales:
+            return "insufficient"
+
+    assert outcome(holder_regression) == outcome(_naive_regression)
 
 
 # ------------------------------------------------------------------- extension
@@ -256,6 +331,62 @@ def test_periodic_base_pipeline():
     assert lem.diagnostics
     for _, _, gap, near in lem.diagnostics:
         assert gap == 0.0
+
+
+def test_lemma1_counts_skipped_bridges(monkeypatch):
+    space = SFTSpace.golden_mean()
+    F = rotation_cocycle(space, 1, seed=5)
+    G = conjugated_pair(F, decaying_rotation_rule(space, 3))
+    T = build_transfer(F, G, SymbolicPoint.periodic(space, (0, 1)), 4, tol=1e-10)
+    pts = list(T.class_points)[:12]
+    lem = verify_lemma1(T, points=pts, tol=1e-9)
+    # a bridge whose window wraps 1 -> 1 has no closing point on the golden mean
+    assert lem.skipped > 0
+    assert len(lem.diagnostics) + lem.skipped == 3 * len(pts)
+
+    def broken(y, lo, hi):
+        raise ValueError("not a forbidden wrap pair")
+
+    monkeypatch.setattr(transfer, "closing_point_range", broken)
+    with pytest.raises(ValueError):
+        verify_lemma1(T, points=pts, tol=1e-9)
+
+
+# ------------------------------------------------------------- lazy estimate
+
+
+@pytest.fixture
+def regression_calls(monkeypatch):
+    calls = []
+    real = transfer.holder_regression
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(transfer, "holder_regression", counted)
+    return calls
+
+
+def test_holder_estimate_is_lazy(family, regression_calls):
+    space, F, G, _, x0 = family
+    T = build_transfer(F, G, x0, 3, tol=1e-10)
+    repr(T)
+    assert regression_calls == []
+    first = T.holder_estimate
+    assert len(regression_calls) == 1
+    assert T.holder_estimate is first and len(regression_calls) == 1
+    assert first == estimate_holder(T)
+    assert T.to_json()["holder_estimate"] == list(first)
+
+
+def test_holder_estimate_given_value_wins(family, regression_calls):
+    space, F, G, _, x0 = family
+    T = build_transfer(F, G, x0, 3, tol=1e-10)
+    T.holder_estimate = (0.5, 2.0)
+    assert T.holder_estimate == (0.5, 2.0)
+    assert T.to_json()["holder_estimate"] == [0.5, 2.0]
+    assert regression_calls == []
 
 
 def test_transfer_json_document(family):
