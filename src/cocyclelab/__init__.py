@@ -21,7 +21,6 @@ from .cocycles import (
     DominationReport,
     check_bounded_distortion,
     check_domination,
-    evaluate_generator,
     holder_const_cocycle,
     iterate,
     power_domination,

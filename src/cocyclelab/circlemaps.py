@@ -65,9 +65,10 @@ class PLMap:
         if not exact:
             breaks, vals = _drop_tiny_segments(breaks, vals)
         _check_increasing(breaks, vals)
+        breaks, vals = _merge_collinear(breaks, vals, exact)
+        # normalise after the merge: it may drop the first breakpoint
         k = math.floor(vals[0])
         vals = tuple(v - k for v in vals)
-        breaks, vals = _merge_collinear(breaks, vals, exact)
         if len(breaks) == 1:
             angle = (vals[0] - breaks[0]) % 1
             zero = Fraction(0) if exact else 0.0

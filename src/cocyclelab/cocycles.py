@@ -62,22 +62,38 @@ class CocycleSpec:
         return cls(space, int(doc["window"]), table, doc.get("alpha", 1))
 
 
-def evaluate_generator(c: CocycleSpec, x: SymbolicPoint) -> PLMap:
-    return c.generator(x)
+def prefix_products(maps, cap: int = BREAKPOINT_CAP):
+    """Yield the prefix products h_1 = m_1, h_j = m_j h_{j-1} of ``maps``.
+
+    This is the one place where maps are composed along an orbit; each
+    product is checked against the breakpoint cap.
+    """
+    h = None
+    for m in maps:
+        h = m if h is None else compose(m, h)
+        if len(h.breaks) > cap:
+            raise ResourceLimit(f"composition exceeded {cap} breakpoints")
+        yield h
+
+
+def orbit_generators(c: CocycleSpec, x: SymbolicPoint, n: int):
+    """The maps whose prefix products are f^1_x, ..., f^n_x.
+
+    For n > 0 these are the generators at x, sigma x, ...; for n < 0 the
+    inverse generators at sigma^-1 x, sigma^-2 x, ..., because
+    f^-j_x = (g at sigma^-j x)^-1 f^-(j-1)_x.
+    """
+    if n >= 0:
+        return (c.generator(x.shift(j)) for j in range(n))
+    return (invert(c.generator(x.shift(-j))) for j in range(1, 1 - n))
 
 
 def iterate(c: CocycleSpec, x: SymbolicPoint, n: int, cap: int = BREAKPOINT_CAP) -> PLMap:
     """n-step fibre composition; negative n uses the inverse-iterate convention
     f^n_x = (f^{|n|} at sigma^n(x))^{-1}, the unique one satisfying the cocycle law."""
-    if n == 0:
-        return PLMap.identity()
-    if n < 0:
-        return invert(iterate(c, x.shift(n), -n, cap))
-    h = c.generator(x)
-    for j in range(1, n):
-        h = compose(c.generator(x.shift(j)), h)
-        if len(h.breaks) > cap:
-            raise ResourceLimit(f"composition exceeded {cap} breakpoints")
+    h = PLMap.identity()
+    for h in prefix_products(orbit_generators(c, x, n), cap):
+        pass
     return h
 
 
@@ -141,9 +157,7 @@ def check_domination(
     if samples:
         n_step_ok = True
         for x in samples:
-            h = PLMap.identity()
-            for n in range(1, horizon + 1):
-                h = compose(c.generator(x.shift(n - 1)), h)
+            for n, h in enumerate(prefix_products(orbit_generators(c, x, horizon)), 1):
                 bound = rho ** (n * (alpha - theta_s)) * (1 + 1e-9)
                 if 1.0 / float(h.min_slope) > bound:
                     n_step_ok = False
@@ -183,12 +197,7 @@ def check_bounded_distortion(
     samples = list(samples)
     per_step = [1.0] * horizon
     for x in samples:
-        h = None
-        for n in range(1, horizon + 1):
-            g = c.generator(x.shift(n - 1))
-            h = g if h is None else compose(g, h)
-            if len(h.breaks) > cap:
-                raise ResourceLimit(f"composition exceeded {cap} breakpoints")
+        for n, h in enumerate(prefix_products(orbit_generators(c, x, horizon), cap), 1):
             val = max(float(h.max_slope), 1.0 / float(h.min_slope))
             per_step[n - 1] = max(per_step[n - 1], val)
     k_est = max(per_step) if samples else 1.0
@@ -201,36 +210,6 @@ def check_bounded_distortion(
         slope = np.polyfit(range(1, horizon + 1), logs, 1)[0]
         growth = bool(slope > 1e-3)
     return DistortionReport(k_est, horizon, certified, tuple(per_step), growth)
-
-
-@dataclass(frozen=True)
-class PowerCocycle:
-    """Time-n0 cocycle over sigma**n0, evaluated through the base table."""
-
-    base: CocycleSpec
-    n0: int
-
-    def __post_init__(self):
-        if self.n0 < 1:
-            raise ValueError("n0 must be >= 1")
-
-    @property
-    def space(self) -> SFTSpace:
-        return self.base.space
-
-    @property
-    def window(self) -> int:
-        return self.base.window + self.n0 - 1
-
-    @property
-    def alpha(self):
-        return self.base.alpha
-
-    def generator(self, x: SymbolicPoint) -> PLMap:
-        return iterate(self.base, x, self.n0)
-
-    def iterate(self, x: SymbolicPoint, k: int) -> PLMap:
-        return iterate(self.base, x, k * self.n0)
 
 
 def power_domination(c: CocycleSpec, n0: int) -> DominationReport:
@@ -246,10 +225,8 @@ def power_domination(c: CocycleSpec, n0: int) -> DominationReport:
     l_max, linv_max = 1.0, 1.0
     w_u = w_s = None
     for word in c.space.words(2 * w + n0):
-        h = None
-        for j in range(n0):
-            g = c.table[word[j : j + 2 * w + 1]]
-            h = g if h is None else compose(g, h)
+        for h in prefix_products(c.table[word[j : j + 2 * w + 1]] for j in range(n0)):
+            pass
         if float(h.max_slope) > l_max:
             l_max, w_u = float(h.max_slope), word
         if 1.0 / float(h.min_slope) > linv_max:

@@ -359,10 +359,9 @@ def run_theorem_a(cfg: ExperimentConfig, space=None, x0=None, core_len: int = 5)
         F, G, psi = _rotation_family(cfg, space)
     x0 = x0 or SymbolicPoint.fixed(space, 0)
 
-    pd = check_periodic_data(F, G, 6, tol)
-    rows = [CheckRow("periodic-data", pd.worst_residual, 0.0, pd.worst_residual == 0.0)]
-
     T = build_transfer(F, G, x0, core_len, tol=1e-9)
+    pd = T.periodic_data
+    rows = [CheckRow("periodic-data", pd.worst_residual, 0.0, pd.worst_residual == 0.0)]
     coh = verify_cohomology(T, tol=tol)
     rows.append(CheckRow("cohomological-residual", coh.worst, tol, coh.worst <= tol))
     n_pts = len(coh.rows)
@@ -503,13 +502,36 @@ def run(cfg: ExperimentConfig) -> ReportDocument:
 # --------------------------------------------------------------------- fixtures
 
 
-FIXTURE_KINDS = (
-    "rotation-cocycle",
-    "pl-dominated-cocycle",
-    "conjugated-pair",
-    "corrupted-conjugacy",
-    "fb-family",
-)
+def _rotation_cocycle_entries(space, params, seed):
+    c = fixtures.rotation_cocycle(space, int(params.get("window", 1)), seed)
+    return {"cocycles": {"C": c.to_json()}}
+
+
+def _pl_dominated_entries(space, params, seed):
+    theta = float(params.get("theta", 0.4))
+    c = fixtures.pl_dominated_cocycle(space, int(params.get("window", 1)), theta, seed)
+    return {"cocycles": {"C": c.to_json()}, "tolerances": {"theta": theta}}
+
+
+def _conjugated_pair_entries(space, params, seed):
+    F = fixtures.rotation_cocycle(space, 1, seed)
+    psi = fixtures.decaying_rotation_rule(space, int(params.get("psi_window", 3)))
+    G = fixtures.conjugated_pair(F, psi)
+    return {"cocycles": {"F": F.to_json(), "G": G.to_json()}}
+
+
+def _corrupted_conjugacy_entries(space, params, seed):
+    return {"tolerances": {"residual": float(params.get("tol", 1e-6))}}
+
+
+# kind -> (experiment, file name, config entries after experiment/seed/space)
+_CONFIG_FIXTURES = {
+    "rotation-cocycle": ("distortion", "rotation_cocycle.json", _rotation_cocycle_entries),
+    "pl-dominated-cocycle": ("holonomy", "pl_dominated_cocycle.json", _pl_dominated_entries),
+    "conjugated-pair": ("theorem-a", "conjugated_pair.json", _conjugated_pair_entries),
+    "corrupted-conjugacy": ("theorem-b", "corrupted_conjugacy.json", _corrupted_conjugacy_entries),
+}
+FIXTURE_KINDS = (*_CONFIG_FIXTURES, "fb-family")
 
 
 def generate_fixture(kind: str, params: dict, seed: int, out_dir) -> list:
@@ -517,70 +539,24 @@ def generate_fixture(kind: str, params: dict, seed: int, out_dir) -> list:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     params = dict(params or {})
-
-    def space_from_params():
-        name = params.get("space", "full-2-shift")
-        if name == "full-2-shift":
-            return SFTSpace.full_shift(int(params.get("k", 2)))
-        if name == "golden-mean":
-            return SFTSpace.golden_mean()
-        raise ParamError(f"unknown space {name!r}")
-
     if kind == "fb-family":
         b = Fraction(params.get("b", "1/4"))
         doc = fb_family(b).to_json()
         path = out / "fb_family.json"
         path.write_text(json.dumps(doc, indent=2))
         return [path]
-    if kind == "rotation-cocycle":
-        space = space_from_params()
-        c = fixtures.rotation_cocycle(space, int(params.get("window", 1)), seed)
-        doc = {
-            "experiment": "distortion",
-            "seed": seed,
-            "space": space.to_json(),
-            "cocycles": {"C": c.to_json()},
-        }
-        path = out / "rotation_cocycle.json"
-        path.write_text(json.dumps(doc, indent=2))
-        return [path]
-    if kind == "pl-dominated-cocycle":
-        space = space_from_params()
-        theta = float(params.get("theta", 0.4))
-        c = fixtures.pl_dominated_cocycle(space, int(params.get("window", 1)), theta, seed)
-        doc = {
-            "experiment": "holonomy",
-            "seed": seed,
-            "space": space.to_json(),
-            "cocycles": {"C": c.to_json()},
-            "tolerances": {"theta": theta},
-        }
-        path = out / "pl_dominated_cocycle.json"
-        path.write_text(json.dumps(doc, indent=2))
-        return [path]
-    if kind == "conjugated-pair":
-        space = space_from_params()
-        F = fixtures.rotation_cocycle(space, 1, seed)
-        psi = fixtures.decaying_rotation_rule(space, int(params.get("psi_window", 3)))
-        G = fixtures.conjugated_pair(F, psi)
-        doc = {
-            "experiment": "theorem-a",
-            "seed": seed,
-            "space": space.to_json(),
-            "cocycles": {"F": F.to_json(), "G": G.to_json()},
-        }
-        path = out / "conjugated_pair.json"
-        path.write_text(json.dumps(doc, indent=2))
-        return [path]
-    if kind == "corrupted-conjugacy":
-        space = space_from_params()
-        doc = {
-            "experiment": "theorem-b",
-            "seed": seed,
-            "space": space.to_json(),
-            "tolerances": {"residual": float(params.get("tol", 1e-6))},
-        }
-        path = out / "corrupted_conjugacy.json"
-        path.write_text(json.dumps(doc, indent=2))
-        return [path]
-    raise ParamError(f"unknown fixture kind {kind!r}; expected one of {FIXTURE_KINDS}")
+    if kind not in _CONFIG_FIXTURES:
+        raise ParamError(f"unknown fixture kind {kind!r}; expected one of {FIXTURE_KINDS}")
+    experiment, name, entries = _CONFIG_FIXTURES[kind]
+    space_name = params.get("space", "full-2-shift")
+    if space_name == "full-2-shift":
+        space = SFTSpace.full_shift(int(params.get("k", 2)))
+    elif space_name == "golden-mean":
+        space = SFTSpace.golden_mean()
+    else:
+        raise ParamError(f"unknown space {space_name!r}")
+    doc = {"experiment": experiment, "seed": seed, "space": space.to_json()}
+    doc.update(entries(space, params, seed))
+    path = out / name
+    path.write_text(json.dumps(doc, indent=2))
+    return [path]

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circlemaps import PLMap, compose, invert, uniform_distance
-from .cocycles import CocycleSpec, check_domination, iterate, power_domination
+from .cocycles import (
+    CocycleSpec,
+    check_domination,
+    iterate,
+    orbit_generators,
+    power_domination,
+    prefix_products,
+)
 from .errors import NoConvergence, NotDominated
 from .symbolic import (
     SymbolicPoint,
@@ -42,6 +49,15 @@ class HolonomyResult:
     distance_alpha_ratio: float | None
 
 
+def _two_products(c: CocycleSpec, x: SymbolicPoint, n: int, n2: int):
+    """f^n_x and f^n2_x from one pass along the orbit; |n| < |n2|, same sign."""
+    first = PLMap.identity()
+    for j, h in enumerate(prefix_products(orbit_generators(c, x, n2)), 1):
+        if j == abs(n):
+            first = h
+    return first, h
+
+
 def _holonomy(c: CocycleSpec, x, y, side: str, tol: float, n0: int, iter_cap: int):
     dom = power_domination(c, n0) if n0 > 1 else check_domination(c)
     theta = dom.theta_s if side == "s" else dom.theta_u
@@ -56,11 +72,9 @@ def _holonomy(c: CocycleSpec, x, y, side: str, tol: float, n0: int, iter_cap: in
     if n_used > iter_cap:
         raise NoConvergence(f"stabilisation index {n_used} exceeds cap {iter_cap}")
     sign = 1 if side == "s" else -1
-    a = iterate(c, x, sign * n_used)
-    b = iterate(c, y, sign * n_used)
+    a, a2 = _two_products(c, x, sign * n_used, sign * (n_used + n0))
+    b, b2 = _two_products(c, y, sign * n_used, sign * (n_used + n0))
     h = compose(invert(b), a)
-    a2 = iterate(c, x, sign * (n_used + n0))
-    b2 = iterate(c, y, sign * (n_used + n0))
     tail = float(uniform_distance(h, compose(invert(b2), a2)))
     if tail > tol:
         raise NoConvergence(f"residual tail {tail:.3e} exceeds tol {tol:.3e}")
@@ -148,16 +162,14 @@ def holonomy_convergence_table(
     y-orbit by the uniform gap between the inverse generators at step n.
     """
     stable_agreement_onset(x, y)
-    ax = ay = PLMap.identity()
+    gxs = list(orbit_generators(c, x, n_max + 1))
+    gys = list(orbit_generators(c, y, n_max + 1))
     h_prev = PLMap.identity()
     prod_linv = 1.0
     rows = []
-    for n in range(n_max + 1):
-        gx = c.generator(x.shift(n))
-        gy = c.generator(y.shift(n))
+    steps = zip(gxs, gys, prefix_products(gxs), prefix_products(gys))
+    for n, (gx, gy, ax, ay) in enumerate(steps):
         bound = prod_linv * float(uniform_distance(invert(gy), invert(gx)))
-        ax = compose(gx, ax)
-        ay = compose(gy, ay)
         h = compose(invert(ay), ax)
         inc = float(uniform_distance(h, h_prev))
         rows.append((n, inc, bound))

@@ -25,7 +25,7 @@ from .symbolic import (
     is_stable_pair,
     sample_measure,
 )
-from .transfer import ResidualReport, TransferMap, holder_regression
+from .transfer import ResidualReport, TransferMap, cohomology_residual, holder_regression
 
 
 @dataclass(frozen=True)
@@ -204,30 +204,21 @@ class RigidityReport:
         }
 
 
-def _transport(phi_anchor, F, G, a, t, tol):
-    """Carry a conjugacy value from a to t through the local product point."""
-    m = bracket(a, t)
-    hf = stable_holonomy(F, a, m, tol).map
-    hg = stable_holonomy(G, a, m, tol).map
-    val = compose(compose(hf, phi_anchor), invert(hg))
-    if m == t:
-        return val
-    hfu = unstable_holonomy(F, m, t, tol).map
-    hgu = unstable_holonomy(G, m, t, tol).map
-    return compose(compose(hfu, val), invert(hgu))
+def _transport(phi_anchor, F, G, a, t, tol, order="su"):
+    """Carry a conjugacy value from a to t through the local product point.
 
-
-def _transport_flipped(phi_anchor, F, G, a, t, tol):
-    """Unstable leg first, then stable: the other route through the bracket."""
-    m = bracket(t, a)
-    hfu = unstable_holonomy(F, a, m, tol).map
-    hgu = unstable_holonomy(G, a, m, tol).map
-    val = compose(compose(hfu, phi_anchor), invert(hgu))
-    if m == t:
-        return val
-    hf = stable_holonomy(F, m, t, tol).map
-    hg = stable_holonomy(G, m, t, tol).map
-    return compose(compose(hf, val), invert(hg))
+    ``order`` "su" takes the stable leg first and the unstable leg second;
+    "us" is the other route through the bracket.  The second leg is skipped
+    when the product point is t itself.
+    """
+    m = bracket(a, t) if order == "su" else bracket(t, a)
+    val = phi_anchor
+    for side, p, q in ((order[0], a, m), (order[1], m, t)):
+        hol = stable_holonomy if side == "s" else unstable_holonomy
+        val = compose(compose(hol(F, p, q, tol).map, val), invert(hol(G, p, q, tol).map))
+        if m == t:
+            break
+    return val
 
 
 def regularize(
@@ -267,9 +258,7 @@ def regularize(
     anchors = []
     excluded = 0
     for a in anchors_raw:
-        lhs = F.generator(a)
-        rhs = compose(compose(phi.phi_at(a.shift(1)), G.generator(a)), invert(phi.phi_at(a)))
-        if float(uniform_distance(lhs, rhs)) <= 10 * tol:
+        if cohomology_residual(F, G, phi.phi_at, a) <= 10 * tol:
             anchors.append(a)
         else:
             excluded += 1
@@ -315,17 +304,13 @@ def regularize(
         a = anchor_for(t)
         if a == t:
             continue
-        alt = _transport_flipped(phi.phi_at(a), F, G, a, t, tol)
+        alt = _transport(phi.phi_at(a), F, G, a, t, tol, order="us")
         path_worst = max(path_worst, float(uniform_distance(tilde[t], alt)))
 
     coh_worst = 0.0
     for t in targets:
-        s = t.shift(1)
-        if s not in tilde:
-            continue
-        lhs = F.generator(t)
-        rhs = compose(compose(tilde[s], G.generator(t)), invert(tilde[t]))
-        coh_worst = max(coh_worst, float(uniform_distance(lhs, rhs)))
+        if t.shift(1) in tilde:
+            coh_worst = max(coh_worst, cohomology_residual(F, G, tilde.__getitem__, t))
 
     # regress over the corruption-independent targets so the measured modulus
     # is comparable across runs with and without injected corruption

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circlemaps import PLMap, compose, invert, uniform_distance
-from .cocycles import CocycleSpec, iterate, power_domination
+from .cocycles import CocycleSpec, iterate, power_domination, prefix_products
 from .errors import (
     DepthUnreachable,
     InadmissibleLoop,
@@ -57,18 +57,13 @@ def check_periodic_data(
     worst = 0.0
     for pt in periodic_points(f.space, max_period, cap):
         p = pt.period
-        fp = iterate(f, pt, p)
-        gp = iterate(g, pt, p)
-        facc, gacc = fp, gp
-        n = p
-        while n <= max_period:
-            r = float(uniform_distance(facc, gacc))
-            rows.append((pt, n, r))
+        powers = max_period // p
+        f_powers = prefix_products([iterate(f, pt, p)] * powers)
+        g_powers = prefix_products([iterate(g, pt, p)] * powers)
+        for j, (fn, gn) in enumerate(zip(f_powers, g_powers), 1):
+            r = float(uniform_distance(fn, gn))
+            rows.append((pt, j * p, r))
             worst = max(worst, r)
-            n += p
-            if n <= max_period:
-                facc = compose(fp, facc)
-                gacc = compose(gp, gacc)
     return PeriodicDataReport(max_period, worst, worst <= tol, tuple(rows))
 
 
@@ -100,7 +95,8 @@ class TransferMap:
     enumerated class.  ``normalized`` records that phi at the base point is the
     identity (true for transfer builds; regularised conjugacies may differ).
     ``holder_estimate`` is the regression over ``_default_points``, computed
-    when first read unless given.
+    when first read unless given.  ``periodic_data`` is the report with
+    which ``build_transfer`` checked the pair.
     """
 
     F: CocycleSpec
@@ -115,6 +111,7 @@ class TransferMap:
     construction_residual: float | None = None
     normalized: bool = True
     class_points: tuple = ()
+    periodic_data: PeriodicDataReport | None = field(default=None, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
 
     def phi_at(self, y: SymbolicPoint) -> PLMap:
@@ -193,16 +190,11 @@ def build_transfer(
     pts = homoclinic_points(x0, core_len, variant)
     alpha = float(F.alpha)
     beta = gamma_budget(dom_f.theta_s, alpha) * gamma_budget(dom_g.theta_s, float(G.alpha))
-    T = TransferMap(F, G, x0, n0, {}, beta, tol, class_points=tuple(pts))
+    T = TransferMap(F, G, x0, n0, {}, beta, tol, class_points=tuple(pts), periodic_data=pd)
     for y in pts:
         T.samples[y] = T.phi_at(y)
     T.samples[x0] = PLMap.identity()
-    worst = 0.0
-    for y in pts:
-        lhs = F.generator(y)
-        rhs = compose(compose(T.phi_at(y.shift(1)), G.generator(y)), invert(T.phi_at(y)))
-        worst = max(worst, float(uniform_distance(lhs, rhs)))
-    T.construction_residual = worst
+    T.construction_residual = verify_cohomology(T, pts).worst
     return T
 
 
@@ -222,18 +214,27 @@ def _default_points(T):
     return sorted(T.samples, key=SymbolicPoint.sort_key)
 
 
+def cohomology_residual(F: CocycleSpec, G: CocycleSpec, phi, y: SymbolicPoint) -> float:
+    """Uniform distance between f_y and phi(sigma y) g_y phi(y)^-1, for a lookup ``phi``."""
+    rhs = compose(compose(phi(y.shift(1)), G.generator(y)), invert(phi(y)))
+    return float(uniform_distance(F.generator(y), rhs))
+
+
 def verify_cohomology(T: TransferMap, points=None, tol: float = 1e-6) -> ResidualReport:
     """Residuals of f_y = phi(sigma y) g_y phi(y)^-1 over the sampled class."""
     pts = list(points) if points is not None else _default_points(T)
     rows = []
     worst = 0.0
     for y in pts:
-        lhs = T.F.generator(y)
-        rhs = compose(compose(T.phi_at(y.shift(1)), T.G.generator(y)), invert(T.phi_at(y)))
-        r = float(uniform_distance(lhs, rhs))
+        r = cohomology_residual(T.F, T.G, T.phi_at, y)
         rows.append((y, r))
         worst = max(worst, r)
     return ResidualReport(tuple(rows), worst, tol, worst <= tol)
+
+
+def _quotient(F: CocycleSpec, G: CocycleSpec, y: SymbolicPoint, n: int) -> PLMap:
+    """(f^n_y)^-1 g^n_y."""
+    return compose(invert(iterate(F, y, n)), iterate(G, y, n))
 
 
 def verify_lemma1(
@@ -271,9 +272,7 @@ def verify_lemma1(
         ks = math.ceil((stable_agreement_onset(y, x0) + w) / n0) + 1
         ku = math.ceil((unstable_agreement_onset(y, left_ref) + w) / n0) + 1
         m = max(ks, ku) * n0
-        fwd = compose(invert(iterate(F, y, m)), iterate(G, y, m))
-        bwd = compose(invert(iterate(F, y, -m + 1)), iterate(G, y, -m + 1))
-        r = float(uniform_distance(fwd, bwd))
+        r = float(uniform_distance(_quotient(F, G, y, m), _quotient(F, G, y, -m + 1)))
         rows.append((y, r))
         worst = max(worst, r)
         # bridge the two limits through orbit-closing points: their forward and
@@ -286,12 +285,9 @@ def verify_lemma1(
             except InadmissibleLoop:
                 skipped += 1
                 continue
-            zf = compose(invert(iterate(F, z, hi)), iterate(G, z, hi))
-            zb = compose(invert(iterate(F, z, lo)), iterate(G, z, lo))
-            gap = float(uniform_distance(zf, zb))
-            near = float(
-                uniform_distance(zf, compose(invert(iterate(F, y, hi)), iterate(G, y, hi)))
-            )
+            zf = _quotient(F, G, z, hi)
+            gap = float(uniform_distance(zf, _quotient(F, G, z, lo)))
+            near = float(uniform_distance(zf, _quotient(F, G, y, hi)))
             rows.append((z, gap))
             worst = max(worst, gap)
             diags.append((y, n, gap, near))

@@ -259,6 +259,18 @@ def test_float_pruning_merges_tiny_segments():
     assert len(f.breaks) <= 2
 
 
+def test_make_canonical_lift_when_first_breakpoint_merges():
+    # 0 is not a breakpoint of f, and f(0) = -1/8: make merges the cut at 0
+    # away, and the lift must still start in [0, 1) so that one map has one
+    # representation
+    f = PLMap.make((Fraction(1, 4), Fraction(3, 4)), (0, Fraction(3, 4)))
+    g = PLMap.make((0, Fraction(1, 4), Fraction(3, 4)), (Fraction(-1, 8), 0, Fraction(3, 4)))
+    assert g.vals == f.vals == (0, Fraction(3, 4))
+    assert g == f and hash(g) == hash(f)
+    assert compose(f, PLMap.identity()) == f
+    assert compose(invert(f), PLMap.identity()) == invert(f)
+
+
 def test_make_rejects_bad_maps():
     with pytest.raises(ValueError):
         PLMap.make((0.0, 0.5), (0.2, 0.1))  # decreasing

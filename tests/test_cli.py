@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -7,6 +8,23 @@ from cocyclelab import PLMap, fb_family
 from cocyclelab.cli import main
 from cocyclelab.experiments import ExperimentConfig
 from cocyclelab.errors import ConfigError
+
+
+# sha256 of rows.csv for the run each test below makes; a change that keeps
+# every verdict and residual keeps these
+ROWS_SHA256 = {
+    "distortion": "291007f983a3df65e0eac2ad6a03b4f319814f8e4da803fcbaf361ef40d18183",
+    "theorem-a": "829dca1820d5c142632d65ed397331f887693e54679558fb41ed1040bd42fd88",
+    "metric-suite": "395d39c703d6aaaa3781ded9b042baababb39ff1d5f28d7e972d41bb5b66bfaa",
+    "closing-lemma": "962be91464a2cd716bb2dfa5b8a498b90e2a388f0b1a0e6a4f1ebb991e4372d8",
+    "holonomy": "3f6f93acb4bfe71f3358c3a4e7682119197f5ea0d6a48f6f62e9a6e49adb29a9",
+    "theorem-b": "9e028704504c98b5a55df28b4525d97accf412fde7c952090412c01c1ebdd463",
+}
+
+
+def assert_rows_pinned(out_dir, experiment):
+    digest = hashlib.sha256((out_dir / "rows.csv").read_bytes()).hexdigest()
+    assert digest == ROWS_SHA256[experiment]
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -32,14 +50,29 @@ def test_gen_rotation_cocycle_is_runnable(tmp_path):
     assert main(["gen", "rotation-cocycle", "--seed", "2", "--out", str(tmp_path)]) == 0
     cfg = tmp_path / "rotation_cocycle.json"
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert_rows_pinned(tmp_path / "out", "distortion")
 
 
-def test_gen_conjugated_pair_passes_theorem_a(tmp_path):
+def test_gen_conjugated_pair_passes_theorem_a(tmp_path, monkeypatch):
+    from cocyclelab import experiments, transfer
+
+    checked = []
+    check = transfer.check_periodic_data
+
+    def counting_check(*args, **kwargs):
+        checked.append(args[:2])
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(transfer, "check_periodic_data", counting_check)
+    monkeypatch.setattr(experiments, "check_periodic_data", counting_check)
     assert main(["gen", "conjugated-pair", "--seed", "4", "--param", "psi_window=3",
                  "--out", str(tmp_path)]) == 0
     cfg = tmp_path / "conjugated_pair.json"
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 0
+    assert_rows_pinned(tmp_path / "out", "theorem-a")
+    # the pair is checked once, inside build_transfer; then the perturbed pair
+    assert len(checked) == 2
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["verdict"] == "pass"
     names = {r["name"] for r in report["rows"]}
@@ -106,6 +139,7 @@ def test_metric_suite_chain_bound_at_large_seed(tmp_path):
     # absolute), which an absolute 1e-12 bound rejected
     cfg = write_config(tmp_path, {"experiment": "metric-suite", "seed": 1227336022000})
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert_rows_pinned(tmp_path / "out", "metric-suite")
     rows = (tmp_path / "out" / "rows.csv").read_text().splitlines()
     chain = next(r for r in rows if r.startswith("lipschitz-chain-bound,"))
     assert chain.endswith(",1")
@@ -119,6 +153,7 @@ def test_deterministic_rows(tmp_path):
     rows_a = (tmp_path / "a" / "rows.csv").read_bytes()
     rows_b = (tmp_path / "b" / "rows.csv").read_bytes()
     assert rows_a == rows_b
+    assert_rows_pinned(tmp_path / "a", "closing-lemma")
     ra = json.loads((tmp_path / "a" / "report.json").read_text())
     rb = json.loads((tmp_path / "b" / "report.json").read_text())
     assert ra["rows"] == rb["rows"]
@@ -128,6 +163,7 @@ def test_deterministic_rows(tmp_path):
 def test_holonomy_experiment_writes_convergence_table(tmp_path):
     cfg = write_config(tmp_path, {"experiment": "holonomy", "seed": 3})
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert_rows_pinned(tmp_path / "out", "holonomy")
     lines = (tmp_path / "out" / "convergence.csv").read_text().splitlines()
     assert lines[0] == "n,increment,bound"
     assert len(lines) > 10
@@ -136,6 +172,7 @@ def test_holonomy_experiment_writes_convergence_table(tmp_path):
 def test_theorem_b_writes_rigidity_json(tmp_path):
     cfg = write_config(tmp_path, {"experiment": "theorem-b", "seed": 5})
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert_rows_pinned(tmp_path / "out", "theorem-b")
     doc = json.loads((tmp_path / "out" / "rigidity.json").read_text())
     assert "beta_gamma" in doc and len(doc["repaired"]) == 10
     repaired = (tmp_path / "out" / "repaired.csv").read_text().splitlines()

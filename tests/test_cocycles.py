@@ -1,7 +1,9 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cocyclelab import (
     CocycleSpec,
@@ -12,7 +14,6 @@ from cocyclelab import (
     check_bounded_distortion,
     check_domination,
     compose,
-    evaluate_generator,
     fb_family,
     holder_const_cocycle,
     invert,
@@ -20,6 +21,7 @@ from cocyclelab import (
     power_domination,
     uniform_distance,
 )
+from cocyclelab.cocycles import orbit_generators, prefix_products
 from cocyclelab.errors import ResourceLimit
 from cocyclelab.fixtures import (
     expanding_cocycle,
@@ -42,7 +44,7 @@ def test_generator_lookup(full2):
     table = {(0,): PLMap.identity(), (1,): PLMap.rotation(Fraction(1, 4))}
     c = CocycleSpec(full2, 0, table)
     x = SymbolicPoint.fixed(full2, 1)
-    assert evaluate_generator(c, x) == PLMap.rotation(Fraction(1, 4))
+    assert c.generator(x) == PLMap.rotation(Fraction(1, 4))
 
 
 def test_generator_window_property(full2, rng):
@@ -50,7 +52,7 @@ def test_generator_window_property(full2, rng):
     x = random_point(full2, rng)
     y = random_point(full2, rng)
     if x.window(-1, 2) == y.window(-1, 2):
-        assert evaluate_generator(c, x) == evaluate_generator(c, y)
+        assert c.generator(x) == c.generator(y)
 
 
 def test_table_must_cover_admissible_words(golden):
@@ -75,14 +77,14 @@ def test_iterate_rotation_angle_sum(full2, rng):
     c = rotation_cocycle(full2, 1, seed=4)
     x = random_point(full2, rng)
     for n in (1, 3, 7):
-        expected = sum(evaluate_generator(c, x.shift(j)).angle for j in range(n)) % 1
+        expected = sum(c.generator(x.shift(j)).angle for j in range(n)) % 1
         assert iterate(c, x, n).angle == expected
 
 
 def test_iterate_two_steps_unrolled(full2, rng):
     c = pl_dominated_cocycle(full2, 1, 0.4, seed=9)
     x = random_point(full2, rng)
-    direct = compose(evaluate_generator(c, x.shift(1)), evaluate_generator(c, x))
+    direct = compose(c.generator(x.shift(1)), c.generator(x))
     assert uniform_distance(iterate(c, x, 2), direct) == 0
 
 
@@ -95,6 +97,26 @@ def test_cocycle_law_random(full2, rng):
         lhs = iterate(c, x, n + m)
         rhs = compose(iterate(c, x.shift(n), m), iterate(c, x, n))
         assert float(uniform_distance(lhs, rhs)) == 0
+
+
+@given(
+    st.integers(0, 10_000), st.sampled_from(["full2", "golden"]), st.integers(0, 1),
+    st.integers(-5, 5), st.integers(-5, 5),
+)
+@settings(max_examples=40, deadline=None)
+def test_cocycle_law_and_prefixes_property(seed, space_name, window, n, m):
+    space = SFTSpace.full_shift(2) if space_name == "full2" else SFTSpace.golden_mean()
+    c = pl_dominated_cocycle(space, window, 0.4, seed=seed)
+    x = random_point(space, np.random.default_rng(seed))
+    # exact maps have one representation, so the law holds under ==
+    assert iterate(c, x, n + m) == compose(iterate(c, x.shift(n), m), iterate(c, x, n))
+    sign = 1 if n >= 0 else -1
+    prefixes = list(prefix_products(orbit_generators(c, x, n)))
+    assert len(prefixes) == abs(n)
+    for j, h in enumerate(prefixes, 1):
+        assert h == iterate(c, x, sign * j)
+        if sign < 0:
+            assert h == invert(iterate(c, x.shift(-j), j))
 
 
 def test_iterate_negative_convention(full2, rng):

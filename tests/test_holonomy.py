@@ -10,17 +10,18 @@ from cocyclelab import (
     SymbolicPoint,
     check_domination,
     compose,
-    evaluate_generator,
     fb_family,
     holder_const_cocycle,
     holonomy_convergence_table,
     homoclinic_points,
     invert,
+    iterate,
     stable_holonomy,
     uniform_distance,
     unstable_holonomy,
     verify_holonomy_axioms,
 )
+from cocyclelab.circlemaps import SEGMENT_EPS, SLOPE_EPS
 from cocyclelab.errors import NotDominated, NotStablePair
 from cocyclelab.fixtures import (
     expanding_cocycle,
@@ -66,7 +67,7 @@ def test_rotation_angle_series_oracle(full2):
     res = stable_holonomy(c, x, y)
     # closed form: finitely many non-zero terms of the angle series
     s = sum(
-        evaluate_generator(c, x.shift(n)).angle - evaluate_generator(c, y.shift(n)).angle
+        c.generator(x.shift(n)).angle - c.generator(y.shift(n)).angle
         for n in range(0, 12)
     )
     assert res.map.is_rotation and res.map.angle == s % 1
@@ -74,7 +75,7 @@ def test_rotation_angle_series_oracle(full2):
     y_u = SymbolicPoint.make(full2, (0,), (1, 1, 0), (1,), 1)
     res_u = unstable_holonomy(c, x, y_u)
     su = sum(
-        evaluate_generator(c, y_u.shift(-n)).angle - evaluate_generator(c, x.shift(-n)).angle
+        c.generator(y_u.shift(-n)).angle - c.generator(x.shift(-n)).angle
         for n in range(1, 12)
     )
     assert res_u.map.angle == su % 1
@@ -141,10 +142,75 @@ def test_shifted_pair_consistency(full2):
     y = homoclinic_points(x0, 3)[7]
     h = stable_holonomy(c, x0, y).map
     h_shift = stable_holonomy(c, x0.shift(1), y.shift(1)).map
-    fy = evaluate_generator(c, y)
-    fx = evaluate_generator(c, x0)
+    fy = c.generator(y)
+    fx = c.generator(x0)
     lhs = compose(invert(fy), compose(h_shift, fx))
     assert float(uniform_distance(lhs, h)) <= 1e-12
+
+
+def float_copy(c):
+    return CocycleSpec(c.space, c.window, {
+        w: PLMap.make([float(b) for b in m.breaks], [float(v) for v in m.vals])
+        for w, m in c.table.items()
+    })
+
+
+def four_iterate_holonomy(c, x, y, side, n_used, n0):
+    """The holonomy and its tail from four products started from scratch,
+    with backward products as inverses of forward ones."""
+    def product(p, n):
+        return iterate(c, p, n) if n >= 0 else invert(iterate(c, p.shift(n), -n))
+
+    sign = 1 if side == "s" else -1
+    h = compose(invert(product(y, sign * n_used)), product(x, sign * n_used))
+    h2 = compose(invert(product(y, sign * (n_used + n0))), product(x, sign * (n_used + n0)))
+    return h, float(uniform_distance(h, h2))
+
+
+@pytest.mark.parametrize("n0", [1, 2])
+def test_one_pass_holonomy_matches_four_iterates(full2, n0):
+    c = pl_dominated_cocycle(full2, 1, 0.4, seed=3)
+    x0 = SymbolicPoint.fixed(full2, 0)
+    pts = homoclinic_points(x0, 3)
+    pairs = [(x0, y) for y in pts[::10]] + [(pts[1], pts[6]), (pts[4], pts[13])]
+    for side, hol in (("s", stable_holonomy), ("u", unstable_holonomy)):
+        for x, y in pairs:
+            res = hol(c, x, y, n0=n0)
+            h, tail = four_iterate_holonomy(c, x, y, side, res.n_used, n0)
+            assert res.map == h
+            assert res.cauchy_tail == tail == 0.0
+    # exact tails vanish; float forward products round the same way on both
+    # routes, so the rounding-level tails must agree bit for bit
+    cf = float_copy(c)
+    tails = []
+    for x, y in pairs:
+        res = stable_holonomy(cf, x, y, n0=n0)
+        h, tail = four_iterate_holonomy(cf, x, y, "s", res.n_used, n0)
+        assert res.map == h and res.cauchy_tail == tail
+        tails.append(tail)
+    assert max(tails) > 0
+
+
+def test_float_holonomies_track_exact(full2):
+    # A float compose or invert may merge slopes that differ by SLOPE_EPS
+    # (relative) and drop segments shorter than SEGMENT_EPS; either moves lift
+    # values by at most (SLOPE_EPS + SEGMENT_EPS) * lam**n on an n-step product
+    # whose slopes and inverse slopes are at most lam**n.  A holonomy built
+    # from products of length n = n_used + 1 makes at most 4(n + 1) such
+    # operations, and the steps after an error amplify it by at most lam**n.
+    c = pl_dominated_cocycle(full2, 1, 0.4, seed=9)
+    cf = float_copy(c)
+    lam = max(max(float(m.max_slope), 1.0 / float(m.min_slope)) for m in c.table.values())
+    x0 = SymbolicPoint.fixed(full2, 0)
+    for y in homoclinic_points(x0, 4)[::12]:
+        for hol in (stable_holonomy, unstable_holonomy):
+            exact, approx = hol(c, x0, y), hol(cf, x0, y)
+            assert approx.n_used == exact.n_used
+            n = exact.n_used + 1
+            bound = 4 * (n + 1) * (SLOPE_EPS + SEGMENT_EPS) * lam ** (2 * n)
+            as_float = PLMap.make([float(b) for b in exact.map.breaks],
+                                  [float(v) for v in exact.map.vals])
+            assert float(uniform_distance(as_float, approx.map)) <= bound
 
 
 # ----------------------------------------------------------- convergence table

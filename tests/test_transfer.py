@@ -109,6 +109,7 @@ def test_transfer_rotation_family_ground_truth(family):
         assert uniform_distance(m, truth.phi(y)) == 0
     assert T.samples[x0] == PLMap.identity()
     assert T.construction_residual == 0.0
+    assert T.periodic_data == check_periodic_data(F, G, 6)
 
 
 def test_constant_pair_identity_transfer():
