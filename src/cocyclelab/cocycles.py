@@ -81,11 +81,21 @@ def orbit_generators(c: CocycleSpec, x: SymbolicPoint, n: int):
 
     For n > 0 these are the generators at x, sigma x, ...; for n < 0 the
     inverse generators at sigma^-1 x, sigma^-2 x, ..., because
-    f^-j_x = (g at sigma^-j x)^-1 f^-(j-1)_x.
+    f^-j_x = (g at sigma^-j x)^-1 f^-(j-1)_x.  Each table entry is inverted
+    once per cocycle and kept in its cache.
     """
     if n >= 0:
         return (c.generator(x.shift(j)) for j in range(n))
-    return (invert(c.generator(x.shift(-j))) for j in range(1, 1 - n))
+    return (_inverse_generator(c, x.shift(-j)) for j in range(1, 1 - n))
+
+
+def _inverse_generator(c: CocycleSpec, x: SymbolicPoint) -> PLMap:
+    inverses = c._cache.setdefault("inverse", {})
+    w = c.window
+    word = x.window(-w, w + 1)
+    if word not in inverses:
+        inverses[word] = invert(c.table[word])
+    return inverses[word]
 
 
 def iterate(c: CocycleSpec, x: SymbolicPoint, n: int, cap: int = BREAKPOINT_CAP) -> PLMap:

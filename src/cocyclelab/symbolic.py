@@ -9,8 +9,12 @@ an exactly computable metric, which is what the rest of the library leans on.
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -548,6 +552,21 @@ class MarkovMeasure:
             tuple(self.pi[j] * self.Q[j][i] / self.pi[i] for j in range(k)) for i in range(k)
         )
 
+    # Cumulative tables, built once per direction on first use.  They live in
+    # the instance __dict__, outside the dataclass fields, so ==, hash, repr
+    # and to_json never see them.
+    @cached_property
+    def _start_cdf(self) -> tuple[float, ...]:
+        return _cumulative(self.pi)
+
+    @cached_property
+    def _forward_cdf(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(_cumulative(row) for row in self.Q)
+
+    @cached_property
+    def _backward_cdf(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(_cumulative(row) for row in self.backward_kernel())
+
     def to_json(self) -> dict:
         doc = self.space.to_json()
         doc["Q"] = [list(r) for r in self.Q]
@@ -595,25 +614,54 @@ def _complete_word(space: SFTSpace, word: Word, core_start: int) -> SymbolicPoin
     return SymbolicPoint.make(space, left, word, right, core_start)
 
 
+_SUM_ATOL = math.sqrt(sys.float_info.epsilon)
+
+
+def _cumulative(p) -> tuple[float, ...]:
+    """The table ``Generator.choice`` inverts for the probabilities ``p``.
+
+    It is built as ``choice`` builds it (float64 running sums divided by the
+    last one), after the checks ``choice`` makes on every call.
+    """
+    if any(math.isnan(q) for q in p):
+        raise ValueError("probabilities contain NaN")
+    if any(q < 0 for q in p):
+        raise ValueError("probabilities are not non-negative")
+    if abs(math.fsum(p) - 1.0) > _SUM_ATOL:
+        raise ValueError("probabilities do not sum to 1")
+    cdf = list(accumulate(p))
+    return tuple(c / cdf[-1] for c in cdf)
+
+
+def _walk(cdf, s: int, uniforms) -> list[int]:
+    """The chain's states after ``s``, one per uniform, by inversion of the
+    rows of ``cdf``: the index ``rng.choice`` returns for the same uniform."""
+    out = []
+    for u in uniforms:
+        s = bisect_right(cdf[s], u)
+        out.append(s)
+    return out
+
+
 def sample_measure(
     mu: MarkovMeasure, count: int, seed: int, depth: int = 64
 ) -> list[SymbolicPoint]:
     """i.i.d. cylinder-truncated draws from the Markov measure.
 
     Each draw is an admissible word of length ``depth`` centred on coordinate
-    0 (stationary start), completed to a point by periodic continuation.
+    0 (stationary start), completed to a point by periodic continuation.  A
+    draw reads ``depth`` uniforms, one per symbol, the first for the start.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     rng = np.random.default_rng(seed)
-    k = mu.space.k
-    pi = np.array(mu.pi)
-    Q = np.array(mu.Q)
     out = []
     for _ in range(count):
-        syms = [int(rng.choice(k, p=pi))]
-        for _ in range(depth - 1):
-            syms.append(int(rng.choice(k, p=Q[syms[-1]])))
+        u = rng.random(depth).tolist()
+        s = bisect_right(mu._start_cdf, u[0])
+        syms = [s] + _walk(mu._forward_cdf, s, u[1:])
         out.append(_complete_word(mu.space, tuple(syms), -(depth // 2)))
     return out
 
@@ -623,10 +671,8 @@ def resample_future(
 ) -> SymbolicPoint:
     """Redraw coordinates n >= 1 from the chain: a point on W^u_loc(x)."""
     lo = min(x.core_start, 0)
-    Q = np.array(mu.Q)
     syms = list(x.window(lo, 1))
-    for _ in range(depth):
-        syms.append(int(rng.choice(mu.space.k, p=Q[syms[-1]])))
+    syms += _walk(mu._forward_cdf, syms[-1], rng.random(depth).tolist())
     left = tuple(x.left[(i + lo - x.core_start) % len(x.left)] for i in range(len(x.left)))
     cyc_r = _shortest_cycle(mu.space, syms[-1])
     return SymbolicPoint.make(mu.space, left, tuple(syms), _rot_left(cyc_r), lo)
@@ -637,10 +683,7 @@ def resample_past(
 ) -> SymbolicPoint:
     """Redraw coordinates n <= -1 via the reversed kernel: a point on W^s_loc(x)."""
     hi = max(x.core_start + len(x.core), 0)
-    B = np.array(mu.backward_kernel())
-    rev = [x[0]]
-    for _ in range(depth):
-        rev.append(int(rng.choice(mu.space.k, p=B[rev[-1]])))
+    rev = [x[0]] + _walk(mu._backward_cdf, x[0], rng.random(depth).tolist())
     syms = list(reversed(rev)) + list(x.window(1, hi + 1))
     r0 = x.core_start + len(x.core)
     right = tuple(x.right[(i + hi + 1 - r0) % len(x.right)] for i in range(len(x.right)))

@@ -96,7 +96,8 @@ class TransferMap:
     identity (true for transfer builds; regularised conjugacies may differ).
     ``holder_estimate`` is the regression over ``_default_points``, computed
     when first read unless given.  ``periodic_data`` is the report with
-    which ``build_transfer`` checked the pair.
+    which ``build_transfer`` checked the pair, and ``cohomology`` the
+    residual report over the class it set ``construction_residual`` from.
     """
 
     F: CocycleSpec
@@ -112,6 +113,7 @@ class TransferMap:
     normalized: bool = True
     class_points: tuple = ()
     periodic_data: PeriodicDataReport | None = field(default=None, repr=False)
+    cohomology: ResidualReport | None = field(default=None, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
 
     def phi_at(self, y: SymbolicPoint) -> PLMap:
@@ -194,7 +196,8 @@ def build_transfer(
     for y in pts:
         T.samples[y] = T.phi_at(y)
     T.samples[x0] = PLMap.identity()
-    T.construction_residual = verify_cohomology(T, pts).worst
+    T.cohomology = verify_cohomology(T, pts)
+    T.construction_residual = T.cohomology.worst
     return T
 
 

@@ -196,10 +196,11 @@ def test_fb_rejects_bad_parameter():
 
 
 @st.composite
-def plmaps(draw):
+def plmaps(draw, exact=None):
     seed = draw(st.integers(0, 10_000))
     n = draw(st.integers(1, 5))
-    exact = draw(st.booleans())
+    if exact is None:
+        exact = draw(st.booleans())
     return random_plmap(np.random.default_rng(seed), n, exact)
 
 
@@ -224,6 +225,19 @@ def test_group_closure(f, g):
         assert all(0 <= b < 1 for b in m.breaks)
         assert all(v2 > v1 for v1, v2 in zip(m.vals, m.vals[1:]))
         assert m.min_slope > 0
+
+
+@given(plmaps(exact=True), plmaps(exact=True), plmaps(exact=True))
+@settings(max_examples=60, deadline=None)
+def test_compose_associative(f, g, h):
+    assert compose(compose(h, g), f) == compose(h, compose(g, f))
+
+
+@given(plmaps(exact=True))
+@settings(max_examples=60, deadline=None)
+def test_invert_round_trip(f):
+    inv = invert(f)
+    assert compose(f, inv) == PLMap.identity() == compose(inv, f)
 
 
 def test_d1_triangle_inequality(rng):

@@ -126,6 +126,20 @@ def test_iterate_negative_convention(full2, rng):
         assert uniform_distance(iterate(c, x, -n), invert(iterate(c, x.shift(-n), n))) == 0
 
 
+def test_backward_generators_invert_each_word_once(full2, rng, monkeypatch):
+    from cocyclelab import cocycles
+
+    c = pl_dominated_cocycle(full2, 1, 0.4, seed=9)
+    calls = []
+    monkeypatch.setattr(cocycles, "invert", lambda m: calls.append(m) or invert(m))
+    x = random_point(full2, rng)
+    for _ in range(2):
+        gens = list(orbit_generators(c, x, -12))
+        assert gens == [invert(c.generator(x.shift(-j))) for j in range(1, 13)]
+    # one inversion per distinct table word on the backward orbit, none on the rerun
+    assert len(calls) == len({x.window(-j - 1, 2 - j) for j in range(1, 13)})
+
+
 def test_iterate_breakpoint_cap(full2):
     c = pl_dominated_cocycle(full2, 1, 0.4, seed=9)
     x = SymbolicPoint.fixed(full2, 0)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cocyclelab import (
     MarkovMeasure,
@@ -22,7 +22,14 @@ from cocyclelab import (
     verify_closing_bound,
 )
 from cocyclelab.errors import CylinderMismatch, InadmissibleLoop, NotStablePair
-from cocyclelab.symbolic import stable_agreement_onset, unstable_agreement_onset
+from cocyclelab.symbolic import (
+    _complete_word,
+    _cumulative,
+    _rot_left,
+    _shortest_cycle,
+    stable_agreement_onset,
+    unstable_agreement_onset,
+)
 
 from conftest import random_point
 
@@ -324,6 +331,8 @@ def test_sample_measure_deterministic_and_lln(full2):
     freq = sum(1 for x in big if x[0] == 0) / len(big)
     assert abs(freq - 0.5) <= 0.02
     assert sample_measure(mu, 0, seed=1) == []
+    with pytest.raises(ValueError):
+        sample_measure(mu, 1, seed=1, depth=0)
 
 
 def test_resampling_stays_on_local_sets(full2, rng):
@@ -333,6 +342,157 @@ def test_resampling_stays_on_local_sets(full2, rng):
     assert fut.window(-20, 1) == x.window(-20, 1)
     past = resample_past(mu, x, rng)
     assert past.window(0, 21) == x.window(0, 21)
+
+
+# ------------------------------------------------- samplers against rng.choice
+
+
+def _choice_sample_measure(mu, count, seed, depth):
+    """The rng.choice loop the samplers replaced, kept as their reference."""
+    rng = np.random.default_rng(seed)
+    k = mu.space.k
+    pi = np.array(mu.pi)
+    Q = np.array(mu.Q)
+    out = []
+    for _ in range(count):
+        syms = [int(rng.choice(k, p=pi))]
+        for _ in range(depth - 1):
+            syms.append(int(rng.choice(k, p=Q[syms[-1]])))
+        out.append(_complete_word(mu.space, tuple(syms), -(depth // 2)))
+    return out
+
+
+def _choice_resample_future(mu, x, rng, depth):
+    lo = min(x.core_start, 0)
+    Q = np.array(mu.Q)
+    syms = list(x.window(lo, 1))
+    for _ in range(depth):
+        syms.append(int(rng.choice(mu.space.k, p=Q[syms[-1]])))
+    left = tuple(x.left[(i + lo - x.core_start) % len(x.left)] for i in range(len(x.left)))
+    cyc_r = _shortest_cycle(mu.space, syms[-1])
+    return SymbolicPoint.make(mu.space, left, tuple(syms), _rot_left(cyc_r), lo)
+
+
+def _choice_resample_past(mu, x, rng, depth):
+    hi = max(x.core_start + len(x.core), 0)
+    B = np.array(mu.backward_kernel())
+    rev = [x[0]]
+    for _ in range(depth):
+        rev.append(int(rng.choice(mu.space.k, p=B[rev[-1]])))
+    syms = list(reversed(rev)) + list(x.window(1, hi + 1))
+    r0 = x.core_start + len(x.core)
+    right = tuple(x.right[(i + hi + 1 - r0) % len(x.right)] for i in range(len(x.right)))
+    cyc_l = _shortest_cycle(mu.space, syms[0])
+    return SymbolicPoint.make(mu.space, cyc_l, tuple(syms), right, -depth)
+
+
+SAMPLER_SPACES = {
+    "full2": SFTSpace.full_shift(2),
+    "full3": SFTSpace.full_shift(3),
+    "golden": SFTSpace.golden_mean(),
+}
+
+
+def _random_markov(space, seed):
+    r = np.random.default_rng(seed)
+    Q = (r.random((space.k, space.k)) + 0.05) * np.array(space.P)
+    return MarkovMeasure.from_matrix(space, Q / Q.sum(axis=1, keepdims=True))
+
+
+@example(name="full2", q_seed=0, seed=0, depth=1)
+@given(
+    st.sampled_from(sorted(SAMPLER_SPACES)),
+    st.integers(0, 10_000),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 40),
+)
+@settings(max_examples=40, deadline=None)
+def test_samplers_match_rng_choice(name, q_seed, seed, depth):
+    mu = _random_markov(SAMPLER_SPACES[name], q_seed)
+    pts = sample_measure(mu, 3, seed, depth=depth)
+    assert pts == _choice_sample_measure(mu, 3, seed, depth)
+    # the samplers and their references read two generators in one state
+    new, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for x in pts:
+        assert resample_future(mu, x, new, depth) == _choice_resample_future(mu, x, ref, depth)
+        assert new.random() == ref.random()
+        assert resample_past(mu, x, new, depth) == _choice_resample_past(mu, x, ref, depth)
+        assert new.random() == ref.random()
+
+
+class _ScriptedGenerator(np.random.Generator):
+    """A generator whose uniforms are given in advance; ``choice`` reads them
+    through ``random`` too, so both samplers invert the same values."""
+
+    def __init__(self, uniforms):
+        super().__init__(np.random.PCG64(0))
+        self.uniforms = list(uniforms)
+
+    def random(self, size=None):
+        n = 1 if size is None else int(np.prod(size))
+        out = np.array(self.uniforms[:n])
+        del self.uniforms[:n]
+        return out.reshape(() if size is None else size)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLER_SPACES))
+def test_samplers_match_rng_choice_on_table_entries(name, monkeypatch):
+    # uniforms equal to table entries tell bisect_right from bisect_left, and
+    # a table divided by its last entry from one that is not
+    mu = _random_markov(SAMPLER_SPACES[name], 7)
+    edges = {0.0, 1 - 2**-53}
+    for row in (mu.pi, *mu.Q, *mu.backward_kernel()):
+        cdf = np.cumsum(row)
+        edges.update((cdf / cdf[-1]).tolist())
+    edges = sorted(e for e in edges if e < 1)
+    pick = np.random.default_rng(3)
+    depth = 9
+    for _ in range(30):
+        block = pick.choice(edges, size=3 * depth).tolist()
+        # sample_measure and its reference both seed a generator of their own
+        monkeypatch.setattr(np.random, "default_rng", lambda seed, b=block: _ScriptedGenerator(b))
+        pts = sample_measure(mu, 3, 0, depth=depth)
+        assert pts == _choice_sample_measure(mu, 3, 0, depth)
+        for x in pts:
+            new, ref = _ScriptedGenerator(block), _ScriptedGenerator(block)
+            assert resample_future(mu, x, new, depth) == _choice_resample_future(mu, x, ref, depth)
+            assert resample_past(mu, x, new, depth) == _choice_resample_past(mu, x, ref, depth)
+            assert new.uniforms == ref.uniforms == block[2 * depth :]
+
+
+def test_sampler_tables_keep_choice_checks(full2):
+    # pi is from_matrix's stationary vector moved by 4e-10: the measure passes
+    # its own 1e-9 checks, but backward row 1 sums to 1 - 1.0e-7, which
+    # rng.choice refuses (tolerance sqrt(eps) = 1.5e-8)
+    Q = ((0.999, 0.001), (0.5, 0.5))
+    pi = MarkovMeasure.from_matrix(full2, Q).pi
+    assert pi == (0.998003992015968, 0.0019960079840319377)
+    mu = MarkovMeasure(full2, Q, (pi[0] - 4e-10, pi[1] + 4e-10))
+    assert abs(sum(mu.backward_kernel()[1]) - (1 - 1.0e-7)) < 1e-9
+    pts = sample_measure(mu, 20, seed=1, depth=8)
+    assert pts == _choice_sample_measure(mu, 20, 1, 8)
+    new, ref = np.random.default_rng(2), np.random.default_rng(2)
+    assert resample_future(mu, pts[0], new) == _choice_resample_future(mu, pts[0], ref, 32)
+    x = SymbolicPoint.fixed(full2, 1)
+    with pytest.raises(ValueError):
+        _choice_resample_past(mu, x, np.random.default_rng(0), 4)
+    with pytest.raises(ValueError):
+        resample_past(mu, x, np.random.default_rng(0), depth=4)
+    # the same checks as rng.choice on every kind of bad row
+    for p in ((0.5, float("nan")), (1.5, -0.5), (0.5, 0.5 - 1e-7)):
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(2, p=p)
+        with pytest.raises(ValueError):
+            _cumulative(p)
+
+
+def test_sampler_tables_stay_out_of_identity(golden):
+    mu = MarkovMeasure.uniform(golden)
+    fresh = MarkovMeasure.uniform(golden)
+    resample_past(mu, sample_measure(mu, 1, seed=0)[0], np.random.default_rng(0))
+    assert {"_start_cdf", "_forward_cdf", "_backward_cdf"} <= set(vars(mu))
+    assert mu == fresh and hash(mu) == hash(fresh)
+    assert repr(mu) == repr(fresh) and mu.to_json() == fresh.to_json()
 
 
 # ------------------------------------------------------------------------ JSON

@@ -110,6 +110,29 @@ def test_transfer_rotation_family_ground_truth(family):
     assert T.samples[x0] == PLMap.identity()
     assert T.construction_residual == 0.0
     assert T.periodic_data == check_periodic_data(F, G, 6)
+    assert T.cohomology == verify_cohomology(T)
+    assert T.cohomology.worst == T.construction_residual
+
+
+def test_theorem_a_reads_the_build_cohomology(monkeypatch):
+    from cocyclelab import experiments
+    from cocyclelab.experiments import ExperimentConfig
+
+    calls = []
+    check = transfer.verify_cohomology
+
+    def counting_check(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    # patched in experiments too, so a pass of its own there would be counted
+    monkeypatch.setattr(transfer, "verify_cohomology", counting_check)
+    monkeypatch.setattr(experiments, "verify_cohomology", counting_check, raising=False)
+    rows, tables = experiments.run_theorem_a(ExperimentConfig("theorem-a", seed=0))
+    assert len(calls) == 1  # inside build_transfer
+    by_name = {r.name: r for r in rows}
+    n_pts = len(tables["residuals"]) - 1
+    assert by_name["cohomology-sample-count"].residual == -n_pts and n_pts >= 200
 
 
 def test_constant_pair_identity_transfer():
