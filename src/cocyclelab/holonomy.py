@@ -17,7 +17,6 @@ import numpy as np
 from .circlemaps import PLMap, compose, invert, uniform_distance
 from .cocycles import (
     CocycleSpec,
-    check_domination,
     iterate,
     orbit_generators,
     power_domination,
@@ -59,7 +58,7 @@ def _two_products(c: CocycleSpec, x: SymbolicPoint, n: int, n2: int):
 
 
 def _holonomy(c: CocycleSpec, x, y, side: str, tol: float, n0: int, iter_cap: int):
-    dom = power_domination(c, n0) if n0 > 1 else check_domination(c)
+    dom = power_domination(c, n0)
     theta = dom.theta_s if side == "s" else dom.theta_u
     if theta <= 0:
         raise NotDominated(f"theta_{side} = {theta:.4f} <= 0")

@@ -326,8 +326,9 @@ def regularize(
     )
     out = TransferMap(
         F, G, anchors[0], 1, tilde, beta * gamma, tol,
-        holder_estimate=regression, construction_residual=coh_worst, normalized=False,
+        construction_residual=coh_worst, normalized=False,
     )
+    out.holder_estimate = regression
     report = RigidityReport(
         gamma, beta * gamma, regression, repaired, path_worst, coh_worst,
         len(anchors), excluded, fiber,

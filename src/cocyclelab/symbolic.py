@@ -13,13 +13,13 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
 
 from .errors import (
     CylinderMismatch,
+    DepthUnreachable,
     InadmissibleLoop,
     NotStablePair,
     NotUnstablePair,
@@ -213,8 +213,8 @@ class SymbolicPoint:
     def shift(self, n: int = 1) -> "SymbolicPoint":
         """sigma**n: coordinate i of the result is coordinate i+n of self."""
         if self.is_periodic:
-            p = len(self.right)
-            w = tuple(self.right[(i + n) % p] for i in range(p))
+            k = n % len(self.right)
+            w = self.right[k:] + self.right[:k]
             return SymbolicPoint(self.space, w, (), w, 0)
         return SymbolicPoint(self.space, self.left, self.core, self.right, self.core_start - n)
 
@@ -270,6 +270,23 @@ def distance(x: SymbolicPoint, y: SymbolicPoint):
     return x.space.rho ** (-n)
 
 
+def splice(left_src: SymbolicPoint, word, lo: int, right_src: SymbolicPoint) -> SymbolicPoint:
+    """The point reading ``left_src`` below ``lo``, then ``word``, then ``right_src``.
+
+    Each source must be periodic on the side it gives: below ``lo`` for
+    ``left_src`` and from ``lo + len(word)`` on for ``right_src``, as a
+    periodic point is everywhere.
+    """
+    hi = lo + len(word)
+    if not (left_src.is_periodic or lo <= left_src.core_start) or not (
+        right_src.is_periodic or hi >= right_src.core_start + len(right_src.core)
+    ):
+        raise ValueError("a source is not periodic on the side it gives")
+    left = left_src.window(lo - len(left_src.left), lo)
+    right = right_src.window(hi, hi + len(right_src.right))
+    return SymbolicPoint.make(left_src.space, left, word, right, lo)
+
+
 def bracket(y: SymbolicPoint, z: SymbolicPoint) -> SymbolicPoint:
     """Local product point w with w_n = y_n for n >= 0 and w_n = z_n for n <= 0."""
     if y.space != z.space:
@@ -278,12 +295,7 @@ def bracket(y: SymbolicPoint, z: SymbolicPoint) -> SymbolicPoint:
         raise CylinderMismatch(f"coordinate-0 symbols differ: {y[0]} vs {z[0]}")
     lo = min(z.core_start, 0)
     hi = max(y.core_start + len(y.core), 0)
-    p, q = len(z.left), len(y.right)
-    r0y = y.core_start + len(y.core)
-    left = tuple(z.left[(i + lo - z.core_start) % p] for i in range(p))
-    right = tuple(y.right[(i + hi - r0y) % q] for i in range(q))
-    core = tuple((z[n] if n <= 0 else y[n]) for n in range(lo, hi))
-    return SymbolicPoint.make(y.space, left, core, right, lo)
+    return splice(z, tuple((z[n] if n <= 0 else y[n]) for n in range(lo, hi)), lo, y)
 
 
 def stable_agreement_onset(x: SymbolicPoint, y: SymbolicPoint) -> int:
@@ -349,46 +361,34 @@ def periodic_points(space: SFTSpace, max_period: int, cap: int = 200_000) -> lis
     return sorted(seen, key=SymbolicPoint.sort_key)
 
 
-def homoclinic_points(
-    x0: SymbolicPoint,
-    core_len: int,
-    variant: str = "homoclinic",
-    cap: int = 200_000,
-) -> list[SymbolicPoint]:
+def homoclinic_points(x0: SymbolicPoint, core_len: int, cap: int = 200_000) -> list[SymbolicPoint]:
     """Points asymptotic to the orbit of the periodic point ``x0``.
 
     Tails outside the centred window ``[-core_len, core_len)`` are pinned to
-    reference phases: both to ``x0`` for ``variant="homoclinic"``; for
-    ``variant="w_set"`` the backward tail follows ``sigma**(period-1)(x0)``,
-    which is the set the period-n0 construction samples.  Window fillings may
+    reference phases: the forward tail follows ``x0`` and the backward tail
+    ``sigma**(period-1)(x0)``, which is the set the period-n0 construction
+    samples (for a fixed point both follow ``x0``).  Window fillings may
     deviate from the reference on at most ``core_len`` coordinates.
     """
     if x0.period is None:
         raise ValueError("x0 must be periodic")
     if core_len < 0:
         raise ValueError("core_len must be >= 0")
-    if variant not in ("homoclinic", "w_set"):
-        raise ValueError(f"unknown variant {variant!r}")
     space = x0.space
-    left_ref = x0 if variant == "homoclinic" else x0.shift(x0.period - 1)
-    right_ref = x0
-    wl, wr = left_ref.right, right_ref.right
-    pl, pr = len(wl), len(wr)
+    left_ref = x0.shift(x0.period - 1)
     a = -core_len
-    left = tuple(wl[(i + a) % pl] for i in range(pl))
-    right = tuple(wr[(i + core_len) % pr] for i in range(pr))
 
     out = set()
     if core_len == 0:
         try:
-            out.add(SymbolicPoint.make(space, left, (), right, 0))
+            out.add(splice(left_ref, (), 0, x0))
         except ValueError:
             pass
         return sorted(out, key=SymbolicPoint.sort_key)
 
     prev0 = left_ref[a - 1]
-    nxt = right_ref[core_len]
-    ref = [left_ref[n] if n < 0 else right_ref[n] for n in range(a, core_len)]
+    nxt = x0[core_len]
+    ref = [left_ref[n] if n < 0 else x0[n] for n in range(a, core_len)]
     count = 0
     stack = [((), prev0, 0)]
     while stack:
@@ -399,7 +399,7 @@ def homoclinic_points(
                 count += 1
                 if count > cap:
                     raise ResourceLimit(f"homoclinic enumeration exceeded cap {cap}")
-                out.add(SymbolicPoint.make(space, left, filling, right, a))
+                out.add(splice(left_ref, filling, a, x0))
             continue
         for s in range(space.k - 1, -1, -1):
             if not space.P[prev][s]:
@@ -410,6 +410,39 @@ def homoclinic_points(
     return sorted(out, key=SymbolicPoint.sort_key)
 
 
+def _rejoin(x: SymbolicPoint, start: int, ref: SymbolicPoint, step: int, cap: int):
+    """Shortest admissible walk from ``x[start]``, one coordinate per ``step``
+    (+1 forward, -1 backward), to the first coordinate where it can take the
+    symbol of ``ref``: that coordinate and the symbols walked, in walk order."""
+    nbrs = x.space.successors if step > 0 else x.space.predecessors
+    frontier = {x[start]: ()}
+    pos = start
+    while step * pos < cap and frontier:
+        pos += step
+        target = ref[pos]
+        nxt = {}
+        for s, path in frontier.items():
+            for t in nbrs(s):
+                if t == target:
+                    return pos, path + (t,)
+                nxt.setdefault(t, path + (t,))
+        frontier = nxt
+    raise DepthUnreachable(f"cannot rejoin the base orbit {'forward' if step > 0 else 'backward'}")
+
+
+def splice_toward(x: SymbolicPoint, depth: int, x0: SymbolicPoint) -> SymbolicPoint:
+    """Point agreeing with x on |n| <= depth whose tails follow the orbit of
+    the periodic point ``x0`` with the phases of ``homoclinic_points``; each
+    side rejoins its reference by the shortest admissible connector."""
+    if x0.period is None:
+        raise ValueError("x0 must be periodic")
+    left_ref = x0.shift(x0.period - 1)
+    cap = depth + 4 * x.space.k * x0.period + 4
+    r_pos, r_path = _rejoin(x, depth, x0, 1, cap)
+    l_pos, l_path = _rejoin(x, -depth, left_ref, -1, cap)
+    return splice(left_ref, l_path[::-1] + x.window(-depth, depth + 1) + r_path, l_pos, x0)
+
+
 def closing_point_range(y: SymbolicPoint, lo: int, hi: int) -> SymbolicPoint:
     """Periodic point repeating the word ``y_lo .. y_{hi-1}`` in place."""
     if hi <= lo:
@@ -417,9 +450,7 @@ def closing_point_range(y: SymbolicPoint, lo: int, hi: int) -> SymbolicPoint:
     word = y.window(lo, hi)
     if not y.space.P[word[-1]][word[0]]:
         raise InadmissibleLoop(f"wrap pair ({word[-1]}, {word[0]}) is forbidden")
-    span = hi - lo
-    anchored = tuple(word[(i - lo) % span] for i in range(span))
-    return SymbolicPoint.periodic(y.space, anchored)
+    return SymbolicPoint.make(y.space, word, (), word, lo)
 
 
 def closing_point(y: SymbolicPoint, n: int) -> SymbolicPoint:
@@ -510,6 +541,12 @@ class MarkovMeasure:
             raise ValueError("pi is not stationary for Q")
         if not self.is_irreducible():
             raise ValueError("chain is not irreducible")
+        # the samplers' cumulative tables, one per direction, built here so
+        # that their checks refuse at construction what sampling would refuse.
+        # They are not fields, so ==, hash, repr and to_json never see them.
+        object.__setattr__(self, "_start_cdf", _cumulative(self.pi))
+        object.__setattr__(self, "_forward_cdf", tuple(map(_cumulative, self.Q)))
+        object.__setattr__(self, "_backward_cdf", tuple(map(_cumulative, self.backward_kernel())))
 
     def is_irreducible(self) -> bool:
         k = self.space.k
@@ -551,21 +588,6 @@ class MarkovMeasure:
         return tuple(
             tuple(self.pi[j] * self.Q[j][i] / self.pi[i] for j in range(k)) for i in range(k)
         )
-
-    # Cumulative tables, built once per direction on first use.  They live in
-    # the instance __dict__, outside the dataclass fields, so ==, hash, repr
-    # and to_json never see them.
-    @cached_property
-    def _start_cdf(self) -> tuple[float, ...]:
-        return _cumulative(self.pi)
-
-    @cached_property
-    def _forward_cdf(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(_cumulative(row) for row in self.Q)
-
-    @cached_property
-    def _backward_cdf(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(_cumulative(row) for row in self.backward_kernel())
 
     def to_json(self) -> dict:
         doc = self.space.to_json()
@@ -673,7 +695,7 @@ def resample_future(
     lo = min(x.core_start, 0)
     syms = list(x.window(lo, 1))
     syms += _walk(mu._forward_cdf, syms[-1], rng.random(depth).tolist())
-    left = tuple(x.left[(i + lo - x.core_start) % len(x.left)] for i in range(len(x.left)))
+    left = x.window(lo - len(x.left), lo)
     cyc_r = _shortest_cycle(mu.space, syms[-1])
     return SymbolicPoint.make(mu.space, left, tuple(syms), _rot_left(cyc_r), lo)
 
@@ -685,8 +707,7 @@ def resample_past(
     hi = max(x.core_start + len(x.core), 0)
     rev = [x[0]] + _walk(mu._backward_cdf, x[0], rng.random(depth).tolist())
     syms = list(reversed(rev)) + list(x.window(1, hi + 1))
-    r0 = x.core_start + len(x.core)
-    right = tuple(x.right[(i + hi + 1 - r0) % len(x.right)] for i in range(len(x.right)))
+    right = x.window(hi + 1, hi + 1 + len(x.right))
     cyc_l = _shortest_cycle(mu.space, syms[0])
     return SymbolicPoint.make(mu.space, cyc_l, tuple(syms), right, -depth)
 

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .circlemaps import PLMap, compose, invert, uniform_distance
 from .cocycles import CocycleSpec, iterate, power_domination, prefix_products
 from .errors import (
-    DepthUnreachable,
     InadmissibleLoop,
     InsufficientScales,
     MissingSample,
@@ -34,6 +34,7 @@ from .symbolic import (
     distance_exponent,
     homoclinic_points,
     periodic_points,
+    splice_toward,
     stable_agreement_onset,
     unstable_agreement_onset,
 )
@@ -67,25 +68,6 @@ def check_periodic_data(
     return PeriodicDataReport(max_period, worst, worst <= tol, tuple(rows))
 
 
-class _LazyHolderEstimate:
-    """``TransferMap.holder_estimate``: the class-wide regression, computed on
-    first read and cached; an assigned value, None included, is kept as is.
-    The descriptor itself is the "not computed yet" default."""
-
-    def __get__(self, T, owner=None):
-        if T is None:
-            return self
-        if T.__dict__.get("_holder_estimate", self) is self:
-            try:
-                T._holder_estimate = estimate_holder(T)
-            except InsufficientScales:
-                T._holder_estimate = None
-        return T._holder_estimate
-
-    def __set__(self, T, value):
-        T._holder_estimate = value
-
-
 @dataclass(eq=False)
 class TransferMap:
     """Conjugacy phi sampled on the homoclinic class of a periodic base point.
@@ -107,14 +89,20 @@ class TransferMap:
     samples: dict
     beta_budget: float
     tol: float
-    # left out of repr so that printing a map does not run the regression
-    holder_estimate: tuple | None = field(default=_LazyHolderEstimate(), repr=False)
     construction_residual: float | None = None
     normalized: bool = True
     class_points: tuple = ()
     periodic_data: PeriodicDataReport | None = field(default=None, repr=False)
     cohomology: ResidualReport | None = field(default=None, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
+
+    # a property, not a field, so that printing a map does not run the regression
+    @cached_property
+    def holder_estimate(self) -> tuple | None:
+        try:
+            return estimate_holder(self)
+        except InsufficientScales:
+            return None
 
     def phi_at(self, y: SymbolicPoint) -> PLMap:
         if y in self.samples:
@@ -188,8 +176,7 @@ def build_transfer(
     pd = check_periodic_data(F, G, max(n0, check_period), tol)
     if not pd.coincide:
         raise PeriodicDataMismatch(f"worst periodic residual {pd.worst_residual:.3e} > {tol}")
-    variant = "homoclinic" if n0 == 1 else "w_set"
-    pts = homoclinic_points(x0, core_len, variant)
+    pts = homoclinic_points(x0, core_len)
     alpha = float(F.alpha)
     beta = gamma_budget(dom_f.theta_s, alpha) * gamma_budget(dom_g.theta_s, float(G.alpha))
     T = TransferMap(F, G, x0, n0, {}, beta, tol, class_points=tuple(pts), periodic_data=pd)
@@ -364,65 +351,6 @@ def estimate_holder(T: TransferMap, points=None, min_samples: int = 30):
     return holder_regression(pts, T.phi_at, float(T.F.space.rho), min_samples)
 
 
-def _splice_toward_base(T: TransferMap, x: SymbolicPoint, depth: int) -> SymbolicPoint:
-    """Point agreeing with x on |n| <= depth whose tails follow the base orbit."""
-    space = T.F.space
-    x0, n0 = T.base_point, T.period
-    right_ref = x0
-    left_ref = x0 if n0 == 1 else x0.shift(n0 - 1)
-    p = x0.period
-    cap = depth + 4 * space.k * p + 4
-
-    # forward connector: walk from x[depth] until the symbol matches the
-    # reference phase, then follow the reference.
-    def forward():
-        frontier = {x[depth]: ()}
-        pos = depth
-        while pos < cap:
-            pos += 1
-            target = right_ref[pos]
-            nxt = {}
-            for s, path in frontier.items():
-                for t in space.successors(s):
-                    if t == target:
-                        return pos, path + (t,)
-                    if t not in nxt:
-                        nxt[t] = path + (t,)
-            frontier = nxt
-            if not frontier:
-                break
-        raise DepthUnreachable("cannot rejoin the base orbit forward")
-
-    def backward():
-        frontier = {x[-depth]: ()}
-        pos = -depth
-        while pos > -cap:
-            pos -= 1
-            target = left_ref[pos]
-            nxt = {}
-            for s, path in frontier.items():
-                for t in space.predecessors(s):
-                    if t == target:
-                        return pos, (t,) + path
-                    if t not in nxt:
-                        nxt[t] = (t,) + path
-            frontier = nxt
-            if not frontier:
-                break
-        raise DepthUnreachable("cannot rejoin the base orbit backward")
-
-    r_pos, r_path = forward()
-    l_pos, l_path = backward()
-    core = l_path + x.window(-depth, depth + 1) + r_path
-    a = l_pos
-    wl, wr = left_ref.right, right_ref.right
-    pl, pr = len(wl), len(wr)
-    left = tuple(wl[(i + a) % pl] for i in range(pl))
-    r0 = a + len(core)
-    right = tuple(wr[(i + r0) % pr] for i in range(pr))
-    return SymbolicPoint.make(space, left, core, right, a)
-
-
 def extend_transfer(T: TransferMap, x: SymbolicPoint, depth: int):
     """phi at the nearest splice of x into the sampled class, with a
     certified-regression error bound C * d(x, y)**exponent."""
@@ -431,7 +359,7 @@ def extend_transfer(T: TransferMap, x: SymbolicPoint, depth: int):
     exponent, const = T.holder_estimate
     if x in T.samples:
         return T.samples[x], 0.0
-    y = _splice_toward_base(T, x, depth)
+    y = splice_toward(x, depth, T.base_point)
     phi = T.phi_at(y)
     d = float(distance(x, y))
     if d == 0.0 or math.isinf(exponent):

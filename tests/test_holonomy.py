@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cocyclelab import (
     CocycleSpec,
     PLMap,
+    SFTSpace,
     SymbolicPoint,
     check_domination,
     compose,
@@ -133,6 +135,26 @@ def test_axioms_pl_triples_both_sides(full2):
     for side in ("s", "u"):
         rep = verify_holonomy_axioms(c, triples, tol=1e-6, side=side)
         assert rep.passed, (side, rep)
+
+
+_AXIOM_POOLS = {
+    name: homoclinic_points(SymbolicPoint.fixed(space, 0), 3)
+    for name, space in (("full2", SFTSpace.full_shift(2)), ("golden", SFTSpace.golden_mean()))
+}
+
+
+@given(
+    st.sampled_from(sorted(_AXIOM_POOLS)), st.integers(0, 10_000), st.integers(0, 1),
+    st.sampled_from(["s", "u"]), st.lists(st.integers(0, 41), min_size=3, max_size=3),
+)
+@settings(max_examples=24, deadline=None)
+def test_axioms_hold_exactly_property(name, seed, window, side, picks):
+    pool = _AXIOM_POOLS[name]
+    c = pl_dominated_cocycle(pool[0].space, window, 0.4, seed=seed)
+    # homoclinic points of one fixed point share its stable and unstable sets
+    triple = tuple(pool[i % len(pool)] for i in picks)
+    rep = verify_holonomy_axioms(c, [triple], tol=0, side=side)
+    assert rep.max_composition_residual == 0 and rep.max_equivariance_residual == 0
 
 
 def test_shifted_pair_consistency(full2):

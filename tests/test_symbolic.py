@@ -1,3 +1,5 @@
+import hashlib
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,9 +21,16 @@ from cocyclelab import (
     resample_future,
     resample_past,
     sample_measure,
+    splice,
+    splice_toward,
     verify_closing_bound,
 )
-from cocyclelab.errors import CylinderMismatch, InadmissibleLoop, NotStablePair
+from cocyclelab.errors import (
+    CylinderMismatch,
+    DepthUnreachable,
+    InadmissibleLoop,
+    NotStablePair,
+)
 from cocyclelab.symbolic import (
     _complete_word,
     _cumulative,
@@ -250,12 +259,134 @@ def test_homoclinic_points_are_asymptotic(full2, golden):
 
 def test_homoclinic_w_set_variant(golden):
     x0 = SymbolicPoint.periodic(golden, (0, 1))
-    pts = homoclinic_points(x0, 4, variant="w_set")
+    pts = homoclinic_points(x0, 4)
     left_ref = x0.shift(1)
     for y in pts:
         stable_agreement_onset(y, x0)
         unstable_agreement_onset(y, left_ref)
     assert len(pts) > 0
+
+
+def test_homoclinic_period_two_enumeration_pinned(golden):
+    # the class build_transfer samples for the base (01)*, whose backward tail
+    # follows sigma(x0) = (10)*
+    pts = homoclinic_points(SymbolicPoint.periodic(golden, (0, 1)), 4)
+    digest = hashlib.sha256("\n".join(map(repr, pts)).encode()).hexdigest()
+    assert len(pts) == 38
+    assert digest == "97d62dd9156cbd01eea57060f0df956c7470cf6298afa0ce25d6695635ee980d"
+
+
+# ------------------------------------------------------------------- splicing
+
+
+def _splice_toward_base(x, depth, x0):
+    """Reference for ``splice_toward``: two mirror-image connector searches and
+    tails phased by hand."""
+    space = x.space
+    n0 = x0.period
+    right_ref = x0
+    left_ref = x0 if n0 == 1 else x0.shift(n0 - 1)
+    p = x0.period
+    cap = depth + 4 * space.k * p + 4
+
+    def forward():
+        frontier = {x[depth]: ()}
+        pos = depth
+        while pos < cap:
+            pos += 1
+            target = right_ref[pos]
+            nxt = {}
+            for s, path in frontier.items():
+                for t in space.successors(s):
+                    if t == target:
+                        return pos, path + (t,)
+                    if t not in nxt:
+                        nxt[t] = path + (t,)
+            frontier = nxt
+            if not frontier:
+                break
+        raise DepthUnreachable("cannot rejoin the base orbit forward")
+
+    def backward():
+        frontier = {x[-depth]: ()}
+        pos = -depth
+        while pos > -cap:
+            pos -= 1
+            target = left_ref[pos]
+            nxt = {}
+            for s, path in frontier.items():
+                for t in space.predecessors(s):
+                    if t == target:
+                        return pos, (t,) + path
+                    if t not in nxt:
+                        nxt[t] = (t,) + path
+            frontier = nxt
+            if not frontier:
+                break
+        raise DepthUnreachable("cannot rejoin the base orbit backward")
+
+    r_pos, r_path = forward()
+    l_pos, l_path = backward()
+    core = l_path + x.window(-depth, depth + 1) + r_path
+    a = l_pos
+    wl, wr = left_ref.right, right_ref.right
+    pl, pr = len(wl), len(wr)
+    left = tuple(wl[(i + a) % pl] for i in range(pl))
+    r0 = a + len(core)
+    right = tuple(wr[(i + r0) % pr] for i in range(pr))
+    return SymbolicPoint.make(space, left, core, right, a)
+
+
+SPLICE_SPACES = {
+    "full2": SFTSpace.full_shift(2),
+    "full3": SFTSpace.full_shift(3),
+    "golden": SFTSpace.golden_mean(),
+    # connectors here run over several symbols, and the two backward paths
+    # 4 <- 2 <- 1 and 4 <- 3 <- 1 tie, so the walk order and the tie-break show
+    "diamond": SFTSpace(5, (
+        (1, 1, 0, 0, 0), (1, 0, 1, 1, 0), (0, 0, 0, 0, 1), (0, 0, 0, 0, 1), (1, 0, 0, 0, 0),
+    )),
+}
+
+
+@example(name="diamond", base=(0,), seed=4, depth=3)  # x[-3] = 4: the tie
+@given(
+    st.sampled_from(sorted(SPLICE_SPACES)),
+    st.sampled_from([(0,), (0, 1)]),
+    st.integers(0, 10_000),
+    st.integers(0, 6),
+)
+@settings(max_examples=60, deadline=None)
+def test_splice_toward_matches_mirrored_reference(name, base, seed, depth):
+    space = SPLICE_SPACES[name]
+    x0 = SymbolicPoint.periodic(space, base)
+    x = random_point(space, np.random.default_rng(seed))
+    y = splice_toward(x, depth, x0)
+    assert y == _splice_toward_base(x, depth, x0)
+    assert y.window(-depth, depth + 1) == x.window(-depth, depth + 1)
+    stable_agreement_onset(y, x0)
+    unstable_agreement_onset(y, x0.shift(len(base) - 1))
+
+
+def test_splice_reads_each_source_on_its_periodic_side(full2):
+    x = SymbolicPoint.make(full2, (0,), (1, 1), (0,), 0)  # ...0 11 0...
+    one = SymbolicPoint.fixed(full2, 1)
+    y = splice(x, (0,), 0, one)
+    assert y.window(-3, 4) == (0, 0, 0, 0, 1, 1, 1)
+    with pytest.raises(ValueError):
+        splice(x, (0,), 1, one)  # x is not periodic below 1
+    with pytest.raises(ValueError):
+        splice(one, (0,), -1, x)  # nor from 0 on
+
+
+def test_splice_toward_one_way_trapdoor():
+    # symbol 1 never returns to 0, and 0 has no predecessor but itself
+    space = SFTSpace(2, ((1, 1), (0, 1)))
+    zero, one = SymbolicPoint.fixed(space, 0), SymbolicPoint.fixed(space, 1)
+    for x, x0, side in ((one, zero, "forward"), (zero, one, "backward")):
+        for fn in (splice_toward, _splice_toward_base):
+            with pytest.raises(DepthUnreachable, match=side):
+                fn(x, 3, x0)
 
 
 # --------------------------------------------------------------------- closing
@@ -467,23 +598,26 @@ def test_sampler_tables_keep_choice_checks(full2):
     Q = ((0.999, 0.001), (0.5, 0.5))
     pi = MarkovMeasure.from_matrix(full2, Q).pi
     assert pi == (0.998003992015968, 0.0019960079840319377)
-    mu = MarkovMeasure(full2, Q, (pi[0] - 4e-10, pi[1] + 4e-10))
-    assert abs(sum(mu.backward_kernel()[1]) - (1 - 1.0e-7)) < 1e-9
-    pts = sample_measure(mu, 20, seed=1, depth=8)
-    assert pts == _choice_sample_measure(mu, 20, 1, 8)
-    new, ref = np.random.default_rng(2), np.random.default_rng(2)
-    assert resample_future(mu, pts[0], new) == _choice_resample_future(mu, pts[0], ref, 32)
-    x = SymbolicPoint.fixed(full2, 1)
-    with pytest.raises(ValueError):
-        _choice_resample_past(mu, x, np.random.default_rng(0), 4)
-    with pytest.raises(ValueError):
-        resample_past(mu, x, np.random.default_rng(0), depth=4)
+    moved = (pi[0] - 4e-10, pi[1] + 4e-10)
+    assert abs(sum(moved[j] * Q[j][1] for j in range(2)) / moved[1] - (1 - 1.0e-7)) < 1e-9
+    # the measure builds its backward table at construction, so it is refused there
+    with pytest.raises(ValueError, match="do not sum to 1"):
+        MarkovMeasure(full2, Q, moved)
     # the same checks as rng.choice on every kind of bad row
     for p in ((0.5, float("nan")), (1.5, -0.5), (0.5, 0.5 - 1e-7)):
         with pytest.raises(ValueError):
             np.random.default_rng(0).choice(2, p=p)
         with pytest.raises(ValueError):
             _cumulative(p)
+
+
+def test_measure_refuses_what_the_samplers_refuse(full2, golden):
+    # each passes the measure's own checks: a NaN start vector, and a negative
+    # entry where the transition matrix forbids the step anyway
+    with pytest.raises(ValueError, match="NaN"):
+        MarkovMeasure(full2, ((0.5, 0.5), (0.5, 0.5)), (math.nan, math.nan))
+    with pytest.raises(ValueError, match="not non-negative"):
+        MarkovMeasure.from_matrix(golden, ((0.5, 0.5), (1.1, -0.1)))
 
 
 def test_sampler_tables_stay_out_of_identity(golden):
