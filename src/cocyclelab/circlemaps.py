@@ -159,9 +159,6 @@ class PLMap:
 
         return cls.make(load(doc["breakpoints"]), load(doc["values"]))
 
-    def __matmul__(self, other: "PLMap") -> "PLMap":
-        return compose(self, other)
-
 
 def _check_increasing(breaks, vals):
     for v1, v2 in zip(vals, vals[1:]):

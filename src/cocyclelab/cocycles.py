@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .circlemaps import PLMap, compose, invert, lipschitz_metric
-from .errors import ResourceLimit
+from .errors import NotDominated, ResourceLimit
 from .symbolic import SFTSpace, SymbolicPoint
 
 BREAKPOINT_CAP = 100_000
@@ -246,3 +246,14 @@ def power_domination(c: CocycleSpec, n0: int) -> DominationReport:
     report = DominationReport(theta_s, theta_u, theta_s > 0 and theta_u > 0, {"u": w_u, "s": w_s})
     c._cache[key] = report
     return report
+
+
+def dominated_pair(F: CocycleSpec, G: CocycleSpec, n0: int = 1) -> tuple[DominationReport, ...]:
+    """Time-n0 domination reports of both cocycles, refusing either one that is not."""
+    reports = []
+    for name, c in (("first", F), ("second", G)):
+        dom = power_domination(c, n0)
+        if not dom.su_dominated:
+            raise NotDominated(f"{name} cocycle: theta = {dom.theta:.4f}")
+        reports.append(dom)
+    return tuple(reports)

@@ -10,7 +10,8 @@ increments together with a certified bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,8 +45,18 @@ class HolonomyResult:
     cauchy_tail: float
     error_bound: float
     gamma_bound: float
-    identity_distance: float
-    distance_alpha_ratio: float | None
+    pair: tuple = field(repr=False, compare=False)  # (x, y, alpha)
+
+    # diagnostics, computed when first read; the tail above is the certificate
+    @cached_property
+    def identity_distance(self) -> float:
+        return float(uniform_distance(self.map, PLMap.identity()))
+
+    @cached_property
+    def distance_alpha_ratio(self) -> float | None:
+        x, y, alpha = self.pair
+        d_xy = float(distance(x, y))
+        return self.identity_distance / d_xy**alpha if d_xy > 0 else None
 
 
 def _two_products(c: CocycleSpec, x: SymbolicPoint, n: int, n2: int):
@@ -77,11 +88,8 @@ def _holonomy(c: CocycleSpec, x, y, side: str, tol: float, n0: int, iter_cap: in
     tail = float(uniform_distance(h, compose(invert(b2), a2)))
     if tail > tol:
         raise NoConvergence(f"residual tail {tail:.3e} exceeds tol {tol:.3e}")
-    d_id = float(uniform_distance(h, PLMap.identity()))
-    d_xy = float(distance(x, y))
-    ratio = d_id / d_xy ** float(c.alpha) if d_xy > 0 else None
     alpha = float(c.alpha)
-    return HolonomyResult(h, side, n_used, tail, tail, gamma_budget(theta, alpha), d_id, ratio)
+    return HolonomyResult(h, side, n_used, tail, tail, gamma_budget(theta, alpha), (x, y, alpha))
 
 
 def stable_holonomy(
@@ -103,6 +111,25 @@ def unstable_holonomy(
 ) -> HolonomyResult:
     """Holonomy between the fibres over x and y in W^u(x)."""
     return _holonomy(c, x, y, "u", tol, n0, iter_cap)
+
+
+def transport(
+    F: CocycleSpec, G: CocycleSpec, x: SymbolicPoint, y: SymbolicPoint, side: str,
+    value: PLMap | None = None, tol: float = 1e-8, n0: int = 1,
+) -> PLMap:
+    """Carry a conjugacy value from the fibre over x to the fibre over y.
+
+    Returns h^F_{xy} value (h^G_{xy})^-1 along a stable (``side`` "s") or
+    unstable ("u") pair; ``value=None`` stands for the identity and adds no
+    composition.  The holonomies are looked up by name at call time, so a
+    wrapper installed over ``stable_holonomy`` or ``unstable_holonomy`` sees
+    every transport.
+    """
+    hol = stable_holonomy if side == "s" else unstable_holonomy
+    hf = hol(F, x, y, tol, n0).map
+    if value is not None:
+        hf = compose(hf, value)
+    return compose(hf, invert(hol(G, x, y, tol, n0).map))
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .circlemaps import PLMap, compose, invert, uniform_distance
-from .cocycles import CocycleSpec, check_bounded_distortion, check_domination
+from .circlemaps import PLMap, uniform_distance
+from .cocycles import CocycleSpec, check_bounded_distortion, check_domination, dominated_pair
 from .errors import DistortionUnbounded, InsufficientScales, MissingSample, NotDominated
-from .holonomy import gamma_budget, stable_holonomy, unstable_holonomy
+from .holonomy import gamma_budget, transport
 from .symbolic import (
     MarkovMeasure,
     SymbolicPoint,
@@ -78,7 +78,7 @@ def check_conj_hol_relation(
     phi: MeasurableConjugacy, F: CocycleSpec, G: CocycleSpec, pairs, tol: float = 1e-6,
     horizon: int = 12, skip_corrupted: bool = True,
 ) -> ResidualReport:
-    """Residuals of h^{f}_{xy} = phi_y h^{g}_{xy} phi_x^{-1} along local pairs.
+    """Residuals of phi_y = h^{f}_{xy} phi_x (h^{g}_{xy})^{-1} along local pairs.
 
     The distortion of G is screened first over the sampled points.  Pairs
     touching the corruption set are skipped by default (the relation only
@@ -92,19 +92,10 @@ def check_conj_hol_relation(
     pts = sorted({p for pair in pairs for p in pair}, key=SymbolicPoint.sort_key)
     _screen_distortion(G, pts, horizon)
     rows = []
-    worst = 0.0
     for x, y in pairs:
-        if is_stable_pair(x, y):
-            hf = stable_holonomy(F, x, y).map
-            hg = stable_holonomy(G, x, y).map
-        else:
-            hf = unstable_holonomy(F, x, y).map
-            hg = unstable_holonomy(G, x, y).map
-        rhs = compose(compose(phi.phi_at(y), hg), invert(phi.phi_at(x)))
-        r = float(uniform_distance(hf, rhs))
-        rows.append(((x, y), r))
-        worst = max(worst, r)
-    return ResidualReport(tuple(rows), worst, tol, worst <= tol)
+        rhs = transport(F, G, x, y, "s" if is_stable_pair(x, y) else "u", phi.phi_at(x))
+        rows.append(((x, y), float(uniform_distance(phi.phi_at(y), rhs))))
+    return ResidualReport.of(rows, tol)
 
 
 @dataclass(frozen=True)
@@ -212,13 +203,8 @@ def _transport(phi_anchor, F, G, a, t, tol, order="su"):
     when the product point is t itself.
     """
     m = bracket(a, t) if order == "su" else bracket(t, a)
-    val = phi_anchor
-    for side, p, q in ((order[0], a, m), (order[1], m, t)):
-        hol = stable_holonomy if side == "s" else unstable_holonomy
-        val = compose(compose(hol(F, p, q, tol).map, val), invert(hol(G, p, q, tol).map))
-        if m == t:
-            break
-    return val
+    val = transport(F, G, a, m, order[0], phi_anchor, tol)
+    return val if m == t else transport(F, G, m, t, order[1], val, tol)
 
 
 def regularize(
@@ -243,12 +229,7 @@ def regularize(
     """
     if mu is None:
         raise ValueError("a Markov measure is required for sampling")
-    dom_f = check_domination(F)
-    if not dom_f.su_dominated:
-        raise NotDominated(f"first cocycle: theta = {dom_f.theta:.4f}")
-    dom_g = check_domination(G)
-    if not dom_g.su_dominated:
-        raise NotDominated(f"second cocycle: theta = {dom_g.theta:.4f}")
+    dom_f, _ = dominated_pair(F, G)
     gamma = gamma_budget(dom_f.theta_s, float(F.alpha))
 
     anchors_raw = sample_measure(mu, sample_count, seed) + sorted(
@@ -307,10 +288,10 @@ def regularize(
         alt = _transport(phi.phi_at(a), F, G, a, t, tol, order="us")
         path_worst = max(path_worst, float(uniform_distance(tilde[t], alt)))
 
-    coh_worst = 0.0
-    for t in targets:
-        if t.shift(1) in tilde:
-            coh_worst = max(coh_worst, cohomology_residual(F, G, tilde.__getitem__, t))
+    coh_worst = max(
+        (cohomology_residual(F, G, tilde.__getitem__, t) for t in targets if t.shift(1) in tilde),
+        default=0.0,
+    )
 
     # regress over the corruption-independent targets so the measured modulus
     # is comparable across runs with and without injected corruption
@@ -321,9 +302,6 @@ def regularize(
     except InsufficientScales:
         regression = None
 
-    fiber = max(
-        max(float(m.max_slope), 1.0 / float(m.min_slope)) for m in tilde.values()
-    )
     out = TransferMap(
         F, G, anchors[0], 1, tilde, beta * gamma, tol,
         construction_residual=coh_worst, normalized=False,
@@ -331,6 +309,6 @@ def regularize(
     out.holder_estimate = regression
     report = RigidityReport(
         gamma, beta * gamma, regression, repaired, path_worst, coh_worst,
-        len(anchors), excluded, fiber,
+        len(anchors), excluded, out.fiber_lipschitz_max(),
     )
     return out, report

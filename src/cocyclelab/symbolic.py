@@ -332,14 +332,6 @@ def is_stable_pair(x: SymbolicPoint, y: SymbolicPoint) -> bool:
         return False
 
 
-def is_unstable_pair(x: SymbolicPoint, y: SymbolicPoint) -> bool:
-    try:
-        unstable_agreement_onset(x, y)
-        return True
-    except NotUnstablePair:
-        return False
-
-
 def _admissible_cycles(space: SFTSpace, length: int):
     for w in space.words(length):
         if space.P[w[-1]][w[0]]:

@@ -16,17 +16,16 @@ from functools import cached_property
 import numpy as np
 
 from .circlemaps import PLMap, compose, invert, uniform_distance
-from .cocycles import CocycleSpec, iterate, power_domination, prefix_products
+from .cocycles import CocycleSpec, dominated_pair, iterate, prefix_products
 from .errors import (
     InadmissibleLoop,
     InsufficientScales,
     MissingSample,
-    NotDominated,
     NotStablePair,
     NotUnstablePair,
     PeriodicDataMismatch,
 )
-from .holonomy import gamma_budget, stable_holonomy, unstable_holonomy
+from .holonomy import gamma_budget, transport
 from .symbolic import (
     SymbolicPoint,
     closing_point_range,
@@ -55,16 +54,14 @@ def check_periodic_data(
     if f.space != g.space:
         raise ValueError("cocycles live over different spaces")
     rows = []
-    worst = 0.0
     for pt in periodic_points(f.space, max_period, cap):
         p = pt.period
         powers = max_period // p
         f_powers = prefix_products([iterate(f, pt, p)] * powers)
         g_powers = prefix_products([iterate(g, pt, p)] * powers)
         for j, (fn, gn) in enumerate(zip(f_powers, g_powers), 1):
-            r = float(uniform_distance(fn, gn))
-            rows.append((pt, j * p, r))
-            worst = max(worst, r)
+            rows.append((pt, j * p, float(uniform_distance(fn, gn))))
+    worst = max((r for *_, r in rows), default=0.0)
     return PeriodicDataReport(max_period, worst, worst <= tol, tuple(rows))
 
 
@@ -111,19 +108,16 @@ class TransferMap:
             return self._cache[y]
         if not self.normalized:
             raise MissingSample("conjugacy is sample-only; no resolver available")
-        x0, n0 = self.base_point, self.period
+        args = (self.F, self.G, self.base_point, y)
         try:
-            hf = stable_holonomy(self.F, x0, y, self.tol, n0)
-            hg = stable_holonomy(self.G, x0, y, self.tol, n0)
+            phi = transport(*args, "s", tol=self.tol, n0=self.period)
         except NotStablePair:
             try:
-                hf = unstable_holonomy(self.F, x0, y, self.tol, n0)
-                hg = unstable_holonomy(self.G, x0, y, self.tol, n0)
+                phi = transport(*args, "u", tol=self.tol, n0=self.period)
             except NotUnstablePair:
                 raise MissingSample(
                     "point is not asymptotic to the base point in either direction"
                 ) from None
-        phi = compose(hf.map, invert(hg.map))
         self._cache[y] = phi
         return phi
 
@@ -167,12 +161,7 @@ def build_transfer(
     n0 = x0.period
     if n0 is None:
         raise ValueError("base point must be periodic")
-    dom_f = power_domination(F, n0)
-    dom_g = power_domination(G, n0)
-    if not dom_f.su_dominated:
-        raise NotDominated(f"first cocycle: theta = {dom_f.theta:.4f}")
-    if not dom_g.su_dominated:
-        raise NotDominated(f"second cocycle: theta = {dom_g.theta:.4f}")
+    dom_f, dom_g = dominated_pair(F, G, n0)
     pd = check_periodic_data(F, G, max(n0, check_period), tol)
     if not pd.coincide:
         raise PeriodicDataMismatch(f"worst periodic residual {pd.worst_residual:.3e} > {tol}")
@@ -197,6 +186,13 @@ class ResidualReport:
     diagnostics: tuple = ()
     skipped: int = 0  # shadow bridges with no admissible closing point
 
+    @classmethod
+    def of(cls, rows, tol: float, diagnostics=(), skipped: int = 0) -> ResidualReport:
+        """Report over (key, residual) rows; the worst residual is 0.0 when there are none."""
+        rows = tuple(rows)
+        worst = max((r for _, r in rows), default=0.0)
+        return cls(rows, worst, tol, worst <= tol, tuple(diagnostics), skipped)
+
 
 def _default_points(T):
     if T.class_points:
@@ -213,13 +209,7 @@ def cohomology_residual(F: CocycleSpec, G: CocycleSpec, phi, y: SymbolicPoint) -
 def verify_cohomology(T: TransferMap, points=None, tol: float = 1e-6) -> ResidualReport:
     """Residuals of f_y = phi(sigma y) g_y phi(y)^-1 over the sampled class."""
     pts = list(points) if points is not None else _default_points(T)
-    rows = []
-    worst = 0.0
-    for y in pts:
-        r = cohomology_residual(T.F, T.G, T.phi_at, y)
-        rows.append((y, r))
-        worst = max(worst, r)
-    return ResidualReport(tuple(rows), worst, tol, worst <= tol)
+    return ResidualReport.of(((y, cohomology_residual(T.F, T.G, T.phi_at, y)) for y in pts), tol)
 
 
 def _quotient(F: CocycleSpec, G: CocycleSpec, y: SymbolicPoint, n: int) -> PLMap:
@@ -243,18 +233,15 @@ def verify_lemma1(
     x0, n0 = T.base_point, T.period
     F, G = T.F, T.G
     w = max(F.window, G.window)
-    rows = []
-    worst = 0.0
     if n0 == 1:
-        for y in pts:
-            hfs = stable_holonomy(F, x0, y, T.tol).map
-            hgs = stable_holonomy(G, x0, y, T.tol).map
-            hfu = unstable_holonomy(F, x0, y, T.tol).map
-            hgu = unstable_holonomy(G, x0, y, T.tol).map
-            r = float(uniform_distance(compose(hfs, invert(hgs)), compose(hfu, invert(hgu))))
-            rows.append((y, r))
-            worst = max(worst, r)
-        return ResidualReport(tuple(rows), worst, tol, worst <= tol)
+        rows = [
+            (y, float(uniform_distance(
+                transport(F, G, x0, y, "s", tol=T.tol), transport(F, G, x0, y, "u", tol=T.tol)
+            )))
+            for y in pts
+        ]
+        return ResidualReport.of(rows, tol)
+    rows = []
     left_ref = x0.shift(n0 - 1)
     diags = []
     skipped = 0
@@ -264,7 +251,6 @@ def verify_lemma1(
         m = max(ks, ku) * n0
         r = float(uniform_distance(_quotient(F, G, y, m), _quotient(F, G, y, -m + 1)))
         rows.append((y, r))
-        worst = max(worst, r)
         # bridge the two limits through orbit-closing points: their forward and
         # backward return quotients agree identically, and the forward quotient
         # approaches y's as the closing radius grows.
@@ -279,23 +265,17 @@ def verify_lemma1(
             gap = float(uniform_distance(zf, _quotient(F, G, z, lo)))
             near = float(uniform_distance(zf, _quotient(F, G, y, hi)))
             rows.append((z, gap))
-            worst = max(worst, gap)
             diags.append((y, n, gap, near))
-    return ResidualReport(tuple(rows), worst, tol, worst <= tol, tuple(diags), skipped)
+    return ResidualReport.of(rows, tol, diags, skipped)
 
 
 def verify_lemma_hol_conj(T: TransferMap, pairs, tol: float = 1e-6) -> ResidualReport:
     """Transport consistency phi_z = h^f_{yz} phi_y h^g_{zy} along stable pairs."""
     rows = []
-    worst = 0.0
     for y, z in pairs:
-        hf = stable_holonomy(T.F, y, z, T.tol, T.period).map
-        hg = stable_holonomy(T.G, y, z, T.tol, T.period).map
-        rhs = compose(compose(hf, T.phi_at(y)), invert(hg))
-        r = float(uniform_distance(T.phi_at(z), rhs))
-        rows.append(((y, z), r))
-        worst = max(worst, r)
-    return ResidualReport(tuple(rows), worst, tol, worst <= tol)
+        rhs = transport(T.F, T.G, y, z, "s", T.phi_at(y), T.tol, T.period)
+        rows.append(((y, z), float(uniform_distance(T.phi_at(z), rhs))))
+    return ResidualReport.of(rows, tol)
 
 
 def holder_regression(points, lookup, rho: float, min_samples: int = 30):
@@ -354,6 +334,8 @@ def estimate_holder(T: TransferMap, points=None, min_samples: int = 30):
 def extend_transfer(T: TransferMap, x: SymbolicPoint, depth: int):
     """phi at the nearest splice of x into the sampled class, with a
     certified-regression error bound C * d(x, y)**exponent."""
+    if not T.normalized:
+        raise MissingSample("conjugacy is sample-only; it has no resolver to extend with")
     if T.holder_estimate is None:
         raise InsufficientScales("transfer map carries no regression metadata")
     exponent, const = T.holder_estimate

@@ -19,19 +19,22 @@ from cocyclelab import (
     invert,
     iterate,
     stable_holonomy,
+    transport,
     uniform_distance,
     unstable_holonomy,
     verify_holonomy_axioms,
 )
+from cocyclelab import holonomy
 from cocyclelab.circlemaps import SEGMENT_EPS, SLOPE_EPS
 from cocyclelab.errors import NotDominated, NotStablePair
 from cocyclelab.fixtures import (
     expanding_cocycle,
     pl_dominated_cocycle,
+    random_plmap,
     rotation_cocycle,
     staircase_cocycle,
 )
-from cocyclelab.symbolic import MarkovMeasure, resample_past, sample_measure
+from cocyclelab.symbolic import MarkovMeasure, distance, resample_past, sample_measure
 
 from conftest import random_point
 
@@ -155,6 +158,58 @@ def test_axioms_hold_exactly_property(name, seed, window, side, picks):
     triple = tuple(pool[i % len(pool)] for i in picks)
     rep = verify_holonomy_axioms(c, [triple], tol=0, side=side)
     assert rep.max_composition_residual == 0 and rep.max_equivariance_residual == 0
+
+
+@given(
+    st.sampled_from(sorted(_AXIOM_POOLS)), st.integers(0, 10_000), st.integers(0, 10_000),
+    st.integers(0, 1), st.integers(0, 1), st.sampled_from(["s", "u"]),
+    st.lists(st.integers(0, 41), min_size=3, max_size=3),
+)
+@settings(max_examples=8, deadline=None)
+def test_transport_laws_property(name, seed_f, seed_g, window_f, window_g, side, picks):
+    pool = _AXIOM_POOLS[name]
+    F = pl_dominated_cocycle(pool[0].space, window_f, 0.4, seed=seed_f)
+    G = pl_dominated_cocycle(pool[0].space, window_g, 0.4, seed=seed_g)
+    x, y, z = (pool[i % len(pool)] for i in picks)
+    rng = np.random.default_rng(seed_f + seed_g)
+    u, v = random_plmap(rng), random_plmap(rng)
+
+    def move(a, b, value, c1=F, c2=G):
+        return transport(c1, c2, a, b, side, value)
+
+    # groupoid law, round trip and the trivial transport
+    at_y = move(x, y, v)
+    assert move(y, z, at_y) == move(x, z, v)
+    assert move(y, x, at_y) == v
+    assert move(x, y, None, F, F) == PLMap.identity()
+    # the order of the legs: h^F on the left, h^G on the right, so composing
+    # an F-to-G and a G-to-F transport is one F-to-F transport
+    assert move(x, y, compose(u, v), F, F) == compose(
+        move(x, y, u, F, G), move(x, y, v, G, F)
+    )
+
+
+def test_holonomy_diagnostics_are_lazy(full2, monkeypatch):
+    calls = []
+
+    def counting(f, g):
+        calls.append(1)
+        return uniform_distance(f, g)
+
+    monkeypatch.setattr(holonomy, "uniform_distance", counting)
+    c = pl_dominated_cocycle(full2, 1, 0.4, seed=3)
+    x0 = SymbolicPoint.fixed(full2, 0)
+    pts = homoclinic_points(x0, 3)[1:9]
+    results = [stable_holonomy(c, x0, y) for y in pts]
+    assert len(calls) == len(results)  # the tail certificate only
+    for y, res in zip(pts, results):
+        # the formula the result used to evaluate eagerly
+        d_id = float(uniform_distance(res.map, PLMap.identity()))
+        d_xy = float(distance(x0, y))
+        ratio = d_id / d_xy ** float(c.alpha) if d_xy > 0 else None
+        assert res.distance_alpha_ratio == ratio
+        assert res.identity_distance == d_id
+    assert len(calls) == 2 * len(results)  # one identity distance each, then cached
 
 
 def test_shifted_pair_consistency(full2):

@@ -2,29 +2,42 @@ import numpy as np
 import pytest
 
 from cocyclelab import (
+    CocycleSpec,
     MarkovMeasure,
     MeasurableConjugacy,
     PLMap,
     SFTSpace,
     SymbolicPoint,
     WindowRule,
+    build_transfer,
     check_conj_hol_relation,
+    extend_transfer,
+    is_stable_pair,
     regularize,
+    resample_future,
     resample_past,
     sample_measure,
     stable_pair_holder_check,
     uniform_distance,
+    verify_lemma1,
+    verify_lemma_hol_conj,
 )
-from cocyclelab.errors import DistortionUnbounded, InsufficientScales, NotDominated
+from cocyclelab.errors import (
+    DistortionUnbounded,
+    InsufficientScales,
+    MissingSample,
+    NotDominated,
+)
 from cocyclelab.fixtures import (
     conjugated_pair,
     corrupted_conjugacy,
     decaying_rotation_rule,
     expanding_cocycle,
+    near_identity_plmap,
     rotation_cocycle,
     rotation_conjugacy_rule,
 )
-from cocyclelab import transfer
+from cocyclelab import holonomy, transfer
 from cocyclelab.transfer import holder_regression
 
 
@@ -48,21 +61,57 @@ def stable_pairs(mu, count, seed):
     return pairs
 
 
+def unstable_pairs(mu, count, seed):
+    """Pairs on one unstable set only: a redrawn future that happens to end in
+    x's own forward tail makes a stable pair as well, and is left out."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for x in sample_measure(mu, count, seed, depth=20):
+        y = resample_future(mu, x, rng, depth=12)
+        if not is_stable_pair(x, y):
+            pairs.append((x, y))
+    assert pairs
+    return pairs
+
+
+def identity_rule(space):
+    return MeasurableConjugacy(WindowRule(0, {w: PLMap.identity() for w in space.words(1)}))
+
+
 # ----------------------------------------------------- holonomies vs conjugacy
 
 
 def test_conj_hol_identity_case(setup):
     space, F, _, _, _, _, mu = setup
-    phi = MeasurableConjugacy(WindowRule(0, {w: PLMap.identity() for w in space.words(1)}))
-    rep = check_conj_hol_relation(phi, F, F, stable_pairs(mu, 10, 1), tol=1e-12)
-    assert rep.passed and rep.worst == 0.0
+    phi = identity_rule(space)
+    for pairs in (stable_pairs(mu, 10, 1), unstable_pairs(mu, 10, 1)):
+        rep = check_conj_hol_relation(phi, F, F, pairs, tol=1e-12)
+        assert rep.passed and rep.worst == 0.0
 
 
 def test_conj_hol_rotation_family(setup):
     space, F, G, _, _, rule, mu = setup
     phi = MeasurableConjugacy(rule)
-    rep = check_conj_hol_relation(phi, F, G, stable_pairs(mu, 12, 2), tol=1e-9)
-    assert rep.passed
+    for pairs in (stable_pairs(mu, 12, 2), unstable_pairs(mu, 12, 2)):
+        rep = check_conj_hol_relation(phi, F, G, pairs, tol=1e-9)
+        assert rep.passed
+
+
+def test_conj_hol_exact_pl_identity_case(setup):
+    space, _, _, _, _, _, mu = setup
+    # H_x = psi(sigma x)^-1 psi(x): exact PL generators, not all rotations, whose
+    # orbit products psi(sigma^n x)^-1 psi(x) keep a bounded distortion
+    rng = np.random.default_rng(9)
+    psi = WindowRule(0, {w: near_identity_plmap(rng) for w in space.words(1)})
+    identity = CocycleSpec(space, 0, {w: PLMap.identity() for w in space.words(1)})
+    H = conjugated_pair(identity, psi)
+    assert not all(m.is_rotation for m in H.table.values())
+    pairs = stable_pairs(mu, 6, 7) + unstable_pairs(mu, 6, 7)
+    rep = check_conj_hol_relation(identity_rule(space), H, H, pairs, tol=0)
+    assert rep.passed and rep.worst == 0.0
+    # psi itself conjugates the identity cocycle to H
+    rep = check_conj_hol_relation(MeasurableConjugacy(psi), identity, H, pairs, tol=0)
+    assert rep.passed and rep.worst == 0.0
 
 
 def test_conj_hol_detects_corruption(setup):
@@ -92,8 +141,7 @@ def test_conj_hol_distortion_screen(setup):
 
 def test_holder_check_identity_rule(setup):
     space, F, _, _, _, _, mu = setup
-    phi = MeasurableConjugacy(WindowRule(0, {w: PLMap.identity() for w in space.words(1)}))
-    rep = stable_pair_holder_check(phi, F, stable_pairs(mu, 30, 5), beta=1.0)
+    rep = stable_pair_holder_check(identity_rule(space), F, stable_pairs(mu, 30, 5), beta=1.0)
     assert rep.passed and rep.constant == 0.0
 
 
@@ -204,3 +252,50 @@ def test_regularize_exponent_report(setup):
     assert rep.beta_gamma == pytest.approx(0.5)  # beta=1, theta=1 budget
     assert rep.regression[0] >= rep.beta_gamma - 0.1
     assert out.holder_estimate == rep.regression
+
+
+def test_extend_transfer_refuses_a_repaired_conjugacy(setup):
+    space, F, G, _, _, rule, mu = setup
+    out, rep = regularize(MeasurableConjugacy(rule), F, G, 40, 1e-8, mu=mu, seed=81)
+    assert rep.regression is not None and not out.normalized
+    with pytest.raises(MissingSample):
+        extend_transfer(out, SymbolicPoint.periodic(space, (0, 1, 1)), 4)
+
+
+# ----------------------------------------------------------- traced holonomies
+
+
+def test_transports_reach_the_module_holonomies(setup, monkeypatch):
+    """Every transport goes through ``holonomy.stable_holonomy`` and
+    ``holonomy.unstable_holonomy`` by name, so wrappers installed there (as a
+    tracer does) see the holonomies of both constructions."""
+    space, F, G, _, x0, rule, mu = setup
+    T = build_transfer(F, G, x0, 2, tol=1e-10)
+    pts = sorted(T.class_points, key=SymbolicPoint.sort_key)[1:4]
+    calls = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("stable_holonomy", "unstable_holonomy"):
+        monkeypatch.setattr(holonomy, name, counting(name, getattr(holonomy, name)))
+
+    def reached(run):
+        calls.clear()
+        run()
+        return set(calls)
+
+    both = {"stable_holonomy", "unstable_holonomy"}
+    forward_only = SymbolicPoint.make(space, (1,), (1, 0, 1), (0,), 0)
+    backward_only = SymbolicPoint.make(space, (0,), (1, 0, 1), (1,), 0)
+    assert reached(lambda: T.phi_at(forward_only)) == {"stable_holonomy"}
+    assert reached(lambda: T.phi_at(backward_only)) == both
+    assert reached(lambda: verify_lemma1(T, pts)) == both
+    assert reached(lambda: verify_lemma_hol_conj(T, [(pts[0], pts[1])])) == {"stable_holonomy"}
+    pairs = stable_pairs(mu, 2, 8) + unstable_pairs(mu, 2, 8)
+    phi = MeasurableConjugacy(rule)
+    assert reached(lambda: check_conj_hol_relation(phi, F, G, pairs)) == both
+    assert reached(lambda: regularize(phi, F, G, 8, 1e-8, mu=mu, seed=21)) == both

@@ -9,6 +9,7 @@ from cocyclelab import transfer
 from cocyclelab import (
     CocycleSpec,
     PLMap,
+    ResidualReport,
     SFTSpace,
     SymbolicPoint,
     build_transfer,
@@ -31,6 +32,7 @@ from cocyclelab.errors import (
     NotDominated,
     PeriodicDataMismatch,
 )
+from cocyclelab.cocycles import dominated_pair
 from cocyclelab.symbolic import distance_exponent
 from cocyclelab.fixtures import (
     conjugated_pair,
@@ -88,6 +90,24 @@ def test_build_rejects_mismatch(family):
         build_transfer(bad, G, x0, 2)
     with pytest.raises(NotDominated):
         build_transfer(expanding_cocycle(space), expanding_cocycle(space), x0, 2)
+
+
+def test_domination_is_checked_first_cocycle_first(family):
+    space, F, _, _, _ = family
+    bad = expanding_cocycle(space)
+    with pytest.raises(NotDominated, match="^first cocycle"):
+        dominated_pair(bad, bad)
+    with pytest.raises(NotDominated, match="^second cocycle"):
+        dominated_pair(F, bad, 2)
+
+
+def test_residual_report_of_rows():
+    empty = ResidualReport.of([], tol=0.0)
+    assert empty.worst == 0.0 and empty.passed and empty.rows == ()
+    rep = ResidualReport.of(iter([("a", 0.5), ("b", 2.0), ("c", 1.0)]), 1.5, [("d",)], 3)
+    assert rep.rows == (("a", 0.5), ("b", 2.0), ("c", 1.0))
+    assert rep.worst == 2.0 and not rep.passed
+    assert rep.diagnostics == (("d",),) and rep.skipped == 3
 
 
 # ------------------------------------------------------------------- transfer
