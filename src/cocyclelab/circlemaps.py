@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvalidExponent, ResourceLimit
@@ -18,6 +18,7 @@ from .errors import InvalidExponent, ResourceLimit
 SEGMENT_EPS = 1e-14  # float mode: shorter segments are merged away
 SLOPE_EPS = 1e-11  # float mode: slope changes below this are not breakpoints
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _coerce(values):
@@ -41,12 +42,13 @@ def _contains_half_integer(a, b):
     return first <= math.floor(2 * hi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PLMap:
     """Canonical PL circle homeomorphism (degree 1, positive slopes)."""
 
     breaks: tuple
     vals: tuple
+    _segments: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def make(cls, breaks, vals) -> "PLMap":
@@ -103,17 +105,21 @@ class PLMap:
 
     def segments(self):
         """(x1, x2, v1, slope) covering one period [b0, b0+1)."""
-        cached = self.__dict__.get("_segments")
-        if cached is not None:
-            return cached
+        if self._segments is not None:
+            return self._segments
         b, v = self.breaks, self.vals
         m = len(b)
+        if m == 1 and type(b[0]) is Fraction:
+            # an exact rotation is canonical with its breakpoint at 0; its
+            # slope is exactly 1 (a float one can round to 1 - 2**-53)
+            return ((_ZERO, _ONE, v[0], _ONE),)
         out = []
         for i in range(m):
             x1, y1 = b[i], v[i]
             x2 = b[i + 1] if i + 1 < m else b[0] + 1
             y2 = v[i + 1] if i + 1 < m else v[0] + 1
             out.append((x1, x2, y1, (y2 - y1) / (x2 - x1)))
+        out = tuple(out)
         object.__setattr__(self, "_segments", out)
         return out
 

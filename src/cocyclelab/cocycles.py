@@ -17,6 +17,7 @@ from .errors import NotDominated, ResourceLimit
 from .symbolic import SFTSpace, SymbolicPoint
 
 BREAKPOINT_CAP = 100_000
+ORBIT_MEMO_CAP = 4096  # orbit products memoised per cocycle before the memo is emptied
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,18 +63,38 @@ class CocycleSpec:
         return cls(space, int(doc["window"]), table, doc.get("alpha", 1))
 
 
-def prefix_products(maps, cap: int = BREAKPOINT_CAP):
+def prefix_products(maps, cap: int = BREAKPOINT_CAP, h: PLMap | None = None, step: int = 0):
     """Yield the prefix products h_1 = m_1, h_j = m_j h_{j-1} of ``maps``.
 
-    This is the one place where maps are composed along an orbit; each
-    product is checked against the breakpoint cap.
+    A fold resumed from a known product passes it as ``h``, with the number
+    of steps it covers as ``step``.  This is the one place where maps are
+    composed along an orbit; each product is checked against the breakpoint cap.
     """
-    h = None
-    for m in maps:
+    for step, m in enumerate(maps, step + 1):
         h = m if h is None else compose(m, h)
         if len(h.breaks) > cap:
-            raise ResourceLimit(f"composition exceeded {cap} breakpoints")
+            raise _over_cap(len(h.breaks), step, cap)
         yield h
+
+
+def _over_cap(count: int, step: int, cap: int) -> ResourceLimit:
+    return ResourceLimit(f"orbit product reached {count} breakpoints at step {step} (cap {cap})")
+
+
+def _orbit_word(c: CocycleSpec, x: SymbolicPoint, n: int) -> tuple:
+    """The word f^n_x depends on: x[-w : n+w] for n >= 0, x[n-w : w] for n < 0."""
+    w = c.window
+    return x.window(-w, n + w) if n >= 0 else x.window(n - w, w)
+
+
+def _word_generators(c: CocycleSpec, word: tuple, n: int, start: int = 0):
+    """Generators of steps start+1 .. |n| of f^n, read from its orbit word."""
+    span = 2 * c.window + 1
+    if n >= 0:
+        table = c.table
+        return (table[word[j : j + span]] for j in range(start, n))
+    # step j reads the window of sigma^-j x, which starts at word index |n| - j
+    return (_inverse_generator(c, word[j : j + span]) for j in range(-n - 1 - start, -1, -1))
 
 
 def orbit_generators(c: CocycleSpec, x: SymbolicPoint, n: int):
@@ -81,18 +102,14 @@ def orbit_generators(c: CocycleSpec, x: SymbolicPoint, n: int):
 
     For n > 0 these are the generators at x, sigma x, ...; for n < 0 the
     inverse generators at sigma^-1 x, sigma^-2 x, ..., because
-    f^-j_x = (g at sigma^-j x)^-1 f^-(j-1)_x.  Each table entry is inverted
-    once per cocycle and kept in its cache.
+    f^-j_x = (g at sigma^-j x)^-1 f^-(j-1)_x.  The orbit word is read once;
+    each table entry is inverted once per cocycle and kept in its cache.
     """
-    if n >= 0:
-        return (c.generator(x.shift(j)) for j in range(n))
-    return (_inverse_generator(c, x.shift(-j)) for j in range(1, 1 - n))
+    return _word_generators(c, _orbit_word(c, x, n), n)
 
 
-def _inverse_generator(c: CocycleSpec, x: SymbolicPoint) -> PLMap:
+def _inverse_generator(c: CocycleSpec, word: tuple) -> PLMap:
     inverses = c._cache.setdefault("inverse", {})
-    w = c.window
-    word = x.window(-w, w + 1)
     if word not in inverses:
         inverses[word] = invert(c.table[word])
     return inverses[word]
@@ -100,10 +117,38 @@ def _inverse_generator(c: CocycleSpec, x: SymbolicPoint) -> PLMap:
 
 def iterate(c: CocycleSpec, x: SymbolicPoint, n: int, cap: int = BREAKPOINT_CAP) -> PLMap:
     """n-step fibre composition; negative n uses the inverse-iterate convention
-    f^n_x = (f^{|n|} at sigma^n(x))^{-1}, the unique one satisfying the cocycle law."""
-    h = PLMap.identity()
-    for h in prefix_products(orbit_generators(c, x, n), cap):
-        pass
+    f^n_x = (f^{|n|} at sigma^n(x))^{-1}, the unique one satisfying the cocycle law.
+
+    Products are memoised per cocycle by direction and orbit word, with the
+    peak breakpoint count of their fold, so a memoised product raises
+    ``ResourceLimit`` for ``cap`` exactly when a fresh fold would.  A product
+    not yet memoised extends the longest memoised prefix of its word.  The
+    memo holds at most ``ORBIT_MEMO_CAP`` products and is emptied when full.
+    """
+    if n == 0:
+        return PLMap.identity()
+    word = _orbit_word(c, x, n)
+    memo = c._cache.setdefault("orbit", {})
+    key = (n > 0, word)
+    entry = memo.get(key)
+    if entry is None:
+        steps, span = abs(n), 2 * c.window
+        h, done, peak = None, 0, (0, 0)  # peak: (breakpoints, first step reaching them)
+        for m in range(steps - 1, 0, -1):
+            prefix = memo.get((n > 0, word[: m + span] if n > 0 else word[steps - m :]))
+            if prefix is not None:
+                (h, peak), done = prefix, m
+                break
+        fold = prefix_products(_word_generators(c, word, n, done), cap, h, done)
+        for step, h in enumerate(fold, done + 1):
+            if len(h.breaks) > peak[0]:
+                peak = (len(h.breaks), step)
+        if len(memo) >= ORBIT_MEMO_CAP:
+            memo.clear()
+        entry = memo[key] = (h, peak)
+    h, (count, step) = entry
+    if count > cap:
+        raise _over_cap(count, step, cap)
     return h
 
 
@@ -198,9 +243,10 @@ def check_bounded_distortion(
     """Empirical distortion bound max(L(f^n_x), L((f^n_x)^-1)) over the samples.
 
     ``certified`` is True exactly when every generator is a rotation, in which
-    case all compositions are isometries.  A positive fitted growth rate of
-    the per-step maxima flags distortion that keeps increasing through the
-    horizon.
+    case all compositions are isometries.  Growth is flagged when the per-step
+    maxima have a positive fitted growth rate and the later half of the
+    horizon exceeds the earlier half's maximum, so distortion that keeps
+    increasing is flagged and bounded oscillation is not.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -218,7 +264,8 @@ def check_bounded_distortion(
 
         logs = np.log(np.maximum(per_step, 1.0))
         slope = np.polyfit(range(1, horizon + 1), logs, 1)[0]
-        growth = bool(slope > 1e-3)
+        half = horizon // 2
+        growth = bool(slope > 1e-3) and max(per_step[half:]) > max(per_step[:half])
     return DistortionReport(k_est, horizon, certified, tuple(per_step), growth)
 
 

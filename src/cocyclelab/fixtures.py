@@ -118,10 +118,12 @@ def decaying_rotation_rule(
     rho = space.rho
     if not isinstance(rho, int):
         raise ParamError("decaying amplitudes need an integer rho")
-    weights = {m: amp / Fraction(rho) ** abs(m) for m in range(-window, window + 1)}
+    # integer weights amp * rho**-|m| over the common denominator amp.den * rho**window
+    weights = [amp.numerator * rho ** (window - abs(m)) for m in range(-window, window + 1)]
+    denom = amp.denominator * rho**window
     table = {}
     for w in space.words(2 * window + 1):
-        angle = sum(weights[m] * w[m + window] for m in range(-window, window + 1))
+        angle = Fraction(sum(k * s for k, s in zip(weights, w)), denom)
         table[w] = PLMap.rotation(angle)
     return WindowRule(window, table)
 

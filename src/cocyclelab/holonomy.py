@@ -59,15 +59,6 @@ class HolonomyResult:
         return self.identity_distance / d_xy**alpha if d_xy > 0 else None
 
 
-def _two_products(c: CocycleSpec, x: SymbolicPoint, n: int, n2: int):
-    """f^n_x and f^n2_x from one pass along the orbit; |n| < |n2|, same sign."""
-    first = PLMap.identity()
-    for j, h in enumerate(prefix_products(orbit_generators(c, x, n2)), 1):
-        if j == abs(n):
-            first = h
-    return first, h
-
-
 def _holonomy(c: CocycleSpec, x, y, side: str, tol: float, n0: int, iter_cap: int):
     dom = power_domination(c, n0)
     theta = dom.theta_s if side == "s" else dom.theta_u
@@ -82,10 +73,9 @@ def _holonomy(c: CocycleSpec, x, y, side: str, tol: float, n0: int, iter_cap: in
     if n_used > iter_cap:
         raise NoConvergence(f"stabilisation index {n_used} exceeds cap {iter_cap}")
     sign = 1 if side == "s" else -1
-    a, a2 = _two_products(c, x, sign * n_used, sign * (n_used + n0))
-    b, b2 = _two_products(c, y, sign * n_used, sign * (n_used + n0))
-    h = compose(invert(b), a)
-    tail = float(uniform_distance(h, compose(invert(b2), a2)))
+    n, n2 = sign * n_used, sign * (n_used + n0)
+    h = compose(invert(iterate(c, y, n)), iterate(c, x, n))
+    tail = float(uniform_distance(h, compose(invert(iterate(c, y, n2)), iterate(c, x, n2))))
     if tail > tol:
         raise NoConvergence(f"residual tail {tail:.3e} exceeds tol {tol:.3e}")
     alpha = float(c.alpha)

@@ -38,6 +38,13 @@ def _primitive(word: Word) -> Word:
     return word
 
 
+def _tiling(word: Word, lo: int, hi: int) -> Word:
+    """Coordinates ``lo .. hi-1`` of the sequence ``word[n mod len(word)]``."""
+    start = lo % len(word)
+    stop = start + hi - lo
+    return (word * (stop // len(word) + 1))[start:stop]
+
+
 def _rot_left(word: Word) -> Word:
     return word[1:] + word[:1]
 
@@ -207,8 +214,15 @@ class SymbolicPoint:
         return self.right[(n - a - len(self.core)) % len(self.right)]
 
     def window(self, lo: int, hi: int) -> Word:
-        """Symbols at coordinates ``lo .. hi-1``."""
-        return tuple(self[n] for n in range(lo, hi))
+        """Symbols at coordinates ``lo .. hi-1``, read tail, core and tail by slices."""
+        a = self.core_start
+        b = a + len(self.core)
+        out = _tiling(self.left, lo - a, min(hi, a) - a) if lo < a else ()
+        if lo < b and a < hi:
+            out += self.core[max(lo, a) - a : min(hi, b) - a]
+        if b < hi:
+            out += _tiling(self.right, max(lo, b) - b, hi - b)
+        return out
 
     def shift(self, n: int = 1) -> "SymbolicPoint":
         """sigma**n: coordinate i of the result is coordinate i+n of self."""

@@ -67,6 +67,17 @@ def test_compose_pointwise_oracle_float(rng):
 # ------------------------------------------------------------------- inversion
 
 
+def test_segment_cache_is_outside_equality(rng):
+    f = random_plmap(rng)
+    g = PLMap.make(f.breaks, f.vals)
+    f.segments()
+    assert f == g and hash(f) == hash(g) and not hasattr(f, "__dict__")
+    # an exact rotation's slope is exactly 1, with nothing cached on the map
+    r = PLMap.rotation(Fraction(2, 7))
+    assert r.segments() == ((0, 1, Fraction(2, 7), 1),) and r._segments is None
+    assert r.slopes == (Fraction(1),) and type(r.max_slope) is Fraction
+
+
 def test_invert_identity_and_rotation():
     assert invert(PLMap.identity()) == PLMap.identity()
     r = Fraction(3, 10)

@@ -79,6 +79,18 @@ def test_gen_conjugated_pair_passes_theorem_a(tmp_path, monkeypatch):
     assert "periodic-data" in names and "cohomological-residual" in names
 
 
+def test_theorem_a_rows_with_a_one_product_orbit_memo(tmp_path, monkeypatch):
+    from cocyclelab import cocycles
+
+    # the memo is emptied before every new product: rows must not depend on it
+    monkeypatch.setattr(cocycles, "ORBIT_MEMO_CAP", 1)
+    assert main(["gen", "conjugated-pair", "--seed", "4", "--param", "psi_window=3",
+                 "--out", str(tmp_path)]) == 0
+    cfg = tmp_path / "conjugated_pair.json"
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert_rows_pinned(tmp_path / "out", "theorem-a")
+
+
 def test_run_exit_codes(tmp_path):
     missing = main(["run", "--config", str(tmp_path / "nope.json")])
     assert missing == 2

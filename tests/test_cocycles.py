@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cocyclelab import (
     CocycleSpec,
+    MarkovMeasure,
     PLMap,
     SFTSpace,
     SymbolicPoint,
@@ -19,6 +20,8 @@ from cocyclelab import (
     invert,
     iterate,
     power_domination,
+    resample_future,
+    resample_past,
     uniform_distance,
 )
 from cocyclelab.cocycles import orbit_generators, prefix_products
@@ -143,8 +146,68 @@ def test_backward_generators_invert_each_word_once(full2, rng, monkeypatch):
 def test_iterate_breakpoint_cap(full2):
     c = pl_dominated_cocycle(full2, 1, 0.4, seed=9)
     x = SymbolicPoint.fixed(full2, 0)
-    with pytest.raises(ResourceLimit):
+    with pytest.raises(ResourceLimit, match=r"reached \d+ breakpoints at step \d+ \(cap 4\)"):
         iterate(c, x, 50, cap=4)
+
+
+def fresh_fold(c, x, n):
+    h = PLMap.identity()
+    for h in prefix_products(orbit_generators(c, x, n)):
+        pass
+    return h
+
+
+@given(
+    st.integers(0, 10_000), st.sampled_from(["full2", "golden"]), st.integers(0, 1),
+    st.booleans(),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(-3, 3), st.integers(-9, 9)), min_size=1,
+             max_size=12),
+)
+@settings(max_examples=40, deadline=None)
+def test_memoised_iterate_matches_fresh_fold_property(seed, space_name, window, exact, calls):
+    space = SFTSpace.full_shift(2) if space_name == "full2" else SFTSpace.golden_mean()
+    c = pl_dominated_cocycle(space, window, 0.4, seed=seed, exact=exact)
+    rng = np.random.default_rng(seed)
+    mu = MarkovMeasure.uniform(space)
+    x = random_point(space, rng)
+    # neighbours keeping x's coordinates up to 3 (from -3): their forward
+    # (backward) orbit words share prefixes with x's, so memoised products
+    # resume; shifted points put the same words at other steps of the orbit
+    points = (
+        x,
+        resample_future(mu, x.shift(3), rng, depth=4).shift(-3),
+        resample_past(mu, x.shift(-3), rng, depth=4).shift(3),
+    )
+    for i, j, n in calls:
+        p = points[i].shift(j)
+        assert iterate(c, p, n) == fresh_fold(c, p, n)
+
+
+def test_memoised_product_keeps_the_breakpoint_cap(full2):
+    c = pl_dominated_cocycle(full2, 1, 0.4, seed=9)
+    x = SymbolicPoint.fixed(full2, 0)
+    peak = max(len(h.breaks) for h in prefix_products(orbit_generators(c, x, 6)))
+    h = iterate(c, x, 6)
+    assert iterate(c, x, 6, cap=peak) is h
+    # a memoised product refuses a cap its fold exceeded, as a fresh fold does
+    with pytest.raises(ResourceLimit, match=f"reached {peak} breakpoints at step"):
+        iterate(c, x, 6, cap=peak - 1)
+    with pytest.raises(ResourceLimit):
+        list(prefix_products(orbit_generators(c, x, 6), peak - 1))
+    # and so does a longer product resumed from it
+    with pytest.raises(ResourceLimit):
+        iterate(c, x, 7, cap=peak - 1)
+
+
+def test_orbit_memo_is_emptied_at_its_cap(full2, rng, monkeypatch):
+    from cocyclelab import cocycles
+
+    monkeypatch.setattr(cocycles, "ORBIT_MEMO_CAP", 3)
+    c = pl_dominated_cocycle(full2, 1, 0.4, seed=9)
+    x = random_point(full2, rng)
+    for n in (1, 2, -3, 4, 5, -6, 7):
+        assert iterate(c, x, n) == fresh_fold(c, x, n)
+        assert len(c._cache["orbit"]) <= 3
 
 
 # ------------------------------------------------------------- Holder constant

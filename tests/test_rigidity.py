@@ -10,6 +10,7 @@ from cocyclelab import (
     SymbolicPoint,
     WindowRule,
     build_transfer,
+    check_bounded_distortion,
     check_conj_hol_relation,
     extend_transfer,
     is_stable_pair,
@@ -112,6 +113,26 @@ def test_conj_hol_exact_pl_identity_case(setup):
     # psi itself conjugates the identity cocycle to H
     rep = check_conj_hol_relation(MeasurableConjugacy(psi), identity, H, pairs, tol=0)
     assert rep.passed and rep.worst == 0.0
+
+
+def test_bounded_oscillating_distortion_is_not_flagged(setup):
+    space, F, _, _, _, _, mu = setup
+    # every product of G is psi(sigma^n x)^-1 R psi(x) for a rotation R, so its
+    # distortion stays below max L(psi) * max L(psi^-1) while it oscillates
+    rng = np.random.default_rng(9)
+    psi = WindowRule(0, {w: near_identity_plmap(rng) for w in space.words(1)})
+    G = conjugated_pair(F, psi)
+    pairs = stable_pairs(mu, 6, 7) + unstable_pairs(mu, 6, 7)
+    pts = sorted({p for pair in pairs for p in pair}, key=SymbolicPoint.sort_key)
+    rep = check_bounded_distortion(G, 12, pts)
+    bound = max(float(m.max_slope) for m in psi.table.values()) / min(
+        float(m.min_slope) for m in psi.table.values())
+    assert rep.K_est <= bound
+    assert len(set(rep.per_step_max)) > 1 and not rep.growth_flagged
+    rep = check_conj_hol_relation(MeasurableConjugacy(psi), F, G, pairs, tol=1e-9)
+    assert rep.passed
+    # an expanding cocycle over the same points is still flagged
+    assert check_bounded_distortion(expanding_cocycle(space), 12, pts).growth_flagged
 
 
 def test_conj_hol_detects_corruption(setup):

@@ -106,6 +106,16 @@ def test_shift_core_bookkeeping(full2):
     assert y[-3] == 1 and y.shift(-3) == x
 
 
+@given(st.integers(0, 10_000), st.sampled_from(["full2", "golden"]), st.integers(-12, 12),
+       st.integers(-2, 25))
+@settings(max_examples=80, deadline=None)
+def test_window_matches_coordinates(seed, space_name, lo, length):
+    space = SFTSpace.full_shift(2) if space_name == "full2" else SFTSpace.golden_mean()
+    x = random_point(space, np.random.default_rng(seed))
+    # oracle: one coordinate at a time; a negative length is an empty window
+    assert x.window(lo, lo + length) == tuple(x[n] for n in range(lo, lo + length))
+
+
 @given(st.integers(-9, 9), st.integers(-9, 9))
 @settings(max_examples=40, deadline=None)
 def test_shift_group_action(n, m):
