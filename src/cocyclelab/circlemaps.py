@@ -17,6 +17,7 @@ from .errors import InvalidExponent, ResourceLimit
 
 SEGMENT_EPS = 1e-14  # float mode: shorter segments are merged away
 SLOPE_EPS = 1e-11  # float mode: slope changes below this are not breakpoints
+HOLDER_CELL_CAP = 200_000  # chord-space cells holder_constant may refine
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -291,7 +292,7 @@ def metric_report(f: PLMap, g: PLMap) -> MetricReport:
     return MetricReport(d_inf, lip, d_inf + lip, max(d_inf + lip, d1_inv))
 
 
-def holder_constant(f: PLMap, beta, tol: float = 1e-6, max_cells: int = 200_000):
+def holder_constant(f: PLMap, beta, tol: float = 1e-6):
     """Certified upper bound for sup d(f(p), f(q)) / d(p, q)**beta.
 
     For beta = 1 this is the exact maximal slope.  For beta < 1 a branch and
@@ -324,8 +325,8 @@ def holder_constant(f: PLMap, beta, tol: float = 1e-6, max_cells: int = 200_000)
     processed = 0
     while cells:
         processed += 1
-        if processed > max_cells:
-            raise ResourceLimit("holder_constant refinement exceeded cell cap")
+        if processed > HOLDER_CELL_CAP:
+            raise ResourceLimit(f"holder_constant refinement exceeded cell cap {HOLDER_CELL_CAP}")
         p1, p2, t1, t2 = cells.pop()
         delta_ub = (fl(p1 + t2) - fl(p1)) + (lmax - lmin) * (p2 - p1)
         ub = min(0.5, delta_ub) / t1**beta

@@ -63,22 +63,21 @@ class CocycleSpec:
         return cls(space, int(doc["window"]), table, doc.get("alpha", 1))
 
 
-def prefix_products(maps, cap: int = BREAKPOINT_CAP, h: PLMap | None = None, step: int = 0):
+def prefix_products(maps, h: PLMap | None = None, step: int = 0):
     """Yield the prefix products h_1 = m_1, h_j = m_j h_{j-1} of ``maps``.
 
     A fold resumed from a known product passes it as ``h``, with the number
     of steps it covers as ``step``.  This is the one place where maps are
-    composed along an orbit; each product is checked against the breakpoint cap.
+    composed along an orbit; each product is checked against ``BREAKPOINT_CAP``.
     """
     for step, m in enumerate(maps, step + 1):
         h = m if h is None else compose(m, h)
-        if len(h.breaks) > cap:
-            raise _over_cap(len(h.breaks), step, cap)
+        if len(h.breaks) > BREAKPOINT_CAP:
+            raise ResourceLimit(
+                f"orbit product reached {len(h.breaks)} breakpoints at step {step} "
+                f"(cap {BREAKPOINT_CAP})"
+            )
         yield h
-
-
-def _over_cap(count: int, step: int, cap: int) -> ResourceLimit:
-    return ResourceLimit(f"orbit product reached {count} breakpoints at step {step} (cap {cap})")
 
 
 def _orbit_word(c: CocycleSpec, x: SymbolicPoint, n: int) -> tuple:
@@ -115,40 +114,37 @@ def _inverse_generator(c: CocycleSpec, word: tuple) -> PLMap:
     return inverses[word]
 
 
-def iterate(c: CocycleSpec, x: SymbolicPoint, n: int, cap: int = BREAKPOINT_CAP) -> PLMap:
+def iterate(c: CocycleSpec, x: SymbolicPoint, n: int) -> PLMap:
     """n-step fibre composition; negative n uses the inverse-iterate convention
     f^n_x = (f^{|n|} at sigma^n(x))^{-1}, the unique one satisfying the cocycle law.
 
-    Products are memoised per cocycle by direction and orbit word, with the
-    peak breakpoint count of their fold, so a memoised product raises
-    ``ResourceLimit`` for ``cap`` exactly when a fresh fold would.  A product
-    not yet memoised extends the longest memoised prefix of its word.  The
-    memo holds at most ``ORBIT_MEMO_CAP`` products and is emptied when full.
+    Products are memoised per cocycle by direction and orbit word; each was
+    checked against ``BREAKPOINT_CAP`` when it was folded.  A product not yet
+    memoised extends the longest memoised prefix of its word.  The memo holds
+    at most ``ORBIT_MEMO_CAP`` products and is emptied when full.
     """
     if n == 0:
         return PLMap.identity()
     word = _orbit_word(c, x, n)
     memo = c._cache.setdefault("orbit", {})
     key = (n > 0, word)
-    entry = memo.get(key)
-    if entry is None:
+    h = memo.get(key)
+    if h is None:
         steps, span = abs(n), 2 * c.window
-        h, done, peak = None, 0, (0, 0)  # peak: (breakpoints, first step reaching them)
+        done = 0
         for m in range(steps - 1, 0, -1):
-            prefix = memo.get((n > 0, word[: m + span] if n > 0 else word[steps - m :]))
-            if prefix is not None:
-                (h, peak), done = prefix, m
+            h = memo.get((n > 0, word[: m + span] if n > 0 else word[steps - m :]))
+            if h is not None:
+                done = m
                 break
-        fold = prefix_products(_word_generators(c, word, n, done), cap, h, done)
-        for step, h in enumerate(fold, done + 1):
-            if len(h.breaks) > peak[0]:
-                peak = (len(h.breaks), step)
+        try:
+            for h in prefix_products(_word_generators(c, word, n, done), h, done):
+                pass
+        except ResourceLimit as e:
+            raise ResourceLimit(f"{e} folding f^{n} at {x!r}") from None
         if len(memo) >= ORBIT_MEMO_CAP:
             memo.clear()
-        entry = memo[key] = (h, peak)
-    h, (count, step) = entry
-    if count > cap:
-        raise _over_cap(count, step, cap)
+        memo[key] = h
     return h
 
 
@@ -184,48 +180,34 @@ class DominationReport:
     theta_s: float
     theta_u: float
     su_dominated: bool
-    witness_words: dict
-    n_step_ok: bool | None = None
 
     @property
     def theta(self) -> float:
         return min(self.theta_s, self.theta_u)
 
 
-def check_domination(
-    c: CocycleSpec, samples=(), horizon: int = 12
-) -> DominationReport:
-    """Margins theta = alpha - log_rho(extremal slope) for the generator table.
+def _margins(c: CocycleSpec, n0: int) -> DominationReport:
+    """theta = alpha - log_{rho**n0}(extremal slope) over the time-n0 products."""
+    key = ("dom", n0)
+    if key not in c._cache:
+        products = c.table.values()
+        if n0 > 1:
+            span = 2 * c.window + 1
+            products = []
+            for word in c.space.words(span + n0 - 1):
+                for h in prefix_products(c.table[word[j : j + span]] for j in range(n0)):
+                    pass
+                products.append(h)
+        alpha, log_rho = float(c.alpha), math.log(float(c.space.rho) ** n0)
+        theta_u = alpha - math.log(max(float(h.max_slope) for h in products)) / log_rho
+        theta_s = alpha - math.log(max(1.0 / float(h.min_slope) for h in products)) / log_rho
+        c._cache[key] = DominationReport(theta_s, theta_u, theta_s > 0 and theta_u > 0)
+    return c._cache[key]
 
-    When sample points are supplied, the derived n-step bound
-    L((f^n_x)^-1) <= rho**(n (alpha - theta_s)) is also checked up to the horizon.
-    """
-    if not samples and "dom" in c._cache:
-        return c._cache["dom"]
-    rho = float(c.space.rho)
-    alpha = float(c.alpha)
-    l_max, w_u = max((float(m.max_slope), w) for w, m in c.table.items())
-    linv_max, w_s = max((1.0 / float(m.min_slope), w) for w, m in c.table.items())
-    theta_u = alpha - math.log(l_max) / math.log(rho)
-    theta_s = alpha - math.log(linv_max) / math.log(rho)
-    n_step_ok = None
-    if samples:
-        n_step_ok = True
-        for x in samples:
-            for n, h in enumerate(prefix_products(orbit_generators(c, x, horizon)), 1):
-                bound = rho ** (n * (alpha - theta_s)) * (1 + 1e-9)
-                if 1.0 / float(h.min_slope) > bound:
-                    n_step_ok = False
-    report = DominationReport(
-        theta_s,
-        theta_u,
-        theta_s > 0 and theta_u > 0,
-        {"u": w_u, "s": w_s},
-        n_step_ok,
-    )
-    if not samples:
-        c._cache["dom"] = report
-    return report
+
+def check_domination(c: CocycleSpec) -> DominationReport:
+    """Domination margins of the generator table, measured against rho."""
+    return _margins(c, 1)
 
 
 @dataclass(frozen=True)
@@ -237,9 +219,7 @@ class DistortionReport:
     growth_flagged: bool = False
 
 
-def check_bounded_distortion(
-    c: CocycleSpec, horizon: int, samples, cap: int = BREAKPOINT_CAP
-) -> DistortionReport:
+def check_bounded_distortion(c: CocycleSpec, horizon: int, samples) -> DistortionReport:
     """Empirical distortion bound max(L(f^n_x), L((f^n_x)^-1)) over the samples.
 
     ``certified`` is True exactly when every generator is a rotation, in which
@@ -253,7 +233,7 @@ def check_bounded_distortion(
     samples = list(samples)
     per_step = [1.0] * horizon
     for x in samples:
-        for n, h in enumerate(prefix_products(orbit_generators(c, x, horizon), cap), 1):
+        for n, h in enumerate(prefix_products(orbit_generators(c, x, horizon)), 1):
             val = max(float(h.max_slope), 1.0 / float(h.min_slope))
             per_step[n - 1] = max(per_step[n - 1], val)
     k_est = max(per_step) if samples else 1.0
@@ -271,28 +251,7 @@ def check_bounded_distortion(
 
 def power_domination(c: CocycleSpec, n0: int) -> DominationReport:
     """Domination margins of the time-n0 cocycle, measured against rho**n0."""
-    if n0 == 1:
-        return check_domination(c)
-    key = ("powdom", n0)
-    if key in c._cache:
-        return c._cache[key]
-    rho_eff = float(c.space.rho) ** n0
-    alpha = float(c.alpha)
-    w = c.window
-    l_max, linv_max = 1.0, 1.0
-    w_u = w_s = None
-    for word in c.space.words(2 * w + n0):
-        for h in prefix_products(c.table[word[j : j + 2 * w + 1]] for j in range(n0)):
-            pass
-        if float(h.max_slope) > l_max:
-            l_max, w_u = float(h.max_slope), word
-        if 1.0 / float(h.min_slope) > linv_max:
-            linv_max, w_s = 1.0 / float(h.min_slope), word
-    theta_u = alpha - math.log(l_max) / math.log(rho_eff)
-    theta_s = alpha - math.log(linv_max) / math.log(rho_eff)
-    report = DominationReport(theta_s, theta_u, theta_s > 0 and theta_u > 0, {"u": w_u, "s": w_s})
-    c._cache[key] = report
-    return report
+    return check_domination(c) if n0 == 1 else _margins(c, n0)
 
 
 def dominated_pair(F: CocycleSpec, G: CocycleSpec, n0: int = 1) -> tuple[DominationReport, ...]:

@@ -52,6 +52,7 @@ from .symbolic import (
     verify_closing_bound,
 )
 from .transfer import (
+    CHECK_PERIOD,
     build_transfer,
     check_periodic_data,
     estimate_holder,
@@ -348,17 +349,17 @@ def _rotation_family(cfg: ExperimentConfig, space: SFTSpace, psi_window: int = 5
     return F, G, psi
 
 
-def run_theorem_a(cfg: ExperimentConfig, space=None, x0=None, core_len: int = 5):
+def run_theorem_a(cfg: ExperimentConfig):
     tol = cfg.tol("residual", 1e-6)
-    space = space or cfg.space or SFTSpace.full_shift(2)
+    space = cfg.space or SFTSpace.full_shift(2)
     if cfg.cocycles:
         F, G = _need_cocycle(cfg, "F"), _need_cocycle(cfg, "G")
         psi = None
     else:
         F, G, psi = _rotation_family(cfg, space)
-    x0 = x0 or SymbolicPoint.fixed(space, 0)
+    x0 = SymbolicPoint.fixed(space, 0)
 
-    T = build_transfer(F, G, x0, core_len, tol=1e-9)
+    T = build_transfer(F, G, x0, 5, tol=1e-9)
     pd = T.periodic_data
     rows = [CheckRow("periodic-data", pd.worst_residual, 0.0, pd.worst_residual == 0.0)]
     coh = T.cohomology  # the build's residuals over the sorted class
@@ -379,7 +380,7 @@ def run_theorem_a(cfg: ExperimentConfig, space=None, x0=None, core_len: int = 5)
         rows.append(CheckRow("transfer-exponent-gap", gap, 0.1, gap <= 0.1))
 
     Fbad = fixtures.perturb_one_entry(F, Fraction(1, 100))
-    bad = check_periodic_data(Fbad, G, 6, tol)
+    bad = check_periodic_data(Fbad, G, CHECK_PERIOD, tol)
     margin = 0.005 - bad.worst_residual
     rows.append(CheckRow("perturbed-pair-rejected", margin, 0.0, margin <= 0.0))
 

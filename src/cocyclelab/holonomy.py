@@ -31,6 +31,8 @@ from .symbolic import (
     unstable_agreement_onset,
 )
 
+HOLONOMY_ITER_CAP = 4096  # largest stabilisation index a holonomy may need
+
 
 def gamma_budget(theta: float, alpha: float) -> float:
     """Default exponent budget for holonomy regularity, in (0, alpha)."""
@@ -59,7 +61,7 @@ class HolonomyResult:
         return self.identity_distance / d_xy**alpha if d_xy > 0 else None
 
 
-def _holonomy(c: CocycleSpec, x, y, side: str, tol: float, n0: int, iter_cap: int):
+def _holonomy(c: CocycleSpec, x, y, side: str, tol: float, n0: int):
     dom = power_domination(c, n0)
     theta = dom.theta_s if side == "s" else dom.theta_u
     if theta <= 0:
@@ -70,21 +72,25 @@ def _holonomy(c: CocycleSpec, x, y, side: str, tol: float, n0: int, iter_cap: in
         onset = unstable_agreement_onset(x, y)
     k = max(0, math.ceil((onset + c.window) / n0))
     n_used = k * n0
-    if n_used > iter_cap:
-        raise NoConvergence(f"stabilisation index {n_used} exceeds cap {iter_cap}")
+    if n_used > HOLONOMY_ITER_CAP:
+        raise NoConvergence(
+            f"{side}-holonomy of ({x!r}, {y!r}): stabilisation index {n_used} "
+            f"exceeds cap {HOLONOMY_ITER_CAP}"
+        )
     sign = 1 if side == "s" else -1
     n, n2 = sign * n_used, sign * (n_used + n0)
     h = compose(invert(iterate(c, y, n)), iterate(c, x, n))
     tail = float(uniform_distance(h, compose(invert(iterate(c, y, n2)), iterate(c, x, n2))))
     if tail > tol:
-        raise NoConvergence(f"residual tail {tail:.3e} exceeds tol {tol:.3e}")
+        raise NoConvergence(
+            f"{side}-holonomy of ({x!r}, {y!r}): residual tail {tail:.3e} exceeds tol {tol:.3e}"
+        )
     alpha = float(c.alpha)
     return HolonomyResult(h, side, n_used, tail, tail, gamma_budget(theta, alpha), (x, y, alpha))
 
 
 def stable_holonomy(
-    c: CocycleSpec, x: SymbolicPoint, y: SymbolicPoint, tol: float = 1e-8,
-    n0: int = 1, iter_cap: int = 4096,
+    c: CocycleSpec, x: SymbolicPoint, y: SymbolicPoint, tol: float = 1e-8, n0: int = 1
 ) -> HolonomyResult:
     """Holonomy between the fibres over x and y in W^s(x).
 
@@ -92,15 +98,14 @@ def stable_holonomy(
     merge, so the truncation budget ``tol`` is met with the measured residual
     tail (zero in rational mode, rounding-level in float mode).
     """
-    return _holonomy(c, x, y, "s", tol, n0, iter_cap)
+    return _holonomy(c, x, y, "s", tol, n0)
 
 
 def unstable_holonomy(
-    c: CocycleSpec, x: SymbolicPoint, y: SymbolicPoint, tol: float = 1e-8,
-    n0: int = 1, iter_cap: int = 4096,
+    c: CocycleSpec, x: SymbolicPoint, y: SymbolicPoint, tol: float = 1e-8, n0: int = 1
 ) -> HolonomyResult:
     """Holonomy between the fibres over x and y in W^u(x)."""
-    return _holonomy(c, x, y, "u", tol, n0, iter_cap)
+    return _holonomy(c, x, y, "u", tol, n0)
 
 
 def transport(
@@ -132,24 +137,23 @@ class AxiomReport:
 
 
 def verify_holonomy_axioms(
-    c: CocycleSpec, triples, tol: float = 1e-6, n0: int = 1, side: str = "s"
+    c: CocycleSpec, triples, tol: float = 1e-6, side: str = "s"
 ) -> AxiomReport:
     """Composition and equivariance residuals over sampled fibre triples.
 
     Each triple must be pairwise on one stable (or unstable) set; the
-    equivariance check conjugates by the time-n0 generator.
+    equivariance check conjugates by the generator.
     """
     hol = stable_holonomy if side == "s" else unstable_holonomy
     rows = []
     worst_c = worst_e = 0.0
     for x, y, z in triples:
-        h_xy = hol(c, x, y, n0=n0).map
-        h_yz = hol(c, y, z, n0=n0).map
-        h_xz = hol(c, x, z, n0=n0).map
+        h_xy = hol(c, x, y).map
+        h_yz = hol(c, y, z).map
+        h_xz = hol(c, x, z).map
         rc = float(uniform_distance(compose(h_yz, h_xy), h_xz))
-        fx = iterate(c, x, n0)
-        fy = iterate(c, y, n0)
-        h_shift = hol(c, x.shift(n0), y.shift(n0), n0=n0).map
+        h_shift = hol(c, x.shift(1), y.shift(1)).map
+        fx, fy = c.generator(x), c.generator(y)
         re = float(uniform_distance(compose(fy, h_xy), compose(h_shift, fx)))
         rows.append((rc, re))
         worst_c = max(worst_c, rc)

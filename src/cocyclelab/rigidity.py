@@ -27,6 +27,8 @@ from .symbolic import (
 )
 from .transfer import ResidualReport, TransferMap, cohomology_residual, holder_regression
 
+DISTORTION_HORIZON = 12  # steps over which G's distortion is screened
+
 
 @dataclass(frozen=True)
 class WindowRule:
@@ -65,18 +67,18 @@ class MeasurableConjugacy:
         return y in self.corruption
 
 
-def _screen_distortion(G: CocycleSpec, points, horizon: int):
-    rep = check_bounded_distortion(G, horizon, points)
+def _screen_distortion(G: CocycleSpec, points):
+    rep = check_bounded_distortion(G, DISTORTION_HORIZON, points)
     if rep.growth_flagged:
         raise DistortionUnbounded(
-            f"iterated slopes keep growing through horizon {horizon} (K_est={rep.K_est:.3g})"
+            f"iterated slopes keep growing through horizon {DISTORTION_HORIZON} "
+            f"(K_est={rep.K_est:.3g})"
         )
-    return rep
 
 
 def check_conj_hol_relation(
     phi: MeasurableConjugacy, F: CocycleSpec, G: CocycleSpec, pairs, tol: float = 1e-6,
-    horizon: int = 12, skip_corrupted: bool = True,
+    skip_corrupted: bool = True,
 ) -> ResidualReport:
     """Residuals of phi_y = h^{f}_{xy} phi_x (h^{g}_{xy})^{-1} along local pairs.
 
@@ -90,7 +92,7 @@ def check_conj_hol_relation(
     else:
         pairs = list(pairs)
     pts = sorted({p for pair in pairs for p in pair}, key=SymbolicPoint.sort_key)
-    _screen_distortion(G, pts, horizon)
+    _screen_distortion(G, pts)
     rows = []
     for x, y in pairs:
         rhs = transport(F, G, x, y, "s" if is_stable_pair(x, y) else "u", phi.phi_at(x))
@@ -111,9 +113,7 @@ class HolderCheckReport:
 
 
 def stable_pair_holder_check(
-    phi: MeasurableConjugacy, F: CocycleSpec, pairs, tol: float = 1e-6,
-    beta: float = 1.0, gamma: float | None = None, margin: float = 1.15,
-    generic_pairs=(),
+    phi: MeasurableConjugacy, F: CocycleSpec, pairs, beta: float = 1.0, generic_pairs=()
 ) -> HolderCheckReport:
     """Fit C with d(phi_x, phi_y) <= C d(x, y)**(beta*gamma) and freeze-validate.
 
@@ -123,12 +123,10 @@ def stable_pair_holder_check(
     d(phi_x, phi_y) <= C (d(x, z)**bg + d(z, y)**bg) with z the bracket point,
     which is how the local inequality extends off the stable/unstable sets.
     """
-    if gamma is None:
-        dom = check_domination(F)
-        if not dom.su_dominated:
-            raise NotDominated("holonomy exponent budget undefined without domination")
-        gamma = gamma_budget(dom.theta_s, float(F.alpha))
-    bg = beta * gamma
+    dom = check_domination(F)
+    if not dom.su_dominated:
+        raise NotDominated("holonomy exponent budget undefined without domination")
+    bg = beta * gamma_budget(dom.theta_s, float(F.alpha))
     rho = float(F.space.rho)
     ratios = []
     for x, y in pairs:
@@ -142,7 +140,7 @@ def stable_pair_holder_check(
     if len({n for n, _ in ratios}) < 3:
         raise InsufficientScales("pairs span fewer than 3 distance scales")
     fit, fresh = ratios[0::2], ratios[1::2]  # interleave: both halves see all scales
-    c_frozen = margin * max(r for _, r in fit)
+    c_frozen = 1.15 * max(r for _, r in fit)
     worst_fresh = max(r for _, r in fresh) if fresh else 0.0
 
     worst_chain = 0.0
@@ -215,9 +213,7 @@ def regularize(
     tol: float = 1e-6,
     mu: MarkovMeasure | None = None,
     seed: int = 7,
-    horizon: int = 12,
     beta: float = 1.0,
-    path_checks: int = 20,
 ):
     """Rebuild a conjugacy on a dense sample from screened anchors.
 
@@ -235,7 +231,7 @@ def regularize(
     anchors_raw = sample_measure(mu, sample_count, seed) + sorted(
         phi.corruption, key=SymbolicPoint.sort_key
     )
-    _screen_distortion(G, anchors_raw[: min(len(anchors_raw), 24)], horizon)
+    _screen_distortion(G, anchors_raw[:24])
     anchors = []
     excluded = 0
     for a in anchors_raw:
@@ -281,7 +277,7 @@ def regularize(
     )
 
     path_worst = 0.0
-    for t in targets[:path_checks]:
+    for t in targets[:20]:
         a = anchor_for(t)
         if a == t:
             continue

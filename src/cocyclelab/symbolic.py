@@ -28,6 +28,8 @@ from .errors import (
 
 Word = tuple[int, ...]
 
+ENUMERATION_CAP = 200_000  # points a periodic or homoclinic enumeration may produce
+
 
 def _primitive(word: Word) -> Word:
     """Shortest word whose repetition tiles ``word``."""
@@ -352,7 +354,7 @@ def _admissible_cycles(space: SFTSpace, length: int):
             yield w
 
 
-def periodic_points(space: SFTSpace, max_period: int, cap: int = 200_000) -> list[SymbolicPoint]:
+def periodic_points(space: SFTSpace, max_period: int) -> list[SymbolicPoint]:
     """All points fixed by some sigma**n, n <= max_period, each listed once."""
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
@@ -361,13 +363,13 @@ def periodic_points(space: SFTSpace, max_period: int, cap: int = 200_000) -> lis
     for n in range(1, max_period + 1):
         for w in _admissible_cycles(space, n):
             count += 1
-            if count > cap:
-                raise ResourceLimit(f"periodic enumeration exceeded cap {cap}")
+            if count > ENUMERATION_CAP:
+                raise ResourceLimit(f"periodic enumeration exceeded cap {ENUMERATION_CAP}")
             seen.add(SymbolicPoint.periodic(space, w))
     return sorted(seen, key=SymbolicPoint.sort_key)
 
 
-def homoclinic_points(x0: SymbolicPoint, core_len: int, cap: int = 200_000) -> list[SymbolicPoint]:
+def homoclinic_points(x0: SymbolicPoint, core_len: int) -> list[SymbolicPoint]:
     """Points asymptotic to the orbit of the periodic point ``x0``.
 
     Tails outside the centred window ``[-core_len, core_len)`` are pinned to
@@ -403,8 +405,8 @@ def homoclinic_points(x0: SymbolicPoint, core_len: int, cap: int = 200_000) -> l
         if i == 2 * core_len:
             if space.P[prev][nxt]:
                 count += 1
-                if count > cap:
-                    raise ResourceLimit(f"homoclinic enumeration exceeded cap {cap}")
+                if count > ENUMERATION_CAP:
+                    raise ResourceLimit(f"homoclinic enumeration exceeded cap {ENUMERATION_CAP}")
                 out.add(splice(left_ref, filling, a, x0))
             continue
         for s in range(space.k - 1, -1, -1):

@@ -38,6 +38,8 @@ from .symbolic import (
     unstable_agreement_onset,
 )
 
+CHECK_PERIOD = 6  # periodic data are compared at every period up to this one
+
 
 @dataclass(frozen=True)
 class PeriodicDataReport:
@@ -48,13 +50,13 @@ class PeriodicDataReport:
 
 
 def check_periodic_data(
-    f: CocycleSpec, g: CocycleSpec, max_period: int, tol: float = 1e-9, cap: int = 200_000
+    f: CocycleSpec, g: CocycleSpec, max_period: int, tol: float = 1e-9
 ) -> PeriodicDataReport:
     """Compare n-step return compositions at every periodic point, n <= max_period."""
     if f.space != g.space:
         raise ValueError("cocycles live over different spaces")
     rows = []
-    for pt in periodic_points(f.space, max_period, cap):
+    for pt in periodic_points(f.space, max_period):
         p = pt.period
         powers = max_period // p
         f_powers = prefix_products([iterate(f, pt, p)] * powers)
@@ -148,7 +150,6 @@ def build_transfer(
     x0: SymbolicPoint,
     core_len: int,
     tol: float = 1e-8,
-    check_period: int = 6,
 ) -> TransferMap:
     """Construct phi on the homoclinic class of ``x0`` via stable holonomies.
 
@@ -162,7 +163,7 @@ def build_transfer(
     if n0 is None:
         raise ValueError("base point must be periodic")
     dom_f, dom_g = dominated_pair(F, G, n0)
-    pd = check_periodic_data(F, G, max(n0, check_period), tol)
+    pd = check_periodic_data(F, G, max(n0, CHECK_PERIOD), tol)
     if not pd.coincide:
         raise PeriodicDataMismatch(f"worst periodic residual {pd.worst_residual:.3e} > {tol}")
     pts = homoclinic_points(x0, core_len)
@@ -217,9 +218,7 @@ def _quotient(F: CocycleSpec, G: CocycleSpec, y: SymbolicPoint, n: int) -> PLMap
     return compose(invert(iterate(F, y, n)), iterate(G, y, n))
 
 
-def verify_lemma1(
-    T: TransferMap, points=None, tol: float = 1e-6, shadow_ns=(1, 2, 3)
-) -> ResidualReport:
+def verify_lemma1(T: TransferMap, points=None, tol: float = 1e-6) -> ResidualReport:
     """Forward- and backward-built transfer values must agree on the class.
 
     For base period 1 this compares the stable and unstable holonomy
@@ -254,7 +253,7 @@ def verify_lemma1(
         # bridge the two limits through orbit-closing points: their forward and
         # backward return quotients agree identically, and the forward quotient
         # approaches y's as the closing radius grows.
-        for n in shadow_ns:
+        for n in (1, 2, 3):
             lo, hi = -n * n0 + 1, n * n0
             try:
                 z = closing_point_range(y, lo, hi)
@@ -325,10 +324,10 @@ def holder_regression(points, lookup, rho: float, min_samples: int = 30):
     return (float(slope), float(math.exp(intercept)))
 
 
-def estimate_holder(T: TransferMap, points=None, min_samples: int = 30):
+def estimate_holder(T: TransferMap, points=None):
     """Regularity regression of the transfer map over its sampled class."""
     pts = list(points) if points is not None else _default_points(T)
-    return holder_regression(pts, T.phi_at, float(T.F.space.rho), min_samples)
+    return holder_regression(pts, T.phi_at, float(T.F.space.rho))
 
 
 def extend_transfer(T: TransferMap, x: SymbolicPoint, depth: int):

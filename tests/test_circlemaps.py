@@ -18,7 +18,7 @@ from cocyclelab import (
     metric_report,
     uniform_distance,
 )
-from cocyclelab.errors import InvalidExponent
+from cocyclelab.errors import InvalidExponent, ResourceLimit
 from cocyclelab.fixtures import random_plmap
 
 
@@ -160,6 +160,14 @@ def test_holder_beta_one_is_slope():
     assert holder_constant(PLMap.identity(), 1) == 1
     assert holder_constant(PLMap.rotation(0.2), 1) == 1.0
     assert holder_constant(fb_family(Fraction(1, 4)), 1) == Fraction(3, 2)
+
+
+def test_holder_refinement_stops_at_its_cell_cap(monkeypatch):
+    from cocyclelab import circlemaps
+
+    monkeypatch.setattr(circlemaps, "HOLDER_CELL_CAP", 1)
+    with pytest.raises(ResourceLimit, match="exceeded cell cap 1$"):
+        holder_constant(fb_family(Fraction(1, 4)), 0.5)
 
 
 def test_holder_random_chord_oracle():

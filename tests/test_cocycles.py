@@ -143,11 +143,18 @@ def test_backward_generators_invert_each_word_once(full2, rng, monkeypatch):
     assert len(calls) == len({x.window(-j - 1, 2 - j) for j in range(1, 13)})
 
 
-def test_iterate_breakpoint_cap(full2):
+def test_iterate_breakpoint_cap(full2, monkeypatch):
+    from cocyclelab import cocycles
+
+    # the cap is read when the product is folded, not when iterate is defined
+    monkeypatch.setattr(cocycles, "BREAKPOINT_CAP", 4)
     c = pl_dominated_cocycle(full2, 1, 0.4, seed=9)
     x = SymbolicPoint.fixed(full2, 0)
-    with pytest.raises(ResourceLimit, match=r"reached \d+ breakpoints at step \d+ \(cap 4\)"):
-        iterate(c, x, 50, cap=4)
+    with pytest.raises(
+        ResourceLimit,
+        match=r"reached \d+ breakpoints at step \d+ \(cap 4\) folding f\^50 at <\(0\)\*\|@0\|\(0\)\*>",
+    ):
+        iterate(c, x, 50)
 
 
 def fresh_fold(c, x, n):
@@ -181,22 +188,6 @@ def test_memoised_iterate_matches_fresh_fold_property(seed, space_name, window, 
     for i, j, n in calls:
         p = points[i].shift(j)
         assert iterate(c, p, n) == fresh_fold(c, p, n)
-
-
-def test_memoised_product_keeps_the_breakpoint_cap(full2):
-    c = pl_dominated_cocycle(full2, 1, 0.4, seed=9)
-    x = SymbolicPoint.fixed(full2, 0)
-    peak = max(len(h.breaks) for h in prefix_products(orbit_generators(c, x, 6)))
-    h = iterate(c, x, 6)
-    assert iterate(c, x, 6, cap=peak) is h
-    # a memoised product refuses a cap its fold exceeded, as a fresh fold does
-    with pytest.raises(ResourceLimit, match=f"reached {peak} breakpoints at step"):
-        iterate(c, x, 6, cap=peak - 1)
-    with pytest.raises(ResourceLimit):
-        list(prefix_products(orbit_generators(c, x, 6), peak - 1))
-    # and so does a longer product resumed from it
-    with pytest.raises(ResourceLimit):
-        iterate(c, x, 7, cap=peak - 1)
 
 
 def test_orbit_memo_is_emptied_at_its_cap(full2, rng, monkeypatch):
@@ -258,9 +249,12 @@ def test_domination_fails_for_expansion(full2):
 
 def test_domination_n_step_bound(full2):
     c = pl_dominated_cocycle(full2, 1, 0.4, seed=9)
-    samples = [SymbolicPoint.fixed(full2, 0), SymbolicPoint.periodic(full2, (0, 1))]
-    rep = check_domination(c, samples=samples, horizon=12)
-    assert rep.n_step_ok
+    theta_s = check_domination(c).theta_s
+    rho, alpha = float(full2.rho), float(c.alpha)
+    # L((f^n_x)^-1) <= rho**(n (alpha - theta_s)) along the orbit
+    for x in (SymbolicPoint.fixed(full2, 0), SymbolicPoint.periodic(full2, (0, 1))):
+        for n, h in enumerate(prefix_products(orbit_generators(c, x, 12)), 1):
+            assert 1.0 / float(h.min_slope) <= rho ** (n * (alpha - theta_s)) * (1 + 1e-9)
 
 
 def test_domination_monotone_under_blending(full2):

@@ -26,7 +26,7 @@ from cocyclelab import (
 )
 from cocyclelab import holonomy
 from cocyclelab.circlemaps import SEGMENT_EPS, SLOPE_EPS
-from cocyclelab.errors import NotDominated, NotStablePair
+from cocyclelab.errors import NoConvergence, NotDominated, NotStablePair
 from cocyclelab.fixtures import (
     expanding_cocycle,
     pl_dominated_cocycle,
@@ -96,6 +96,20 @@ def test_errors(full2):
     z = SymbolicPoint.fixed(full2, 1)
     with pytest.raises(NotStablePair):
         stable_holonomy(good, x, z)
+
+
+def test_holonomy_stops_at_its_iteration_cap(full2, monkeypatch):
+    c = pl_dominated_cocycle(full2, 1, 0.4, seed=9)
+    x = SymbolicPoint.fixed(full2, 0)
+    y = SymbolicPoint.make(full2, (0,), (1,), (0,), 2)
+    assert stable_holonomy(c, x, y).n_used == 4
+    monkeypatch.setattr(holonomy, "HOLONOMY_ITER_CAP", 1)
+    with pytest.raises(
+        NoConvergence,
+        match=r"s-holonomy of \(<\(0\)\*\|@0\|\(0\)\*>, <\(0\)\*\|1@2\|\(0\)\*>\): "
+        r"stabilisation index 4 exceeds cap 1",
+    ):
+        stable_holonomy(c, x, y)
 
 
 def test_result_invariants(full2, rng):

@@ -30,6 +30,7 @@ from cocyclelab.errors import (
     DepthUnreachable,
     InadmissibleLoop,
     NotStablePair,
+    ResourceLimit,
 )
 from cocyclelab.symbolic import (
     _complete_word,
@@ -228,6 +229,16 @@ def test_periodic_counts_match_trace(name, full2, golden):
     for n in range(1, 9):
         count = sum(1 for p in pts if n % p.period == 0)
         assert count == fixed_point_count(space, n)
+
+
+def test_enumerations_stop_at_their_cap(full2, monkeypatch):
+    from cocyclelab import symbolic
+
+    monkeypatch.setattr(symbolic, "ENUMERATION_CAP", 3)
+    with pytest.raises(ResourceLimit, match="homoclinic enumeration exceeded cap 3"):
+        homoclinic_points(SymbolicPoint.fixed(full2, 0), 2)
+    with pytest.raises(ResourceLimit, match="periodic enumeration exceeded cap 3"):
+        periodic_points(full2, 3)
 
 
 # ------------------------------------------------------------------ homoclinic

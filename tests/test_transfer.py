@@ -396,6 +396,22 @@ def test_lemma1_counts_skipped_bridges(monkeypatch):
         verify_lemma1(T, points=pts, tol=1e-9)
 
 
+def test_float_transfer_tracks_exact():
+    space = SFTSpace.full_shift(2)
+    F = rotation_cocycle(space, 1, 0)
+    G = conjugated_pair(F, decaying_rotation_rule(space, 3))
+    x0 = SymbolicPoint.fixed(space, 0)
+    exact = build_transfer(F, G, x0, 3, tol=1e-9)
+    floats = [CocycleSpec(space, c.window, {w: _float_copy(m) for w, m in c.table.items()})
+              for c in (F, G)]
+    T = build_transfer(*floats, x0, 3, tol=1e-9)
+    assert T.class_points == exact.class_points
+    for y in T.class_points:
+        assert float(uniform_distance(T.samples[y], _float_copy(exact.samples[y]))) <= 1e-12
+    assert T.construction_residual <= 1e-12
+    assert verify_lemma1(T, points=list(T.class_points)[:12], tol=1e-12).passed
+
+
 # ------------------------------------------------------------- lazy estimate
 
 
