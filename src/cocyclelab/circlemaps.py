@@ -72,10 +72,10 @@ class PLMap:
         # normalise after the merge: it may drop the first breakpoint
         k = math.floor(vals[0])
         vals = tuple(v - k for v in vals)
+        if vals[0] == 1:  # a float just below an integer rounds up to it
+            vals = tuple(v - 1 for v in vals)
         if len(breaks) == 1:
-            angle = (vals[0] - breaks[0]) % 1
-            zero = Fraction(0) if exact else 0.0
-            return cls((zero,), (angle,))
+            return cls.rotation(vals[0] - breaks[0])
         return cls(breaks, vals)
 
     @classmethod
@@ -85,8 +85,9 @@ class PLMap:
     @classmethod
     def rotation(cls, angle) -> "PLMap":
         if isinstance(angle, float):
-            return cls((0.0,), (float(angle) % 1,))
-        if not isinstance(angle, Fraction):  # compose and invert pass Fractions
+            angle = float(angle) % 1  # -1e-17 % 1 rounds to 1.0, which is 0 on the circle
+            return cls((0.0,), (angle if angle < 1 else 0.0,))
+        if not isinstance(angle, Fraction):  # most callers pass Fractions
             angle = Fraction(angle)
         return cls((_ZERO,), (angle % 1,))
 
@@ -215,10 +216,22 @@ def _merge_collinear(breaks, vals, exact):
     return breaks, vals
 
 
+def _angle_terms(a: Fraction, b: Fraction, sign: int) -> tuple[int, int]:
+    """Numerator and denominator, not reduced, of (a + sign*b) mod 1, in integers."""
+    da, db = a.denominator, b.denominator
+    if da == db:
+        return (a.numerator + sign * b.numerator) % da, da
+    den = da * db
+    return (a.numerator * db + sign * b.numerator * da) % den, den
+
+
 def compose(outer: PLMap, inner: PLMap) -> PLMap:
     """outer after inner, exact: breakpoints are inner's plus inner-preimages of outer's."""
     if outer.is_rotation and inner.is_rotation:
-        return PLMap.rotation(outer.vals[0] + inner.vals[0])
+        a, b = outer.vals[0], inner.vals[0]
+        if type(a) is type(b) is Fraction:
+            return PLMap((_ZERO,), (Fraction(*_angle_terms(a, b, 1)),))
+        return PLMap.rotation(a + b)
     cuts = set(inner.breaks)
     inv = invert(inner)
     for c in outer.breaks:
@@ -232,7 +245,10 @@ def compose(outer: PLMap, inner: PLMap) -> PLMap:
 def invert(f: PLMap) -> PLMap:
     """Exact inverse homeomorphism; slopes are reciprocals on image segments."""
     if f.is_rotation:
-        return PLMap.rotation(-f.vals[0])
+        a = f.vals[0]
+        if type(a) is Fraction:
+            return PLMap((_ZERO,), (Fraction(*_angle_terms(_ZERO, a, -1)),))
+        return PLMap.rotation(-a)
     pairs = []
     for x, v in zip(f.breaks, f.vals):
         k = math.floor(v)
@@ -244,7 +260,11 @@ def invert(f: PLMap) -> PLMap:
 def uniform_distance(f: PLMap, g: PLMap):
     """sup over the circle of the arc distance between f(p) and g(p); exact."""
     if f.is_rotation and g.is_rotation:
-        return circle_norm(f.vals[0] - g.vals[0])
+        a, b = f.vals[0], g.vals[0]
+        if type(a) is type(b) is Fraction:
+            num, den = _angle_terms(a, b, -1)
+            return Fraction(min(num, den - num), den)
+        return circle_norm(a - b)
     pts = sorted(set(f.breaks) | set(g.breaks))
     diffs = [f(p) - g(p) for p in pts]
     best = max(circle_norm(d) for d in diffs)

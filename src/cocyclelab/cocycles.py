@@ -17,6 +17,7 @@ from .errors import NotDominated, ResourceLimit
 from .symbolic import SFTSpace, SymbolicPoint
 
 BREAKPOINT_CAP = 100_000
+DENOMINATOR_BITS_CAP = 4096  # bit length of the largest denominator of an exact orbit product
 ORBIT_MEMO_CAP = 4096  # orbit products memoised per cocycle before the memo is emptied
 
 
@@ -68,7 +69,8 @@ def prefix_products(maps, h: PLMap | None = None, step: int = 0):
 
     A fold resumed from a known product passes it as ``h``, with the number
     of steps it covers as ``step``.  This is the one place where maps are
-    composed along an orbit; each product is checked against ``BREAKPOINT_CAP``.
+    composed along an orbit; each product is checked against ``BREAKPOINT_CAP``
+    and, when exact, against ``DENOMINATOR_BITS_CAP``.
     """
     for step, m in enumerate(maps, step + 1):
         h = m if h is None else compose(m, h)
@@ -77,6 +79,13 @@ def prefix_products(maps, h: PLMap | None = None, step: int = 0):
                 f"orbit product reached {len(h.breaks)} breakpoints at step {step} "
                 f"(cap {BREAKPOINT_CAP})"
             )
+        if type(h.breaks[0]) is Fraction:
+            bits = max(q.denominator for q in h.breaks + h.vals).bit_length()
+            if bits > DENOMINATOR_BITS_CAP:
+                raise ResourceLimit(
+                    f"orbit product reached {bits}-bit denominators at step {step} "
+                    f"(cap {DENOMINATOR_BITS_CAP})"
+                )
         yield h
 
 
@@ -119,9 +128,10 @@ def iterate(c: CocycleSpec, x: SymbolicPoint, n: int) -> PLMap:
     f^n_x = (f^{|n|} at sigma^n(x))^{-1}, the unique one satisfying the cocycle law.
 
     Products are memoised per cocycle by direction and orbit word; each was
-    checked against ``BREAKPOINT_CAP`` when it was folded.  A product not yet
-    memoised extends the longest memoised prefix of its word.  The memo holds
-    at most ``ORBIT_MEMO_CAP`` products and is emptied when full.
+    checked against ``BREAKPOINT_CAP`` and ``DENOMINATOR_BITS_CAP`` when it
+    was folded.  A product not yet memoised extends the longest memoised
+    prefix of its word.  The memo holds at most ``ORBIT_MEMO_CAP`` products
+    and is emptied when full.
     """
     if n == 0:
         return PLMap.identity()

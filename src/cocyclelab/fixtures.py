@@ -133,12 +133,14 @@ def conjugated_pair(F: CocycleSpec, psi: WindowRule) -> CocycleSpec:
     space = F.space
     wf, wp = F.window, psi.window
     wg = max(wf, wp + 1)
+    inverses = {w: invert(m) for w, m in psi.table.items()}
+    inner = {}  # f psi(x) per distinct (f-word, psi-word) pair
     table = {}
     for v in space.words(2 * wg + 1):
-        f = F.table[v[wg - wf : wg + wf + 1]]
-        p0 = psi.table[v[wg - wp : wg + wp + 1]]
-        p1 = psi.table[v[wg + 1 - wp : wg + 2 + wp]]
-        table[v] = compose(invert(p1), compose(f, p0))
+        key = (v[wg - wf : wg + wf + 1], v[wg - wp : wg + wp + 1])
+        if key not in inner:
+            inner[key] = compose(F.table[key[0]], psi.table[key[1]])
+        table[v] = compose(inverses[v[wg + 1 - wp : wg + 2 + wp]], inner[key])
     return CocycleSpec(space, wg, table)
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cocyclelab import (
     PLMap,
@@ -257,6 +257,52 @@ def test_compose_associative(f, g, h):
 def test_invert_round_trip(f):
     inv = invert(f)
     assert compose(f, inv) == PLMap.identity() == compose(inv, f)
+
+
+@st.composite
+def exact_angle_pairs(draw):
+    """Canonical exact angles, sharing a denominator or with unrelated ones."""
+    dens = st.integers(1, 10**12)
+    d1 = draw(dens)
+    d2 = d1 if draw(st.booleans()) else draw(dens)
+    return (Fraction(draw(st.integers(0, d1 - 1)), d1), Fraction(draw(st.integers(0, d2 - 1)), d2))
+
+
+@given(exact_angle_pairs())
+@example((Fraction(0), Fraction(0)))
+@example((Fraction(1, 2), Fraction(1, 2)))  # the sum is exactly 1
+@example((Fraction(3, 4), Fraction(2, 3)))  # wraps past 1, unrelated denominators
+@example((Fraction(10**12 - 1, 10**12), Fraction(10**12 - 12, 10**12 - 11)))  # coprime, large
+@settings(max_examples=200, deadline=None)
+def test_rotation_branches_match_fraction_arithmetic(pair):
+    a, b = pair
+    R = PLMap.rotation
+    c = compose(R(a), R(b))
+    total = (a + b) % 1
+    assert c == R(a + b)
+    assert type(c.vals[0]) is Fraction and 0 <= c.vals[0] < 1
+    assert (c.vals[0].numerator, c.vals[0].denominator) == (total.numerator, total.denominator)
+    assert invert(R(a)) == R(-a)
+    d = uniform_distance(R(a), R(b))
+    assert type(d) is Fraction and d == circle_norm(a - b)
+    # float and mixed pairs keep the float expressions
+    fa, fb = float(a), float(b)
+    for x, y in ((fa, fb), (a, fb), (fa, b)):
+        assert compose(R(x), R(y)).vals == ((x + y) % 1,)
+        d = uniform_distance(R(x), R(y))
+        assert type(d) is float and d == circle_norm(x - y)
+    assert invert(R(fa)).vals == (-fa % 1,)
+
+
+def test_float_angle_just_below_an_integer_folds_to_zero():
+    # -1e-17 % 1 rounds to 1.0 in IEEE arithmetic; on the circle it is 0
+    zero = PLMap.rotation(0.0)
+    assert PLMap.rotation(-1e-17) == zero
+    assert invert(PLMap.rotation(1e-17)) == zero
+    assert compose(PLMap.rotation(0.1), PLMap.rotation(-1e-17)).vals == (0.1,)
+    f = PLMap.make([0.0, 0.5], [-1e-17, 0.6])
+    assert f.vals[0] == 0.0 and abs(f.vals[1] - 0.6) < 1e-15
+    assert PLMap.make([1e-17], [0.0]) == zero
 
 
 def test_d1_triangle_inequality(rng):

@@ -11,6 +11,7 @@ from cocyclelab import (
     PLMap,
     SFTSpace,
     SymbolicPoint,
+    WindowRule,
     blend_with_identity,
     check_bounded_distortion,
     check_domination,
@@ -27,7 +28,10 @@ from cocyclelab import (
 from cocyclelab.cocycles import orbit_generators, prefix_products
 from cocyclelab.errors import ResourceLimit
 from cocyclelab.fixtures import (
+    conjugated_pair,
+    decaying_rotation_rule,
     expanding_cocycle,
+    near_identity_plmap,
     pl_dominated_cocycle,
     rotation_cocycle,
     telescoping_cocycle,
@@ -155,6 +159,45 @@ def test_iterate_breakpoint_cap(full2, monkeypatch):
         match=r"reached \d+ breakpoints at step \d+ \(cap 4\) folding f\^50 at <\(0\)\*\|@0\|\(0\)\*>",
     ):
         iterate(c, x, 50)
+
+
+def test_iterate_denominator_cap(full2, monkeypatch):
+    from cocyclelab import cocycles
+
+    monkeypatch.setattr(cocycles, "DENOMINATOR_BITS_CAP", 40)
+    c = pl_dominated_cocycle(full2, 1, 0.4, seed=9)
+    x = SymbolicPoint.fixed(full2, 0)
+    with pytest.raises(
+        ResourceLimit,
+        match=r"reached \d+-bit denominators at step \d+ \(cap 40\) folding f\^50 at <\(0\)\*\|@0\|\(0\)\*>",
+    ):
+        iterate(c, x, 50)
+
+
+def near_identity_rule(space, window, seed):
+    rng = np.random.default_rng(seed)
+    return WindowRule(window, {w: near_identity_plmap(rng) for w in space.words(2 * window + 1)})
+
+
+@pytest.mark.parametrize("case", ["rotations", "cocycle-wider", "rule-wider"])
+def test_conjugated_pair_matches_naive_table(full2, case):
+    if case == "rotations":
+        F, psi = rotation_cocycle(full2, 1, seed=4), decaying_rotation_rule(full2, 5)
+    elif case == "cocycle-wider":
+        F, psi = pl_dominated_cocycle(full2, 2, 0.4, seed=5), near_identity_rule(full2, 0, 6)
+    else:
+        F, psi = pl_dominated_cocycle(full2, 0, 0.4, seed=7), near_identity_rule(full2, 2, 8)
+    G = conjugated_pair(F, psi)
+    wf, wp, wg = F.window, psi.window, max(F.window, psi.window + 1)
+    assert G.window == wg
+    naive = {}
+    for v in full2.words(2 * wg + 1):
+        f = F.table[v[wg - wf : wg + wf + 1]]
+        p0 = psi.table[v[wg - wp : wg + wp + 1]]
+        p1 = psi.table[v[wg + 1 - wp : wg + 2 + wp]]
+        naive[v] = compose(invert(p1), compose(f, p0))
+    assert G.table.keys() == naive.keys()
+    assert all(G.table[v] == naive[v] for v in naive)
 
 
 def fresh_fold(c, x, n):
