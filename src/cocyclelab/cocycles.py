@@ -57,6 +57,8 @@ class CocycleSpec:
 
     @classmethod
     def from_json(cls, space: SFTSpace, doc: dict) -> "CocycleSpec":
+        if not isinstance(doc["table"], dict):
+            raise TypeError("table: expected an object")
         table = {}
         for key, m in doc["table"].items():
             word = tuple(int(s) for s in (key.split(",") if "," in key else key))
@@ -96,24 +98,18 @@ def _orbit_word(c: CocycleSpec, x: SymbolicPoint, n: int) -> tuple:
 
 
 def _word_generators(c: CocycleSpec, word: tuple, n: int, start: int = 0):
-    """Generators of steps start+1 .. |n| of f^n, read from its orbit word."""
+    """Generators of steps start+1 .. |n| of f^n, read from its orbit word.
+
+    For n < 0 these are the inverse generators at sigma^-1 x, sigma^-2 x, ...,
+    since f^-j_x = (g at sigma^-j x)^-1 f^-(j-1)_x; each table entry is
+    inverted once per cocycle and kept in its cache.
+    """
     span = 2 * c.window + 1
     if n >= 0:
         table = c.table
         return (table[word[j : j + span]] for j in range(start, n))
     # step j reads the window of sigma^-j x, which starts at word index |n| - j
     return (_inverse_generator(c, word[j : j + span]) for j in range(-n - 1 - start, -1, -1))
-
-
-def orbit_generators(c: CocycleSpec, x: SymbolicPoint, n: int):
-    """The maps whose prefix products are f^1_x, ..., f^n_x.
-
-    For n > 0 these are the generators at x, sigma x, ...; for n < 0 the
-    inverse generators at sigma^-1 x, sigma^-2 x, ..., because
-    f^-j_x = (g at sigma^-j x)^-1 f^-(j-1)_x.  The orbit word is read once;
-    each table entry is inverted once per cocycle and kept in its cache.
-    """
-    return _word_generators(c, _orbit_word(c, x, n), n)
 
 
 def _inverse_generator(c: CocycleSpec, word: tuple) -> PLMap:
@@ -156,6 +152,11 @@ def iterate(c: CocycleSpec, x: SymbolicPoint, n: int) -> PLMap:
             memo.clear()
         memo[key] = h
     return h
+
+
+def quotient(A: CocycleSpec, y: SymbolicPoint, B: CocycleSpec, x: SymbolicPoint, n: int) -> PLMap:
+    """(A^n_y)^-1 B^n_x, the quotient that holonomies and conjugacies are limits of."""
+    return compose(invert(iterate(A, y, n)), iterate(B, x, n))
 
 
 def holder_const_cocycle(c: CocycleSpec) -> float:
@@ -202,10 +203,9 @@ def _margins(c: CocycleSpec, n0: int) -> DominationReport:
     if key not in c._cache:
         products = c.table.values()
         if n0 > 1:
-            span = 2 * c.window + 1
             products = []
-            for word in c.space.words(span + n0 - 1):
-                for h in prefix_products(c.table[word[j : j + span]] for j in range(n0)):
+            for word in c.space.words(2 * c.window + n0):
+                for h in prefix_products(_word_generators(c, word, n0)):
                     pass
                 products.append(h)
         alpha, log_rho = float(c.alpha), math.log(float(c.space.rho) ** n0)
@@ -243,9 +243,9 @@ def check_bounded_distortion(c: CocycleSpec, horizon: int, samples) -> Distortio
     samples = list(samples)
     per_step = [1.0] * horizon
     for x in samples:
-        for n, h in enumerate(prefix_products(orbit_generators(c, x, horizon)), 1):
-            val = max(float(h.max_slope), 1.0 / float(h.min_slope))
-            per_step[n - 1] = max(per_step[n - 1], val)
+        for n in range(1, horizon + 1):
+            h = iterate(c, x, n)
+            per_step[n - 1] = max(per_step[n - 1], float(h.max_slope), 1.0 / float(h.min_slope))
     k_est = max(per_step) if samples else 1.0
     certified = all(m.is_rotation for m in c.table.values())
     growth = False

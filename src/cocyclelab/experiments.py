@@ -166,15 +166,17 @@ class ExperimentConfig:
                 space = SFTSpace.from_json(doc["space"])
             except (KeyError, TypeError, ValueError) as e:
                 raise ConfigError(f"space: {e}") from None
-        cocycles = {}
-        for name, cdoc in doc.get("cocycles", {}).items():
+        cocycles, cdocs, tols = {}, doc.get("cocycles", {}), doc.get("tolerances", {})
+        for key, val in (("cocycles", cdocs), ("tolerances", tols)):
+            if not isinstance(val, dict):
+                raise ConfigError(f"{key}: expected an object")
+        for name, cdoc in cdocs.items():
             if space is None:
                 raise ConfigError(f"cocycles.{name}: a space document is required alongside cocycles")
             try:
                 cocycles[name] = CocycleSpec.from_json(space, cdoc)
             except (KeyError, TypeError, ValueError) as e:
                 raise ConfigError(f"cocycles.{name}: {e}") from None
-        tols = doc.get("tolerances", {})
         for name, val in tols.items():
             if not isinstance(val, (int, float)) or val <= 0:
                 raise ConfigError(f"tolerances.{name}: must be a positive number")
@@ -497,26 +499,41 @@ def run(cfg: ExperimentConfig) -> ReportDocument:
 # --------------------------------------------------------------------- fixtures
 
 
+def _count(val) -> int:
+    n = int(val)
+    if n < 0:
+        raise ValueError(f"expected a non-negative integer, got {n}")
+    return n
+
+
+def _param(params: dict, name: str, default, parse=_count):
+    """Generator parameter ``name`` parsed by ``parse``; a value it refuses is a ParamError."""
+    try:
+        return parse(params.get(name, default))
+    except (ValueError, ZeroDivisionError) as e:
+        raise ParamError(f"{name}: {e}") from None
+
+
 def _rotation_cocycle_entries(space, params, seed):
-    c = fixtures.rotation_cocycle(space, int(params.get("window", 1)), seed)
+    c = fixtures.rotation_cocycle(space, _param(params, "window", 1), seed)
     return {"cocycles": {"C": c.to_json()}}
 
 
 def _pl_dominated_entries(space, params, seed):
-    theta = float(params.get("theta", 0.4))
-    c = fixtures.pl_dominated_cocycle(space, int(params.get("window", 1)), theta, seed)
+    theta = _param(params, "theta", 0.4, float)
+    c = fixtures.pl_dominated_cocycle(space, _param(params, "window", 1), theta, seed)
     return {"cocycles": {"C": c.to_json()}, "tolerances": {"theta": theta}}
 
 
 def _conjugated_pair_entries(space, params, seed):
     F = fixtures.rotation_cocycle(space, 1, seed)
-    psi = fixtures.decaying_rotation_rule(space, int(params.get("psi_window", 3)))
+    psi = fixtures.decaying_rotation_rule(space, _param(params, "psi_window", 3))
     G = fixtures.conjugated_pair(F, psi)
     return {"cocycles": {"F": F.to_json(), "G": G.to_json()}}
 
 
 def _corrupted_conjugacy_entries(space, params, seed):
-    return {"tolerances": {"residual": float(params.get("tol", 1e-6))}}
+    return {"tolerances": {"residual": _param(params, "tol", 1e-6, float)}}
 
 
 # kind -> (experiment, file name, config entries after experiment/seed/space)
@@ -535,8 +552,7 @@ def generate_fixture(kind: str, params: dict, seed: int, out_dir) -> list:
     out.mkdir(parents=True, exist_ok=True)
     params = dict(params or {})
     if kind == "fb-family":
-        b = Fraction(params.get("b", "1/4"))
-        doc = fb_family(b).to_json()
+        doc = _param(params, "b", "1/4", lambda b: fb_family(Fraction(b))).to_json()
         path = out / "fb_family.json"
         path.write_text(json.dumps(doc, indent=2))
         return [path]
@@ -545,7 +561,7 @@ def generate_fixture(kind: str, params: dict, seed: int, out_dir) -> list:
     experiment, name, entries = _CONFIG_FIXTURES[kind]
     space_name = params.get("space", "full-2-shift")
     if space_name == "full-2-shift":
-        space = SFTSpace.full_shift(int(params.get("k", 2)))
+        space = _param(params, "k", 2, lambda k: SFTSpace.full_shift(int(k)))
     elif space_name == "golden-mean":
         space = SFTSpace.golden_mean()
     else:

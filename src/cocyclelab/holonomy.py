@@ -16,13 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .circlemaps import PLMap, compose, invert, uniform_distance
-from .cocycles import (
-    CocycleSpec,
-    iterate,
-    orbit_generators,
-    power_domination,
-    prefix_products,
-)
+from .cocycles import CocycleSpec, power_domination, quotient
 from .errors import NoConvergence, NotDominated
 from .symbolic import (
     SymbolicPoint,
@@ -45,7 +39,6 @@ class HolonomyResult:
     side: str
     n_used: int
     cauchy_tail: float
-    error_bound: float
     gamma_bound: float
     pair: tuple = field(repr=False, compare=False)  # (x, y, alpha)
 
@@ -79,14 +72,14 @@ def _holonomy(c: CocycleSpec, x, y, side: str, tol: float, n0: int):
         )
     sign = 1 if side == "s" else -1
     n, n2 = sign * n_used, sign * (n_used + n0)
-    h = compose(invert(iterate(c, y, n)), iterate(c, x, n))
-    tail = float(uniform_distance(h, compose(invert(iterate(c, y, n2)), iterate(c, x, n2))))
+    h = quotient(c, y, c, x, n)
+    tail = float(uniform_distance(h, quotient(c, y, c, x, n2)))
     if tail > tol:
         raise NoConvergence(
             f"{side}-holonomy of ({x!r}, {y!r}): residual tail {tail:.3e} exceeds tol {tol:.3e}"
         )
     alpha = float(c.alpha)
-    return HolonomyResult(h, side, n_used, tail, tail, gamma_budget(theta, alpha), (x, y, alpha))
+    return HolonomyResult(h, side, n_used, tail, gamma_budget(theta, alpha), (x, y, alpha))
 
 
 def stable_holonomy(
@@ -182,15 +175,13 @@ def holonomy_convergence_table(
     y-orbit by the uniform gap between the inverse generators at step n.
     """
     stable_agreement_onset(x, y)
-    gxs = list(orbit_generators(c, x, n_max + 1))
-    gys = list(orbit_generators(c, y, n_max + 1))
     h_prev = PLMap.identity()
     prod_linv = 1.0
     rows = []
-    steps = zip(gxs, gys, prefix_products(gxs), prefix_products(gys))
-    for n, (gx, gy, ax, ay) in enumerate(steps):
+    for n in range(n_max + 1):
+        gx, gy = c.generator(x.shift(n)), c.generator(y.shift(n))
         bound = prod_linv * float(uniform_distance(invert(gy), invert(gx)))
-        h = compose(invert(ay), ax)
+        h = quotient(c, y, c, x, n + 1)
         inc = float(uniform_distance(h, h_prev))
         rows.append((n, inc, bound))
         h_prev = h

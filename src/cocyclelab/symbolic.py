@@ -107,6 +107,8 @@ class SFTSpace:
 
     def words(self, length: int):
         """All admissible words of the given length, lexicographic order."""
+        if length < 0:
+            raise ValueError(f"word length must be >= 0, got {length}")
         if length == 0:
             yield ()
             return
@@ -387,13 +389,6 @@ def homoclinic_points(x0: SymbolicPoint, core_len: int) -> list[SymbolicPoint]:
     a = -core_len
 
     out = set()
-    if core_len == 0:
-        try:
-            out.add(splice(left_ref, (), 0, x0))
-        except ValueError:
-            pass
-        return sorted(out, key=SymbolicPoint.sort_key)
-
     prev0 = left_ref[a - 1]
     nxt = x0[core_len]
     ref = [left_ref[n] if n < 0 else x0[n] for n in range(a, core_len)]

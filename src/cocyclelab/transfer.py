@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .circlemaps import PLMap, compose, invert, uniform_distance
-from .cocycles import CocycleSpec, dominated_pair, iterate, prefix_products
+from .cocycles import CocycleSpec, dominated_pair, iterate, quotient
 from .errors import (
     InadmissibleLoop,
     InsufficientScales,
@@ -57,12 +57,8 @@ def check_periodic_data(
         raise ValueError("cocycles live over different spaces")
     rows = []
     for pt in periodic_points(f.space, max_period):
-        p = pt.period
-        powers = max_period // p
-        f_powers = prefix_products([iterate(f, pt, p)] * powers)
-        g_powers = prefix_products([iterate(g, pt, p)] * powers)
-        for j, (fn, gn) in enumerate(zip(f_powers, g_powers), 1):
-            rows.append((pt, j * p, float(uniform_distance(fn, gn))))
+        for n in range(pt.period, max_period + 1, pt.period):
+            rows.append((pt, n, float(uniform_distance(iterate(f, pt, n), iterate(g, pt, n)))))
     worst = max((r for *_, r in rows), default=0.0)
     return PeriodicDataReport(max_period, worst, worst <= tol, tuple(rows))
 
@@ -213,11 +209,6 @@ def verify_cohomology(T: TransferMap, points=None, tol: float = 1e-6) -> Residua
     return ResidualReport.of(((y, cohomology_residual(T.F, T.G, T.phi_at, y)) for y in pts), tol)
 
 
-def _quotient(F: CocycleSpec, G: CocycleSpec, y: SymbolicPoint, n: int) -> PLMap:
-    """(f^n_y)^-1 g^n_y."""
-    return compose(invert(iterate(F, y, n)), iterate(G, y, n))
-
-
 def verify_lemma1(T: TransferMap, points=None, tol: float = 1e-6) -> ResidualReport:
     """Forward- and backward-built transfer values must agree on the class.
 
@@ -248,7 +239,7 @@ def verify_lemma1(T: TransferMap, points=None, tol: float = 1e-6) -> ResidualRep
         ks = math.ceil((stable_agreement_onset(y, x0) + w) / n0) + 1
         ku = math.ceil((unstable_agreement_onset(y, left_ref) + w) / n0) + 1
         m = max(ks, ku) * n0
-        r = float(uniform_distance(_quotient(F, G, y, m), _quotient(F, G, y, -m + 1)))
+        r = float(uniform_distance(quotient(F, y, G, y, m), quotient(F, y, G, y, -m + 1)))
         rows.append((y, r))
         # bridge the two limits through orbit-closing points: their forward and
         # backward return quotients agree identically, and the forward quotient
@@ -260,9 +251,9 @@ def verify_lemma1(T: TransferMap, points=None, tol: float = 1e-6) -> ResidualRep
             except InadmissibleLoop:
                 skipped += 1
                 continue
-            zf = _quotient(F, G, z, hi)
-            gap = float(uniform_distance(zf, _quotient(F, G, z, lo)))
-            near = float(uniform_distance(zf, _quotient(F, G, y, hi)))
+            zf = quotient(F, z, G, z, hi)
+            gap = float(uniform_distance(zf, quotient(F, z, G, z, lo)))
+            near = float(uniform_distance(zf, quotient(F, y, G, y, hi)))
             rows.append((z, gap))
             diags.append((y, n, gap, near))
     return ResidualReport.of(rows, tol, diags, skipped)

@@ -91,11 +91,30 @@ def test_theorem_a_rows_with_a_one_product_orbit_memo(tmp_path, monkeypatch):
     assert_rows_pinned(tmp_path / "out", "theorem-a")
 
 
-def test_run_exit_codes(tmp_path):
+def test_run_exit_codes(tmp_path, capsys):
     missing = main(["run", "--config", str(tmp_path / "nope.json")])
     assert missing == 2
     bad = write_config(tmp_path, {"experiment": "unknown"})
     assert main(["run", "--config", str(bad)]) == 2
+    # malformed fields and parameters exit 2 with a message naming the field
+    space = {"k": 2, "P": [[1, 1], [1, 1]], "rho": 2}
+    for doc, name in (
+        ({"experiment": "theorem-a", "space": space, "cocycles": []}, "cocycles: "),
+        ({"experiment": "theorem-a", "tolerances": 1e-6}, "tolerances: "),
+        ({"experiment": "theorem-a", "space": space,
+          "cocycles": {"F": {"window": 0, "table": []}}}, "cocycles.F: table: "),
+    ):
+        assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 2
+        assert f"config error: {name}" in capsys.readouterr().err
+    for args, name in (
+        (["conjugated-pair", "--param", "psi_window=abc"], "psi_window: "),
+        (["rotation-cocycle", "--param", "window=-1"], "window: "),
+        (["rotation-cocycle", "--param", "k=1"], "k: "),
+        (["fb-family", "--param", "b=xyz"], "b: "),
+        (["fb-family", "--param", "b=3/4"], "b: "),
+    ):
+        assert main(["gen", *args, "--out", str(tmp_path / "gen")]) == 2
+        assert f"config error: {name}" in capsys.readouterr().err
     # referenced cocycle missing -> config error naming the field
     partial = write_config(
         tmp_path,

@@ -25,7 +25,7 @@ from cocyclelab import (
     resample_past,
     uniform_distance,
 )
-from cocyclelab.cocycles import orbit_generators, prefix_products
+from cocyclelab.cocycles import prefix_products
 from cocyclelab.errors import ResourceLimit
 from cocyclelab.fixtures import (
     conjugated_pair,
@@ -42,6 +42,15 @@ from conftest import random_point
 
 def constant_cocycle(space, m, window=0):
     return CocycleSpec(space, window, {w: m for w in space.words(2 * window + 1)})
+
+
+def reference_generators(c, x, n):
+    """The maps whose prefix products are f^1_x .. f^n_x, read point by point:
+    the generators at x, sigma x, ... for n > 0, and for n < 0 the inverse
+    generators at sigma^-1 x, sigma^-2 x, ..."""
+    if n >= 0:
+        return [c.generator(x.shift(j)) for j in range(n)]
+    return [invert(c.generator(x.shift(-j))) for j in range(1, 1 - n)]
 
 
 # ------------------------------------------------------------------ generators
@@ -118,7 +127,7 @@ def test_cocycle_law_and_prefixes_property(seed, space_name, window, n, m):
     # exact maps have one representation, so the law holds under ==
     assert iterate(c, x, n + m) == compose(iterate(c, x.shift(n), m), iterate(c, x, n))
     sign = 1 if n >= 0 else -1
-    prefixes = list(prefix_products(orbit_generators(c, x, n)))
+    prefixes = list(prefix_products(reference_generators(c, x, n)))
     assert len(prefixes) == abs(n)
     for j, h in enumerate(prefixes, 1):
         assert h == iterate(c, x, sign * j)
@@ -140,11 +149,14 @@ def test_backward_generators_invert_each_word_once(full2, rng, monkeypatch):
     calls = []
     monkeypatch.setattr(cocycles, "invert", lambda m: calls.append(m) or invert(m))
     x = random_point(full2, rng)
-    for _ in range(2):
-        gens = list(orbit_generators(c, x, -12))
-        assert gens == [invert(c.generator(x.shift(-j))) for j in range(1, 13)]
-    # one inversion per distinct table word on the backward orbit, none on the rerun
+    assert iterate(c, x, -12) == fresh_fold(c, x, -12)
+    # one inversion per distinct table word on the backward orbit
     assert len(calls) == len({x.window(-j - 1, 2 - j) for j in range(1, 13)})
+    # sigma^-1 x has a different orbit word, so f^-11 is folded afresh, but
+    # every backward table word it reads was already inverted
+    calls.clear()
+    assert iterate(c, x.shift(-1), -11) == fresh_fold(c, x.shift(-1), -11)
+    assert calls == []
 
 
 def test_iterate_breakpoint_cap(full2, monkeypatch):
@@ -202,7 +214,7 @@ def test_conjugated_pair_matches_naive_table(full2, case):
 
 def fresh_fold(c, x, n):
     h = PLMap.identity()
-    for h in prefix_products(orbit_generators(c, x, n)):
+    for h in prefix_products(reference_generators(c, x, n)):
         pass
     return h
 
@@ -296,7 +308,8 @@ def test_domination_n_step_bound(full2):
     rho, alpha = float(full2.rho), float(c.alpha)
     # L((f^n_x)^-1) <= rho**(n (alpha - theta_s)) along the orbit
     for x in (SymbolicPoint.fixed(full2, 0), SymbolicPoint.periodic(full2, (0, 1))):
-        for n, h in enumerate(prefix_products(orbit_generators(c, x, 12)), 1):
+        for n in range(1, 13):
+            h = iterate(c, x, n)
             assert 1.0 / float(h.min_slope) <= rho ** (n * (alpha - theta_s)) * (1 + 1e-9)
 
 

@@ -54,6 +54,8 @@ def test_space_validation():
         SFTSpace(2, ((1, 1), (1, 1)), rho=1)
     with pytest.raises(ValueError):
         SFTSpace(1, ((1,),))
+    with pytest.raises(ValueError, match="word length"):
+        next(SFTSpace.full_shift(2).words(-1))
 
 
 def test_inadmissible_point_rejected(golden):
@@ -244,9 +246,11 @@ def test_enumerations_stop_at_their_cap(full2, monkeypatch):
 # ------------------------------------------------------------------ homoclinic
 
 
-def test_homoclinic_empty_core(full2):
+def test_homoclinic_empty_core(full2, golden):
     x0 = SymbolicPoint.fixed(full2, 0)
     assert homoclinic_points(x0, 0) == [x0]
+    # the backward reference sigma x0 ends in 1 and x0 starts with 1: 11 is forbidden
+    assert homoclinic_points(SymbolicPoint.periodic(golden, (1, 0)), 0) == []
 
 
 def test_homoclinic_core_one(full2):
