@@ -37,13 +37,13 @@ corrupt_pts = sample_measure(mu, 10, seed=21, depth=20)
 phi = corrupted_conjugacy(rule, corrupt_pts, seed=22)
 print("injected corruption at 10 points, offsets:")
 for pt in corrupt_pts[:3]:
-    print("  ", pt, "->", float(uniform_distance(phi.phi_at(pt), rule.phi(pt))))
+    print("  ", pt, "->", float(uniform_distance(phi.phi_at(pt), rule.phi_at(pt))))
 print("   ...")
 
-out, rep = regularize(phi, F, G, sample_count=60, tol=1e-8, mu=mu, seed=23)
+samples, rep = regularize(phi, F, G, sample_count=60, tol=1e-8, mu=mu, seed=23)
 print("\nanchors used:", rep.anchors_used, " excluded by screening:", rep.anchors_excluded)
 
-worst = max(float(uniform_distance(out.samples[p], rule.phi(p))) for p in corrupt_pts)
+worst = max(float(uniform_distance(samples[p], rule.phi_at(p))) for p in corrupt_pts)
 print("worst distance of repaired values to the clean rule:", worst)
 print("path independence (stable-then-unstable vs flipped):",
       rep.path_independence_worst)

@@ -39,10 +39,10 @@ print("periodic data up to period 6: worst residual =", pd.worst_residual,
 
 T = build_transfer(F, G, x0, core_len=5, tol=1e-10)
 print("transfer map sampled on", len(T.class_points), "splice-class points")
-print("construction residual:", T.construction_residual)
+print("construction residual:", T.cohomology.worst)
 
 truth = rotation_conjugacy_rule(psi, x0)
-worst = max(float(uniform_distance(T.samples[y], truth.phi(y))) for y in T.class_points)
+worst = max(float(uniform_distance(T.samples[y], truth.phi_at(y))) for y in T.class_points)
 print("distance to the generating window rule:", worst)
 
 coh = verify_cohomology(T, tol=1e-6)

@@ -377,7 +377,7 @@ def run_theorem_a(cfg: ExperimentConfig):
     measured = estimate_holder(T, pts)
     if psi is not None:
         truth_rule = fixtures.rotation_conjugacy_rule(psi, x0)
-        truth = holder_regression(pts, truth_rule.phi, float(space.rho))
+        truth = holder_regression(pts, truth_rule.phi_at, float(space.rho))
         gap = abs(measured[0] - truth[0]) if math.isfinite(measured[0]) or math.isfinite(truth[0]) else 0.0
         rows.append(CheckRow("transfer-exponent-gap", gap, 0.1, gap <= 0.1))
 
@@ -406,10 +406,8 @@ def run_theorem_b(cfg: ExperimentConfig):
     corrupt_pts = sample_measure(mu, 10, cfg.seed + 11, depth=20)
     phi = fixtures.corrupted_conjugacy(rule, corrupt_pts, cfg.seed + 12)
 
-    out, rep = regularize(phi, F, G, 60, tol, mu=mu, seed=cfg.seed + 13)
-    recov = max(
-        float(uniform_distance(out.samples[pt], rule.phi(pt))) for pt in corrupt_pts
-    )
+    samples, rep = regularize(phi, F, G, 60, tol, mu=mu, seed=cfg.seed + 13)
+    recov = max(float(uniform_distance(samples[pt], rule.phi_at(pt))) for pt in corrupt_pts)
     rows = [
         CheckRow("repair-recovery", recov, tol, recov <= tol),
         CheckRow("path-independence", rep.path_independence_worst, tol,

@@ -145,9 +145,9 @@ def conjugated_pair(F: CocycleSpec, psi: WindowRule) -> CocycleSpec:
 
 
 def rotation_conjugacy_rule(psi: WindowRule, x0: SymbolicPoint) -> WindowRule:
-    """Ground-truth conjugacy phi_y = psi_y psi_{x0}^-1 as a window rule."""
-    base = invert(psi.phi(x0))
-    return WindowRule(psi.window, {w: compose(m, base) for w, m in psi.table.items()})
+    """Ground-truth conjugacy phi_y = psi_{x0}^-1 psi_y as a window rule."""
+    base = invert(psi.phi_at(x0))
+    return WindowRule(psi.window, {w: compose(base, m) for w, m in psi.table.items()})
 
 
 def corrupted_conjugacy(
@@ -158,7 +158,7 @@ def corrupted_conjugacy(
     corruption = {}
     for pt in points:
         offset = magnitude + random_fraction(rng, 64) * magnitude
-        corruption[pt] = compose(PLMap.rotation(offset), rule.phi(pt))
+        corruption[pt] = compose(PLMap.rotation(offset), rule.phi_at(pt))
     return MeasurableConjugacy(rule, corruption)
 
 

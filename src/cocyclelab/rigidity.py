@@ -5,7 +5,7 @@ A conjugacy given almost everywhere by a clean rule, corrupted on a finite
 anchor points along stable and unstable holonomy legs through local product
 points.  The transported conjugacy ignores the corruption, satisfies the
 cohomological equation, and its modulus of continuity is measured against the
-product exponent beta * gamma.
+holonomy exponent gamma.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .symbolic import (
     is_stable_pair,
     sample_measure,
 )
-from .transfer import ResidualReport, TransferMap, cohomology_residual, holder_regression
+from .transfer import ResidualReport, cohomology_residual, holder_regression
 
 DISTORTION_HORIZON = 12  # steps over which G's distortion is screened
 
@@ -37,7 +37,7 @@ class WindowRule:
     window: int
     table: dict
 
-    def phi(self, y: SymbolicPoint) -> PLMap:
+    def phi_at(self, y: SymbolicPoint) -> PLMap:
         w = self.window
         return self.table[y.window(-w, w + 1)]
 
@@ -48,20 +48,16 @@ class MeasurableConjugacy:
 
     The corruption set is finite, hence null for every non-atomic Markov
     measure; ``phi_at`` returns the corrupted value where one is installed.
+    The rule is any conjugacy with ``phi_at``: a WindowRule or a TransferMap.
     """
 
-    rule: object  # WindowRule or TransferMap
+    rule: object
     corruption: dict = field(default_factory=dict)
-
-    def rule_value(self, y: SymbolicPoint) -> PLMap:
-        if isinstance(self.rule, WindowRule):
-            return self.rule.phi(y)
-        return self.rule.phi_at(y)
 
     def phi_at(self, y: SymbolicPoint) -> PLMap:
         if y in self.corruption:
             return self.corruption[y]
-        return self.rule_value(y)
+        return self.rule.phi_at(y)
 
     def is_corrupted(self, y: SymbolicPoint) -> bool:
         return y in self.corruption
@@ -113,20 +109,20 @@ class HolderCheckReport:
 
 
 def stable_pair_holder_check(
-    phi: MeasurableConjugacy, F: CocycleSpec, pairs, beta: float = 1.0, generic_pairs=()
+    phi: MeasurableConjugacy, F: CocycleSpec, pairs, generic_pairs=()
 ) -> HolderCheckReport:
-    """Fit C with d(phi_x, phi_y) <= C d(x, y)**(beta*gamma) and freeze-validate.
+    """Fit C with d(phi_x, phi_y) <= C d(x, y)**gamma and freeze-validate.
 
     Ratios from the interleaved first half of the local pairs fit C; the
     frozen value (fixed safety margin) must dominate the second half.  Generic
     same-cylinder pairs are checked through their two product-point legs:
-    d(phi_x, phi_y) <= C (d(x, z)**bg + d(z, y)**bg) with z the bracket point,
+    d(phi_x, phi_y) <= C (d(x, z)**gamma + d(z, y)**gamma) with z the bracket point,
     which is how the local inequality extends off the stable/unstable sets.
     """
     dom = check_domination(F)
     if not dom.su_dominated:
         raise NotDominated("holonomy exponent budget undefined without domination")
-    bg = beta * gamma_budget(dom.theta_s, float(F.alpha))
+    gamma = gamma_budget(dom.theta_s, float(F.alpha))
     rho = float(F.space.rho)
     ratios = []
     for x, y in pairs:
@@ -136,7 +132,7 @@ def stable_pair_holder_check(
         if n is None:
             continue
         r = float(uniform_distance(phi.phi_at(x), phi.phi_at(y)))
-        ratios.append((n, r / rho ** (-n * bg)))
+        ratios.append((n, r / rho ** (-n * gamma)))
     if len({n for n, _ in ratios}) < 3:
         raise InsufficientScales("pairs span fewer than 3 distance scales")
     fit, fresh = ratios[0::2], ratios[1::2]  # interleave: both halves see all scales
@@ -153,7 +149,7 @@ def stable_pair_holder_check(
         for a, b in ((x, z), (z, y)):
             m = distance_exponent(a, b)
             if m is not None:
-                legs += rho ** (-m * bg)
+                legs += rho ** (-m * gamma)
         if legs == 0.0:
             continue
         n_chain += 1
@@ -161,14 +157,14 @@ def stable_pair_holder_check(
         worst_chain = max(worst_chain, r / legs)
     passed = worst_fresh <= c_frozen and worst_chain <= c_frozen
     return HolderCheckReport(
-        bg, c_frozen, len(fit), len(fresh), worst_fresh, passed, n_chain, worst_chain
+        gamma, c_frozen, len(fit), len(fresh), worst_fresh, passed, n_chain, worst_chain
     )
 
 
 @dataclass(frozen=True)
 class RigidityReport:
     gamma: float
-    beta_gamma: float
+    beta_gamma: float  # the product exponent beta * gamma at beta = 1
     regression: tuple | None
     repaired_points: tuple
     path_independence_worst: float
@@ -210,10 +206,9 @@ def regularize(
     F: CocycleSpec,
     G: CocycleSpec,
     sample_count: int,
-    tol: float = 1e-6,
-    mu: MarkovMeasure | None = None,
-    seed: int = 7,
-    beta: float = 1.0,
+    tol: float,
+    mu: MarkovMeasure,
+    seed: int,
 ):
     """Rebuild a conjugacy on a dense sample from screened anchors.
 
@@ -221,10 +216,8 @@ def regularize(
     whose local cohomological residual exceeds 10*tol are excluded.  Every
     target value is transported from the nearest clean anchor in its cylinder,
     so corrupted values are repaired.  Returns the transported conjugacy as a
-    sample table plus a report with the moduli measured on it.
+    sample table {point: value} plus a report with the moduli measured on it.
     """
-    if mu is None:
-        raise ValueError("a Markov measure is required for sampling")
     dom_f, _ = dominated_pair(F, G)
     gamma = gamma_budget(dom_f.theta_s, float(F.alpha))
 
@@ -263,9 +256,9 @@ def regularize(
             return math.inf if a == t else distance_exponent(a, t)
         return max(pool, key=lambda a: (closeness(a), a.sort_key()))
 
-    tilde = {}
+    tilde, anchor = {}, {}
     for t in targets:
-        a = anchor_for(t)
+        a = anchor[t] = anchor_for(t)
         if a == t:
             tilde[t] = phi.phi_at(a)
         else:
@@ -278,7 +271,7 @@ def regularize(
 
     path_worst = 0.0
     for t in targets[:20]:
-        a = anchor_for(t)
+        a = anchor[t]
         if a == t:
             continue
         alt = _transport(phi.phi_at(a), F, G, a, t, tol, order="us")
@@ -298,13 +291,8 @@ def regularize(
     except InsufficientScales:
         regression = None
 
-    out = TransferMap(
-        F, G, anchors[0], 1, tilde, beta * gamma, tol,
-        construction_residual=coh_worst, normalized=False,
-    )
-    out.holder_estimate = regression
+    lip = max(max(float(m.max_slope), 1.0 / float(m.min_slope)) for m in tilde.values())
     report = RigidityReport(
-        gamma, beta * gamma, regression, repaired, path_worst, coh_worst,
-        len(anchors), excluded, out.fiber_lipschitz_max(),
+        gamma, gamma, regression, repaired, path_worst, coh_worst, len(anchors), excluded, lip
     )
-    return out, report
+    return tilde, report

@@ -69,12 +69,11 @@ class TransferMap:
 
     ``phi_at`` resolves phi at any point forward- or backward-asymptotic to
     the base point, caching holonomy quotients; the stored ``samples`` are the
-    enumerated class.  ``normalized`` records that phi at the base point is the
-    identity (true for transfer builds; regularised conjugacies may differ).
-    ``holder_estimate`` is the regression over ``_default_points``, computed
-    when first read unless given.  ``periodic_data`` is the report with
-    which ``build_transfer`` checked the pair, and ``cohomology`` the
-    residual report over the class it set ``construction_residual`` from.
+    enumerated class, and phi at the base point is the identity.
+    ``holder_estimate`` is the regression over the sorted ``class_points``,
+    computed when first read unless given.  ``periodic_data`` is the report
+    with which ``build_transfer`` checked the pair, and ``cohomology`` the
+    residual report over the class; its ``worst`` is the construction residual.
     """
 
     F: CocycleSpec
@@ -84,8 +83,6 @@ class TransferMap:
     samples: dict
     beta_budget: float
     tol: float
-    construction_residual: float | None = None
-    normalized: bool = True
     class_points: tuple = ()
     periodic_data: PeriodicDataReport | None = field(default=None, repr=False)
     cohomology: ResidualReport | None = field(default=None, repr=False)
@@ -104,8 +101,6 @@ class TransferMap:
             return self.samples[y]
         if y in self._cache:
             return self._cache[y]
-        if not self.normalized:
-            raise MissingSample("conjugacy is sample-only; no resolver available")
         args = (self.F, self.G, self.base_point, y)
         try:
             phi = transport(*args, "s", tol=self.tol, n0=self.period)
@@ -119,12 +114,6 @@ class TransferMap:
         self._cache[y] = phi
         return phi
 
-    def fiber_lipschitz_max(self) -> float:
-        """Largest fibre Lipschitz constant over the stored samples."""
-        return max(
-            max(float(m.max_slope), 1.0 / float(m.min_slope)) for m in self.samples.values()
-        )
-
     def to_json(self) -> dict:
         return {
             "base_point": self.base_point.to_json(),
@@ -132,7 +121,7 @@ class TransferMap:
             "beta_budget": self.beta_budget,
             "tol": self.tol,
             "holder_estimate": list(self.holder_estimate) if self.holder_estimate else None,
-            "construction_residual": self.construction_residual,
+            "construction_residual": self.cohomology.worst if self.cohomology else None,
             "samples": [
                 {"point": pt.to_json(), "map": m.to_json()}
                 for pt, m in sorted(self.samples.items(), key=lambda kv: kv[0].sort_key())
@@ -170,7 +159,6 @@ def build_transfer(
         T.samples[y] = T.phi_at(y)
     T.samples[x0] = PLMap.identity()
     T.cohomology = verify_cohomology(T, pts)
-    T.construction_residual = T.cohomology.worst
     return T
 
 
@@ -192,9 +180,7 @@ class ResidualReport:
 
 
 def _default_points(T):
-    if T.class_points:
-        return sorted(T.class_points, key=SymbolicPoint.sort_key)
-    return sorted(T.samples, key=SymbolicPoint.sort_key)
+    return sorted(T.class_points, key=SymbolicPoint.sort_key)
 
 
 def cohomology_residual(F: CocycleSpec, G: CocycleSpec, phi, y: SymbolicPoint) -> float:
@@ -324,8 +310,6 @@ def estimate_holder(T: TransferMap, points=None):
 def extend_transfer(T: TransferMap, x: SymbolicPoint, depth: int):
     """phi at the nearest splice of x into the sampled class, with a
     certified-regression error bound C * d(x, y)**exponent."""
-    if not T.normalized:
-        raise MissingSample("conjugacy is sample-only; it has no resolver to extend with")
     if T.holder_estimate is None:
         raise InsufficientScales("transfer map carries no regression metadata")
     exponent, const = T.holder_estimate

@@ -202,7 +202,7 @@ def run_pipeline(space, x0, seed, core_len, psi_window=5):
     reg_pts = [pts[i] for i in
                sorted(rng.choice(len(pts), size=min(120, len(pts)), replace=False))]
     measured = estimate_holder(T, reg_pts)
-    truth = holder_regression(reg_pts, rotation_conjugacy_rule(psi, x0).phi, float(space.rho))
+    truth = holder_regression(reg_pts, rotation_conjugacy_rule(psi, x0).phi_at, float(space.rho))
     if math.isinf(measured[0]) and math.isinf(truth[0]):
         exp_gap = 0.0
     else:
@@ -279,8 +279,8 @@ def test_criterion_9_theorem_b_repair():
     mu = MarkovMeasure.uniform(space)
     corrupt_pts = sample_measure(mu, 10, seed=1010, depth=20)
     phi = corrupted_conjugacy(rule, corrupt_pts, seed=1011)
-    out, rep = regularize(phi, F, G, 60, 1e-6, mu=mu, seed=1012)
-    recov = max(float(uniform_distance(out.samples[p], rule.phi(p))) for p in corrupt_pts)
+    samples, rep = regularize(phi, F, G, 60, 1e-6, mu=mu, seed=1012)
+    recov = max(float(uniform_distance(samples[p], rule.phi_at(p))) for p in corrupt_pts)
     exponent = rep.regression[0]
     elapsed = time.perf_counter() - start
     ok = (

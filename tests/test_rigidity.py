@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from cocyclelab import (
     build_transfer,
     check_bounded_distortion,
     check_conj_hol_relation,
-    extend_transfer,
+    compose,
     is_stable_pair,
     regularize,
     resample_future,
@@ -26,7 +28,6 @@ from cocyclelab import (
 from cocyclelab.errors import (
     DistortionUnbounded,
     InsufficientScales,
-    MissingSample,
     NotDominated,
 )
 from cocyclelab.fixtures import (
@@ -38,7 +39,7 @@ from cocyclelab.fixtures import (
     rotation_cocycle,
     rotation_conjugacy_rule,
 )
-from cocyclelab import holonomy, transfer
+from cocyclelab import holonomy
 from cocyclelab.transfer import holder_regression
 
 
@@ -140,7 +141,7 @@ def test_conj_hol_detects_corruption(setup):
     pairs = stable_pairs(mu, 6, 3)
     x = pairs[0][0]
     phi = corrupted_conjugacy(rule, [x], seed=5)
-    magnitude = float(uniform_distance(phi.phi_at(x), rule.phi(x)))
+    magnitude = float(uniform_distance(phi.phi_at(x), rule.phi_at(x)))
     rep = check_conj_hol_relation(phi, F, G, pairs, tol=1e-9, skip_corrupted=False)
     assert not rep.passed
     assert rep.worst >= magnitude - 1e-9
@@ -157,12 +158,27 @@ def test_conj_hol_distortion_screen(setup):
         check_conj_hol_relation(phi, F, bad, stable_pairs(mu, 4, 4), tol=1e-9)
 
 
+def test_measurable_conjugacy_over_a_transfer_map(setup):
+    space, F, G, _, x0, _, _ = setup
+    T = build_transfer(F, G, x0, 2, tol=1e-10)
+    y = sorted(T.class_points, key=SymbolicPoint.sort_key)[1]
+    bad = compose(PLMap.rotation(Fraction(1, 8)), T.phi_at(y))
+    phi = MeasurableConjugacy(T, {y: bad})
+    assert phi.phi_at(y) == bad != T.phi_at(y)
+    # off the corruption the rule resolves, inside the sampled class and beyond it
+    forward_only = SymbolicPoint.make(space, (1,), (1, 0, 1), (0,), 0)
+    assert forward_only not in T.samples
+    for z in [*T.class_points, forward_only]:
+        if z != y:
+            assert phi.phi_at(z) == T.phi_at(z)
+
+
 # -------------------------------------------------------------- modulus check
 
 
 def test_holder_check_identity_rule(setup):
     space, F, _, _, _, _, mu = setup
-    rep = stable_pair_holder_check(identity_rule(space), F, stable_pairs(mu, 30, 5), beta=1.0)
+    rep = stable_pair_holder_check(identity_rule(space), F, stable_pairs(mu, 30, 5))
     assert rep.passed and rep.constant == 0.0
 
 
@@ -172,7 +188,7 @@ def test_holder_check_rotation_family(setup):
     pairs = stable_pairs(mu, 60, 6)
     draws = sample_measure(mu, 30, seed=66, depth=20)
     generic = [(a, b) for a, b in zip(draws[0::2], draws[1::2]) if a[0] == b[0]]
-    rep = stable_pair_holder_check(phi, F, pairs, beta=1.0, generic_pairs=generic)
+    rep = stable_pair_holder_check(phi, F, pairs, generic_pairs=generic)
     assert rep.passed
     assert rep.chain_pairs > 0 and rep.worst_chain_ratio <= rep.constant
     # regression estimate on the same construction clears the budget
@@ -187,7 +203,7 @@ def test_holder_check_needs_scales(setup):
     # pairs all at a single distance scale: degenerate regression input
     pairs = stable_pairs(mu, 10, 10)[:1]
     with pytest.raises(InsufficientScales):
-        stable_pair_holder_check(phi, F, pairs, beta=1.0)
+        stable_pair_holder_check(phi, F, pairs)
 
 
 # ---------------------------------------------------------------- regularise
@@ -196,9 +212,9 @@ def test_holder_check_needs_scales(setup):
 def test_regularize_without_corruption_is_identity_on_rule(setup):
     space, F, G, _, _, rule, mu = setup
     phi = MeasurableConjugacy(rule)
-    out, rep = regularize(phi, F, G, 40, 1e-8, mu=mu, seed=21)
-    for pt, val in out.samples.items():
-        assert float(uniform_distance(val, rule.phi(pt))) <= 1e-10
+    samples, rep = regularize(phi, F, G, 40, 1e-8, mu=mu, seed=21)
+    for pt, val in samples.items():
+        assert float(uniform_distance(val, rule.phi_at(pt))) <= 1e-10
     assert rep.anchors_excluded == 0
     assert not rep.repaired_points
 
@@ -207,9 +223,9 @@ def test_regularize_repairs_corruption(setup):
     space, F, G, _, _, rule, mu = setup
     corrupt_pts = sample_measure(mu, 10, seed=31, depth=18)
     phi = corrupted_conjugacy(rule, corrupt_pts, seed=32)
-    out, rep = regularize(phi, F, G, 50, 1e-8, mu=mu, seed=33)
+    samples, rep = regularize(phi, F, G, 50, 1e-8, mu=mu, seed=33)
     for pt in corrupt_pts:
-        assert float(uniform_distance(out.samples[pt], rule.phi(pt))) <= 1e-10
+        assert float(uniform_distance(samples[pt], rule.phi_at(pt))) <= 1e-10
     # repaired points report the distance between corrupted and clean values
     for pt, change in rep.repaired_points:
         assert change >= 0.05
@@ -222,10 +238,10 @@ def test_regularize_screens_corrupted_anchor(setup):
     space, F, G, _, _, rule, mu = setup
     anchor_pool = sample_measure(mu, 40, seed=41, depth=18)
     phi = corrupted_conjugacy(rule, anchor_pool[:2], seed=42)
-    out, rep = regularize(phi, F, G, 40, 1e-8, mu=mu, seed=41)
+    samples, rep = regularize(phi, F, G, 40, 1e-8, mu=mu, seed=41)
     assert rep.anchors_excluded >= 2
     for pt in anchor_pool[:2]:
-        assert float(uniform_distance(out.samples[pt], rule.phi(pt))) <= 1e-10
+        assert float(uniform_distance(samples[pt], rule.phi_at(pt))) <= 1e-10
 
 
 def test_regularize_corruption_invisible_in_regression(setup):
@@ -241,7 +257,7 @@ def test_regularize_preserves_fiber_bound(setup):
     space, F, G, _, _, rule, mu = setup
     tol = 1e-8
     phi = MeasurableConjugacy(rule)
-    out, rep = regularize(phi, F, G, 40, tol, mu=mu, seed=61)
+    _, rep = regularize(phi, F, G, 40, tol, mu=mu, seed=61)
     bound = max(
         max(float(m.max_slope), 1.0 / float(m.min_slope)) for m in rule.table.values()
     )
@@ -255,32 +271,22 @@ def test_regularize_requires_domination(setup):
         regularize(phi, expanding_cocycle(space), G, 20, 1e-8, mu=mu, seed=71)
 
 
-def test_regularize_missing_regression_stays_none(setup, monkeypatch):
+def test_regularize_missing_regression_stays_none(setup):
     space, F, G, _, _, rule, mu = setup
-    out, rep = regularize(MeasurableConjugacy(rule), F, G, 4, 1e-8, mu=mu, seed=81)
+    _, rep = regularize(MeasurableConjugacy(rule), F, G, 4, 1e-8, mu=mu, seed=81)
     assert rep.regression is None  # fewer targets than the regression needs
-
-    def no_call(*args, **kwargs):
-        raise AssertionError("an explicit None must not start a regression")
-
-    monkeypatch.setattr(transfer, "holder_regression", no_call)
-    assert out.holder_estimate is None and out.to_json()["holder_estimate"] is None
+    assert rep.to_json()["regression"] is None
 
 
 def test_regularize_exponent_report(setup):
     space, F, G, _, _, rule, mu = setup
-    out, rep = regularize(MeasurableConjugacy(rule), F, G, 40, 1e-8, mu=mu, seed=81)
-    assert rep.beta_gamma == pytest.approx(0.5)  # beta=1, theta=1 budget
+    samples, rep = regularize(MeasurableConjugacy(rule), F, G, 40, 1e-8, mu=mu, seed=81)
+    assert rep.beta_gamma == rep.gamma == pytest.approx(0.5)  # theta=1 budget
     assert rep.regression[0] >= rep.beta_gamma - 0.1
-    assert out.holder_estimate == rep.regression
-
-
-def test_extend_transfer_refuses_a_repaired_conjugacy(setup):
-    space, F, G, _, _, rule, mu = setup
-    out, rep = regularize(MeasurableConjugacy(rule), F, G, 40, 1e-8, mu=mu, seed=81)
-    assert rep.regression is not None and not out.normalized
-    with pytest.raises(MissingSample):
-        extend_transfer(out, SymbolicPoint.periodic(space, (0, 1, 1)), 4)
+    # without corruption every target is regressed, so the report's fit is the
+    # fit over the returned sample table
+    pts = sorted(samples, key=SymbolicPoint.sort_key)
+    assert rep.regression == holder_regression(pts, samples.__getitem__, float(space.rho))
 
 
 # ----------------------------------------------------------- traced holonomies

@@ -12,6 +12,7 @@ from cocyclelab import (
     ResidualReport,
     SFTSpace,
     SymbolicPoint,
+    WindowRule,
     build_transfer,
     check_periodic_data,
     compose,
@@ -34,11 +35,14 @@ from cocyclelab.errors import (
 )
 from cocyclelab.cocycles import dominated_pair
 from cocyclelab.symbolic import distance_exponent
+from cocyclelab.transfer import cohomology_residual
 from cocyclelab.fixtures import (
     conjugated_pair,
     decaying_rotation_rule,
     expanding_cocycle,
+    near_identity_plmap,
     perturb_one_entry,
+    pl_dominated_cocycle,
     rotation_cocycle,
     rotation_conjugacy_rule,
 )
@@ -126,12 +130,11 @@ def test_transfer_rotation_family_ground_truth(family):
     T = build_transfer(F, G, x0, 4, tol=1e-10)
     truth = rotation_conjugacy_rule(psi, x0)
     for y, m in T.samples.items():
-        assert uniform_distance(m, truth.phi(y)) == 0
+        assert uniform_distance(m, truth.phi_at(y)) == 0
     assert T.samples[x0] == PLMap.identity()
-    assert T.construction_residual == 0.0
+    assert T.cohomology.worst == 0.0
     assert T.periodic_data == check_periodic_data(F, G, 6)
     assert T.cohomology == verify_cohomology(T)
-    assert T.cohomology.worst == T.construction_residual
 
 
 def test_theorem_a_reads_the_build_cohomology(monkeypatch):
@@ -224,6 +227,42 @@ def test_swap_gives_inverse_transfer(family):
     for y in T_fg.class_points:
         prod = compose(T_fg.samples[y], T_gf.samples[y])
         assert float(uniform_distance(prod, PLMap.identity())) <= 1e-12
+
+
+def _equivariant_plmap(rng, q):
+    """A near-identity map on [0, 1/q) repeated with +k/q: it commutes with
+    every rotation by a multiple of 1/q."""
+    h = near_identity_plmap(rng)
+    return PLMap.make([(b + k) / q for k in range(q) for b in h.breaks],
+                      [(v + k) / q for k in range(q) for v in h.vals])
+
+
+def test_cohomology_residual_order_on_pl_values():
+    # G_x = psi(sigma x)^-1 f_x psi(x) with PL f and psi: the values do not
+    # commute, so only the order phi(sigma y) g_y phi(y)^-1 gives zero
+    space = SFTSpace.full_shift(2)
+    F = pl_dominated_cocycle(space, 0, 0.4, seed=7)
+    rng = np.random.default_rng(8)
+    psi = WindowRule(0, {w: near_identity_plmap(rng) for w in space.words(1)})
+    G = conjugated_pair(F, psi)
+    assert not any(m.is_rotation for m in G.table.values())
+    for y in homoclinic_points(SymbolicPoint.fixed(space, 0), 2):
+        assert cohomology_residual(F, G, psi.phi_at, y) == 0
+
+
+def test_rotation_conjugacy_rule_on_equivariant_pl_values():
+    # rho commutes with R's 1/4-rotations but its values do not commute with
+    # each other, so the ground truth must be rho(x0)^-1 rho(y)
+    space = SFTSpace.full_shift(2)
+    x0 = SymbolicPoint.fixed(space, 0)
+    R = rotation_cocycle(space, 1, 3, denom=4)
+    rng = np.random.default_rng(8)
+    rho = WindowRule(1, {w: _equivariant_plmap(rng, 4) for w in space.words(3)})
+    rule = rotation_conjugacy_rule(rho, x0)
+    G = conjugated_pair(R, rho)
+    assert rule.phi_at(x0) == PLMap.identity()
+    for y in homoclinic_points(x0, 2):
+        assert cohomology_residual(R, G, rule.phi_at, y) == 0
 
 
 def test_missing_sample(family):
@@ -347,7 +386,7 @@ def test_extend_transfer_splice(family):
     assert bound <= const * float(space.rho) ** (-(depth + 1) * exponent) + 1e-15
     # the returned value matches the rule at the spliced point
     truth = rotation_conjugacy_rule(psi, x0)
-    spliced_truth = truth.phi(stranger)  # window rule only sees the centre window
+    spliced_truth = truth.phi_at(stranger)  # window rule only sees the centre window
     assert float(uniform_distance(phi, spliced_truth)) <= 0.6  # same circle map family
     phi0, bound0 = extend_transfer(T, stranger, 0)
     assert bound0 >= bound
@@ -366,7 +405,7 @@ def test_periodic_base_pipeline():
     assert T.period == 2
     truth = rotation_conjugacy_rule(psi, x0)
     for y in T.class_points:
-        assert uniform_distance(T.samples[y], truth.phi(y)) == 0
+        assert uniform_distance(T.samples[y], truth.phi_at(y)) == 0
     coh = verify_cohomology(T, tol=1e-9)
     assert coh.passed and coh.worst == 0.0
     lem = verify_lemma1(T, points=list(T.class_points)[:12], tol=1e-9)
@@ -408,7 +447,7 @@ def test_float_transfer_tracks_exact():
     assert T.class_points == exact.class_points
     for y in T.class_points:
         assert float(uniform_distance(T.samples[y], _float_copy(exact.samples[y]))) <= 1e-12
-    assert T.construction_residual <= 1e-12
+    assert T.cohomology.worst <= 1e-12
     assert verify_lemma1(T, points=list(T.class_points)[:12], tol=1e-12).passed
 
 
@@ -454,6 +493,7 @@ def test_transfer_json_document(family):
     T = build_transfer(F, G, x0, 3, tol=1e-10)
     doc = T.to_json()
     assert doc["period"] == 1 and doc["holder_estimate"] is not None
+    assert doc["construction_residual"] == T.cohomology.worst
     assert len(doc["samples"]) == len(T.samples)
     restored = PLMap.from_json(doc["samples"][0]["map"])
     pt = SymbolicPoint.from_json(space, doc["samples"][0]["point"])
