@@ -22,13 +22,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _coerce(values):
-    vals = tuple(values)
-    if any(isinstance(v, float) for v in vals):
-        return tuple(float(v) for v in vals), False
-    return tuple(Fraction(v) for v in vals), True
-
-
 def circle_norm(t):
     """Distance from t to the nearest integer (arc distance on the circle)."""
     frac = t % 1
@@ -53,18 +46,16 @@ class PLMap:
 
     @classmethod
     def make(cls, breaks, vals) -> "PLMap":
-        breaks, exact_b = _coerce(breaks)
-        vals, exact_v = _coerce(vals)
-        if not exact_b or not exact_v:
-            breaks = tuple(float(b) for b in breaks)
-            vals = tuple(float(v) for v in vals)
+        breaks, vals = tuple(breaks), tuple(vals)
+        exact = not any(isinstance(x, float) for x in breaks + vals)
+        num = Fraction if exact else float
+        breaks, vals = tuple(map(num, breaks)), tuple(map(num, vals))
         if len(breaks) != len(vals) or not breaks:
             raise ValueError("breakpoints and values must be non-empty, equal length")
         if any(not (0 <= b < 1) for b in breaks):
             raise ValueError("breakpoints must lie in [0, 1)")
         if any(b2 <= b1 for b1, b2 in zip(breaks, breaks[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        exact = isinstance(breaks[0], Fraction)
         if not exact:
             breaks, vals = _drop_tiny_segments(breaks, vals)
         _check_increasing(breaks, vals)
@@ -128,6 +119,11 @@ class PLMap:
     @property
     def slopes(self) -> tuple:
         return tuple(s for _, _, _, s in self.segments())
+
+    def slope_at(self, t):
+        """Slope of the segment that contains t, the one starting at t if t is a breakpoint."""
+        u = t - math.floor(t - self.breaks[0])  # in [b0, b0+1)
+        return self.segments()[bisect.bisect_right(self.breaks, u) - 1][3]
 
     @property
     def max_slope(self):
@@ -195,25 +191,20 @@ def _drop_tiny_segments(breaks, vals):
 
 
 def _merge_collinear(breaks, vals, exact):
-    while len(breaks) > 1:
-        m = len(breaks)
-        slopes = PLMap(breaks, vals).slopes
-        drop = None
-        for i in range(m):
-            s_in = slopes[i - 1]
-            s_out = slopes[i]
-            if exact:
-                same = s_in == s_out
-            else:
-                same = abs(s_in - s_out) <= SLOPE_EPS * max(1.0, abs(s_in))
-            if same:
-                drop = i
-                break
-        if drop is None:
-            return breaks, vals
-        breaks = breaks[:drop] + breaks[drop + 1 :]
-        vals = vals[:drop] + vals[drop + 1 :]
-    return breaks, vals
+    """Keep the points whose incoming and outgoing slopes differ; if none
+    does, the map is a rotation and its last point is kept.  Merging two
+    collinear segments keeps their common slope, so no other point's slopes
+    change and one pass over the slopes suffices."""
+    if len(breaks) == 1:
+        return breaks, vals
+    slopes = PLMap(breaks, vals).slopes
+    if exact:
+        keep = [i for i, s in enumerate(slopes) if slopes[i - 1] != s]
+    else:
+        keep = [i for i, s in enumerate(slopes)
+                if abs(slopes[i - 1] - s) > SLOPE_EPS * max(1.0, abs(slopes[i - 1]))]
+    keep = keep or [len(breaks) - 1]
+    return tuple(breaks[i] for i in keep), tuple(vals[i] for i in keep)
 
 
 def _angle_terms(a: Fraction, b: Fraction, sign: int) -> tuple[int, int]:
@@ -282,13 +273,9 @@ def lipschitz_constant(f: PLMap):
 
 def lipschitz_seminorm_diff(f: PLMap, g: PLMap):
     """Lipschitz seminorm of the lift difference: max slope gap on the merged partition."""
-    pts = sorted(set(f.breaks) | set(g.breaks))
-    pts.append(pts[0] + 1)
     best = 0
-    for p, q in zip(pts, pts[1:]):
-        sf = (f(q) - f(p)) / (q - p)
-        sg = (g(q) - g(p)) / (q - p)
-        best = max(best, abs(sf - sg))
+    for p in sorted(set(f.breaks) | set(g.breaks)):  # each cell starts at one p
+        best = max(best, abs(f.slope_at(p) - g.slope_at(p)))
     return best
 
 
@@ -382,6 +369,5 @@ def fb_family(b) -> PLMap:
     b = Fraction(b) if not isinstance(b, float) else b
     if not 0 < b < Fraction(1, 2):
         raise ValueError("b must lie in (0, 1/2)")
-    half = Fraction(1, 2) if not isinstance(b, float) else 0.5
-    three_half = Fraction(3, 2) if not isinstance(b, float) else 1.5
-    return PLMap.make((0, b, half), (0, three_half * b, half * half + b))
+    half = Fraction(1, 2)  # make turns every coordinate to float if b is one
+    return PLMap.make((0, b, half), (0, 3 * half * b, half * half + b))

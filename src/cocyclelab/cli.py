@@ -13,21 +13,12 @@ from pathlib import Path
 
 from .errors import CocycleLabError, ConfigError, ParamError
 from .experiments import (
-    EXPERIMENTS,
     FIXTURE_KINDS,
+    RUNNERS,
     ExperimentConfig,
     generate_fixture,
     run,
 )
-
-_EXPERIMENT_HELP = {
-    "metric-suite": "composition/inversion metric algebra on random PL maps",
-    "holonomy": "convergence rate, axioms and identity bound of holonomies",
-    "theorem-a": "periodic-data transfer pipeline with residual checks",
-    "theorem-b": "measurable-conjugacy repair and regularity regression",
-    "closing-lemma": "exact shadowing exponents for orbit closing",
-    "distortion": "iterated Lipschitz bounds and growth flags",
-}
 
 
 def _parse_tol(items):
@@ -69,8 +60,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "list-experiments":
-            for name in EXPERIMENTS:
-                print(f"{name:15s} {_EXPERIMENT_HELP[name]}")
+            for name, (_, help_line) in RUNNERS.items():
+                print(f"{name:15s} {help_line}")
             return 0
         if args.command == "gen":
             params = {}
@@ -90,13 +81,15 @@ def main(argv=None) -> int:
             doc = json.loads(cfg_path.read_text())
         except json.JSONDecodeError as e:
             raise ConfigError(f"config: invalid JSON ({e})") from None
-        cfg = ExperimentConfig.from_json(doc)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.output_dir = args.out
-        cfg.tolerances.update(_parse_tol(args.tol))
-        doc = run(cfg)
+        if isinstance(doc, dict):  # overrides are checked by from_json like the file's fields
+            if args.seed is not None:
+                doc["seed"] = args.seed
+            if args.out is not None:
+                doc["output_dir"] = args.out
+            tols = doc.get("tolerances", {})
+            if args.tol and isinstance(tols, dict):
+                doc["tolerances"] = {**tols, **_parse_tol(args.tol)}
+        doc = run(ExperimentConfig.from_json(doc))
         for row in doc.rows:
             status = "pass" if row.passed else "FAIL"
             print(f"[{status}] {row.name}: residual={row.residual:.3e} bound={row.bound:.3e}")

@@ -61,7 +61,9 @@ class CocycleSpec:
             raise TypeError("table: expected an object")
         table = {}
         for key, m in doc["table"].items():
-            word = tuple(int(s) for s in (key.split(",") if "," in key else key))
+            # to_json joins symbols with "," when k > 10; a one-symbol word has no ","
+            split = "," in key or space.k > 10
+            word = tuple(int(s) for s in (key.split(",") if split else key))
             table[word] = PLMap.from_json(m)
         return cls(space, int(doc["window"]), table, doc.get("alpha", 1))
 
@@ -81,7 +83,7 @@ def prefix_products(maps, h: PLMap | None = None, step: int = 0):
                 f"orbit product reached {len(h.breaks)} breakpoints at step {step} "
                 f"(cap {BREAKPOINT_CAP})"
             )
-        if type(h.breaks[0]) is Fraction:
+        if h.is_exact:
             bits = max(q.denominator for q in h.breaks + h.vals).bit_length()
             if bits > DENOMINATOR_BITS_CAP:
                 raise ResourceLimit(

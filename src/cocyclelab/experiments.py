@@ -60,16 +60,6 @@ from .transfer import (
     verify_lemma1,
 )
 
-EXPERIMENTS = (
-    "metric-suite",
-    "holonomy",
-    "theorem-a",
-    "theorem-b",
-    "closing-lemma",
-    "distortion",
-)
-
-
 @dataclass(frozen=True)
 class CheckRow:
     name: str
@@ -145,7 +135,6 @@ class ExperimentConfig:
     cocycles: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
     output_dir: str | None = None
-    raw: dict = field(default_factory=dict)
 
     def tol(self, name: str, default: float) -> float:
         return float(self.tolerances.get(name, default))
@@ -178,9 +167,9 @@ class ExperimentConfig:
             except (KeyError, TypeError, ValueError) as e:
                 raise ConfigError(f"cocycles.{name}: {e}") from None
         for name, val in tols.items():
-            if not isinstance(val, (int, float)) or val <= 0:
-                raise ConfigError(f"tolerances.{name}: must be a positive number")
-        return cls(exp, seed, space, cocycles, dict(tols), doc.get("output_dir"), doc)
+            if not isinstance(val, (int, float)) or not math.isfinite(val) or val <= 0:
+                raise ConfigError(f"tolerances.{name}: must be a positive finite number")
+        return cls(exp, seed, space, cocycles, dict(tols), doc.get("output_dir"))
 
     def digest(self) -> str:
         payload = {
@@ -252,7 +241,7 @@ def run_metric_suite(cfg: ExperimentConfig):
         worst_gap = min(worst_gap, float(lipschitz_seminorm_diff(fb_family(b1), fb_family(b2))))
     gap_resid = 0.5 - worst_gap
     rows.append(CheckRow("three-slope-family-seminorm-gap", gap_resid, 0.0, gap_resid <= 0.0))
-    return rows, {}
+    return rows, {}, {}
 
 
 # ---------------------------------------------------------------- closing-lemma
@@ -283,7 +272,7 @@ def run_closing_lemma(cfg: ExperimentConfig):
         rows.append(CheckRow(f"closing-shadowing-bound[{label}]", violations, 0.0, violations == 0))
         rows.append(CheckRow(f"closing-cases-checked[{label}]", -checked, 0.0, checked > 0))
     rows.append(CheckRow("closing-inadmissible-raised", -raised, 0.0, raised > 0))
-    return rows, {}
+    return rows, {}, {}
 
 
 # -------------------------------------------------------------------- holonomy
@@ -337,8 +326,7 @@ def run_holonomy(cfg: ExperimentConfig):
     rows.append(CheckRow("holonomy-identity-bound-frozen", worst_fresh, c_frozen, worst_fresh <= c_frozen))
     worst_all = max(ratios)
     rows.append(CheckRow("holonomy-identity-bound-certified", worst_all, c_theory, worst_all <= c_theory))
-    tables = {"convergence": list(table.csv_rows())}
-    return rows, tables
+    return rows, {"convergence": list(table.csv_rows())}, {}
 
 
 # -------------------------------------------------------------------- theorem-a
@@ -390,7 +378,7 @@ def run_theorem_a(cfg: ExperimentConfig):
         "residuals": [("sample", "residual", "bound")]
         + [(repr(pt), repr(r), repr(tol)) for pt, r in coh.rows]
     }
-    return rows, tables
+    return rows, tables, {}
 
 
 # -------------------------------------------------------------------- theorem-b
@@ -429,7 +417,7 @@ def run_theorem_b(cfg: ExperimentConfig):
     tables = {
         "repaired": [("point", "change")] + [(repr(p), repr(d)) for p, d in rep.repaired_points]
     }
-    return rows, tables, rep
+    return rows, tables, {"rigidity": rep.to_json()}
 
 
 # ------------------------------------------------------------------- distortion
@@ -456,30 +444,27 @@ def run_distortion(cfg: ExperimentConfig):
     rep3 = check_bounded_distortion(exp, horizon, pts)
     rows.append(CheckRow("distortion-expansion-flagged", 0.0 if rep3.growth_flagged else 1.0,
                          0.0, rep3.growth_flagged))
-    return rows, {}
+    return rows, {}, {}
 
 
 # ------------------------------------------------------------------ entry point
 
 
+# name -> (runner, help line); a runner returns (rows, tables, json documents)
+RUNNERS = {
+    "metric-suite": (run_metric_suite, "composition/inversion metric algebra on random PL maps"),
+    "holonomy": (run_holonomy, "convergence rate, axioms and identity bound of holonomies"),
+    "theorem-a": (run_theorem_a, "periodic-data transfer pipeline with residual checks"),
+    "theorem-b": (run_theorem_b, "measurable-conjugacy repair and regularity regression"),
+    "closing-lemma": (run_closing_lemma, "exact shadowing exponents for orbit closing"),
+    "distortion": (run_distortion, "iterated Lipschitz bounds and growth flags"),
+}
+EXPERIMENTS = tuple(RUNNERS)
+
+
 def run(cfg: ExperimentConfig) -> ReportDocument:
     start = time.perf_counter()
-    extra = {}
-    if cfg.experiment == "metric-suite":
-        rows, tables = run_metric_suite(cfg)
-    elif cfg.experiment == "closing-lemma":
-        rows, tables = run_closing_lemma(cfg)
-    elif cfg.experiment == "holonomy":
-        rows, tables = run_holonomy(cfg)
-    elif cfg.experiment == "theorem-a":
-        rows, tables = run_theorem_a(cfg)
-    elif cfg.experiment == "theorem-b":
-        rows, tables, rig = run_theorem_b(cfg)
-        extra["rigidity"] = rig.to_json()
-    elif cfg.experiment == "distortion":
-        rows, tables = run_distortion(cfg)
-    else:  # pragma: no cover - filtered at config parse
-        raise ConfigError(f"experiment: unknown {cfg.experiment!r}")
+    rows, tables, extra = RUNNERS[cfg.experiment][0](cfg)
     doc = ReportDocument(
         cfg.experiment,
         cfg.digest(),

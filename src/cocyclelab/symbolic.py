@@ -106,16 +106,22 @@ class SFTSpace:
         return bool(word) and self.admissible_word(word) and self.P[word[-1]][word[0]] == 1
 
     def words(self, length: int):
-        """All admissible words of the given length, lexicographic order."""
+        """Admissible words of the given length in lexicographic order, at most ENUMERATION_CAP."""
         if length < 0:
             raise ValueError(f"word length must be >= 0, got {length}")
         if length == 0:
             yield ()
             return
         stack = [(s,) for s in range(self.k - 1, -1, -1)]
+        count = 0
         while stack:
             w = stack.pop()
             if len(w) == length:
+                count += 1
+                if count > ENUMERATION_CAP:
+                    raise ResourceLimit(
+                        f"words of length {length} exceeded enumeration cap {ENUMERATION_CAP}"
+                    )
                 yield w
             else:
                 for s in range(self.k - 1, -1, -1):

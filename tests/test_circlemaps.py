@@ -1,3 +1,4 @@
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,8 @@ from cocyclelab import (
     metric_report,
     uniform_distance,
 )
+from cocyclelab import circlemaps
+from cocyclelab.circlemaps import SLOPE_EPS, _merge_collinear
 from cocyclelab.errors import InvalidExponent, ResourceLimit
 from cocyclelab.fixtures import random_plmap
 
@@ -357,3 +360,97 @@ def test_make_rejects_bad_maps():
         PLMap.make((0.5, 0.2), (0.1, 0.2))  # unsorted breakpoints
     with pytest.raises(ValueError):
         PLMap.make((0.0, 1.5), (0.0, 0.5))  # breakpoint outside [0,1)
+
+
+# ----------------------------------------------------------- reference kernels
+#
+# The loops below are the earlier kernels, kept as oracles: the merge dropped
+# the first collinear point and recomputed every slope, and the seminorm
+# evaluated both maps at both ends of every cell of the merged partition.
+
+
+def reference_merge_collinear(breaks, vals, exact):
+    while len(breaks) > 1:
+        slopes = PLMap(breaks, vals).slopes
+        drop = None
+        for i in range(len(breaks)):
+            s_in, s_out = slopes[i - 1], slopes[i]
+            if exact:
+                same = s_in == s_out
+            else:
+                same = abs(s_in - s_out) <= SLOPE_EPS * max(1.0, abs(s_in))
+            if same:
+                drop = i
+                break
+        if drop is None:
+            return breaks, vals
+        breaks = breaks[:drop] + breaks[drop + 1 :]
+        vals = vals[:drop] + vals[drop + 1 :]
+    return breaks, vals
+
+
+def reference_seminorm_diff(f, g):
+    pts = sorted(set(f.breaks) | set(g.breaks))
+    pts.append(pts[0] + 1)
+    best = 0
+    for p, q in zip(pts, pts[1:]):
+        sf = (f(q) - f(p)) / (q - p)
+        sg = (g(q) - g(p)) / (q - p)
+        best = max(best, abs(sf - sg))
+    return best
+
+
+@contextmanager
+def merges_checked_against_reference():
+    """Within the block, every merge make runs is checked against the reference."""
+    merge = circlemaps._merge_collinear
+
+    def checked(breaks, vals, exact):
+        out = merge(breaks, vals, exact)
+        assert out == reference_merge_collinear(breaks, vals, exact), (breaks, vals)
+        return out
+
+    circlemaps._merge_collinear = checked
+    try:
+        yield
+    finally:
+        circlemaps._merge_collinear = merge
+
+
+@given(plmaps(exact=True), st.lists(st.fractions(0, 1).filter(lambda t: t < 1), max_size=6))
+@example(PLMap.rotation(Fraction(1, 3)), [Fraction(1, 2), Fraction(2, 3)])  # every point collinear
+@settings(max_examples=150, deadline=None)
+def test_merge_drops_inserted_collinear_points(f, extra):
+    # extra points on f's own segments are collinear with their neighbours
+    breaks = tuple(sorted(set(f.breaks) | set(extra)))
+    vals = tuple(f(t) for t in breaks)
+    assert _merge_collinear(breaks, vals, True) == reference_merge_collinear(breaks, vals, True)
+    assert PLMap.make(breaks, vals) == f
+
+
+@given(plmaps(), plmaps(exact=False), st.floats(0, 1, exclude_max=True))
+@settings(max_examples=150, deadline=None)
+def test_float_merge_matches_reference(f, g, angle):
+    # compositions, inverses and rotation conjugates; about 30% of their merges drop points
+    r = PLMap.rotation(angle)
+    with merges_checked_against_reference():
+        for m in (f, g):
+            compose(g, f), compose(f, g), invert(m)
+            compose(invert(r), compose(m, r))
+
+
+@given(plmaps(exact=True), plmaps(exact=True), st.fractions(0, 1).filter(lambda t: t < 1))
+@settings(max_examples=150, deadline=None)
+def test_seminorm_diff_matches_reference(f, g, angle):
+    r = PLMap.rotation(angle)
+    for a, b in ((f, g), (f, f), (f, r), (r, PLMap.identity()), (compose(g, f), invert(f))):
+        assert lipschitz_seminorm_diff(a, b) == reference_seminorm_diff(a, b)
+
+
+def test_slope_at_reads_the_segment_starting_at_a_breakpoint():
+    f = fb_family(Fraction(1, 4))  # slopes 3/2, 1/2, 1 starting at 0, 1/4, 1/2
+    assert [f.slope_at(t) for t in (0, Fraction(1, 4), Fraction(1, 2))] == [
+        Fraction(3, 2), Fraction(1, 2), 1]
+    assert f.slope_at(Fraction(-3, 4)) == f.slope_at(Fraction(5, 4)) == Fraction(1, 2)
+    g = PLMap.make((Fraction(1, 4), Fraction(3, 4)), (0, Fraction(3, 4)))
+    assert g.slope_at(0) == g.slope_at(Fraction(7, 8)) == Fraction(1, 2)  # the wrap segment

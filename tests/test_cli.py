@@ -34,10 +34,15 @@ def write_config(tmp_path, doc, name="cfg.json"):
 
 
 def test_list_experiments(capsys):
+    from cocyclelab.experiments import EXPERIMENTS, RUNNERS
+
     assert main(["list-experiments"]) == 0
     out = capsys.readouterr().out
     for name in ("metric-suite", "theorem-a", "theorem-b", "closing-lemma"):
         assert name in out
+    # one table names the experiments, runs them and gives their help lines
+    assert EXPERIMENTS == tuple(RUNNERS)
+    assert out.splitlines() == [f"{name:15s} {line}" for name, (_, line) in RUNNERS.items()]
 
 
 def test_gen_fb_family_matches_formula(tmp_path, capsys):
@@ -163,6 +168,32 @@ def test_tolerance_override(tmp_path):
     cfg = write_config(tmp_path, {"experiment": "metric-suite", "seed": 2})
     assert main(["run", "--config", str(cfg), "--tol", "triples=50"]) == 0
     assert main(["run", "--config", str(cfg), "--tol", "triples"]) == 2
+
+
+def test_tolerances_must_be_positive_and_finite(tmp_path, capsys):
+    # an override passes the same check as a tolerance in the file
+    cfg = write_config(tmp_path, {"experiment": "distortion"})
+    for name, val in (("horizon", "-3"), ("horizon", "nan"), ("residual", "0"), ("horizon", "inf")):
+        assert main(["run", "--config", str(cfg), "--tol", f"{name}={val}"]) == 2
+        assert f"config error: tolerances.{name}: " in capsys.readouterr().err
+    # json reads NaN and Infinity as floats
+    for val in ("NaN", "Infinity"):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"experiment": "distortion", "tolerances": {"horizon": %s}}' % val)
+        assert main(["run", "--config", str(bad)]) == 2
+        assert "config error: tolerances.horizon: " in capsys.readouterr().err
+
+
+def test_gen_stops_at_the_enumeration_cap(tmp_path, monkeypatch, capsys):
+    from cocyclelab import symbolic
+
+    monkeypatch.setattr(symbolic, "ENUMERATION_CAP", 100)
+    # window 3 on the full 2-shift needs 2**7 = 128 table words
+    args = ["gen", "rotation-cocycle", "--param", "window=3", "--out", str(tmp_path)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "ResourceLimit: words of length 7 exceeded enumeration cap 100" in err
+    assert not (tmp_path / "rotation_cocycle.json").exists()
 
 
 def test_metric_suite_chain_bound_at_large_seed(tmp_path):

@@ -385,6 +385,10 @@ def test_cocycle_json_many_symbols():
     assert any("," in k for k in doc["table"])  # words beyond digits use commas
     c2 = CocycleSpec.from_json(coc.space, doc)
     assert set(c2.table) == set(coc.table)
+    # a window-0 word (10,) is written "10", with no comma, and reads back as one symbol
+    space = SFTSpace.full_shift(12)
+    c = CocycleSpec(space, 0, {w: PLMap.rotation(Fraction(w[0], 12)) for w in space.words(1)})
+    assert CocycleSpec.from_json(space, c.to_json()).table == c.table
 
 
 def test_pl_dominated_generator_slope_band(full2, golden):

@@ -241,6 +241,9 @@ def test_enumerations_stop_at_their_cap(full2, monkeypatch):
         homoclinic_points(SymbolicPoint.fixed(full2, 0), 2)
     with pytest.raises(ResourceLimit, match="periodic enumeration exceeded cap 3"):
         periodic_points(full2, 3)
+    assert len(list(full2.words(1))) == 2
+    with pytest.raises(ResourceLimit, match="words of length 2 exceeded enumeration cap 3"):
+        list(full2.words(2))
 
 
 # ------------------------------------------------------------------ homoclinic

@@ -151,7 +151,7 @@ def test_theorem_a_reads_the_build_cohomology(monkeypatch):
     # patched in experiments too, so a pass of its own there would be counted
     monkeypatch.setattr(transfer, "verify_cohomology", counting_check)
     monkeypatch.setattr(experiments, "verify_cohomology", counting_check, raising=False)
-    rows, tables = experiments.run_theorem_a(ExperimentConfig("theorem-a", seed=0))
+    rows, tables, _ = experiments.run_theorem_a(ExperimentConfig("theorem-a", seed=0))
     assert len(calls) == 1  # inside build_transfer
     by_name = {r.name: r for r in rows}
     n_pts = len(tables["residuals"]) - 1
