@@ -49,7 +49,7 @@ class PLMap:
         breaks, vals = tuple(breaks), tuple(vals)
         exact = not any(isinstance(x, float) for x in breaks + vals)
         num = Fraction if exact else float
-        breaks, vals = tuple(map(num, breaks)), tuple(map(num, vals))
+        breaks, vals = (tuple(x if type(x) is num else num(x) for x in xs) for xs in (breaks, vals))
         if len(breaks) != len(vals) or not breaks:
             raise ValueError("breakpoints and values must be non-empty, equal length")
         if any(not (0 <= b < 1) for b in breaks):
@@ -62,7 +62,8 @@ class PLMap:
         breaks, vals = _merge_collinear(breaks, vals, exact)
         # normalise after the merge: it may drop the first breakpoint
         k = math.floor(vals[0])
-        vals = tuple(v - k for v in vals)
+        if k:
+            vals = tuple(v - k for v in vals)
         if vals[0] == 1:  # a float just below an integer rounds up to it
             vals = tuple(v - 1 for v in vals)
         if len(breaks) == 1:

@@ -10,7 +10,6 @@ holonomy exponent gamma.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .circlemaps import PLMap, uniform_distance
@@ -20,6 +19,7 @@ from .holonomy import gamma_budget, transport
 from .symbolic import (
     MarkovMeasure,
     SymbolicPoint,
+    agreement_codes,
     bracket,
     distance_exponent,
     is_stable_pair,
@@ -244,17 +244,26 @@ def regularize(
     extras += [t.shift(1) for t in extras]
     targets = list(dict.fromkeys(base_targets + extras))
 
+    codes, exponent = agreement_codes(targets)  # every anchor is a target
+    code = dict(zip(targets, codes))
+    # each pool runs by descending sort_key, so the first closest anchor wins
+    # ties as the largest sort_key would
     by_cyl = {}
-    for a in anchors:
-        by_cyl.setdefault(a[0], []).append(a)
+    for a in sorted(anchors, key=SymbolicPoint.sort_key, reverse=True):
+        by_cyl.setdefault(a[0], []).append((a, code[a]))
 
     def anchor_for(t):
         pool = by_cyl.get(t[0])
         if not pool:
             raise MissingSample(f"no clean anchor shares the cylinder of {t}")
-        def closeness(a):
-            return math.inf if a == t else distance_exponent(a, t)
-        return max(pool, key=lambda a: (closeness(a), a.sort_key()))
+        best, best_n, ct = None, -1, code[t]
+        for a, ca in pool:
+            n = exponent(ca, ct)
+            if n is None:  # t is itself an anchor
+                return a
+            if n > best_n:
+                best, best_n = a, n
+        return best
 
     tilde, anchor = {}, {}
     for t in targets:

@@ -286,6 +286,43 @@ def distance_exponent(x: SymbolicPoint, y: SymbolicPoint) -> int | None:
         n += 1
 
 
+def agreement_codes(points):
+    """Pack each point's interleaved word x_0, x_1, x_-1, x_2, x_-2, ... into one int.
+
+    Returns ``(codes, exponent)``: ``exponent(codes[i], codes[j])`` equals
+    ``distance_exponent(points[i], points[j])``.  The words run to radius R, the
+    largest core reach plus twice the longest tail period: past its reach each
+    point is periodic, so by Fine and Wilf two distinct points differ within R
+    and equal codes mean equal points.  With the first symbol in the highest
+    bits, the highest set bit of ``a ^ b`` marks the common-prefix length.
+    """
+    pts = list(points)
+    if not pts:
+        return [], None
+    space = pts[0].space
+    if any(p.space != space for p in pts):
+        raise ValueError("points live in different spaces")
+    k = space.k
+    bits = max(1, (k - 1).bit_length())
+    digits = [format(s, f"0{bits}b") for s in range(k)]
+    reach = max(max(abs(p.core_start), abs(p.core_start + len(p.core))) for p in pts)
+    radius = reach + 2 * max(max(len(p.left), len(p.right)) for p in pts)
+    width = 2 * radius + 1
+    codes = []
+    word = [0] * width
+    for p in pts:
+        w = p.window(-radius, radius + 1)
+        word[0::2] = w[radius:]  # x_0, x_1, x_2, ...
+        word[1::2] = w[radius - 1 :: -1]  # x_-1, x_-2, ...
+        codes.append(int("".join(map(digits.__getitem__, word)), 2))
+
+    def exponent(a: int, b: int) -> int | None:
+        diff = a ^ b
+        return (width - (diff.bit_length() - 1) // bits) // 2 if diff else None
+
+    return codes, exponent
+
+
 def distance(x: SymbolicPoint, y: SymbolicPoint):
     """rho**(-N) with N the symmetric agreement radius; 0 iff x == y."""
     n = distance_exponent(x, y)

@@ -28,9 +28,9 @@ from .errors import (
 from .holonomy import gamma_budget, transport
 from .symbolic import (
     SymbolicPoint,
+    agreement_codes,
     closing_point_range,
     distance,
-    distance_exponent,
     homoclinic_points,
     periodic_points,
     splice_toward,
@@ -71,9 +71,9 @@ class TransferMap:
     the base point, caching holonomy quotients; the stored ``samples`` are the
     enumerated class, and phi at the base point is the identity.
     ``holder_estimate`` is the regression over the sorted ``class_points``,
-    computed when first read unless given.  ``periodic_data`` is the report
-    with which ``build_transfer`` checked the pair, and ``cohomology`` the
-    residual report over the class; its ``worst`` is the construction residual.
+    computed when first read.  ``periodic_data`` is the report with which
+    ``build_transfer`` checked the pair, and ``cohomology`` the residual report
+    over the class; its ``worst`` is the construction residual.
     """
 
     F: CocycleSpec
@@ -260,7 +260,8 @@ def holder_regression(points, lookup, rho: float, min_samples: int = 30):
     Returns (exponent, constant); exponent is inf when the map is constant
     across the samples (all numerators vanish).  Pairs with zero numerator are
     dropped from the fit.  ``lookup`` is called once per point and each
-    distance once per distinct ordered pair of values.
+    distance once per distinct ordered pair of values.  The points' symbols
+    are read once, into ``agreement_codes``.
     """
     pts = list(points)
     if len(pts) < min_samples:
@@ -278,9 +279,10 @@ def holder_regression(points, lookup, rho: float, min_samples: int = 30):
     scales = set()
     any_pairs = False
     dist = {}
-    for i, y in enumerate(pts):
-        for j in range(i + 1, len(pts)):
-            n = distance_exponent(y, pts[j])
+    codes, exponent = agreement_codes(pts)
+    for i, code in enumerate(codes):
+        for j in range(i + 1, len(codes)):
+            n = exponent(code, codes[j])
             if n is None:
                 continue
             any_pairs = True

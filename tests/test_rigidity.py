@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -39,8 +40,9 @@ from cocyclelab.fixtures import (
     rotation_cocycle,
     rotation_conjugacy_rule,
 )
-from cocyclelab import holonomy
-from cocyclelab.transfer import holder_regression
+from cocyclelab import holonomy, rigidity
+from cocyclelab.symbolic import distance_exponent
+from cocyclelab.transfer import cohomology_residual, holder_regression
 
 
 @pytest.fixture(scope="module")
@@ -287,6 +289,38 @@ def test_regularize_exponent_report(setup):
     # fit over the returned sample table
     pts = sorted(samples, key=SymbolicPoint.sort_key)
     assert rep.regression == holder_regression(pts, samples.__getitem__, float(space.rho))
+
+
+def test_regularize_takes_the_nearest_anchor(setup):
+    # tol 0.05 keeps the corrupted anchors and stops the holonomies early, so
+    # values carried from different anchors differ and the choice shows
+    space, F, G, _, _, rule, mu = setup
+    count, seed, tol = 30, 95, 0.05
+    phi = corrupted_conjugacy(rule, sample_measure(mu, count, seed)[::2], seed=4)
+    tilde, rep = regularize(phi, F, G, count, tol, mu=mu, seed=seed)
+    raw = sample_measure(mu, count, seed) + sorted(phi.corruption, key=SymbolicPoint.sort_key)
+    anchors = [a for a in raw if cohomology_residual(F, G, phi.phi_at, a) <= 10 * tol]
+    assert rep.anchors_used == len(anchors)
+
+    def ranked(t):
+        """The old rule: the largest (closeness, sort_key) in t's cylinder."""
+        def key(a):
+            return (math.inf if a == t else distance_exponent(a, t), a.sort_key())
+        return sorted((a for a in anchors if a[0] == t[0]), key=key, reverse=True)
+
+    def carried(a, t):
+        return phi.phi_at(a) if a == t else rigidity._transport(phi.phi_at(a), F, G, a, t, tol)
+
+    runner_up_differs = tie_break_matters = 0
+    for t, value in tilde.items():
+        best, *rest = ranked(t)
+        assert value == carried(best, t)
+        second = next((a for a in rest if a != best), None)
+        if second is not None and carried(second, t) != value:
+            runner_up_differs += 1
+            if best != t and distance_exponent(best, t) == distance_exponent(second, t):
+                tie_break_matters += 1
+    assert runner_up_differs >= len(tilde) // 2 and tie_break_matters >= 1
 
 
 # ----------------------------------------------------------- traced holonomies

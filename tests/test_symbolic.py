@@ -37,6 +37,7 @@ from cocyclelab.symbolic import (
     _cumulative,
     _rot_left,
     _shortest_cycle,
+    agreement_codes,
     stable_agreement_onset,
     unstable_agreement_onset,
 )
@@ -175,6 +176,72 @@ def test_ultrametric_and_expansivity(full2, rng):
             # expansivity: shifting the first disagreement to the origin
             assert distance(x.shift(n), y.shift(n)) == 1 or distance(x.shift(-n), y.shift(-n)) == 1
             assert distance(x.shift(1), y.shift(1)) <= rho * distance(x, y) + 1e-15
+
+
+CODE_SPACES = {
+    "full2": SFTSpace.full_shift(2),
+    "golden": SFTSpace.golden_mean(),
+    "full3": SFTSpace.full_shift(3),
+    "full12": SFTSpace.full_shift(12),  # four bits per symbol
+}
+
+
+def _periodic_of_period(space, p, rng):
+    while True:
+        w = [int(rng.integers(space.k))]
+        while len(w) < p:
+            w.append(int(rng.choice(space.successors(w[-1]))))
+        if space.admissible_cycle(w):
+            pt = SymbolicPoint.periodic(space, w)
+            if pt.period == p:
+                return pt
+
+
+def _mixed_points(space, seed):
+    """Sampled, periodic (periods 1-6), homoclinic, shifted and resampled
+    points, points with unequal tails, points near the sampled ones, and
+    duplicates."""
+    rng = np.random.default_rng(seed)
+    mu = MarkovMeasure.uniform(space)
+    sampled = sample_measure(mu, 8, seed, depth=12) + sample_measure(mu, 4, seed + 1, depth=3)
+    periodic = [_periodic_of_period(space, p, rng) for p in range(1, 7) for _ in range(2)]
+    homoclinic = homoclinic_points(SymbolicPoint.fixed(space, 0), 2)
+    homoclinic = [homoclinic[int(i)] for i in rng.choice(len(homoclinic), 8, replace=False)]
+    tails = [random_point(space, rng) for _ in range(8)]
+    shifted = [x.shift(n) for x, n in zip(sampled[:4] + homoclinic[:4] + tails[:4],
+                                          (1, -1, 3, -5, 2, -2, 4, -3, 7, -7, 1, -1))]
+    resampled = [resample_past(mu, x, rng, depth=5) for x in sampled[:4]]
+    resampled += [resample_future(mu, x, rng, depth=5) for x in sampled[:4]]
+    # close to a sampled point: agree with it on |n| <= depth
+    near = [splice_toward(x, d, periodic[0]) for x, d in zip(sampled, range(1, 9))]
+    pts = sampled + periodic + homoclinic + tails + shifted + resampled + near
+    dups = [SymbolicPoint.from_json(space, pts[int(i)].to_json())
+            for i in rng.choice(len(pts), 6, replace=False)]
+    return pts + dups
+
+
+@pytest.mark.parametrize("name", sorted(CODE_SPACES))
+def test_agreement_codes_match_distance_exponent(name):
+    pts = _mixed_points(CODE_SPACES[name], 17)
+    codes, exponent = agreement_codes(pts)
+    for x, cx in zip(pts, codes):
+        for y, cy in zip(pts, codes):
+            assert exponent(cx, cy) == distance_exponent(x, y), (x, y)
+
+
+def test_agreement_codes_reach_the_fine_wilf_radius(full2):
+    # tails of periods 5 and 3 agree on 7 coordinates past the cores: a radius
+    # of reach plus one tail period calls these distinct points equal
+    x = SymbolicPoint.make(full2, (1, 0, 0, 1, 0), (1, 1), (0, 1, 0, 0, 1), -1)
+    y = SymbolicPoint.make(full2, (0, 1, 0), (1, 1), (0, 1, 0), -1)
+    codes, exponent = agreement_codes([x, y])
+    assert distance_exponent(x, y) == 7
+    assert exponent(*codes) == 7
+
+
+def test_agreement_codes_refuse_mixed_spaces(full2, golden):
+    with pytest.raises(ValueError, match="different spaces"):
+        agreement_codes([SymbolicPoint.fixed(full2, 0), SymbolicPoint.fixed(golden, 0)])
 
 
 # --------------------------------------------------------------------- bracket

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from cocyclelab import transfer
 from cocyclelab import (
     CocycleSpec,
+    MarkovMeasure,
     PLMap,
     ResidualReport,
     SFTSpace,
@@ -22,6 +23,7 @@ from cocyclelab import (
     homoclinic_points,
     invert,
     iterate,
+    sample_measure,
     uniform_distance,
     verify_cohomology,
     verify_lemma1,
@@ -46,6 +48,8 @@ from cocyclelab.fixtures import (
     rotation_cocycle,
     rotation_conjugacy_rule,
 )
+
+from conftest import random_point
 
 
 @pytest.fixture(scope="module")
@@ -347,14 +351,25 @@ _EXACT_POOL = [_dyadic_map(np.random.default_rng(k)) for k in range(4)] + [
 _MAP_POOL = _EXACT_POOL + [_float_copy(m) for m in _EXACT_POOL]
 
 
-@given(
-    st.lists(st.integers(0, len(_POOL_POINTS) - 1), min_size=2, max_size=16),
-    st.lists(st.integers(0, len(_MAP_POOL) - 1), min_size=len(_POOL_POINTS),
-             max_size=len(_POOL_POINTS)),
-)
-def test_holder_regression_matches_per_pair_reference(picks, assignment):
-    pts = [_POOL_POINTS[i] for i in picks]
-    value = {y: _MAP_POOL[k] for y, k in zip(_POOL_POINTS, assignment)}
+def _unequal_tail_pool():
+    """Points of the full 3-shift whose tails have different periods."""
+    rng = np.random.default_rng(5)
+    pts = [random_point(SFTSpace.full_shift(3), rng) for _ in range(24)]
+    pool = list(dict.fromkeys(pts + [x.shift(n) for x, n in zip(pts, (1, -1, 2, -3))]))
+    assert sum(len(x.left) != len(x.right) for x in pool) >= 8
+    return pool
+
+
+_POINT_POOLS = (_POOL_POINTS, _unequal_tail_pool())
+
+
+@given(st.sampled_from(_POINT_POOLS), st.data())
+def test_holder_regression_matches_per_pair_reference(pool, data):
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=16))
+    assignment = data.draw(st.lists(st.integers(0, len(_MAP_POOL) - 1), min_size=len(pool),
+                                    max_size=len(pool)))
+    pts = [pool[i] for i in picks]
+    value = {y: _MAP_POOL[k] for y, k in zip(pool, assignment)}
 
     def outcome(fn):
         try:
@@ -363,6 +378,25 @@ def test_holder_regression_matches_per_pair_reference(picks, assignment):
             return "insufficient"
 
     assert outcome(holder_regression) == outcome(_naive_regression)
+
+
+def test_holder_regression_reads_points_whole(monkeypatch):
+    # the pairwise exponents come from packed codes, not from x[n] and x[-n]
+    space = SFTSpace.full_shift(2)
+    pts = sample_measure(MarkovMeasure.uniform(space), 120, seed=9)
+    rule = decaying_rotation_rule(space, 3)
+    value = {y: rule.phi_at(y) for y in pts}
+    reads = []
+    getitem = SymbolicPoint.__getitem__
+
+    def counted(self, n):
+        reads.append(n)
+        return getitem(self, n)
+
+    monkeypatch.setattr(SymbolicPoint, "__getitem__", counted)
+    exponent, _ = holder_regression(pts, value.__getitem__, float(space.rho))
+    assert math.isfinite(exponent)
+    assert len(reads) <= len(pts)
 
 
 # ------------------------------------------------------------------- extension
@@ -501,15 +535,16 @@ def test_transfer_json_document(family):
 
 
 def test_extend_transfer_depth_unreachable():
-    # one-way trapdoor: symbol 1 can never return to the base symbol 0
+    # one-way trapdoor: symbol 2 can never return to the base symbol 0
     from cocyclelab.errors import DepthUnreachable
 
-    space = SFTSpace(2, ((1, 1), (0, 1)))
+    space = SFTSpace(3, ((1, 1, 1), (1, 1, 1), (0, 0, 1)))
     angle = Fraction(1, 6)
     F = CocycleSpec(space, 0, {w: PLMap.rotation(angle) for w in space.words(1)})
     x0 = SymbolicPoint.fixed(space, 0)
-    T = build_transfer(F, F, x0, 2)
-    T.holder_estimate = (1.0, 1.0)  # the class is a single point; no regression
-    trapped = SymbolicPoint.fixed(space, 1)
+    T = build_transfer(F, F, x0, 3)
+    # phi is the identity across the whole class: the regression reads it as constant
+    assert len(T.class_points) == 42 and T.holder_estimate == (math.inf, 0.0)
+    trapped = SymbolicPoint.fixed(space, 2)
     with pytest.raises(DepthUnreachable):
         extend_transfer(T, trapped, 3)
