@@ -356,33 +356,31 @@ def bracket(y: SymbolicPoint, z: SymbolicPoint) -> SymbolicPoint:
         raise CylinderMismatch(f"coordinate-0 symbols differ: {y[0]} vs {z[0]}")
     lo = min(z.core_start, 0)
     hi = max(y.core_start + len(y.core), 0)
-    return splice(z, tuple((z[n] if n <= 0 else y[n]) for n in range(lo, hi)), lo, y)
+    word = z.window(lo, min(hi, 1))
+    if hi > 1:
+        word += y.window(1, hi)
+    return splice(z, word, lo, y)
 
 
 def stable_agreement_onset(x: SymbolicPoint, y: SymbolicPoint) -> int:
     """Smallest N >= 0 with x_m = y_m for all m >= N; NotStablePair otherwise."""
     hi = max(x.core_start + len(x.core), y.core_start + len(y.core), 0)
     span = math.lcm(len(x.right), len(y.right))
-    if any(x[m] != y[m] for m in range(hi, hi + span)):
+    xw, yw = x.window(0, hi + span), y.window(0, hi + span)
+    if xw[hi:] != yw[hi:]:
         raise NotStablePair("forward tails differ")
-    onset = 0
-    for m in range(hi):
-        if x[m] != y[m]:
-            onset = m + 1
-    return onset
+    return next((m + 1 for m in range(hi - 1, -1, -1) if xw[m] != yw[m]), 0)
 
 
 def unstable_agreement_onset(x: SymbolicPoint, y: SymbolicPoint) -> int:
     """Smallest N >= 0 with x_m = y_m for all m <= -N; NotUnstablePair otherwise."""
     lo = min(x.core_start, y.core_start, 0)
     span = math.lcm(len(x.left), len(y.left))
-    if any(x[m] != y[m] for m in range(lo - span, lo)):
+    xw, yw = x.window(lo - span, 1), y.window(lo - span, 1)
+    if xw[:span] != yw[:span]:
         raise NotUnstablePair("backward tails differ")
-    onset = 0
-    for m in range(lo, 1):
-        if x[m] != y[m]:
-            onset = max(onset, -m + 1)
-    return onset
+    # xw[i] is coordinate lo - span + i
+    return next((1 - lo + span - i for i in range(span, len(xw)) if xw[i] != yw[i]), 0)
 
 
 def is_stable_pair(x: SymbolicPoint, y: SymbolicPoint) -> bool:
@@ -489,13 +487,19 @@ def splice_toward(x: SymbolicPoint, depth: int, x0: SymbolicPoint) -> SymbolicPo
     return splice(left_ref, l_path[::-1] + x.window(-depth, depth + 1) + r_path, l_pos, x0)
 
 
-def closing_point_range(y: SymbolicPoint, lo: int, hi: int) -> SymbolicPoint:
-    """Periodic point repeating the word ``y_lo .. y_{hi-1}`` in place."""
+def _closing_word(y: SymbolicPoint, lo: int, hi: int) -> Word:
+    """The word ``y_lo .. y_{hi-1}``; InadmissibleLoop if it cannot repeat."""
     if hi <= lo:
         raise ValueError("empty closing window")
     word = y.window(lo, hi)
     if not y.space.P[word[-1]][word[0]]:
         raise InadmissibleLoop(f"wrap pair ({word[-1]}, {word[0]}) is forbidden")
+    return word
+
+
+def closing_point_range(y: SymbolicPoint, lo: int, hi: int) -> SymbolicPoint:
+    """Periodic point repeating the word ``y_lo .. y_{hi-1}`` in place."""
+    word = _closing_word(y, lo, hi)
     return SymbolicPoint.make(y.space, word, (), word, lo)
 
 
@@ -509,16 +513,38 @@ def closing_point(y: SymbolicPoint, n: int) -> SymbolicPoint:
 def verify_closing_bound(y: SymbolicPoint, n: int):
     """Exact shadowing exponents for the closing point of ``y`` at radius n.
 
-    Returns (rows, ok) where each row is (j, observed, required): the shifted
-    pair agrees to radius ``observed`` (None = equal) and the shadowing bound
-    demands at least ``min(j, 2n-j) + M`` with ``rho**-M`` the loop gap.
+    Returns (rows, ok) where each row is (j, observed, required): the pair
+    ``sigma**(j-n)`` of y and of its closing point z agrees to radius
+    ``observed`` (None = equal) and the shadowing bound demands at least
+    ``min(j, 2n-j) + M`` with ``rho**-M`` the loop gap.
+
+    z repeats y's word on [-n, n), so with dR the first coordinate >= n and dL
+    the last one < -n where y and z differ, row j observes
+    ``min(dR - s, s - dL)`` at s = j - n.  Past ``max(core end, n)`` y has
+    period ``len(y.right)`` and z a period dividing 2n, so by Fine and Wilf
+    they differ within ``len(y.right) + 2n`` coordinates there or never; the
+    left side mirrors this with ``len(y.left)``.  y is read as the word and one
+    window per side, z by tiling the word; ``distance_exponent`` stays the
+    per-pair oracle.
     """
-    z = closing_point(y, n)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    word = _closing_word(y, -n, n)
     m = distance_exponent(y.shift(n), y.shift(-n))
+    hi = max(y.core_start + len(y.core), n) + len(y.right) + 2 * n
+    lo = min(y.core_start, -n) - len(y.left) - 2 * n
+    right = zip(y.window(n, hi), _tiling(word, 2 * n, hi + n))
+    d_r = next((n + i for i, (a, b) in enumerate(right) if a != b), None)
+    left = zip(reversed(y.window(lo, -n)), reversed(_tiling(word, lo + n, 0)))
+    d_l = next((-n - 1 - i for i, (a, b) in enumerate(left) if a != b), None)
     rows = []
     ok = True
     for j in range(0, 2 * n + 1):
-        obs = distance_exponent(y.shift(j - n), z.shift(j - n))
+        s = j - n
+        if d_r is None:
+            obs = None if d_l is None else s - d_l
+        else:
+            obs = d_r - s if d_l is None else min(d_r - s, s - d_l)
         if m is None:
             required = None
             good = obs is None

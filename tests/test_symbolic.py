@@ -30,6 +30,7 @@ from cocyclelab.errors import (
     DepthUnreachable,
     InadmissibleLoop,
     NotStablePair,
+    NotUnstablePair,
     ResourceLimit,
 )
 from cocyclelab.symbolic import (
@@ -275,6 +276,30 @@ def test_bracket_membership(full2, golden, rng):
             assert w.window(-30, 1) == z.window(-30, 1)
 
 
+def _per_coordinate_bracket(y, z):
+    """bracket with its word read one coordinate at a time."""
+    if y[0] != z[0]:
+        raise CylinderMismatch(f"coordinate-0 symbols differ: {y[0]} vs {z[0]}")
+    lo = min(z.core_start, 0)
+    hi = max(y.core_start + len(y.core), 0)
+    return splice(z, tuple((z[n] if n <= 0 else y[n]) for n in range(lo, hi)), lo, y)
+
+
+@pytest.mark.parametrize("name", sorted(CODE_SPACES))
+def test_bracket_matches_per_coordinate_reference(name):
+    pts = _mixed_points(CODE_SPACES[name], 23)
+    built = 0
+    for y in pts:
+        for z in pts:
+            if y[0] != z[0]:
+                with pytest.raises(CylinderMismatch):
+                    bracket(y, z)
+                continue
+            assert bracket(y, z) == _per_coordinate_bracket(y, z), (y, z)
+            built += 1
+    assert built > len(pts)
+
+
 # ------------------------------------------------------------- periodic points
 
 
@@ -505,8 +530,9 @@ def test_closing_inadmissible_loop(golden):
     y = SymbolicPoint.make(golden, (0,), (1, 0, 0, 1), (0,), -2)
     # y_{n-1} = 1 and y_{-n} = 1 for n = 2
     assert y[1] == 1 and y[-2] == 1
-    with pytest.raises(InadmissibleLoop):
-        closing_point(y, 2)
+    for fn in (closing_point, verify_closing_bound):
+        with pytest.raises(InadmissibleLoop, match=r"^wrap pair \(1, 1\) is forbidden$"):
+            fn(y, 2)
 
 
 def test_closing_bound_exact(full2, golden):
@@ -519,6 +545,92 @@ def test_closing_bound_exact(full2, golden):
                 except InadmissibleLoop:
                     continue
                 assert ok, (y, n, rows)
+
+
+def _per_shift_closing_bound(y, n):
+    """verify_closing_bound as one distance_exponent per shifted pair."""
+    z = closing_point(y, n)
+    m = distance_exponent(y.shift(n), y.shift(-n))
+    rows = []
+    ok = True
+    for j in range(0, 2 * n + 1):
+        obs = distance_exponent(y.shift(j - n), z.shift(j - n))
+        if m is None:
+            required = None
+            good = obs is None
+        else:
+            required = min(j, 2 * n - j) + m
+            good = obs is None or obs >= required
+        rows.append((j, obs, required))
+        ok = ok and good
+    return rows, ok
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the refusal it raised."""
+    try:
+        return fn(*args)
+    except (InadmissibleLoop, NotStablePair, NotUnstablePair) as e:
+        return (type(e).__name__, str(e))
+
+
+def _closing_points(space, seed):
+    """Homoclinic points of orbits of periods 1-3, periodic points of period
+    <= 5 and sampled points, each shifted by 0, 3 and -5."""
+    rng = np.random.default_rng(seed)
+    periodic = periodic_points(space, 5)
+    pts = []
+    for p in (1, 2, 3):
+        x0 = next((x for x in periodic if x.period == p), None)
+        if x0 is not None:
+            hom = homoclinic_points(x0, 2)
+            pts += [hom[int(i)] for i in rng.choice(len(hom), min(8, len(hom)), replace=False)]
+    pts += [periodic[int(i)] for i in rng.choice(len(periodic), min(10, len(periodic)), replace=False)]
+    mu = MarkovMeasure.uniform(space)
+    pts += sample_measure(mu, 6, seed, depth=9) + sample_measure(mu, 3, seed + 1, depth=2)
+    return [x.shift(t) for x in pts for t in (0, 3, -5)]
+
+
+@pytest.mark.parametrize("name", ["full2", "golden", "full3"])
+def test_closing_bound_matches_per_shift_reference(name):
+    refused = 0
+    for y in _closing_points(CODE_SPACES[name], 31):
+        for n in range(1, 10):
+            got = _outcome(verify_closing_bound, y, n)
+            assert got == _outcome(_per_shift_closing_bound, y, n), (y, n)
+            refused += got[0] == "InadmissibleLoop"
+    if name == "golden":  # 11 is forbidden, so some loops cannot close
+        assert refused > 0
+
+
+# each case needs one term of a scan limit: the rows of a scan cut short there
+# differ, while ok stays True, so only the rows show the cut
+@pytest.mark.parametrize(
+    "left, core, right, start, n, rows",
+    [
+        # needs 2n in hi and in lo
+        ((0,), (1,), (0,), -3, 4,
+         [(0, 7, 1), (1, 8, 2), (2, 7, 3), (3, 6, 4), (4, 5, 5),
+          (5, 4, 4), (6, 3, 3), (7, 2, 2), (8, 1, 1)]),
+        # needs len(right) in hi
+        ((0, 1, 0), (1, 0, 0, 0), (0, 0, 1), -3, 1, [(0, 2, 2), (1, 3, 3), (2, 2, 2)]),
+        # needs len(left) in lo
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1), -2, 2,
+         [(0, 6, 4), (1, 7, 5), (2, 6, 6), (3, 5, 5), (4, 4, 4)]),
+    ],
+)
+def test_closing_bound_scan_limits(full2, left, core, right, start, n, rows):
+    y = SymbolicPoint.make(full2, left, core, right, start)
+    assert verify_closing_bound(y, n) == (rows, True)
+    assert _per_shift_closing_bound(y, n) == (rows, True)
+
+
+def test_closing_bound_pinned_rows(full2):
+    y = SymbolicPoint.make(full2, (0,), (1,), (0,), 0)
+    tight = [(0, 3, 3), (1, 4, 4), (2, 5, 5), (3, 6, 6), (4, 5, 5), (5, 4, 4), (6, 3, 3)]
+    assert verify_closing_bound(y, 3) == (tight, True)  # the bound is tight on every row
+    p = SymbolicPoint.periodic(full2, (0, 1, 1, 0, 1, 0))
+    assert verify_closing_bound(p, 3) == ([(j, None, None) for j in range(7)], True)
 
 
 def test_pseudo_orbit_loop(full2):
@@ -745,3 +857,43 @@ def test_stable_onset_errors(full2):
     y = SymbolicPoint.fixed(full2, 1)
     with pytest.raises(NotStablePair):
         stable_agreement_onset(x, y)
+
+
+def _per_coordinate_stable_onset(x, y):
+    hi = max(x.core_start + len(x.core), y.core_start + len(y.core), 0)
+    span = math.lcm(len(x.right), len(y.right))
+    if any(x[m] != y[m] for m in range(hi, hi + span)):
+        raise NotStablePair("forward tails differ")
+    onset = 0
+    for m in range(hi):
+        if x[m] != y[m]:
+            onset = m + 1
+    return onset
+
+
+def _per_coordinate_unstable_onset(x, y):
+    lo = min(x.core_start, y.core_start, 0)
+    span = math.lcm(len(x.left), len(y.left))
+    if any(x[m] != y[m] for m in range(lo - span, lo)):
+        raise NotUnstablePair("backward tails differ")
+    onset = 0
+    for m in range(lo, 1):
+        if x[m] != y[m]:
+            onset = max(onset, -m + 1)
+    return onset
+
+
+@pytest.mark.parametrize("name", sorted(CODE_SPACES))
+def test_agreement_onsets_match_per_coordinate_reference(name):
+    pts = _mixed_points(CODE_SPACES[name], 29)
+    found = {"stable": 0, "unstable": 0}
+    for x in pts:
+        for y in pts:
+            for side, fn, ref in (
+                ("stable", stable_agreement_onset, _per_coordinate_stable_onset),
+                ("unstable", unstable_agreement_onset, _per_coordinate_unstable_onset),
+            ):
+                got = _outcome(fn, x, y)
+                assert got == _outcome(ref, x, y), (side, x, y)
+                found[side] += isinstance(got, int) and got > 0
+    assert min(found.values()) > 0, found
