@@ -210,9 +210,16 @@ def _margins(c: CocycleSpec, n0: int) -> DominationReport:
                 for h in prefix_products(_word_generators(c, word, n0)):
                     pass
                 products.append(h)
+        up = down = 0.0  # largest slope and largest inverse slope
+        for h in products:
+            if h.is_rotation and h.is_exact:
+                # slope exactly 1; a float rotation's can round away from 1
+                up, down = max(up, 1.0), max(down, 1.0)
+            else:
+                up, down = max(up, float(h.max_slope)), max(down, 1.0 / float(h.min_slope))
         alpha, log_rho = float(c.alpha), math.log(float(c.space.rho) ** n0)
-        theta_u = alpha - math.log(max(float(h.max_slope) for h in products)) / log_rho
-        theta_s = alpha - math.log(max(1.0 / float(h.min_slope) for h in products)) / log_rho
+        theta_u = alpha - math.log(up) / log_rho
+        theta_s = alpha - math.log(down) / log_rho
         c._cache[key] = DominationReport(theta_s, theta_u, theta_s > 0 and theta_u > 0)
     return c._cache[key]
 

@@ -54,30 +54,47 @@ class HolonomyResult:
         return self.identity_distance / d_xy**alpha if d_xy > 0 else None
 
 
-def _holonomy(c: CocycleSpec, x, y, side: str, tol: float, n0: int):
+def _margin(c: CocycleSpec, side: str, n0: int) -> float:
+    """Time-n0 domination margin of ``c`` on ``side``; refuses one that is not positive."""
     dom = power_domination(c, n0)
     theta = dom.theta_s if side == "s" else dom.theta_u
     if theta <= 0:
         raise NotDominated(f"theta_{side} = {theta:.4f} <= 0")
-    if side == "s":
-        onset = stable_agreement_onset(x, y)
-    else:
-        onset = unstable_agreement_onset(x, y)
-    k = max(0, math.ceil((onset + c.window) / n0))
-    n_used = k * n0
+    return theta
+
+
+def _onset(x: SymbolicPoint, y: SymbolicPoint, side: str) -> int:
+    return stable_agreement_onset(x, y) if side == "s" else unstable_agreement_onset(x, y)
+
+
+def _limit(quot, side: str, onset: int, window: int, n0: int, tol: float, what):
+    """``quot(n)`` at the stabilisation index, with the index and the tail.
+
+    The index n_used is the first multiple of n0 at or past ``onset + window``
+    (n = -n_used on the unstable side); the tail is the distance to the
+    quotient at n_used + n0.  ``what()`` names the limit in the
+    ``NoConvergence`` raised when n_used exceeds ``HOLONOMY_ITER_CAP`` or the
+    tail exceeds ``tol``.
+    """
+    n_used = max(0, math.ceil((onset + window) / n0)) * n0
     if n_used > HOLONOMY_ITER_CAP:
         raise NoConvergence(
-            f"{side}-holonomy of ({x!r}, {y!r}): stabilisation index {n_used} "
-            f"exceeds cap {HOLONOMY_ITER_CAP}"
+            f"{what()}: stabilisation index {n_used} exceeds cap {HOLONOMY_ITER_CAP}"
         )
     sign = 1 if side == "s" else -1
-    n, n2 = sign * n_used, sign * (n_used + n0)
-    h = quotient(c, y, c, x, n)
-    tail = float(uniform_distance(h, quotient(c, y, c, x, n2)))
+    h = quot(sign * n_used)
+    tail = float(uniform_distance(h, quot(sign * (n_used + n0))))
     if tail > tol:
-        raise NoConvergence(
-            f"{side}-holonomy of ({x!r}, {y!r}): residual tail {tail:.3e} exceeds tol {tol:.3e}"
-        )
+        raise NoConvergence(f"{what()}: residual tail {tail:.3e} exceeds tol {tol:.3e}")
+    return h, n_used, tail
+
+
+def _holonomy(c: CocycleSpec, x, y, side: str, tol: float, n0: int):
+    theta = _margin(c, side, n0)
+    h, n_used, tail = _limit(
+        lambda n: quotient(c, y, c, x, n), side, _onset(x, y, side), c.window, n0, tol,
+        lambda: f"{side}-holonomy of ({x!r}, {y!r})",
+    )
     alpha = float(c.alpha)
     return HolonomyResult(h, side, n_used, tail, gamma_budget(theta, alpha), (x, y, alpha))
 
@@ -118,6 +135,29 @@ def transport(
     if value is not None:
         hf = compose(hf, value)
     return compose(hf, invert(hol(G, x, y, tol, n0).map))
+
+
+def conjugacy_quotient(
+    F: CocycleSpec, G: CocycleSpec, x: SymbolicPoint, y: SymbolicPoint, side: str,
+    tol: float = 1e-8, n0: int = 1,
+) -> PLMap:
+    """``transport(F, G, x, y, side)`` read as the one quotient (F^n_y)^-1 G^n_y.
+
+    Valid when sigma^n0 fixes x and F^n0_x == G^n0_x.  Then F^n_x == G^n_x
+    at every multiple n of n0, and that factor cancels from
+    h^F_{xy} (h^G_{xy})^-1 = (F^n_y)^-1 F^n_x (G^n_x)^-1 G^n_y.  At the index
+    of the wider window both holonomies have stabilised, so in exact mode the
+    result is ``==`` to the transport.  The checks are the holonomies': each
+    cocycle dominated on ``side``, the onset, the iteration cap and the tail.
+    """
+    _margin(F, side, n0)
+    onset = _onset(x, y, side)
+    _margin(G, side, n0)
+    h, _, _ = _limit(
+        lambda n: quotient(F, y, G, y, n), side, onset, max(F.window, G.window), n0, tol,
+        lambda: f"{side}-conjugacy quotient of ({x!r}, {y!r})",
+    )
+    return h
 
 
 @dataclass(frozen=True)

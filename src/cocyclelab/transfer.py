@@ -25,7 +25,7 @@ from .errors import (
     NotUnstablePair,
     PeriodicDataMismatch,
 )
-from .holonomy import gamma_budget, transport
+from .holonomy import conjugacy_quotient, gamma_budget, transport
 from .symbolic import (
     SymbolicPoint,
     agreement_codes,
@@ -39,6 +39,7 @@ from .symbolic import (
 )
 
 CHECK_PERIOD = 6  # periodic data are compared at every period up to this one
+PHI_CACHE_CAP = 4096  # phi values cached per transfer map before the cache is emptied
 
 
 @dataclass(frozen=True)
@@ -68,8 +69,11 @@ class TransferMap:
     """Conjugacy phi sampled on the homoclinic class of a periodic base point.
 
     ``phi_at`` resolves phi at any point forward- or backward-asymptotic to
-    the base point, caching holonomy quotients; the stored ``samples`` are the
-    enumerated class, and phi at the base point is the identity.
+    the base point: as one forward quotient when both tables are exact and
+    the return maps at the base point are equal, else through the holonomy
+    transport.  It caches the values it computes, at most ``PHI_CACHE_CAP``
+    of them; the stored ``samples`` are the enumerated class, and phi at the
+    base point is the identity.
     ``holder_estimate`` is the regression over the sorted ``class_points``,
     computed when first read.  ``periodic_data`` is the report with which
     ``build_transfer`` checked the pair, and ``cohomology`` the residual report
@@ -96,21 +100,35 @@ class TransferMap:
         except InsufficientScales:
             return None
 
+    @cached_property
+    def _equal_returns(self) -> bool:
+        """Whether phi is one forward quotient: exact tables, and equal
+        return maps at a base point that sigma**period fixes."""
+        x0, n0 = self.base_point, self.period
+        return (
+            x0.period is not None and n0 % x0.period == 0
+            and all(m.is_exact for c in (self.F, self.G) for m in c.table.values())
+            and iterate(self.F, x0, n0) == iterate(self.G, x0, n0)
+        )
+
     def phi_at(self, y: SymbolicPoint) -> PLMap:
         if y in self.samples:
             return self.samples[y]
         if y in self._cache:
             return self._cache[y]
+        carry = conjugacy_quotient if self._equal_returns else transport
         args = (self.F, self.G, self.base_point, y)
         try:
-            phi = transport(*args, "s", tol=self.tol, n0=self.period)
+            phi = carry(*args, "s", tol=self.tol, n0=self.period)
         except NotStablePair:
             try:
-                phi = transport(*args, "u", tol=self.tol, n0=self.period)
+                phi = carry(*args, "u", tol=self.tol, n0=self.period)
             except NotUnstablePair:
                 raise MissingSample(
                     "point is not asymptotic to the base point in either direction"
                 ) from None
+        if len(self._cache) >= PHI_CACHE_CAP:
+            self._cache.clear()
         self._cache[y] = phi
         return phi
 

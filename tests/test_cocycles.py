@@ -25,7 +25,7 @@ from cocyclelab import (
     resample_past,
     uniform_distance,
 )
-from cocyclelab.cocycles import prefix_products
+from cocyclelab.cocycles import DominationReport, _word_generators, prefix_products
 from cocyclelab.errors import ResourceLimit
 from cocyclelab.fixtures import (
     conjugated_pair,
@@ -330,6 +330,55 @@ def test_power_domination_consistency(golden):
     assert power_domination(c, 1) == check_domination(c)
     rep = power_domination(c, 2)
     assert rep.su_dominated and rep.theta_s == pytest.approx(1.0)
+
+
+def _scanned_margins(c, n0):
+    """Reference: every time-n0 product's extremal slopes, rotations included."""
+    products = c.table.values()
+    if n0 > 1:
+        products = []
+        for word in c.space.words(2 * c.window + n0):
+            for h in prefix_products(_word_generators(c, word, n0)):
+                pass
+            products.append(h)
+    alpha, log_rho = float(c.alpha), math.log(float(c.space.rho) ** n0)
+    theta_u = alpha - math.log(max(float(h.max_slope) for h in products)) / log_rho
+    theta_s = alpha - math.log(max(1.0 / float(h.min_slope) for h in products)) / log_rho
+    return DominationReport(theta_s, theta_u, theta_s > 0 and theta_u > 0)
+
+
+def _margin_tables():
+    space = SFTSpace.full_shift(2)
+    rng = np.random.default_rng(4)
+    # a float rotation by 0.9 reads slope 1 - 2**-53, so it must not be skipped
+    floats = [PLMap.rotation(0.9), PLMap.rotation(0.35)]
+    mixed = [PLMap.rotation(Fraction(1, 3)), PLMap.rotation(0.9),
+             near_identity_plmap(rng, exact=False), near_identity_plmap(rng)]
+    return {
+        "exact-rotations": rotation_cocycle(space, 1, seed=1),
+        "exact-pl": pl_dominated_cocycle(space, 1, 0.4, seed=3),
+        "float-rotations": CocycleSpec(space, 0, dict(zip(space.words(1), floats))),
+        "mixed": CocycleSpec(space, 1, {w: mixed[i % 4] for i, w in enumerate(space.words(3))}),
+        # exact rotations pin the largest slope at 1 although the float one reads less
+        "exact-and-float-rotations": CocycleSpec(
+            space, 0, {(0,): PLMap.rotation(Fraction(1, 3)), (1,): PLMap.rotation(0.9)}
+        ),
+    }
+
+
+_MARGIN_TABLES = _margin_tables()
+
+
+@pytest.mark.parametrize("n0", [1, 2])
+@pytest.mark.parametrize("name", sorted(_MARGIN_TABLES))
+def test_margins_match_the_full_scan(name, n0):
+    c = _MARGIN_TABLES[name]
+    assert power_domination(c, n0) == _scanned_margins(c, n0)
+
+
+def test_margin_tables_reach_float_rounding():
+    rotations = _MARGIN_TABLES["float-rotations"].table.values()
+    assert min(float(m.max_slope) for m in rotations) < 1.0
 
 
 # ------------------------------------------------------------------ distortion

@@ -11,6 +11,7 @@ from cocyclelab import (
     PLMap,
     SFTSpace,
     SymbolicPoint,
+    TransferMap,
     WindowRule,
     build_transfer,
     check_bounded_distortion,
@@ -329,7 +330,8 @@ def test_regularize_takes_the_nearest_anchor(setup):
 def test_transports_reach_the_module_holonomies(setup, monkeypatch):
     """Every transport goes through ``holonomy.stable_holonomy`` and
     ``holonomy.unstable_holonomy`` by name, so wrappers installed there (as a
-    tracer does) see the holonomies of both constructions."""
+    tracer does) see the holonomies of both constructions.  ``phi_at`` reads
+    an exact pair with equal return maps as one quotient and reaches neither."""
     space, F, G, _, x0, rule, mu = setup
     T = build_transfer(F, G, x0, 2, tol=1e-10)
     pts = sorted(T.class_points, key=SymbolicPoint.sort_key)[1:4]
@@ -352,8 +354,19 @@ def test_transports_reach_the_module_holonomies(setup, monkeypatch):
     both = {"stable_holonomy", "unstable_holonomy"}
     forward_only = SymbolicPoint.make(space, (1,), (1, 0, 1), (0,), 0)
     backward_only = SymbolicPoint.make(space, (0,), (1, 0, 1), (1,), 0)
-    assert reached(lambda: T.phi_at(forward_only)) == {"stable_holonomy"}
-    assert reached(lambda: T.phi_at(backward_only)) == both
+    # equal exact return maps at x0: phi is one forward quotient, equal to the
+    # holonomy transport on the side that reaches the point
+    for y, side in ((forward_only, "s"), (backward_only, "u")):
+        assert reached(lambda: T.phi_at(y)) == set()
+        assert T.phi_at(y) == holonomy.transport(F, G, x0, y, side, tol=T.tol)
+    # a float copy of the pair keeps the holonomy transport
+    floats = [CocycleSpec(space, c.window, {w: PLMap.make([float(b) for b in m.breaks],
+                                                          [float(v) for v in m.vals])
+                                            for w, m in c.table.items()})
+              for c in (F, G)]
+    T_float = TransferMap(*floats, x0, 1, {}, T.beta_budget, T.tol)
+    assert reached(lambda: T_float.phi_at(forward_only)) == {"stable_holonomy"}
+    assert reached(lambda: T_float.phi_at(backward_only)) == both
     assert reached(lambda: verify_lemma1(T, pts)) == both
     assert reached(lambda: verify_lemma_hol_conj(T, [(pts[0], pts[1])])) == {"stable_holonomy"}
     pairs = stable_pairs(mu, 2, 8) + unstable_pairs(mu, 2, 8)

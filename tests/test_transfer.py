@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cocyclelab import transfer
+from cocyclelab import holonomy, transfer
 from cocyclelab import (
     CocycleSpec,
     MarkovMeasure,
@@ -13,6 +13,7 @@ from cocyclelab import (
     ResidualReport,
     SFTSpace,
     SymbolicPoint,
+    TransferMap,
     WindowRule,
     build_transfer,
     check_periodic_data,
@@ -22,8 +23,11 @@ from cocyclelab import (
     holder_regression,
     homoclinic_points,
     invert,
+    is_stable_pair,
     iterate,
+    power_domination,
     sample_measure,
+    splice,
     uniform_distance,
     verify_cohomology,
     verify_lemma1,
@@ -32,7 +36,10 @@ from cocyclelab import (
 from cocyclelab.errors import (
     InsufficientScales,
     MissingSample,
+    NoConvergence,
     NotDominated,
+    NotStablePair,
+    NotUnstablePair,
     PeriodicDataMismatch,
 )
 from cocyclelab.cocycles import dominated_pair
@@ -267,6 +274,172 @@ def test_rotation_conjugacy_rule_on_equivariant_pl_values():
     assert rule.phi_at(x0) == PLMap.identity()
     for y in homoclinic_points(x0, 2):
         assert cohomology_residual(R, G, rule.phi_at, y) == 0
+
+
+# ------------------------------------------------- one forward quotient per point
+
+
+def _transported(T, y):
+    """phi at y through two holonomies and a transport: the stable side when
+    y is forward-asymptotic to the base point, else the unstable side, else
+    "missing"."""
+    args = (T.F, T.G, T.base_point, y)
+    try:
+        return holonomy.transport(*args, "s", tol=T.tol, n0=T.period)
+    except NotStablePair:
+        try:
+            return holonomy.transport(*args, "u", tol=T.tol, n0=T.period)
+        except NotUnstablePair:
+            return "missing"
+
+
+def _one_sided(y, other):
+    """y with its backward tail, then its forward tail, replaced by ``other``'s."""
+    lo = min(y.core_start, 0) - 1
+    hi = max(y.core_start + len(y.core), 0) + 1
+    word = y.window(lo, hi)
+    return splice(other, word, lo, y), splice(y, word, lo, other)
+
+
+def _probes(x0, other, core_len):
+    """Class points, their shifts by 1, -1 and 3, and stable-only and
+    unstable-only points next to them."""
+    out = []
+    for y in homoclinic_points(x0, core_len):
+        out += [y, y.shift(1), y.shift(-1), y.shift(3), *_one_sided(y, other)]
+    return out
+
+
+def _no_transport(*args, **kwargs):
+    raise AssertionError("phi_at took the holonomy transport")
+
+
+def _rotation_pair(space, seed):
+    F = rotation_cocycle(space, 1, seed=seed)
+    return F, conjugated_pair(F, decaying_rotation_rule(space, 3))
+
+
+def _equivariant_pair(space):
+    """F = R conjugated by chi, G = R conjugated by rho: PL values that do not
+    commute, with equal return maps at 0^inf because rho and chi commute with
+    R's 1/4-rotations."""
+    R = rotation_cocycle(space, 1, 3, denom=4)
+    rng = np.random.default_rng(8)
+    rho, chi = (WindowRule(1, {w: _equivariant_plmap(rng, 4) for w in space.words(3)})
+                for _ in range(2))
+    return conjugated_pair(R, chi), conjugated_pair(R, rho)
+
+
+_FULL2 = SFTSpace.full_shift(2)
+_GOLDEN = SFTSpace.golden_mean()
+_ORACLE_CASES = {
+    # (F, G, base point, the other tail of one-sided points, core length)
+    "rotations-seed-3": (*_rotation_pair(_FULL2, 3), SymbolicPoint.fixed(_FULL2, 0),
+                         SymbolicPoint.fixed(_FULL2, 1), 3),
+    "rotations-seed-11": (*_rotation_pair(_FULL2, 11), SymbolicPoint.fixed(_FULL2, 0),
+                          SymbolicPoint.fixed(_FULL2, 1), 3),
+    # on the golden mean every onset at (01)^inf is even; the full shift has odd ones
+    "rotations-period-2-full": (*_rotation_pair(_FULL2, 5), SymbolicPoint.periodic(_FULL2, (0, 1)),
+                                SymbolicPoint.fixed(_FULL2, 1), 3),
+    "rotations-period-2-golden": (*_rotation_pair(_GOLDEN, 5),
+                                  SymbolicPoint.periodic(_GOLDEN, (0, 1)),
+                                  SymbolicPoint.fixed(_GOLDEN, 0), 4),
+    "equivariant-pl": (*_equivariant_pair(_FULL2), SymbolicPoint.fixed(_FULL2, 0),
+                       SymbolicPoint.fixed(_FULL2, 1), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_phi_at_forward_quotient_equals_transport(case, monkeypatch):
+    F, G, x0, other, core_len = _ORACLE_CASES[case]
+    T = TransferMap(F, G, x0, x0.period, {}, 0.0, 1e-9)
+    probes = _probes(x0, other, core_len)
+    monkeypatch.setattr(transfer, "transport", _no_transport)
+
+    def fast(y):
+        try:
+            return T.phi_at(y)
+        except MissingSample:
+            return "missing"
+
+    values = [fast(y) for y in probes]
+    monkeypatch.undo()
+    assert values == [_transported(T, y) for y in probes]
+    # both sides are read: an unstable-only point of the period-2 class is a
+    # shift, since its splices keep the backward tail of sigma x0
+    stable = [is_stable_pair(x0, y) for y, v in zip(probes, values) if v != "missing"]
+    assert any(stable) and not all(stable)
+
+
+def test_phi_at_forward_quotient_errors(family, monkeypatch):
+    space, F, G, _, x0 = family
+    T = TransferMap(F, G, x0, 1, {}, 0.0, 1e-9)
+    y = SymbolicPoint.make(space, (1,), (1, 0, 1), (0,), 0)
+    monkeypatch.setattr(transfer, "transport", _no_transport)
+    with pytest.raises(MissingSample):
+        T.phi_at(SymbolicPoint.periodic(space, (0, 1)))
+    monkeypatch.setattr(holonomy, "HOLONOMY_ITER_CAP", 4)
+    with pytest.raises(NoConvergence, match="stabilisation index 7 exceeds cap 4"):
+        T.phi_at(y)
+    with pytest.raises(NoConvergence, match="stabilisation index 7 exceeds cap 4"):
+        holonomy.transport(F, G, x0, y, "s", tol=T.tol)
+
+
+def test_phi_at_forward_quotient_refuses_a_side_not_dominated(monkeypatch):
+    # G keeps F's rotation over x0 = 0^inf, so the return maps agree; its other
+    # entry has slope 3 (theta_u < 0) and slopes >= 7/9 (theta_s > 0)
+    space = _FULL2
+    x0 = SymbolicPoint.fixed(space, 0)
+    spin = PLMap.rotation(Fraction(1, 7))
+    F = CocycleSpec(space, 0, {(0,): spin, (1,): PLMap.rotation(Fraction(2, 7))})
+    steep = PLMap.make([Fraction(0), Fraction(1, 10)], [Fraction(0), Fraction(3, 10)])
+    G = CocycleSpec(space, 0, {(0,): spin, (1,): steep})
+    assert power_domination(G, 1).theta_s > 0 > power_domination(G, 1).theta_u
+    T = TransferMap(F, G, x0, 1, {}, 0.0, 1e-9)
+    forward_only, backward_only = _one_sided(SymbolicPoint.make(space, (0,), (1,), (0,)),
+                                             SymbolicPoint.fixed(space, 1))
+    expected = _transported(T, forward_only)
+    monkeypatch.setattr(transfer, "transport", _no_transport)
+    assert T.phi_at(forward_only) == expected
+    with pytest.raises(NotDominated, match="theta_u"):
+        T.phi_at(backward_only)
+    with pytest.raises(NotDominated, match="theta_u"):
+        holonomy.transport(F, G, x0, backward_only, "u", tol=T.tol)
+
+
+def test_phi_at_keeps_transport_without_equal_exact_returns(family, monkeypatch):
+    space, F, G, _, x0 = family
+    Ff, Gf = (CocycleSpec(space, c.window, {w: _float_copy(m) for w, m in c.table.items()})
+              for c in (F, G))
+    near = perturb_one_entry(G, Fraction(1, 10**12))  # the entry over x0 = 0^inf
+    assert float(uniform_distance(iterate(near, x0, 1), iterate(F, x0, 1))) <= 1e-9
+    # a base point sigma does not fix, where F and F_far agree for one step only
+    y0 = SymbolicPoint.make(space, (0,), (1,), (0,))
+    F_far = perturb_one_entry(F)  # the entry over 0^inf, which y0 reads from step 2 on
+    assert iterate(F, y0, 1) == iterate(F_far, y0, 1) != PLMap.identity()
+    probes = _probes(x0, SymbolicPoint.fixed(space, 1), 2)
+    monkeypatch.setattr(holonomy, "conjugacy_quotient", _no_transport)
+    monkeypatch.setattr(transfer, "conjugacy_quotient", _no_transport)
+    # float, mixed exact/float, exact returns that agree only within tol, and
+    # a base point with no return map
+    for pair, base in (((Ff, Gf), x0), ((F, Gf), x0), ((Ff, G), x0), ((F, near), x0),
+                       ((F, F_far), y0)):
+        T = TransferMap(*pair, base, 1, {}, 0.0, 1e-9)
+        assert [T.phi_at(y) for y in probes] == [_transported(T, y) for y in probes]
+
+
+def test_phi_at_cache_is_bounded(family, monkeypatch):
+    space, F, G, _, x0 = family
+    T = build_transfer(F, G, x0, 5, tol=1e-10)  # theorem-a's core length
+    assert len(T._cache) < transfer.PHI_CACHE_CAP // 4
+    monkeypatch.setattr(transfer, "PHI_CACHE_CAP", 3)
+    T = TransferMap(F, G, x0, 1, {}, 0.0, 1e-9)
+    probes = _probes(x0, SymbolicPoint.fixed(space, 1), 1)[:7]
+    sizes = []
+    for y in probes:
+        assert T.phi_at(y) == _transported(T, y)
+        sizes.append(len(T._cache))
+    assert sizes == [1, 2, 3, 1, 2, 3, 1]
 
 
 def test_missing_sample(family):
