@@ -11,7 +11,6 @@ from cocyclelab import (
     fb_family,
     holder_constant,
     invert,
-    lipschitz_constant,
     lipschitz_seminorm_diff,
     metric_report,
     uniform_distance,
@@ -47,7 +46,7 @@ print("  d_inf =", float(rep.d_inf))
 print("  lip seminorm of difference =", float(rep.lip_seminorm_diff))
 print("  d_1 =", float(rep.d_1), " d_max =", float(rep.d_max))
 
-print("\nLipschitz constant of f:", lipschitz_constant(f))
+print("\nLipschitz constant of f:", f.max_slope)
 print("Holder constant of f at exponent 1/2 (certified):",
       holder_constant(f, 0.5, tol=1e-5))
 

@@ -34,7 +34,7 @@ G = conjugated_pair(F, psi)
 x0 = SymbolicPoint.fixed(space, 0)
 
 pd = check_periodic_data(F, G, 6)
-print("periodic data up to period 6: worst residual =", pd.worst_residual,
+print("periodic data up to period 6: worst residual =", pd.worst,
       f"({len(pd.rows)} orbit checks, exact rational)")
 
 T = build_transfer(F, G, x0, core_len=5, tol=1e-10)
@@ -58,8 +58,8 @@ print("exponent budget (product of holonomy budgets):", round(T.beta_budget, 3))
 # the periodic data, and the checker says so.
 bad = perturb_one_entry(F, Fraction(1, 100))
 rep = check_periodic_data(bad, G, 6)
-print("\nperturbed pair: worst periodic residual =", float(rep.worst_residual),
-      "-> coincide:", rep.coincide)
+print("\nperturbed pair: worst periodic residual =", float(rep.worst),
+      "-> coincide:", rep.passed)
 
 # The same construction goes through over the golden-mean shift with a
 # period-2 base point (the machinery runs through the time-2 cocycles).

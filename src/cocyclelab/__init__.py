@@ -3,13 +3,11 @@
 from .circlemaps import (
     MetricReport,
     PLMap,
-    blend_with_identity,
     circle_norm,
     compose,
     fb_family,
     holder_constant,
     invert,
-    lipschitz_constant,
     lipschitz_metric,
     lipschitz_seminorm_diff,
     metric_report,
@@ -55,7 +53,6 @@ from .symbolic import (
     closing_point_range,
     distance,
     distance_exponent,
-    fixed_point_count,
     homoclinic_points,
     is_stable_pair,
     periodic_points,
@@ -69,7 +66,6 @@ from .symbolic import (
     verify_closing_bound,
 )
 from .transfer import (
-    PeriodicDataReport,
     ResidualReport,
     TransferMap,
     build_transfer,
@@ -79,7 +75,6 @@ from .transfer import (
     holder_regression,
     verify_cohomology,
     verify_lemma1,
-    verify_lemma_hol_conj,
 )
 
 __version__ = "0.1.0"

@@ -268,10 +268,6 @@ def uniform_distance(f: PLMap, g: PLMap):
     return best
 
 
-def lipschitz_constant(f: PLMap):
-    return f.max_slope
-
-
 def lipschitz_seminorm_diff(f: PLMap, g: PLMap):
     """Lipschitz seminorm of the lift difference: max slope gap on the merged partition."""
     best = 0
@@ -351,13 +347,6 @@ def holder_constant(f: PLMap, beta, tol: float = 1e-6):
             cells.append((p1, p2, t1, tm))
             cells.append((p1, p2, tm, t2))
     return lower + tol
-
-
-def blend_with_identity(f: PLMap, t) -> PLMap:
-    """Convex combination of the lift with the identity lift; t=1 gives the identity."""
-    if not 0 <= t <= 1:
-        raise ValueError("t must be in [0, 1]")
-    return PLMap.make(f.breaks, [(1 - t) * v + t * b for b, v in zip(f.breaks, f.vals)])
 
 
 def fb_family(b) -> PLMap:

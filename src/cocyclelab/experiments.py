@@ -25,7 +25,6 @@ from .circlemaps import (
     compose,
     fb_family,
     invert,
-    lipschitz_constant,
     lipschitz_seminorm_diff,
     uniform_distance,
 )
@@ -214,10 +213,10 @@ def run_metric_suite(cfg: ExperimentConfig):
         f, g, h = (fixtures.random_plmap(rng, int(rng.integers(2, 6)), exact) for _ in range(3))
         lhs = uniform_distance(compose(g, f), compose(h, f))
         worst_right = max(worst_right, abs(float(lhs - uniform_distance(g, h))))
-        left = uniform_distance(compose(f, g), compose(f, h)) - lipschitz_constant(f) * uniform_distance(g, h)
+        left = uniform_distance(compose(f, g), compose(f, h)) - f.max_slope * uniform_distance(g, h)
         worst_left = max(worst_left, float(left))
-        product = lipschitz_constant(g) * lipschitz_constant(f)
-        chain = lipschitz_constant(compose(g, f)) - product
+        product = g.max_slope * f.max_slope
+        chain = compose(g, f).max_slope - product
         if exact:
             chain_exact_ok &= chain <= 0
             worst_chain = max(worst_chain, float(chain))
@@ -351,7 +350,7 @@ def run_theorem_a(cfg: ExperimentConfig):
 
     T = build_transfer(F, G, x0, 5, tol=1e-9)
     pd = T.periodic_data
-    rows = [CheckRow("periodic-data", pd.worst_residual, 0.0, pd.worst_residual == 0.0)]
+    rows = [CheckRow("periodic-data", pd.worst, 0.0, pd.worst == 0.0)]
     coh = T.cohomology  # the build's residuals over the sorted class
     rows.append(CheckRow("cohomological-residual", coh.worst, tol, coh.worst <= tol))
     n_pts = len(coh.rows)
@@ -371,7 +370,7 @@ def run_theorem_a(cfg: ExperimentConfig):
 
     Fbad = fixtures.perturb_one_entry(F, Fraction(1, 100))
     bad = check_periodic_data(Fbad, G, CHECK_PERIOD, tol)
-    margin = 0.005 - bad.worst_residual
+    margin = 0.005 - bad.worst
     rows.append(CheckRow("perturbed-pair-rejected", margin, 0.0, margin <= 0.0))
 
     tables = {

@@ -73,20 +73,17 @@ def _screen_distortion(G: CocycleSpec, points):
 
 
 def check_conj_hol_relation(
-    phi: MeasurableConjugacy, F: CocycleSpec, G: CocycleSpec, pairs, tol: float = 1e-6,
-    skip_corrupted: bool = True,
+    phi: MeasurableConjugacy, F: CocycleSpec, G: CocycleSpec, pairs, tol: float = 1e-6
 ) -> ResidualReport:
     """Residuals of phi_y = h^{f}_{xy} phi_x (h^{g}_{xy})^{-1} along local pairs.
 
     The distortion of G is screened first over the sampled points.  Pairs
-    touching the corruption set are skipped by default (the relation only
-    holds off it); pass ``skip_corrupted=False`` to surface the violation a
-    corrupted value produces.
+    touching the corruption set are skipped, since the relation only holds
+    off it; wrapping a corrupted conjugacy as the rule of a clean one,
+    ``MeasurableConjugacy(phi)``, surfaces the violation instead.  A
+    ``TransferMap`` is checked as ``MeasurableConjugacy(T)``.
     """
-    if skip_corrupted:
-        pairs = [(x, y) for x, y in pairs if not (phi.is_corrupted(x) or phi.is_corrupted(y))]
-    else:
-        pairs = list(pairs)
+    pairs = [(x, y) for x, y in pairs if not (phi.is_corrupted(x) or phi.is_corrupted(y))]
     pts = sorted({p for pair in pairs for p in pair}, key=SymbolicPoint.sort_key)
     _screen_distortion(G, pts)
     rows = []

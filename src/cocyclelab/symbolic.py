@@ -782,9 +782,3 @@ def resample_past(
     right = x.window(hi + 1, hi + 1 + len(x.right))
     cyc_l = _shortest_cycle(mu.space, syms[0])
     return SymbolicPoint.make(mu.space, cyc_l, tuple(syms), right, -depth)
-
-
-def fixed_point_count(space: SFTSpace, n: int) -> int:
-    """Number of points fixed by sigma**n: trace of the n-th matrix power."""
-    P = np.array(space.P, dtype=object)
-    return int(np.trace(np.linalg.matrix_power(P, n)))

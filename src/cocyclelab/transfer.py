@@ -4,7 +4,8 @@ coinciding periodic data.
 The transfer map is built from holonomy quotients at the base periodic point,
 sampled over the homoclinic class; the verifiers replay the identities the
 construction is supposed to satisfy (forward/backward agreement, the
-cohomological equation, stable-transport consistency) and report residuals.
+cohomological equation) and report residuals.  Transport consistency is
+checked by ``rigidity.check_conj_hol_relation`` on ``MeasurableConjugacy(T)``.
 """
 
 from __future__ import annotations
@@ -43,25 +44,36 @@ PHI_CACHE_CAP = 4096  # phi values cached per transfer map before the cache is e
 
 
 @dataclass(frozen=True)
-class PeriodicDataReport:
-    max_period: int
-    worst_residual: float
-    coincide: bool
-    rows: tuple  # (point, n, residual)
+class ResidualReport:
+    rows: tuple
+    worst: float
+    tol: float
+    passed: bool
+    diagnostics: tuple = ()
+    skipped: int = 0  # shadow bridges with no admissible closing point
+
+    @classmethod
+    def of(cls, rows, tol: float, diagnostics=(), skipped: int = 0) -> ResidualReport:
+        """Report over (key, residual) rows; the worst residual is 0.0 when there are none."""
+        rows = tuple(rows)
+        worst = max((r for _, r in rows), default=0.0)
+        return cls(rows, worst, tol, worst <= tol, tuple(diagnostics), skipped)
 
 
 def check_periodic_data(
     f: CocycleSpec, g: CocycleSpec, max_period: int, tol: float = 1e-9
-) -> PeriodicDataReport:
-    """Compare n-step return compositions at every periodic point, n <= max_period."""
+) -> ResidualReport:
+    """Compare n-step return compositions at every periodic point, n <= max_period.
+
+    The rows are ((point, n), residual).
+    """
     if f.space != g.space:
         raise ValueError("cocycles live over different spaces")
     rows = []
     for pt in periodic_points(f.space, max_period):
         for n in range(pt.period, max_period + 1, pt.period):
-            rows.append((pt, n, float(uniform_distance(iterate(f, pt, n), iterate(g, pt, n)))))
-    worst = max((r for *_, r in rows), default=0.0)
-    return PeriodicDataReport(max_period, worst, worst <= tol, tuple(rows))
+            rows.append(((pt, n), float(uniform_distance(iterate(f, pt, n), iterate(g, pt, n)))))
+    return ResidualReport.of(rows, tol)
 
 
 @dataclass(eq=False)
@@ -71,9 +83,9 @@ class TransferMap:
     ``phi_at`` resolves phi at any point forward- or backward-asymptotic to
     the base point: as one forward quotient when both tables are exact and
     the return maps at the base point are equal, else through the holonomy
-    transport.  It caches the values it computes, at most ``PHI_CACHE_CAP``
-    of them; the stored ``samples`` are the enumerated class, and phi at the
-    base point is the identity.
+    transport.  The stored ``samples`` are the enumerated class, and phi at
+    the base point is the identity.  Values off the class are cached in
+    ``_cache``, at most ``PHI_CACHE_CAP`` of them.
     ``holder_estimate`` is the regression over the sorted ``class_points``,
     computed when first read.  ``periodic_data`` is the report with which
     ``build_transfer`` checked the pair, and ``cohomology`` the residual report
@@ -88,7 +100,7 @@ class TransferMap:
     beta_budget: float
     tol: float
     class_points: tuple = ()
-    periodic_data: PeriodicDataReport | None = field(default=None, repr=False)
+    periodic_data: ResidualReport | None = field(default=None, repr=False)
     cohomology: ResidualReport | None = field(default=None, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -167,34 +179,18 @@ def build_transfer(
         raise ValueError("base point must be periodic")
     dom_f, dom_g = dominated_pair(F, G, n0)
     pd = check_periodic_data(F, G, max(n0, CHECK_PERIOD), tol)
-    if not pd.coincide:
-        raise PeriodicDataMismatch(f"worst periodic residual {pd.worst_residual:.3e} > {tol}")
+    if not pd.passed:
+        raise PeriodicDataMismatch(f"worst periodic residual {pd.worst:.3e} > {tol}")
     pts = homoclinic_points(x0, core_len)
     alpha = float(F.alpha)
     beta = gamma_budget(dom_f.theta_s, alpha) * gamma_budget(dom_g.theta_s, float(G.alpha))
     T = TransferMap(F, G, x0, n0, {}, beta, tol, class_points=tuple(pts), periodic_data=pd)
     for y in pts:
         T.samples[y] = T.phi_at(y)
+    T._cache.clear()  # each class value is held once, in samples
     T.samples[x0] = PLMap.identity()
     T.cohomology = verify_cohomology(T, pts)
     return T
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    rows: tuple
-    worst: float
-    tol: float
-    passed: bool
-    diagnostics: tuple = ()
-    skipped: int = 0  # shadow bridges with no admissible closing point
-
-    @classmethod
-    def of(cls, rows, tol: float, diagnostics=(), skipped: int = 0) -> ResidualReport:
-        """Report over (key, residual) rows; the worst residual is 0.0 when there are none."""
-        rows = tuple(rows)
-        worst = max((r for _, r in rows), default=0.0)
-        return cls(rows, worst, tol, worst <= tol, tuple(diagnostics), skipped)
 
 
 def _default_points(T):
@@ -261,15 +257,6 @@ def verify_lemma1(T: TransferMap, points=None, tol: float = 1e-6) -> ResidualRep
             rows.append((z, gap))
             diags.append((y, n, gap, near))
     return ResidualReport.of(rows, tol, diags, skipped)
-
-
-def verify_lemma_hol_conj(T: TransferMap, pairs, tol: float = 1e-6) -> ResidualReport:
-    """Transport consistency phi_z = h^f_{yz} phi_y h^g_{zy} along stable pairs."""
-    rows = []
-    for y, z in pairs:
-        rhs = transport(T.F, T.G, y, z, "s", T.phi_at(y), T.tol, T.period)
-        rows.append(((y, z), float(uniform_distance(T.phi_at(z), rhs))))
-    return ResidualReport.of(rows, tol)
 
 
 def holder_regression(points, lookup, rho: float, min_samples: int = 30):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from cocyclelab import SFTSpace, SymbolicPoint
+from cocyclelab import PLMap, SFTSpace, SymbolicPoint
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
@@ -21,6 +21,13 @@ def golden():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260811)
+
+
+def blend_with_identity(f, t):
+    """Convex combination of the lift with the identity lift; t=1 gives the identity."""
+    if not 0 <= t <= 1:
+        raise ValueError("t must be in [0, 1]")
+    return PLMap.make(f.breaks, [(1 - t) * v + t * b for b, v in zip(f.breaks, f.vals)])
 
 
 def random_point(space, rng, max_core=5):

@@ -23,7 +23,6 @@ from cocyclelab import (
     holder_const_cocycle,
     holonomy_convergence_table,
     homoclinic_points,
-    lipschitz_constant,
     lipschitz_seminorm_diff,
     regularize,
     resample_past,
@@ -70,17 +69,15 @@ def test_criterion_1_metric_algebra():
         lhs = uniform_distance(compose(g, f), compose(h, f))
         rhs = uniform_distance(g, h)
         left = uniform_distance(compose(f, g), compose(f, h))
-        chain = lipschitz_constant(compose(g, f))
+        chain = compose(g, f).max_slope
         if exact:
             exact_ok &= lhs == rhs
-            exact_ok &= left <= lipschitz_constant(f) * rhs
-            exact_ok &= chain <= lipschitz_constant(g) * lipschitz_constant(f)
+            exact_ok &= left <= f.max_slope * rhs
+            exact_ok &= chain <= g.max_slope * f.max_slope
         else:
             worst_float = max(worst_float, abs(float(lhs - rhs)))
-            worst_float = max(worst_float, float(left - lipschitz_constant(f) * rhs))
-            worst_float = max(
-                worst_float, float(chain - lipschitz_constant(g) * lipschitz_constant(f))
-            )
+            worst_float = max(worst_float, float(left - f.max_slope * rhs))
+            worst_float = max(worst_float, float(chain - g.max_slope * f.max_slope))
     elapsed = time.perf_counter() - start
     ok = exact_ok and worst_float <= 1e-12 and elapsed < 10.0
     report(1, ok, f"metric algebra on 1000 triples: float worst {worst_float:.2e}, "
@@ -217,14 +214,14 @@ def test_criterion_6_theorem_a_pipeline():
     pd, coh, lem, exp_gap, n_pts = run_pipeline(space, x0, seed=1006, core_len=5)
     elapsed = time.perf_counter() - start
     ok = (
-        pd.worst_residual == 0.0
+        pd.worst == 0.0
         and n_pts >= 200
         and coh.worst <= 1e-6
         and lem.worst <= 1e-6
         and exp_gap <= 0.1
         and elapsed < 120.0
     )
-    report(6, ok, f"rotation family: periodic residual {pd.worst_residual}, "
+    report(6, ok, f"rotation family: periodic residual {pd.worst}, "
                   f"cohomology {coh.worst:.1e} at {n_pts} points, "
                   f"s/u {lem.worst:.1e}, exponent gap {exp_gap:.3f}, {elapsed:.1f}s")
 
@@ -239,8 +236,8 @@ def test_criterion_7_negative_control():
     G = conjugated_pair(F, psi)
     bad = perturb_one_entry(F, Fraction(1, 100))
     rep = check_periodic_data(bad, G, 6, tol=1e-9)
-    ok = (not rep.coincide) and rep.worst_residual >= 0.005
-    report(7, ok, f"perturbed entry rejected: worst residual {rep.worst_residual:.4f} >= 0.005")
+    ok = (not rep.passed) and rep.worst >= 0.005
+    report(7, ok, f"perturbed entry rejected: worst residual {rep.worst:.4f} >= 0.005")
 
 
 # ---------------------------------------------------------------- criterion 8
@@ -253,14 +250,14 @@ def test_criterion_8_periodic_base():
     pd, coh, lem, exp_gap, n_pts = run_pipeline(space, x0, seed=1008, core_len=6)
     elapsed = time.perf_counter() - start
     ok = (
-        pd.worst_residual == 0.0
+        pd.worst == 0.0
         and n_pts >= 200
         and coh.worst <= 1e-6
         and lem.worst <= 1e-6
         and exp_gap <= 0.1
         and elapsed < 120.0
     )
-    report(8, ok, f"period-2 base over golden mean: periodic residual {pd.worst_residual}, "
+    report(8, ok, f"period-2 base over golden mean: periodic residual {pd.worst}, "
                   f"cohomology {coh.worst:.1e} at {n_pts} points, s/u {lem.worst:.1e}, "
                   f"exponent gap {exp_gap:.3f}, {elapsed:.1f}s")
 

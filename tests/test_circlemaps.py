@@ -7,13 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from cocyclelab import (
     PLMap,
-    blend_with_identity,
     circle_norm,
     compose,
     fb_family,
     holder_constant,
     invert,
-    lipschitz_constant,
     lipschitz_metric,
     lipschitz_seminorm_diff,
     metric_report,
@@ -23,6 +21,8 @@ from cocyclelab import circlemaps
 from cocyclelab.circlemaps import SLOPE_EPS, _merge_collinear
 from cocyclelab.errors import InvalidExponent, ResourceLimit
 from cocyclelab.fixtures import random_plmap
+
+from conftest import blend_with_identity
 
 
 def grid(n=1000):
@@ -94,7 +94,7 @@ def test_invert_fb_slopes():
     # oracle: reciprocal slopes on the image intervals
     assert sorted(g.slopes) == [Fraction(2, 3), Fraction(1), Fraction(2)]
     assert compose(g, f) == PLMap.identity()
-    assert float(lipschitz_constant(g)) == 1 / float(f.min_slope)
+    assert float(g.max_slope) == 1 / float(f.min_slope)
 
 
 def test_invert_roundtrip_random(rng):
@@ -127,9 +127,9 @@ def test_uniform_distance_antipodal_cap():
 
 
 def test_lipschitz_constants():
-    assert lipschitz_constant(PLMap.identity()) == 1
-    assert lipschitz_constant(PLMap.rotation(0.3)) == 1.0
-    assert lipschitz_constant(fb_family(Fraction(1, 4))) == Fraction(3, 2)
+    assert PLMap.identity().max_slope == 1
+    assert PLMap.rotation(0.3).max_slope == 1.0
+    assert fb_family(Fraction(1, 4)).max_slope == Fraction(3, 2)
 
 
 def test_seminorm_diff():
@@ -234,10 +234,8 @@ def test_metric_algebra_properties(f, g, h):
     lhs = uniform_distance(compose(g, f), compose(h, f))
     assert abs(float(lhs - uniform_distance(g, h))) <= tol
     left = uniform_distance(compose(f, g), compose(f, h))
-    assert float(left) <= float(lipschitz_constant(f) * uniform_distance(g, h)) + tol
-    assert float(lipschitz_constant(compose(g, f))) <= float(
-        lipschitz_constant(g) * lipschitz_constant(f)
-    ) + tol
+    assert float(left) <= float(f.max_slope * uniform_distance(g, h)) + tol
+    assert float(compose(g, f).max_slope) <= float(g.max_slope * f.max_slope) + tol
 
 
 @given(plmaps(), plmaps())

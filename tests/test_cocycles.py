@@ -12,7 +12,6 @@ from cocyclelab import (
     SFTSpace,
     SymbolicPoint,
     WindowRule,
-    blend_with_identity,
     check_bounded_distortion,
     check_domination,
     compose,
@@ -37,7 +36,7 @@ from cocyclelab.fixtures import (
     telescoping_cocycle,
 )
 
-from conftest import random_point
+from conftest import blend_with_identity, random_point
 
 
 def constant_cocycle(space, m, window=0):

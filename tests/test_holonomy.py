@@ -36,7 +36,7 @@ from cocyclelab.fixtures import (
 )
 from cocyclelab.symbolic import MarkovMeasure, distance, resample_past, sample_measure
 
-from conftest import random_point
+from conftest import blend_with_identity, random_point
 
 
 def constant_cocycle(space, m):
@@ -48,8 +48,6 @@ def constant_cocycle(space, m):
 
 def test_constant_cocycle_gives_identity(full2):
     # blend toward the identity so the constant generator is dominated
-    from cocyclelab import blend_with_identity
-
     c = constant_cocycle(full2, blend_with_identity(fb_family(Fraction(1, 4)), Fraction(1, 2)))
     x = SymbolicPoint.fixed(full2, 0)
     y = SymbolicPoint.make(full2, (0,), (1, 1), (0,), 0)
@@ -126,8 +124,6 @@ def test_result_invariants(full2, rng):
 
 
 def test_axioms_trivial_cases(full2):
-    from cocyclelab import blend_with_identity
-
     c = constant_cocycle(full2, blend_with_identity(fb_family(Fraction(1, 3)), Fraction(1, 2)))
     x = SymbolicPoint.fixed(full2, 0)
     rep = verify_holonomy_axioms(c, [(x, x, x)], tol=0)

@@ -25,7 +25,6 @@ from cocyclelab import (
     stable_pair_holder_check,
     uniform_distance,
     verify_lemma1,
-    verify_lemma_hol_conj,
 )
 from cocyclelab.errors import (
     DistortionUnbounded,
@@ -145,7 +144,8 @@ def test_conj_hol_detects_corruption(setup):
     x = pairs[0][0]
     phi = corrupted_conjugacy(rule, [x], seed=5)
     magnitude = float(uniform_distance(phi.phi_at(x), rule.phi_at(x)))
-    rep = check_conj_hol_relation(phi, F, G, pairs, tol=1e-9, skip_corrupted=False)
+    # wrapped as the rule of a clean conjugacy, no pair is skipped
+    rep = check_conj_hol_relation(MeasurableConjugacy(phi), F, G, pairs, tol=1e-9)
     assert not rep.passed
     assert rep.worst >= magnitude - 1e-9
     # with screening the corrupted pair is excluded and the rest is clean
@@ -368,7 +368,9 @@ def test_transports_reach_the_module_holonomies(setup, monkeypatch):
     assert reached(lambda: T_float.phi_at(forward_only)) == {"stable_holonomy"}
     assert reached(lambda: T_float.phi_at(backward_only)) == both
     assert reached(lambda: verify_lemma1(T, pts)) == both
-    assert reached(lambda: verify_lemma_hol_conj(T, [(pts[0], pts[1])])) == {"stable_holonomy"}
+    assert reached(
+        lambda: check_conj_hol_relation(MeasurableConjugacy(T), F, G, [(pts[0], pts[1])])
+    ) == {"stable_holonomy"}
     pairs = stable_pairs(mu, 2, 8) + unstable_pairs(mu, 2, 8)
     phi = MeasurableConjugacy(rule)
     assert reached(lambda: check_conj_hol_relation(phi, F, G, pairs)) == both

@@ -15,7 +15,6 @@ from cocyclelab import (
     closing_point,
     distance,
     distance_exponent,
-    fixed_point_count,
     homoclinic_points,
     periodic_points,
     resample_future,
@@ -314,6 +313,12 @@ def test_periodic_points_no_fixed_point():
     flip = SFTSpace(2, ((0, 1), (1, 0)))
     assert periodic_points(flip, 1) == []
     assert len(periodic_points(flip, 2)) == 2
+
+
+def fixed_point_count(space, n):
+    """Number of points fixed by sigma**n: trace of the n-th matrix power."""
+    P = np.array(space.P, dtype=object)
+    return int(np.trace(np.linalg.matrix_power(P, n)))
 
 
 @pytest.mark.parametrize("name", ["full2", "golden"])

@@ -5,16 +5,19 @@ relies on, or traced benchmark runs break."""
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
-from cocyclelab import holder_regression, iterate, sample_measure
+from cocyclelab import experiments, holder_regression, iterate, sample_measure
+from cocyclelab.experiments import ExperimentConfig
 from cocyclelab.transfer import TransferMap
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load(name):
+    """The benchmark script ``perfbench/<name>.py``, loaded by path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -25,7 +28,7 @@ def positional(fn):
 
 
 def test_traced_functions_resolve():
-    for mod, fn in load_tracer().TRACED_FUNCTIONS:
+    for mod, fn in load("tracer").TRACED_FUNCTIONS:
         assert callable(getattr(importlib.import_module(f"cocyclelab.{mod}"), fn)), (mod, fn)
     assert callable(TransferMap.phi_at)
 
@@ -35,3 +38,22 @@ def test_traced_arguments_keep_their_positions():
     assert positional(holder_regression)[0] == "points"
     assert positional(sample_measure)[1] == "count"
     assert positional(TransferMap.phi_at)[1] == "y"
+
+
+def test_traced_theorem_a_calls_every_transfer_span(monkeypatch):
+    """A traced ``transfer`` run counts as incorrect when an expected span has
+    no calls, so a refactor must keep every one of them on the theorem-a path."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # workload.py prepends to it
+    expected = load("workload").EXPECTED_SPANS["transfer"]
+    cfg = ExperimentConfig("theorem-a", seed=5)
+    untraced = experiments.run(cfg)
+    tracer = load("tracer").Tracer()
+    tracer.install()
+    try:
+        traced = experiments.run(cfg)
+    finally:
+        tracer.uninstall()
+    calls, _, _ = tracer.take()
+    assert [span for span in expected if not calls.get(span)] == []
+    assert traced.rows == untraced.rows and traced.tables == untraced.tables
+    assert traced.passed

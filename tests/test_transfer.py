@@ -9,6 +9,7 @@ from cocyclelab import holonomy, transfer
 from cocyclelab import (
     CocycleSpec,
     MarkovMeasure,
+    MeasurableConjugacy,
     PLMap,
     ResidualReport,
     SFTSpace,
@@ -16,6 +17,7 @@ from cocyclelab import (
     TransferMap,
     WindowRule,
     build_transfer,
+    check_conj_hol_relation,
     check_periodic_data,
     compose,
     estimate_holder,
@@ -31,7 +33,6 @@ from cocyclelab import (
     uniform_distance,
     verify_cohomology,
     verify_lemma1,
-    verify_lemma_hol_conj,
 )
 from cocyclelab.errors import (
     InsufficientScales,
@@ -75,25 +76,25 @@ def family():
 def test_periodic_data_identical(family):
     _, F, _, _, _ = family
     rep = check_periodic_data(F, F, 5)
-    assert rep.coincide and rep.worst_residual == 0.0
+    assert rep.passed and rep.worst == 0.0
 
 
 def test_periodic_data_conjugate_rotations(family):
     _, F, G, _, _ = family
     rep = check_periodic_data(F, G, 6)
     # angle bookkeeping: the window contributions telescope around any cycle
-    assert rep.worst_residual == 0.0
+    assert rep.worst == 0.0
 
 
 def test_periodic_data_perturbation_detected(family):
     space, F, G, _, _ = family
     bad = perturb_one_entry(F, Fraction(1, 100))
     rep = check_periodic_data(bad, G, 6)
-    assert rep.worst_residual >= 0.005
+    assert rep.worst >= 0.005
     # oracle: a periodic orbit passing once through the perturbed cylinder
     # picks up exactly the extra rotation 1/100 (possibly repeated)
-    assert any(r >= 0.005 for _, _, r in rep.rows)
-    assert rep.worst_residual == pytest.approx(
+    assert any(r >= 0.005 for (_, _), r in rep.rows)
+    assert rep.worst == pytest.approx(
         min((6 * 0.01) % 1, 1 - (6 * 0.01) % 1), abs=0.06
     )
 
@@ -144,8 +145,18 @@ def test_transfer_rotation_family_ground_truth(family):
         assert uniform_distance(m, truth.phi_at(y)) == 0
     assert T.samples[x0] == PLMap.identity()
     assert T.cohomology.worst == 0.0
-    assert T.periodic_data == check_periodic_data(F, G, 6)
+    assert T.periodic_data == check_periodic_data(F, G, 6, T.tol)
     assert T.cohomology == verify_cohomology(T)
+
+
+def test_transfer_holds_each_value_once(family):
+    space, F, G, _, x0 = family
+    T = build_transfer(F, G, x0, 4, tol=1e-10)
+    verify_lemma1(T)
+    assert T.holder_estimate is not None
+    # the cache holds the shifts off the class that verify_cohomology read
+    assert T._cache
+    assert not T._cache.keys() & T.samples.keys()
 
 
 def test_theorem_a_reads_the_build_cohomology(monkeypatch):
@@ -218,7 +229,7 @@ def test_hol_conj_transport(family):
             except Exception:
                 pass
     assert pairs
-    rep = verify_lemma_hol_conj(T, pairs, tol=1e-9)
+    rep = check_conj_hol_relation(MeasurableConjugacy(T), F, G, pairs, tol=1e-9)
     assert rep.passed
 
 
