@@ -20,6 +20,10 @@ from .experiments import (
     run,
 )
 
+# bytes of a config file; `gen` writes a table at TABLE_ENTRY_CAP in 4 MB (rotations)
+# to 11 MB (four-breakpoint PL maps)
+CONFIG_BYTES_CAP = 16 * 2**20
+
 
 def _parse_tol(items):
     out = {}
@@ -77,9 +81,15 @@ def main(argv=None) -> int:
         cfg_path = Path(args.config)
         if not cfg_path.exists():
             raise ConfigError(f"config: no such file {cfg_path}")
+        with cfg_path.open("rb") as fh:
+            text = fh.read(CONFIG_BYTES_CAP + 1)
+        if len(text) > CONFIG_BYTES_CAP:
+            raise ConfigError(
+                f"config: {cfg_path} exceeds {CONFIG_BYTES_CAP} bytes (CONFIG_BYTES_CAP)"
+            )
         try:
-            doc = json.loads(cfg_path.read_text())
-        except json.JSONDecodeError as e:
+            doc = json.loads(text)
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise ConfigError(f"config: invalid JSON ({e})") from None
         if isinstance(doc, dict):  # overrides are checked by from_json like the file's fields
             if args.seed is not None:

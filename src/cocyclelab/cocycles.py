@@ -19,6 +19,28 @@ from .symbolic import SFTSpace, SymbolicPoint
 BREAKPOINT_CAP = 100_000
 DENOMINATOR_BITS_CAP = 4096  # bit length of the largest denominator of an exact orbit product
 ORBIT_MEMO_CAP = 4096  # orbit products memoised per cocycle before the memo is emptied
+TABLE_ENTRY_CAP = 16_384  # words a window table may have; theorem-a's default G has 8,192
+
+
+def table_words(space: SFTSpace, window: int, where: str):
+    """The admissible words of length 2*window+1 that index a window table.
+
+    They are counted by last symbol before any is enumerated.  With no null
+    row the count never falls as words grow, so the count stops as soon as it
+    passes TABLE_ENTRY_CAP; ResourceLimit then names ``where``.
+    """
+    length = 2 * window + 1
+    ends = [1] * space.k  # admissible words of the length reached, by last symbol
+    for _ in range(length - 1):
+        if sum(ends) > TABLE_ENTRY_CAP:
+            break
+        ends = [sum(ends[s] for s in space.predecessors(t)) for t in range(space.k)]
+    if sum(ends) > TABLE_ENTRY_CAP:
+        raise ResourceLimit(
+            f"{where}: a window-{window} table over this space has more than "
+            f"{TABLE_ENTRY_CAP} entries (TABLE_ENTRY_CAP)"
+        )
+    return space.words(length)
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,7 +55,7 @@ class CocycleSpec:
             raise ValueError("window must be >= 0")
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must lie in (0, 1]")
-        want = set(self.space.words(2 * self.window + 1))
+        want = set(table_words(self.space, self.window, "CocycleSpec"))
         have = set(self.table)
         if want != have:
             missing = sorted(want - have)[:3]

@@ -34,7 +34,7 @@ from .cocycles import (
     check_domination,
     holder_const_cocycle,
 )
-from .errors import ConfigError, InadmissibleLoop, ParamError
+from .errors import ConfigError, InadmissibleLoop, ParamError, ResourceLimit
 from .holonomy import (
     holonomy_convergence_table,
     stable_holonomy,
@@ -163,7 +163,7 @@ class ExperimentConfig:
                 raise ConfigError(f"cocycles.{name}: a space document is required alongside cocycles")
             try:
                 cocycles[name] = CocycleSpec.from_json(space, cdoc)
-            except (KeyError, TypeError, ValueError) as e:
+            except (KeyError, TypeError, ValueError, ResourceLimit) as e:
                 raise ConfigError(f"cocycles.{name}: {e}") from None
         for name, val in tols.items():
             if not isinstance(val, (int, float)) or not math.isfinite(val) or val <= 0:

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from .circlemaps import PLMap, compose, invert
-from .cocycles import CocycleSpec
+from .cocycles import CocycleSpec, table_words
 from .errors import ParamError
 from .rigidity import MeasurableConjugacy, WindowRule
 from .symbolic import SFTSpace, SymbolicPoint
@@ -65,7 +65,8 @@ def rotation_cocycle(space: SFTSpace, window: int, seed: int, denom: int = 360) 
     """Rotation-valued generator table with exact rational angles."""
     rng = np.random.default_rng(seed)
     table = {
-        w: PLMap.rotation(random_fraction(rng, denom)) for w in space.words(2 * window + 1)
+        w: PLMap.rotation(random_fraction(rng, denom))
+        for w in table_words(space, window, "rotation_cocycle")
     }
     return CocycleSpec(space, window, table)
 
@@ -83,7 +84,7 @@ def pl_dominated_cocycle(
     rng = np.random.default_rng(seed)
     table = {
         w: near_identity_plmap(rng, n_breaks, dev, exact)
-        for w in space.words(2 * window + 1)
+        for w in table_words(space, window, "pl_dominated_cocycle")
     }
     return CocycleSpec(space, window, table)
 
@@ -97,7 +98,8 @@ def expanding_cocycle(space: SFTSpace, slope: float = 4.0) -> CocycleSpec:
     run = 0.8 / (slope - 0.25)
     m = PLMap.make((0.0, run), (0.0, slope * run))
     table = {
-        w: m if w[0] % 2 == 0 else compose(m, PLMap.rotation(0.3)) for w in space.words(1)
+        w: m if w[0] % 2 == 0 else compose(m, PLMap.rotation(0.3))
+        for w in table_words(space, 0, "expanding_cocycle")
     }
     return CocycleSpec(space, 0, table)
 
@@ -106,7 +108,7 @@ def telescoping_cocycle(space: SFTSpace) -> CocycleSpec:
     """Window-0 pair m, m^-1: products along alternating orbits telescope."""
     m = PLMap.make((Fraction(0), Fraction(2, 5)), (Fraction(0), Fraction(3, 5)))
     table = {}
-    for w in space.words(1):
+    for w in table_words(space, 0, "telescoping_cocycle"):
         table[w] = m if w[0] % 2 == 0 else invert(m)
     return CocycleSpec(space, 0, table)
 
@@ -122,7 +124,7 @@ def decaying_rotation_rule(
     weights = [amp.numerator * rho ** (window - abs(m)) for m in range(-window, window + 1)]
     denom = amp.denominator * rho**window
     table = {}
-    for w in space.words(2 * window + 1):
+    for w in table_words(space, window, "decaying_rotation_rule"):
         angle = Fraction(sum(k * s for k, s in zip(weights, w)), denom)
         table[w] = PLMap.rotation(angle)
     return WindowRule(window, table)
@@ -136,7 +138,7 @@ def conjugated_pair(F: CocycleSpec, psi: WindowRule) -> CocycleSpec:
     inverses = {w: invert(m) for w, m in psi.table.items()}
     inner = {}  # f psi(x) per distinct (f-word, psi-word) pair
     table = {}
-    for v in space.words(2 * wg + 1):
+    for v in table_words(space, wg, "conjugated_pair"):
         key = (v[wg - wf : wg + wf + 1], v[wg - wp : wg + wp + 1])
         if key not in inner:
             inner[key] = compose(F.table[key[0]], psi.table[key[1]])
@@ -195,7 +197,7 @@ def staircase_cocycle(levels: int, theta: float = 0.4, amp: float = 0.1):
     anchor = PLMap.make((0.0, p), (0.0, lo * p))
     base_angle = 0.15
     table = {}
-    for w in space.words(3):
+    for w in table_words(space, 1, "staircase_cocycle"):
         c = w[1]
         if c == 0:
             table[w] = anchor

@@ -80,6 +80,14 @@ class SFTSpace:
             raise ValueError("transition matrix has a null row")
         if not self.rho > 1:
             raise ValueError("rho must exceed 1")
+        # what point construction tests words against, and a memo of shortest
+        # cycles filled one symbol at a time.  They are not fields, so ==,
+        # hash, repr and to_json never see them.
+        object.__setattr__(self, "_symbols", frozenset(range(self.k)))
+        object.__setattr__(self, "_forbidden", frozenset(
+            (i, j) for i, row in enumerate(self.P) for j, e in enumerate(row) if not e
+        ))
+        object.__setattr__(self, "_cycles", {})
 
     @classmethod
     def full_shift(cls, k: int, rho=2) -> "SFTSpace":
@@ -100,10 +108,11 @@ class SFTSpace:
         return tuple(i for i in range(self.k) if self.P[i][j])
 
     def admissible_word(self, word) -> bool:
-        return all(self.P[a][b] == 1 for a, b in zip(word, word[1:]))
+        """No forbidden pair in ``word``, whose symbols must lie in ``0..k-1``."""
+        return self._forbidden.isdisjoint(zip(word, word[1:]))
 
     def admissible_cycle(self, word) -> bool:
-        return bool(word) and self.admissible_word(word) and self.P[word[-1]][word[0]] == 1
+        return bool(word) and self._forbidden.isdisjoint(zip(word, word[1:] + word[:1]))
 
     def words(self, length: int):
         """Admissible words of the given length in lexicographic order, at most ENUMERATION_CAP."""
@@ -193,10 +202,10 @@ class SymbolicPoint:
         left, core, right = tuple(left), tuple(core), tuple(right)
         if not left or not right:
             raise ValueError("periodic tails must be non-empty")
-        for w in (left, core, right):
-            if any(not (0 <= s < space.k) for s in w):
-                raise ValueError("symbol out of range")
-        if not (space.admissible_cycle(left) and space.admissible_cycle(right)):
+        if not space._symbols.issuperset(left + core + right):
+            raise ValueError("symbol out of range")
+        # a periodic point's two tails are one word, checked once
+        if not (space.admissible_cycle(left) and (right == left or space.admissible_cycle(right))):
             raise ValueError("periodic tail is not an admissible cycle")
         seam = (left[-1],) + core + (right[0],)
         if not space.admissible_word(seam):
@@ -205,10 +214,9 @@ class SymbolicPoint:
 
     @classmethod
     def periodic(cls, space: SFTSpace, word) -> "SymbolicPoint":
-        """The point ``x_n = word[n mod len(word)]``."""
+        """The point ``x_n = word[n mod len(word)]``; ``make`` refuses an empty
+        word or one that is not an admissible cycle."""
         word = tuple(word)
-        if not space.admissible_cycle(word):
-            raise ValueError("word is not an admissible cycle")
         return cls.make(space, word, (), word, 0)
 
     @classmethod
@@ -678,7 +686,15 @@ class MarkovMeasure:
 
 
 def _shortest_cycle(space: SFTSpace, s: int) -> Word:
-    """Shortest admissible cycle through symbol ``s`` (BFS)."""
+    """Shortest admissible cycle through symbol ``s``, found by BFS on the
+    first request and then read from the space's memo."""
+    cycles = space._cycles
+    if s not in cycles:
+        cycles[s] = _cycle_search(space, s)
+    return cycles[s]
+
+
+def _cycle_search(space: SFTSpace, s: int) -> Word:
     parent = {t: s for t in space.successors(s)}
     frontier = list(space.successors(s))
     if s in parent:

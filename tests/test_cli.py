@@ -196,6 +196,38 @@ def test_gen_stops_at_the_enumeration_cap(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "rotation_cocycle.json").exists()
 
 
+def test_gen_and_run_stop_at_the_table_entry_cap(tmp_path, capsys):
+    # window 8 on the full 2-shift needs 2**17 table words, refused before any is built
+    args = ["gen", "rotation-cocycle", "--param", "window=8", "--out", str(tmp_path)]
+    assert main(args) == 1
+    assert "ResourceLimit: rotation_cocycle: a window-8 table" in capsys.readouterr().err
+    assert not (tmp_path / "rotation_cocycle.json").exists()
+    # a config's table is counted before it is compared with the space's words
+    doc = {"experiment": "distortion", "space": {"k": 2, "P": [[1, 1], [1, 1]], "rho": 2},
+           "cocycles": {"C": {"window": 8, "table": {}}}}
+    assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 2
+    err = capsys.readouterr().err
+    assert "config error: cocycles.C: CocycleSpec: a window-8 table" in err
+
+
+def test_run_stops_at_the_config_byte_cap(tmp_path, capsys):
+    from cocyclelab.cli import CONFIG_BYTES_CAP
+
+    doc = json.dumps({"experiment": "distortion"})
+    cfg = tmp_path / "padded.json"
+    cfg.write_text(doc + " " * (CONFIG_BYTES_CAP + 1 - len(doc)))
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: config: {cfg} exceeds {CONFIG_BYTES_CAP} bytes" in err
+    cfg.write_text(doc + " " * (CONFIG_BYTES_CAP - len(doc)))  # one byte less runs
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert_rows_pinned(tmp_path / "out", "distortion")
+    # the bytes read are decoded as JSON decodes them; bad UTF-8 is a config error
+    cfg.write_bytes(b'{"experiment": "\xff"}')
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "config error: config: invalid JSON" in capsys.readouterr().err
+
+
 def test_metric_suite_chain_bound_at_large_seed(tmp_path):
     # float triples of this seed overshoot L(g)L(f) by a few ulps (3.2e-12
     # absolute), which an absolute 1e-12 bound rejected

@@ -24,7 +24,12 @@ from cocyclelab import (
     resample_past,
     uniform_distance,
 )
-from cocyclelab.cocycles import DominationReport, _word_generators, prefix_products
+from cocyclelab.cocycles import (
+    TABLE_ENTRY_CAP,
+    DominationReport,
+    _word_generators,
+    prefix_products,
+)
 from cocyclelab.errors import ResourceLimit
 from cocyclelab.fixtures import (
     conjugated_pair,
@@ -78,6 +83,37 @@ def test_table_must_cover_admissible_words(golden):
             golden, 1,
             {w: PLMap.identity() for w in SFTSpace.full_shift(2).words(3)},  # extra 111 etc.
         )
+
+
+def test_tables_stop_at_the_entry_cap(full2, monkeypatch):
+    from cocyclelab import cocycles
+    from cocyclelab.experiments import ExperimentConfig, _rotation_family
+
+    # theorem-a's default G (window 6 on the full 2-shift) stays under the cap
+    _, G, _ = _rotation_family(ExperimentConfig("theorem-a"), full2)
+    assert len(G.table) == 2**13 <= TABLE_ENTRY_CAP
+    with pytest.raises(ResourceLimit, match="conjugated_pair: a window-7 table"):
+        conjugated_pair(rotation_cocycle(full2, 1, 0), decaying_rotation_rule(full2, 6))
+    # window 7 needs 2**15 words: refused before one is enumerated
+    monkeypatch.setattr(SFTSpace, "words", lambda *a: pytest.fail("words were enumerated"))
+    for build, where in (
+        (lambda: CocycleSpec(full2, 7, {}), "CocycleSpec"),
+        (lambda: rotation_cocycle(full2, 7, 0), "rotation_cocycle"),
+        (lambda: pl_dominated_cocycle(full2, 7, 0.4, 0), "pl_dominated_cocycle"),
+        (lambda: decaying_rotation_rule(full2, 7), "decaying_rotation_rule"),
+    ):
+        with pytest.raises(ResourceLimit, match=f"{where}: a window-7 table .* 16384 entries"):
+            build()
+    monkeypatch.undo()
+    # the count is exact: 610 golden-mean words of length 13, 2**13 full-shift ones
+    golden = SFTSpace.golden_mean()
+    for space, count in ((golden, 610), (full2, 2**13)):
+        assert len(list(space.words(13))) == count
+        monkeypatch.setattr(cocycles, "TABLE_ENTRY_CAP", count)
+        assert len(list(cocycles.table_words(space, 6, "here"))) == count
+        monkeypatch.setattr(cocycles, "TABLE_ENTRY_CAP", count - 1)
+        with pytest.raises(ResourceLimit, match="here: a window-6 table"):
+            cocycles.table_words(space, 6, "here")
 
 
 # ------------------------------------------------------------------- iteration

@@ -32,7 +32,9 @@ from cocyclelab.errors import (
     NotUnstablePair,
     ResourceLimit,
 )
+from cocyclelab.fixtures import staircase_space
 from cocyclelab.symbolic import (
+    _canonical,
     _complete_word,
     _cumulative,
     _rot_left,
@@ -64,6 +66,113 @@ def test_inadmissible_point_rejected(golden):
         SymbolicPoint.make(golden, (0,), (1, 1), (0,), 0)
     with pytest.raises(ValueError):
         SymbolicPoint.periodic(golden, (1,))  # 11 forbidden
+    with pytest.raises(ValueError):
+        SymbolicPoint.periodic(golden, ())
+
+
+def _per_symbol_make(space, left, core, right, core_start):
+    """The per-symbol range and admissibility checks ``make`` made before it
+    tested words with set operations, kept as its reference; None = refused."""
+    if not left or not right:
+        return None
+    for w in (left, core, right):
+        if any(not (0 <= s < space.k) for s in w):
+            return None
+
+    def word_ok(w):
+        return all(space.P[a][b] == 1 for a, b in zip(w, w[1:]))
+
+    if not all(word_ok(w) and space.P[w[-1]][w[0]] == 1 for w in (left, right)):
+        return None
+    if not word_ok((left[-1],) + core + (right[0],)):
+        return None
+    return SymbolicPoint(space, *_canonical(left, core, right, core_start))
+
+
+MAKE_SPACES = {
+    "full2": SFTSpace.full_shift(2),
+    "golden": SFTSpace.golden_mean(),
+    # forbidden pairs 02, 10 and 21
+    "sft3": SFTSpace(3, ((1, 1, 0), (0, 1, 1), (1, 0, 1))),
+}
+
+
+@given(st.sampled_from(sorted(MAKE_SPACES)), st.data())
+@settings(max_examples=300, deadline=None)
+def test_make_refuses_exactly_where_the_per_symbol_checks_do(name, data):
+    space = MAKE_SPACES[name]
+    left, core, right = (
+        tuple(data.draw(st.lists(st.integers(0, space.k - 1), min_size=lo, max_size=hi)))
+        for lo, hi in ((1, 3), (0, 5), (1, 3))
+    )
+    start = data.draw(st.integers(-4, 4))
+    # half the draws get a flaw: an empty tail or a symbol -1 or k somewhere
+    flaw = data.draw(st.sampled_from((None, None, None, "empty", -1, space.k)))
+    if flaw == "empty":
+        left = ()
+    elif flaw is not None:
+        word = list(left + core + right)
+        word[data.draw(st.integers(0, len(word) - 1))] = flaw
+        left, core, right = (
+            tuple(word[:len(left)]), tuple(word[len(left):-len(right)]), tuple(word[-len(right):])
+        )
+    expected = _per_symbol_make(space, left, core, right, start)
+    if expected is None:
+        with pytest.raises(ValueError):
+            SymbolicPoint.make(space, left, core, right, start)
+    else:
+        assert SymbolicPoint.make(space, left, core, right, start) == expected
+
+
+@pytest.mark.parametrize(
+    "left, core, right, message",
+    [
+        ((0,), (-1,), (0,), "out of range"),
+        ((0,), (2,), (0,), "out of range"),  # k = 2
+        ((0,), (0.5,), (0,), "out of range"),
+        ((0, 1), (1,), (0,), "core or junction"),  # seam 1 1 0
+        ((0,), (), (1,), "periodic tail"),  # 11 on the right tail
+    ],
+)
+def test_make_pinned_refusals(golden, left, core, right, message):
+    with pytest.raises(ValueError, match=message):
+        SymbolicPoint.make(golden, left, core, right, 0)
+
+
+def _bfs_shortest_cycle(space, s):
+    """Breadth-first search for the shortest cycle through ``s``, with the
+    tie order of the library's search, kept as the reference for its memo."""
+    parent = {t: s for t in space.successors(s)}
+    if s in parent:
+        return (s,)
+    frontier = list(space.successors(s))
+    while frontier:
+        nxt = []
+        for t in frontier:
+            for u in space.successors(t):
+                if u == s:
+                    path = [t]
+                    while path[-1] != s:
+                        path.append(parent[path[-1]])
+                    return tuple(reversed(path))
+                if u not in parent:
+                    parent[u] = t
+                    nxt.append(u)
+        frontier = nxt
+    raise AssertionError(f"no cycle through {s}")
+
+
+@pytest.mark.parametrize(
+    "space", [SFTSpace.golden_mean(), staircase_space(3)], ids=["golden", "staircase3"]
+)
+def test_shortest_cycles_are_stored_per_space(space):
+    fresh = SFTSpace(space.k, space.P)
+    assert vars(fresh)["_cycles"] == {}  # filled on request, not at construction
+    for s in range(space.k):
+        assert _shortest_cycle(fresh, s) is _shortest_cycle(fresh, s)
+    assert vars(fresh)["_cycles"] == {s: _bfs_shortest_cycle(space, s) for s in range(space.k)}
+    assert fresh == space and hash(fresh) == hash(space)
+    assert repr(fresh) == repr(space) and fresh.to_json() == space.to_json()
 
 
 def test_canonical_equality_matches_coordinates(full2, golden, rng):

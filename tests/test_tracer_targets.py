@@ -6,10 +6,14 @@ import importlib
 import importlib.util
 import inspect
 import sys
+import time
 from pathlib import Path
 
-from cocyclelab import experiments, holder_regression, iterate, sample_measure
+import numpy as np
+
+from cocyclelab import experiments, holder_regression, iterate, sample_measure, symbolic
 from cocyclelab.experiments import ExperimentConfig
+from cocyclelab.symbolic import MarkovMeasure, SFTSpace
 from cocyclelab.transfer import TransferMap
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -57,3 +61,24 @@ def test_traced_theorem_a_calls_every_transfer_span(monkeypatch):
     assert [span for span in expected if not calls.get(span)] == []
     assert traced.rows == untraced.rows and traced.tables == untraced.tables
     assert traced.passed
+
+
+def test_traced_sampling_calls_every_sampling_span(monkeypatch):
+    """The same guard for ``sampling``: one operation on the golden-mean
+    measure of the workload, run untraced and traced."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # workload.py prepends to it
+    workload = load("workload")
+    mu = MarkovMeasure.from_matrix(SFTSpace.golden_mean(), [[0.35, 0.65], [1.0, 0.0]])
+    op = workload.SamplingOp(symbolic, np, "golden-markov", mu, 5)
+    _, untraced, error = op.run(time.perf_counter)
+    assert error is None
+    tracer = load("tracer").Tracer()
+    tracer.install()
+    try:
+        _, traced, error = op.run(time.perf_counter)
+    finally:
+        tracer.uninstall()
+    calls, _, _ = tracer.take()
+    assert [span for span in workload.EXPECTED_SPANS["sampling"] if not calls.get(span)] == []
+    assert traced == untraced
+    assert error is None  # SamplingOp.check found nothing wrong
