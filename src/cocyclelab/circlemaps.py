@@ -121,11 +121,6 @@ class PLMap:
     def slopes(self) -> tuple:
         return tuple(s for _, _, _, s in self.segments())
 
-    def slope_at(self, t):
-        """Slope of the segment that contains t, the one starting at t if t is a breakpoint."""
-        u = t - math.floor(t - self.breaks[0])  # in [b0, b0+1)
-        return self.segments()[bisect.bisect_right(self.breaks, u) - 1][3]
-
     @property
     def max_slope(self):
         return max(self.slopes)
@@ -217,6 +212,72 @@ def _angle_terms(a: Fraction, b: Fraction, sign: int) -> tuple[int, int]:
     return (a.numerator * db + sign * b.numerator * da) % den, den
 
 
+# The exact sweeps below keep every coordinate as an integer pair (numerator,
+# denominator > 0), not reduced, compare pairs by cross-multiplying and build
+# a Fraction only for an output coordinate.
+
+
+def _lift_pairs(f: PLMap, s=0, k=0):
+    """Integer-pair abscissae and ordinates of f's lift vertices at indices
+    s-1 .. s+m, where index i is breakpoint i mod m moved up by k + i // m
+    periods: one period from breakpoint s, with its neighbour on either side."""
+    b, v = f.breaks, f.vals
+    m = len(b)
+    xs, ys = [], []
+    for i in range(s - 1, s + m + 1):
+        x, y, n = b[i % m], v[i % m], k + i // m
+        xd, yd = x.denominator, y.denominator
+        xs.append((x.numerator + n * xd, xd))
+        ys.append((y.numerator + n * yd, yd))
+    return xs, ys
+
+
+def _at(x1, y1, x2, y2, t):
+    """Value at t of the segment from (x1, y1) to (x2, y2), all integer pairs."""
+    (x1n, x1d), (y1n, y1d), (x2n, x2d), (y2n, y2d), (tn, td) = x1, y1, x2, y2, t
+    den = td * y2d * (x2n * x1d - x1n * x2d)
+    return y1n * den + (tn * x1d - x1n * td) * (y2n * y1d - y1n * y2d) * x2d, y1d * den
+
+
+def _compose_sweep(outer: PLMap, inner: PLMap) -> PLMap:
+    """Exact outer after inner in one pass over inner's lift values
+    v_0 < ... < v_{m-1} over [b_0, b_0 + 1) and outer's breakpoints lifted into
+    [v_0, v_0 + 1): a breakpoint b_i of inner takes outer's value at v_i, and an
+    outer breakpoint c strictly between v_i and v_{i+1} cuts at its preimage
+    under that segment of inner, with outer's own value at c."""
+    xs, ys = _lift_pairs(inner)  # inner's b_i is at position i + 1
+    vn, vd = ys[1]
+    k = vn // vd
+    r = vn - k * vd  # v_0 = k + r / vd
+    c, p = outer.breaks, len(outer.breaks)
+    s = 0
+    while s < p and c[s].numerator * vd < r * c[s].denominator:
+        s += 1
+    cx, cy = _lift_pairs(outer, s, k)  # outer's breakpoints in [v_0, v_0 + 1) at 1 .. p
+    head_b, head_v, tail_b, tail_v = [], [], [], []
+    j = 1
+    for i in range(1, len(xs) - 1):
+        v, v_next = ys[i], ys[i + 1]
+        en, ed = cx[j]
+        if en * v[1] == v[0] * ed:  # outer breaks at v_i: one cut, outer's value
+            head_v.append(Fraction(*cy[j]))
+            j += 1
+        else:
+            head_v.append(Fraction(*_at(cx[j - 1], cy[j - 1], cx[j], cy[j], v)))
+        head_b.append(inner.breaks[i - 1])
+        while cx[j][0] * v_next[1] < v_next[0] * cx[j][1]:
+            xn, xd = _at(v, xs[i], v_next, xs[i + 1], cx[j])
+            yn, yd = cy[j]
+            if xn < xd:
+                head_b.append(Fraction(xn, xd))
+                head_v.append(Fraction(yn, yd))
+            else:  # x >= 1: the cut moves down one period, and its value with it
+                tail_b.append(Fraction(xn - xd, xd))
+                tail_v.append(Fraction(yn - yd, yd))
+            j += 1
+    return PLMap.make(tail_b + head_b, tail_v + head_v)
+
+
 def compose(outer: PLMap, inner: PLMap) -> PLMap:
     """outer after inner, exact: breakpoints are inner's plus inner-preimages of outer's."""
     if outer.is_rotation and inner.is_rotation:
@@ -224,6 +285,9 @@ def compose(outer: PLMap, inner: PLMap) -> PLMap:
         if type(a) is type(b) is Fraction:
             return PLMap((_ZERO,), (Fraction(*_angle_terms(a, b, 1)),))
         return PLMap.rotation(a + b)
+    if outer.is_exact and inner.is_exact:
+        return _compose_sweep(outer, inner)
+    # float or mixed operands: evaluating at the cuts keeps float rounding as it was
     cuts = set(inner.breaks)
     inv = invert(inner)
     for c in outer.breaks:
@@ -249,6 +313,15 @@ def invert(f: PLMap) -> PLMap:
     return PLMap.make([p[0] for p in pairs], [p[1] for p in pairs])
 
 
+def _crosses_half(d1, d2) -> bool:
+    """Whether a half-integer lies between the integer pairs d1 and d2, ends included."""
+    (an, ad), (bn, bd) = d1, d2
+    if an * bd > bn * ad:
+        (an, ad), (bn, bd) = d2, d1
+    # the least half-integer at or above the lower end is at or below the upper
+    return -((ad - 2 * an) // (2 * ad)) <= (2 * bn - bd) // (2 * bd)
+
+
 def uniform_distance(f: PLMap, g: PLMap):
     """sup over the circle of the arc distance between f(p) and g(p); exact."""
     if f.is_rotation and g.is_rotation:
@@ -257,22 +330,62 @@ def uniform_distance(f: PLMap, g: PLMap):
             num, den = _angle_terms(a, b, -1)
             return Fraction(min(num, den - num), den)
         return circle_norm(a - b)
-    pts = sorted(set(f.breaks) | set(g.breaks))
-    diffs = [f(p) - g(p) for p in pts]
-    best = max(circle_norm(d) for d in diffs)
-    half = Fraction(1, 2) if (f.is_exact and g.is_exact) else 0.5
-    ring = diffs + [diffs[0]]  # difference of lifts is 1-periodic
-    for d1, d2 in zip(ring, ring[1:]):
-        if _contains_half_integer(d1, d2):
-            return half
-    return best
+    if not (f.is_exact and g.is_exact):
+        # float or mixed operands: evaluating at the points keeps float rounding as it was
+        pts = sorted(set(f.breaks) | set(g.breaks))
+        diffs = [f(p) - g(p) for p in pts]
+        ring = diffs + [diffs[0]]  # difference of lifts is 1-periodic
+        for d1, d2 in zip(ring, ring[1:]):
+            if _contains_half_integer(d1, d2):
+                return 0.5
+        return max(circle_norm(d) for d in diffs)
+    # one pass over the merged breakpoints, with one pointer into each map
+    fx, fy = _lift_pairs(f)
+    gx, gy = _lift_pairs(g)
+    m, n = len(f.breaks), len(g.breaks)
+    diffs = []
+    i = j = 1
+    while i <= m or j <= n:
+        t, u = fx[i], gx[j]
+        c = t[0] * u[1] - u[0] * t[1]
+        if c < 0:
+            a, b = fy[i], _at(gx[j - 1], gy[j - 1], u, gy[j], t)
+            i += 1
+        elif c > 0:
+            a, b = _at(fx[i - 1], fy[i - 1], t, fy[i], u), gy[j]
+            j += 1
+        else:
+            a, b = fy[i], gy[j]
+            i += 1
+            j += 1
+        diffs.append((a[0] * b[1] - b[0] * a[1], a[1] * b[1]))
+    best_n, best_d = 0, 1
+    for d1, d2 in zip(diffs, diffs[1:] + diffs[:1]):  # difference of lifts is 1-periodic
+        if _crosses_half(d1, d2):
+            return Fraction(1, 2)
+        dn, dd = d1
+        r = dn % dd
+        r = min(r, dd - r)
+        if r * best_d > best_n * dd:
+            best_n, best_d = r, dd
+    return Fraction(best_n, best_d)
 
 
 def lipschitz_seminorm_diff(f: PLMap, g: PLMap):
     """Lipschitz seminorm of the lift difference: max slope gap on the merged partition."""
+    fb, gb = f.breaks, g.breaks
+    fs, gs = f.segments(), g.segments()
+    m, n = len(fb), len(gb)
     best = 0
-    for p in sorted(set(f.breaks) | set(g.breaks)):  # each cell starts at one p
-        best = max(best, abs(f.slope_at(p) - g.slope_at(p)))
+    i = j = 0  # breakpoints read so far; each map is on its segment i - 1, j - 1
+    while i < m or j < n:  # one cell starts at each merged breakpoint
+        if j == n or (i < m and fb[i] <= gb[j]):
+            if j < n and fb[i] == gb[j]:
+                j += 1
+            i += 1
+        else:
+            j += 1
+        best = max(best, abs(fs[i - 1][3] - gs[j - 1][3]))
     return best
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fixtures
+from . import cocycles, fixtures
 from .circlemaps import (
     PLMap,
     compose,
@@ -496,6 +496,16 @@ def _param(params: dict, name: str, default, parse=_count):
         raise ParamError(f"{name}: {e}") from None
 
 
+def _full_shift(k):
+    """The full k-shift, refused before its k x k matrix is built when that
+    matrix, one entry per 2-word, has more than TABLE_ENTRY_CAP entries."""
+    k = int(k)
+    if k * k > cocycles.TABLE_ENTRY_CAP:
+        raise ValueError(f"the full {k}-shift has {k * k} 2-words, more than "
+                         f"{cocycles.TABLE_ENTRY_CAP} (TABLE_ENTRY_CAP)")
+    return SFTSpace.full_shift(k)
+
+
 def _rotation_cocycle_entries(space, params, seed):
     c = fixtures.rotation_cocycle(space, _param(params, "window", 1), seed)
     return {"cocycles": {"C": c.to_json()}}
@@ -543,7 +553,7 @@ def generate_fixture(kind: str, params: dict, seed: int, out_dir) -> list:
     experiment, name, entries = _CONFIG_FIXTURES[kind]
     space_name = params.get("space", "full-2-shift")
     if space_name == "full-2-shift":
-        space = _param(params, "k", 2, lambda k: SFTSpace.full_shift(int(k)))
+        space = _param(params, "k", 2, _full_shift)
     elif space_name == "golden-mean":
         space = SFTSpace.golden_mean()
     else:

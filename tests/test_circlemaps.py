@@ -1,3 +1,4 @@
+import math
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from cocyclelab import (
     uniform_distance,
 )
 from cocyclelab import circlemaps
-from cocyclelab.circlemaps import SLOPE_EPS, _merge_collinear
+from cocyclelab.circlemaps import SLOPE_EPS, _contains_half_integer, _merge_collinear
 from cocyclelab.errors import InvalidExponent, ResourceLimit
 from cocyclelab.fixtures import random_plmap
 
@@ -365,6 +366,35 @@ def test_make_rejects_bad_maps():
 # The loops below are the earlier kernels, kept as oracles: the merge dropped
 # the first collinear point and recomputed every slope, and the seminorm
 # evaluated both maps at both ends of every cell of the merged partition.
+# The exact composition inverted inner and evaluated outer(inner(x)) at every
+# cut, and the uniform distance evaluated both maps at every merged
+# breakpoint, each evaluation by bisection and Fraction arithmetic.
+
+
+def reference_compose(outer, inner):
+    if outer.is_rotation and inner.is_rotation:
+        return PLMap.rotation(outer.vals[0] + inner.vals[0])
+    cuts = set(inner.breaks)
+    inv = invert(inner)
+    for c in outer.breaks:
+        u = inv(c)
+        cuts.add(u - math.floor(u))
+    breaks = sorted(cuts)
+    return PLMap.make(breaks, [outer(inner(x)) for x in breaks])
+
+
+def reference_uniform_distance(f, g):
+    if f.is_rotation and g.is_rotation:
+        return circle_norm(f.vals[0] - g.vals[0])
+    pts = sorted(set(f.breaks) | set(g.breaks))
+    diffs = [f(p) - g(p) for p in pts]
+    best = max(circle_norm(d) for d in diffs)
+    half = Fraction(1, 2) if (f.is_exact and g.is_exact) else 0.5
+    ring = diffs + [diffs[0]]  # difference of lifts is 1-periodic
+    for d1, d2 in zip(ring, ring[1:]):
+        if _contains_half_integer(d1, d2):
+            return half
+    return best
 
 
 def reference_merge_collinear(breaks, vals, exact):
@@ -445,10 +475,81 @@ def test_seminorm_diff_matches_reference(f, g, angle):
         assert lipschitz_seminorm_diff(a, b) == reference_seminorm_diff(a, b)
 
 
-def test_slope_at_reads_the_segment_starting_at_a_breakpoint():
-    f = fb_family(Fraction(1, 4))  # slopes 3/2, 1/2, 1 starting at 0, 1/4, 1/2
-    assert [f.slope_at(t) for t in (0, Fraction(1, 4), Fraction(1, 2))] == [
-        Fraction(3, 2), Fraction(1, 2), 1]
-    assert f.slope_at(Fraction(-3, 4)) == f.slope_at(Fraction(5, 4)) == Fraction(1, 2)
-    g = PLMap.make((Fraction(1, 4), Fraction(3, 4)), (0, Fraction(3, 4)))
-    assert g.slope_at(0) == g.slope_at(Fraction(7, 8)) == Fraction(1, 2)  # the wrap segment
+R = PLMap.rotation
+
+
+@st.composite
+def exact_operands(draw):
+    """Exact maps as the sweeps meet them: random maps, rotations, maps whose
+    first lift value lies just below 1, and products and inverses."""
+    f = draw(plmaps(exact=True))
+    kind = draw(st.sampled_from(("map", "rotation", "near-one", "product", "inverse")))
+    if kind == "rotation":
+        return R(draw(st.fractions(0, 1).filter(lambda t: t < 1)))
+    if kind == "near-one":
+        eps = Fraction(1, draw(st.integers(2, 10**6)))
+        return PLMap.make(f.breaks, [v + 1 - eps - f.vals[0] for v in f.vals])
+    if kind == "product":
+        return reference_compose(draw(plmaps(exact=True)), f)
+    if kind == "inverse":
+        return invert(f)
+    return f
+
+
+@given(exact_operands(), exact_operands())
+@example(fb_family(Fraction(1, 4)), R(Fraction(1, 3)))  # rotation inner
+@example(R(Fraction(2, 3)), fb_family(Fraction(1, 3)))  # rotation outer
+@settings(max_examples=250, deadline=None)
+def test_exact_sweeps_match_reference_kernels(f, g):
+    for outer, inner in ((g, f), (f, g)):
+        h = compose(outer, inner)
+        assert h == reference_compose(outer, inner)
+        assert h.breaks == reference_compose(outer, inner).breaks  # canonical lift included
+    d = uniform_distance(f, g)
+    assert type(d) is Fraction and d == reference_uniform_distance(f, g)
+    assert uniform_distance(g, f) == d
+
+
+def test_compose_coincident_cut_is_one_breakpoint():
+    # fb(1/4) maps its breakpoints 0, 1/4, 1/2 to 0, 3/8, 1/2; outer breaks at
+    # 3/8 and 1/2, so two of its cuts are inner breakpoints already
+    inner = fb_family(Fraction(1, 4))
+    outer = PLMap.make((0, Fraction(3, 8), Fraction(1, 2), Fraction(3, 4)),
+                       (Fraction(1, 10), Fraction(1, 5), Fraction(3, 5), Fraction(4, 5)))
+    h = compose(outer, inner)
+    assert h == reference_compose(outer, inner)
+    assert set(inner.breaks) <= set(h.breaks) and len(h.breaks) == 4  # 3/4 adds one preimage
+    for t in grid(64):
+        assert h(t) - outer(inner(t)) == h(0) - outer(inner(0))
+
+
+def test_compose_cut_past_one_moves_down_a_period():
+    # inner's lift covers [1/4, 5/4), and outer's breakpoint 0, lifted to 1,
+    # has the preimage 11/10 there: the cut is 1/10 with its value moved down by 1
+    inner = PLMap.make((Fraction(1, 4), Fraction(1, 2)), (Fraction(1, 8), Fraction(1, 2)))
+    assert inner(1) == Fraction(11, 12) and inner(Fraction(11, 10)) == 1
+    outer = fb_family(Fraction(1, 4))
+    h = compose(outer, inner)
+    assert h == reference_compose(outer, inner)
+    assert Fraction(1, 10) in h.breaks
+    assert h(Fraction(1, 10)) - outer(inner(Fraction(1, 10))) == h(0) - outer(inner(0))
+
+
+def test_uniform_distance_half_turn_between_merged_points():
+    # g(t) - t is 2/5 at 0 and 3/5 at 1/2, so the lift difference passes 1/2
+    # inside the cell, though the arc distance at both points is 2/5
+    g = PLMap.make((0, Fraction(1, 2)), (Fraction(2, 5), Fraction(11, 10)))
+    identity = PLMap.identity()
+    assert [circle_norm(g(t) - t) for t in (0, Fraction(1, 2))] == [Fraction(2, 5)] * 2
+    for a, b in ((g, identity), (identity, g)):
+        d = uniform_distance(a, b)
+        assert type(d) is Fraction and d == Fraction(1, 2) == reference_uniform_distance(a, b)
+
+
+def test_mixed_operands_keep_the_float_results(rng):
+    f, g = random_plmap(rng, 4), random_plmap(rng, 5, exact=False)
+    for a, b in ((f, g), (g, f), (f, R(0.25)), (R(0.25), f)):
+        h = compose(a, b)
+        assert not h.is_exact and h == reference_compose(a, b)
+        d = uniform_distance(a, b)
+        assert type(d) is float and d == reference_uniform_distance(a, b)

@@ -210,6 +210,28 @@ def test_gen_and_run_stop_at_the_table_entry_cap(tmp_path, capsys):
     assert "config error: cocycles.C: CocycleSpec: a window-8 table" in err
 
 
+def test_gen_refuses_k_past_the_table_entry_cap(tmp_path, monkeypatch, capsys):
+    # the full k-shift's matrix has k*k entries: k = 128 reaches TABLE_ENTRY_CAP
+    # exactly, and k = 2000 is refused before its 4,000,000-entry matrix is built
+    from cocyclelab.symbolic import SFTSpace
+
+    built = []
+    full_shift = SFTSpace.full_shift
+    monkeypatch.setattr(SFTSpace, "full_shift", lambda k: built.append(k) or full_shift(k))
+    out = tmp_path / "gen"
+    args = ["gen", "rotation-cocycle", "--param", "window=0", "--out", str(out)]
+    assert main([*args, "--param", "k=2000"]) == 2
+    assert built == []
+    err = capsys.readouterr().err
+    assert "config error: k: the full 2000-shift has 4000000 2-words, more than 16384" in err
+    assert "TABLE_ENTRY_CAP" in err and not (out / "rotation_cocycle.json").exists()
+    for k in (2, 128):
+        assert main([*args, "--param", f"k={k}"]) == 0
+        doc = json.loads((out / "rotation_cocycle.json").read_text())
+        assert doc["space"]["k"] == k and len(doc["cocycles"]["C"]["table"]) == k
+    assert built == [2, 128]
+
+
 def test_run_stops_at_the_config_byte_cap(tmp_path, capsys):
     from cocyclelab.cli import CONFIG_BYTES_CAP
 
