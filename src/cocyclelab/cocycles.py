@@ -151,7 +151,8 @@ def iterate(c: CocycleSpec, x: SymbolicPoint, n: int) -> PLMap:
     checked against ``BREAKPOINT_CAP`` and ``DENOMINATOR_BITS_CAP`` when it
     was folded.  A product not yet memoised extends the longest memoised
     prefix of its word.  The memo holds at most ``ORBIT_MEMO_CAP`` products
-    and is emptied when full.
+    and is emptied when full, together with the inverses ``quotient`` keeps
+    under the same keys.
     """
     if n == 0:
         return PLMap.identity()
@@ -174,13 +175,28 @@ def iterate(c: CocycleSpec, x: SymbolicPoint, n: int) -> PLMap:
             raise ResourceLimit(f"{e} folding f^{n} at {x!r}") from None
         if len(memo) >= ORBIT_MEMO_CAP:
             memo.clear()
+            c._cache.get("orbit_inverse", {}).clear()
         memo[key] = h
     return h
 
 
+def _inverse_iterate(c: CocycleSpec, x: SymbolicPoint, n: int) -> PLMap:
+    """(f^n_x)^-1.  A product with breakpoints is inverted once and its inverse
+    kept under the product's key; a rotation's inverse, one negated angle,
+    costs less to recompute than to hold."""
+    h = iterate(c, x, n)
+    if h.is_rotation:
+        return invert(h)
+    inverses = c._cache.setdefault("orbit_inverse", {})
+    key = (n > 0, _orbit_word(c, x, n))
+    if key not in inverses:
+        inverses[key] = invert(h)
+    return inverses[key]
+
+
 def quotient(A: CocycleSpec, y: SymbolicPoint, B: CocycleSpec, x: SymbolicPoint, n: int) -> PLMap:
     """(A^n_y)^-1 B^n_x, the quotient that holonomies and conjugacies are limits of."""
-    return compose(invert(iterate(A, y, n)), iterate(B, x, n))
+    return compose(_inverse_iterate(A, y, n), iterate(B, x, n))
 
 
 def holder_const_cocycle(c: CocycleSpec) -> float:

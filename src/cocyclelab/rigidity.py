@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .circlemaps import PLMap, uniform_distance
 from .cocycles import CocycleSpec, check_bounded_distortion, check_domination, dominated_pair
 from .errors import DistortionUnbounded, InsufficientScales, MissingSample, NotDominated
@@ -19,7 +21,7 @@ from .holonomy import gamma_budget, transport
 from .symbolic import (
     MarkovMeasure,
     SymbolicPoint,
-    agreement_codes,
+    agreement_exponents,
     bracket,
     distance_exponent,
     is_stable_pair,
@@ -241,30 +243,28 @@ def regularize(
     extras += [t.shift(1) for t in extras]
     targets = list(dict.fromkeys(base_targets + extras))
 
-    codes, exponent = agreement_codes(targets)  # every anchor is a target
-    code = dict(zip(targets, codes))
+    exponents = agreement_exponents(targets)  # every anchor is a target
+    row = {t: k for k, t in enumerate(targets)}
     # each pool runs by descending sort_key, so the first closest anchor wins
     # ties as the largest sort_key would
-    by_cyl = {}
+    pools = {}
     for a in sorted(anchors, key=SymbolicPoint.sort_key, reverse=True):
-        by_cyl.setdefault(a[0], []).append((a, code[a]))
+        pools.setdefault(a[0], []).append(row[a])
+    anchor = {a: a for a in anchors}
+    rest = {}  # the other targets' rows, by cylinder
+    for k, t in enumerate(targets):
+        if t not in anchor:
+            rest.setdefault(t[0], []).append(k)
+    for s, ks in rest.items():
+        if s not in pools:
+            raise MissingSample(f"no clean anchor shares the cylinder of {targets[ks[0]]}")
+        cols = pools[s]
+        closest = np.argmax(exponents[np.ix_(ks, cols)], axis=1)
+        anchor.update((targets[k], targets[cols[c]]) for k, c in zip(ks, closest))
 
-    def anchor_for(t):
-        pool = by_cyl.get(t[0])
-        if not pool:
-            raise MissingSample(f"no clean anchor shares the cylinder of {t}")
-        best, best_n, ct = None, -1, code[t]
-        for a, ca in pool:
-            n = exponent(ca, ct)
-            if n is None:  # t is itself an anchor
-                return a
-            if n > best_n:
-                best, best_n = a, n
-        return best
-
-    tilde, anchor = {}, {}
+    tilde = {}
     for t in targets:
-        a = anchor[t] = anchor_for(t)
+        a = anchor[t]
         if a == t:
             tilde[t] = phi.phi_at(a)
         else:

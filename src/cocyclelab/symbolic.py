@@ -331,6 +331,33 @@ def agreement_codes(points):
     return codes, exponent
 
 
+def agreement_exponents(points) -> np.ndarray:
+    """The n x n int32 array of ``distance_exponent`` over ``points``, -1 where two are equal.
+
+    All codes have one width, so sorting them sorts the interleaved words, and
+    the common prefix of two points is the shortest adjacent one between them
+    in that order.  The exponent only grows with the prefix, so row i of the
+    sorted array is a running minimum of the adjacent exponents from i on.
+    """
+    codes, exponent = agreement_codes(points)
+    n = len(codes)
+    order = sorted(range(n), key=codes.__getitem__)
+    equal = np.int32(np.iinfo(np.int32).max)  # an equal pair never lowers a minimum
+    adjacent = np.array(
+        [equal if (e := exponent(codes[a], codes[b])) is None else e
+         for a, b in zip(order, order[1:])],
+        dtype=np.int32,
+    )
+    out = np.full((n, n), -1, dtype=np.int32)
+    for i in range(n - 1):
+        out[i, i + 1 :] = np.minimum.accumulate(adjacent[i:])
+    out = np.maximum(out, out.T)
+    out[out == equal] = -1
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    return out[np.ix_(rank, rank)]
+
+
 def distance(x: SymbolicPoint, y: SymbolicPoint):
     """rho**(-N) with N the symmetric agreement radius; 0 iff x == y."""
     n = distance_exponent(x, y)

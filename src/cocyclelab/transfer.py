@@ -29,7 +29,7 @@ from .errors import (
 from .holonomy import conjugacy_quotient, gamma_budget, transport
 from .symbolic import (
     SymbolicPoint,
-    agreement_codes,
+    agreement_exponents,
     closing_point_range,
     distance,
     homoclinic_points,
@@ -264,9 +264,11 @@ def holder_regression(points, lookup, rho: float, min_samples: int = 30):
 
     Returns (exponent, constant); exponent is inf when the map is constant
     across the samples (all numerators vanish).  Pairs with zero numerator are
-    dropped from the fit.  ``lookup`` is called once per point and each
-    distance once per distinct ordered pair of values.  The points' symbols
-    are read once, into ``agreement_codes``.
+    dropped from the fit.  The pairs run over i < j in row-major order, with
+    their distance exponents read from ``agreement_exponents``.  ``lookup`` is
+    called once per point.  Each distance and its log are computed once per
+    distinct ordered pair of values, or once per unordered pair when both
+    values are exact, since the exact distance is symmetric.
     """
     pts = list(points)
     if len(pts) < min_samples:
@@ -279,32 +281,30 @@ def holder_regression(points, lookup, rho: float, min_samples: int = 30):
         m = lookup(y)
         idx.append(ids.setdefault((m, m.is_exact), len(ids)))
     vals = [m for m, _ in ids]
-    log_rho = math.log(rho)
-    log_d, log_r = [], []
-    scales = set()
-    any_pairs = False
-    dist = {}
-    codes, exponent = agreement_codes(pts)
-    for i, code in enumerate(codes):
-        for j in range(i + 1, len(codes)):
-            n = exponent(code, codes[j])
-            if n is None:
-                continue
-            any_pairs = True
-            pair = (idx[i], idx[j])
-            r = dist.get(pair)
-            if r is None:
-                r = dist[pair] = float(uniform_distance(vals[pair[0]], vals[pair[1]]))
-            if r == 0:
-                continue
-            scales.add(n)
-            log_d.append(-n * log_rho)
-            log_r.append(math.log(r))
-    if any_pairs and not log_r:
+    idx = np.array(idx, dtype=np.intp)
+    i, j = np.triu_indices(len(pts), 1)
+    n = agreement_exponents(pts)[i, j]
+    distinct = n >= 0
+    n, a, b = n[distinct], idx[i[distinct]], idx[j[distinct]]
+    exact = np.array([m.is_exact for m in vals], dtype=bool)
+    swap = (a > b) & exact[a] & exact[b]
+    a, b = np.where(swap, b, a), np.where(swap, a, b)
+    need = np.zeros((len(vals), len(vals)), dtype=bool)
+    need[a, b] = True
+    log_r = np.full(need.shape, -math.inf)  # -inf marks a zero distance
+    for p, q in zip(*np.nonzero(need)):
+        r = float(uniform_distance(vals[p], vals[q]))
+        if r:
+            log_r[p, q] = math.log(r)
+    log_r = log_r[a, b]
+    fit = log_r > -math.inf
+    if n.size and not fit.any():
         return (math.inf, 0.0)
-    if len(scales) < 3:
-        raise InsufficientScales(f"only {len(scales)} distance scales present")
-    slope, intercept = np.polyfit(np.array(log_d), np.array(log_r), 1)
+    n, log_r = n[fit], log_r[fit]
+    scales = np.count_nonzero(np.bincount(n))
+    if scales < 3:
+        raise InsufficientScales(f"only {scales} distance scales present")
+    slope, intercept = np.polyfit(-n * math.log(rho), log_r, 1)
     return (float(slope), float(math.exp(intercept)))
 
 

@@ -54,3 +54,12 @@ def random_point(space, rng, max_core=5):
         if not space.admissible_word(seam):
             continue
         return SymbolicPoint.make(space, left, core, right, int(rng.integers(-4, 5)))
+
+
+def unequal_tail_pool():
+    """Points of the full 3-shift whose tails have different periods."""
+    rng = np.random.default_rng(5)
+    pts = [random_point(SFTSpace.full_shift(3), rng) for _ in range(24)]
+    pool = list(dict.fromkeys(pts + [x.shift(n) for x, n in zip(pts, (1, -1, 2, -3))]))
+    assert sum(len(x.left) != len(x.right) for x in pool) >= 8
+    return pool

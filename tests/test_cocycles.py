@@ -291,6 +291,41 @@ def test_orbit_memo_is_emptied_at_its_cap(full2, rng, monkeypatch):
         assert len(c._cache["orbit"]) <= 3
 
 
+def test_quotient_inverts_each_memoised_product_once(full2, rng, monkeypatch):
+    from cocyclelab import cocycles
+
+    c = pl_dominated_cocycle(full2, 1, 0.4, seed=9)
+    x = random_point(full2, rng)
+    y = x.shift(1)
+    calls = [(p, n) for p in (x, y) for n in (1, 2, -3, 2, 1, -3, 4, -1)]
+    expected = [compose(invert(iterate(c, p, n)), iterate(c, x, n)) for p, n in calls]
+    inverted = []
+
+    def counted(f):
+        inverted.append(f)
+        return invert(f)
+
+    # the table inverses of the negative products were made by the warm-up above
+    monkeypatch.setattr(cocycles, "invert", counted)
+    assert [cocycles.quotient(c, p, c, x, n) for p, n in calls] == expected
+    memo, inverses = c._cache["orbit"], c._cache["orbit_inverse"]
+    keys = {(n > 0, cocycles._orbit_word(c, p, n)) for p, n in calls}
+    assert len(inverted) == len(keys) < len(calls)
+    assert inverses.keys() == keys
+    assert all(inverses[k] == invert(memo[k]) for k in keys)
+    assert cocycles.quotient(c, y, c, x, 0) == PLMap.identity()
+    # the inverses go when the full memo is emptied
+    monkeypatch.setattr(cocycles, "ORBIT_MEMO_CAP", len(memo))
+    iterate(c, x, 9)
+    assert len(memo) == 1 and inverses == {}
+    # a rotation product is inverted afresh and not held
+    r = rotation_cocycle(full2, 1, seed=4)
+    inverted.clear()
+    for _ in range(2):
+        assert cocycles.quotient(r, y, r, x, 3) == compose(invert(iterate(r, y, 3)), iterate(r, x, 3))
+    assert len(inverted) == 2 and "orbit_inverse" not in r._cache
+
+
 # ------------------------------------------------------------- Holder constant
 
 

@@ -29,6 +29,7 @@ from cocyclelab import (
 from cocyclelab.errors import (
     DistortionUnbounded,
     InsufficientScales,
+    MissingSample,
     NotDominated,
 )
 from cocyclelab.fixtures import (
@@ -322,6 +323,18 @@ def test_regularize_takes_the_nearest_anchor(setup):
             if best != t and distance_exponent(best, t) == distance_exponent(second, t):
                 tie_break_matters += 1
     assert runner_up_differs >= len(tilde) // 2 and tie_break_matters >= 1
+
+
+def test_regularize_refuses_a_cylinder_with_no_clean_anchor(setup):
+    # every sampled anchor in the cylinder [1] is corrupted, so screening drops
+    # them all, and the targets there have no anchor to carry a value from
+    space, F, G, _, _, rule, mu = setup
+    count, seed, tol = 30, 95, 1e-6
+    ones = [a for a in sample_measure(mu, count, seed) if a[0] == 1]
+    phi = corrupted_conjugacy(rule, ones, seed=4)
+    assert all(cohomology_residual(F, G, phi.phi_at, a) > 10 * tol for a in ones)
+    with pytest.raises(MissingSample, match="no clean anchor shares the cylinder"):
+        regularize(phi, F, G, count, tol, mu=mu, seed=seed)
 
 
 # ----------------------------------------------------------- traced holonomies

@@ -40,11 +40,12 @@ from cocyclelab.symbolic import (
     _rot_left,
     _shortest_cycle,
     agreement_codes,
+    agreement_exponents,
     stable_agreement_onset,
     unstable_agreement_onset,
 )
 
-from conftest import random_point
+from conftest import random_point, unequal_tail_pool
 
 
 # ---------------------------------------------------------------- construction
@@ -346,6 +347,28 @@ def test_agreement_codes_reach_the_fine_wilf_radius(full2):
     codes, exponent = agreement_codes([x, y])
     assert distance_exponent(x, y) == 7
     assert exponent(*codes) == 7
+
+
+EXPONENT_POOLS = {
+    "full2": _mixed_points(CODE_SPACES["full2"], 23),
+    "golden": _mixed_points(CODE_SPACES["golden"], 29),
+    "full3-unequal-tails": unequal_tail_pool(),
+}
+
+
+@given(st.sampled_from(sorted(EXPONENT_POOLS)), st.lists(st.integers(0, 10**6), min_size=1,
+                                                         max_size=40))
+@example("full2", [0])
+@example("golden", [3, 3])
+@settings(max_examples=150)
+def test_agreement_exponents_match_distance_exponent(name, picks):
+    # picks may repeat; the mixed pools also hold equal points as distinct objects
+    pool = EXPONENT_POOLS[name]
+    pts = [pool[i % len(pool)] for i in picks]
+    got = agreement_exponents(pts)
+    assert got.dtype == np.int32 and got.shape == (len(pts), len(pts))
+    want = [[-1 if n is None else n for n in (distance_exponent(x, y) for y in pts)] for x in pts]
+    assert got.tolist() == want
 
 
 def test_agreement_codes_refuse_mixed_spaces(full2, golden):

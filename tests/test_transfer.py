@@ -57,7 +57,7 @@ from cocyclelab.fixtures import (
     rotation_conjugacy_rule,
 )
 
-from conftest import random_point
+from conftest import unequal_tail_pool
 
 
 @pytest.fixture(scope="module")
@@ -344,25 +344,32 @@ def _equivariant_pair(space):
 _FULL2 = SFTSpace.full_shift(2)
 _GOLDEN = SFTSpace.golden_mean()
 _ORACLE_CASES = {
-    # (F, G, base point, the other tail of one-sided points, core length)
-    "rotations-seed-3": (*_rotation_pair(_FULL2, 3), SymbolicPoint.fixed(_FULL2, 0),
-                         SymbolicPoint.fixed(_FULL2, 1), 3),
-    "rotations-seed-11": (*_rotation_pair(_FULL2, 11), SymbolicPoint.fixed(_FULL2, 0),
-                          SymbolicPoint.fixed(_FULL2, 1), 3),
+    # name: builder of (F, G, base point, the other tail of one-sided points, core length)
+    "rotations-seed-3": lambda: (*_rotation_pair(_FULL2, 3), SymbolicPoint.fixed(_FULL2, 0),
+                                 SymbolicPoint.fixed(_FULL2, 1), 3),
+    "rotations-seed-11": lambda: (*_rotation_pair(_FULL2, 11), SymbolicPoint.fixed(_FULL2, 0),
+                                  SymbolicPoint.fixed(_FULL2, 1), 3),
     # on the golden mean every onset at (01)^inf is even; the full shift has odd ones
-    "rotations-period-2-full": (*_rotation_pair(_FULL2, 5), SymbolicPoint.periodic(_FULL2, (0, 1)),
-                                SymbolicPoint.fixed(_FULL2, 1), 3),
-    "rotations-period-2-golden": (*_rotation_pair(_GOLDEN, 5),
-                                  SymbolicPoint.periodic(_GOLDEN, (0, 1)),
-                                  SymbolicPoint.fixed(_GOLDEN, 0), 4),
-    "equivariant-pl": (*_equivariant_pair(_FULL2), SymbolicPoint.fixed(_FULL2, 0),
-                       SymbolicPoint.fixed(_FULL2, 1), 2),
+    "rotations-period-2-full": lambda: (*_rotation_pair(_FULL2, 5),
+                                        SymbolicPoint.periodic(_FULL2, (0, 1)),
+                                        SymbolicPoint.fixed(_FULL2, 1), 3),
+    "rotations-period-2-golden": lambda: (*_rotation_pair(_GOLDEN, 5),
+                                          SymbolicPoint.periodic(_GOLDEN, (0, 1)),
+                                          SymbolicPoint.fixed(_GOLDEN, 0), 4),
+    "equivariant-pl": lambda: (*_equivariant_pair(_FULL2), SymbolicPoint.fixed(_FULL2, 0),
+                               SymbolicPoint.fixed(_FULL2, 1), 2),
 }
 
 
-@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
-def test_phi_at_forward_quotient_equals_transport(case, monkeypatch):
-    F, G, x0, other, core_len = _ORACLE_CASES[case]
+# built when a test asks for a case, not at import: a fault in compose then
+# fails the tests that use the case and leaves the rest of the module running
+@pytest.fixture(scope="module", params=sorted(_ORACLE_CASES))
+def oracle_case(request):
+    return _ORACLE_CASES[request.param]()
+
+
+def test_phi_at_forward_quotient_equals_transport(oracle_case, monkeypatch):
+    F, G, x0, other, core_len = oracle_case
     T = TransferMap(F, G, x0, x0.period, {}, 0.0, 1e-9)
     probes = _probes(x0, other, core_len)
     monkeypatch.setattr(transfer, "transport", _no_transport)
@@ -485,6 +492,10 @@ def test_estimate_holder_requires_scales(family):
     # too few samples is reported even when the map is constant on them
     with pytest.raises(InsufficientScales):
         holder_regression(list(T.class_points)[:5], lambda y: PLMap.identity(), 2.0)
+    # no pairs of distinct points: no scale at all
+    for pts in ([], [x0], [x0, x0]):
+        with pytest.raises(InsufficientScales, match="only 0 distance scales"):
+            holder_regression(pts, lambda y: PLMap.identity(), 2.0, min_samples=0)
 
 
 def _naive_regression(points, lookup, rho, min_samples):
@@ -535,16 +546,7 @@ _EXACT_POOL = [_dyadic_map(np.random.default_rng(k)) for k in range(4)] + [
 _MAP_POOL = _EXACT_POOL + [_float_copy(m) for m in _EXACT_POOL]
 
 
-def _unequal_tail_pool():
-    """Points of the full 3-shift whose tails have different periods."""
-    rng = np.random.default_rng(5)
-    pts = [random_point(SFTSpace.full_shift(3), rng) for _ in range(24)]
-    pool = list(dict.fromkeys(pts + [x.shift(n) for x, n in zip(pts, (1, -1, 2, -3))]))
-    assert sum(len(x.left) != len(x.right) for x in pool) >= 8
-    return pool
-
-
-_POINT_POOLS = (_POOL_POINTS, _unequal_tail_pool())
+_POINT_POOLS = (_POOL_POINTS, unequal_tail_pool())
 
 
 @given(st.sampled_from(_POINT_POOLS), st.data())
@@ -562,6 +564,21 @@ def test_holder_regression_matches_per_pair_reference(pool, data):
             return "insufficient"
 
     assert outcome(holder_regression) == outcome(_naive_regression)
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["exact", "exact-float"])
+def test_holder_regression_matches_reference_at_workload_size(mixed):
+    # a theorem-b regression: 180 depth-20 samples and their shifts, sorted
+    space = SFTSpace.full_shift(2)
+    pts = sample_measure(MarkovMeasure.uniform(space), 90, seed=5, depth=20)
+    pts = sorted(pts + [y.shift(1) for y in pts], key=SymbolicPoint.sort_key)
+    rule = decaying_rotation_rule(space, 4)
+    value = {y: rule.phi_at(y) for y in pts}
+    if mixed:  # float copies on one cylinder: pairs across it take the float path
+        value = {y: _float_copy(m) if y[0] else m for y, m in value.items()}
+    assert len(pts) == 180 and 30 <= len({(m, m.is_exact) for m in value.values()}) < 90
+    got = holder_regression(pts, value.__getitem__, float(space.rho))
+    assert got == _naive_regression(pts, value.__getitem__, float(space.rho), 30)
 
 
 def test_holder_regression_reads_points_whole(monkeypatch):
