@@ -35,13 +35,11 @@ from .holonomy import (
     verify_holonomy_axioms,
 )
 from .rigidity import (
-    HolderCheckReport,
     MeasurableConjugacy,
     RigidityReport,
     WindowRule,
     check_conj_hol_relation,
     regularize,
-    stable_pair_holder_check,
 )
 from .symbolic import (
     MarkovMeasure,

@@ -20,6 +20,7 @@ BREAKPOINT_CAP = 100_000
 DENOMINATOR_BITS_CAP = 4096  # bit length of the largest denominator of an exact orbit product
 ORBIT_MEMO_CAP = 4096  # orbit products memoised per cocycle before the memo is emptied
 TABLE_ENTRY_CAP = 16_384  # words a window table may have; theorem-a's default G has 8,192
+_ZERO = Fraction(0)
 
 
 def table_words(space: SFTSpace, window: int, where: str):
@@ -55,9 +56,9 @@ class CocycleSpec:
             raise ValueError("window must be >= 0")
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must lie in (0, 1]")
-        want = set(table_words(self.space, self.window, "CocycleSpec"))
-        have = set(self.table)
-        if want != have:
+        words = list(table_words(self.space, self.window, "CocycleSpec"))
+        if len(words) != len(self.table) or not all(w in self.table for w in words):
+            want, have = set(words), set(self.table)
             missing = sorted(want - have)[:3]
             extra = sorted(have - want)[:3]
             raise ValueError(f"table mismatch; missing={missing} extra={extra}")
@@ -90,29 +91,63 @@ class CocycleSpec:
         return cls(space, int(doc["window"]), table, doc.get("alpha", 1))
 
 
-def prefix_products(maps, h: PLMap | None = None, step: int = 0):
-    """Yield the prefix products h_1 = m_1, h_j = m_j h_{j-1} of ``maps``.
+def _check_caps(h: PLMap, step: int) -> None:
+    if len(h.breaks) > BREAKPOINT_CAP:
+        raise ResourceLimit(
+            f"orbit product reached {len(h.breaks)} breakpoints at step {step} "
+            f"(cap {BREAKPOINT_CAP})"
+        )
+    if h.is_exact:
+        bits = max(q.denominator for q in h.breaks + h.vals).bit_length()
+        if bits > DENOMINATOR_BITS_CAP:
+            raise ResourceLimit(
+                f"orbit product reached {bits}-bit denominators at step {step} "
+                f"(cap {DENOMINATOR_BITS_CAP})"
+            )
+
+
+def orbit_product(maps, h: PLMap | None = None, step: int = 0) -> PLMap:
+    """The product m_k ... m_1 h of ``maps`` = m_1, ..., m_k after ``h``.
 
     A fold resumed from a known product passes it as ``h``, with the number
-    of steps it covers as ``step``.  This is the one place where maps are
-    composed along an orbit; each product is checked against ``BREAKPOINT_CAP``
+    of steps it covers as ``step``; with no ``h`` and no maps the product is
+    the identity.  This is the one place where maps are composed along an
+    orbit.  Each prefix m_j ... m_1 h is checked against ``BREAKPOINT_CAP``
     and, when exact, against ``DENOMINATOR_BITS_CAP``.
+
+    A run of exact rotations is folded as one integer numerator over the
+    running lcm of their denominators, and made a map only where the run
+    ends.  A rotation has one breakpoint, and every reduced prefix
+    denominator divides the lcm; so while the lcm fits the denominator cap
+    no prefix can pass it, and once the lcm passes the cap the angle is
+    reduced and checked, which names the step a checked fold would name.
     """
+    num = den = None  # the product so far as num / den mod 1, while it is an exact rotation
     for step, m in enumerate(maps, step + 1):
+        a = m.vals[0]
+        if len(m.breaks) == 1 and type(a) is Fraction:
+            if num is None and (h is None or len(h.breaks) == 1 and type(h.vals[0]) is Fraction):
+                num, den = (0, 1) if h is None else (h.vals[0].numerator, h.vals[0].denominator)
+            if num is not None:
+                d = a.denominator
+                if den % d:
+                    lcm = den // math.gcd(den, d) * d
+                    num *= lcm // den
+                    den = lcm
+                num = (num + a.numerator * (den // d)) % den
+                if den.bit_length() > DENOMINATOR_BITS_CAP:
+                    r = Fraction(num, den)
+                    num, den = r.numerator, r.denominator
+                    if den.bit_length() > DENOMINATOR_BITS_CAP:
+                        _check_caps(PLMap.rotation(r), step)
+                continue
+        if num is not None:
+            h, num = PLMap((_ZERO,), (Fraction(num, den),)), None
         h = m if h is None else compose(m, h)
-        if len(h.breaks) > BREAKPOINT_CAP:
-            raise ResourceLimit(
-                f"orbit product reached {len(h.breaks)} breakpoints at step {step} "
-                f"(cap {BREAKPOINT_CAP})"
-            )
-        if h.is_exact:
-            bits = max(q.denominator for q in h.breaks + h.vals).bit_length()
-            if bits > DENOMINATOR_BITS_CAP:
-                raise ResourceLimit(
-                    f"orbit product reached {bits}-bit denominators at step {step} "
-                    f"(cap {DENOMINATOR_BITS_CAP})"
-                )
-        yield h
+        _check_caps(h, step)
+    if num is not None:
+        return PLMap((_ZERO,), (Fraction(num, den),))  # 0 <= num < den: canonical as it is
+    return PLMap.identity() if h is None else h
 
 
 def _orbit_word(c: CocycleSpec, x: SymbolicPoint, n: int) -> tuple:
@@ -169,8 +204,7 @@ def iterate(c: CocycleSpec, x: SymbolicPoint, n: int) -> PLMap:
                 done = m
                 break
         try:
-            for h in prefix_products(_word_generators(c, word, n, done), h, done):
-                pass
+            h = orbit_product(_word_generators(c, word, n, done), h, done)
         except ResourceLimit as e:
             raise ResourceLimit(f"{e} folding f^{n} at {x!r}") from None
         if len(memo) >= ORBIT_MEMO_CAP:
@@ -243,11 +277,8 @@ def _margins(c: CocycleSpec, n0: int) -> DominationReport:
     if key not in c._cache:
         products = c.table.values()
         if n0 > 1:
-            products = []
-            for word in c.space.words(2 * c.window + n0):
-                for h in prefix_products(_word_generators(c, word, n0)):
-                    pass
-                products.append(h)
+            products = [orbit_product(_word_generators(c, word, n0))
+                        for word in c.space.words(2 * c.window + n0)]
         up = down = 0.0  # largest slope and largest inverse slope
         for h in products:
             if h.is_rotation and h.is_exact:

@@ -6,6 +6,7 @@ pipelines (rotation families, the three-slope family) stay fast.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -123,22 +124,47 @@ def decaying_rotation_rule(
     # integer weights amp * rho**-|m| over the common denominator amp.den * rho**window
     weights = [amp.numerator * rho ** (window - abs(m)) for m in range(-window, window + 1)]
     denom = amp.denominator * rho**window
+    rotations = {}  # one map per distinct angle numerator
     table = {}
     for w in table_words(space, window, "decaying_rotation_rule"):
-        angle = Fraction(sum(k * s for k, s in zip(weights, w)), denom)
-        table[w] = PLMap.rotation(angle)
+        num = sum(k * s for k, s in zip(weights, w)) % denom
+        if num not in rotations:
+            rotations[num] = PLMap.rotation(Fraction(num, denom))
+        table[w] = rotations[num]
     return WindowRule(window, table)
 
 
 def conjugated_pair(F: CocycleSpec, psi: WindowRule) -> CocycleSpec:
-    """The cocycle G_x = psi(sigma x)^-1 f_x psi(x), tabulated exactly."""
+    """The cocycle G_x = psi(sigma x)^-1 f_x psi(x), tabulated exactly.
+
+    When every entry of F and psi is an exact rotation, G_x is the rotation by
+    -psi(sigma x) + f_x + psi(x), summed on integer numerators over one common
+    denominator, with one map per distinct angle.  Other tables are composed.
+    """
     space = F.space
     wf, wp = F.window, psi.window
     wg = max(wf, wp + 1)
+    words = table_words(space, wg, "conjugated_pair")
+    maps = [*F.table.values(), *psi.table.values()]
+    if all(m.is_rotation and m.is_exact for m in maps):
+        den = math.lcm(*{m.vals[0].denominator for m in maps})
+        fn, pn = (
+            {w: m.vals[0].numerator * (den // m.vals[0].denominator) for w, m in t.items()}
+            for t in (F.table, psi.table)
+        )
+        rotations = {}  # one map per distinct angle numerator
+        table = {}
+        for v in words:
+            num = (fn[v[wg - wf : wg + wf + 1]] + pn[v[wg - wp : wg + wp + 1]]
+                   - pn[v[wg + 1 - wp : wg + 2 + wp]]) % den
+            if num not in rotations:
+                rotations[num] = PLMap.rotation(Fraction(num, den))
+            table[v] = rotations[num]
+        return CocycleSpec(space, wg, table)
     inverses = {w: invert(m) for w, m in psi.table.items()}
     inner = {}  # f psi(x) per distinct (f-word, psi-word) pair
     table = {}
-    for v in table_words(space, wg, "conjugated_pair"):
+    for v in words:
         key = (v[wg - wf : wg + wf + 1], v[wg - wp : wg + wp + 1])
         if key not in inner:
             inner[key] = compose(F.table[key[0]], psi.table[key[1]])

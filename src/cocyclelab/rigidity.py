@@ -15,15 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circlemaps import PLMap, uniform_distance
-from .cocycles import CocycleSpec, check_bounded_distortion, check_domination, dominated_pair
-from .errors import DistortionUnbounded, InsufficientScales, MissingSample, NotDominated
+from .cocycles import CocycleSpec, check_bounded_distortion, dominated_pair
+from .errors import DistortionUnbounded, InsufficientScales, MissingSample
 from .holonomy import gamma_budget, transport
 from .symbolic import (
     MarkovMeasure,
     SymbolicPoint,
     agreement_exponents,
     bracket,
-    distance_exponent,
     is_stable_pair,
     sample_measure,
 )
@@ -93,71 +92,6 @@ def check_conj_hol_relation(
         rhs = transport(F, G, x, y, "s" if is_stable_pair(x, y) else "u", phi.phi_at(x))
         rows.append(((x, y), float(uniform_distance(phi.phi_at(y), rhs))))
     return ResidualReport.of(rows, tol)
-
-
-@dataclass(frozen=True)
-class HolderCheckReport:
-    exponent: float
-    constant: float
-    fit_pairs: int
-    fresh_pairs: int
-    worst_fresh_ratio: float
-    passed: bool
-    chain_pairs: int = 0
-    worst_chain_ratio: float = 0.0
-
-
-def stable_pair_holder_check(
-    phi: MeasurableConjugacy, F: CocycleSpec, pairs, generic_pairs=()
-) -> HolderCheckReport:
-    """Fit C with d(phi_x, phi_y) <= C d(x, y)**gamma and freeze-validate.
-
-    Ratios from the interleaved first half of the local pairs fit C; the
-    frozen value (fixed safety margin) must dominate the second half.  Generic
-    same-cylinder pairs are checked through their two product-point legs:
-    d(phi_x, phi_y) <= C (d(x, z)**gamma + d(z, y)**gamma) with z the bracket point,
-    which is how the local inequality extends off the stable/unstable sets.
-    """
-    dom = check_domination(F)
-    if not dom.su_dominated:
-        raise NotDominated("holonomy exponent budget undefined without domination")
-    gamma = gamma_budget(dom.theta_s, float(F.alpha))
-    rho = float(F.space.rho)
-    ratios = []
-    for x, y in pairs:
-        if phi.is_corrupted(x) or phi.is_corrupted(y):
-            continue
-        n = distance_exponent(x, y)
-        if n is None:
-            continue
-        r = float(uniform_distance(phi.phi_at(x), phi.phi_at(y)))
-        ratios.append((n, r / rho ** (-n * gamma)))
-    if len({n for n, _ in ratios}) < 3:
-        raise InsufficientScales("pairs span fewer than 3 distance scales")
-    fit, fresh = ratios[0::2], ratios[1::2]  # interleave: both halves see all scales
-    c_frozen = 1.15 * max(r for _, r in fit)
-    worst_fresh = max(r for _, r in fresh) if fresh else 0.0
-
-    worst_chain = 0.0
-    n_chain = 0
-    for x, y in generic_pairs:
-        if phi.is_corrupted(x) or phi.is_corrupted(y) or x[0] != y[0]:
-            continue
-        z = bracket(x, y)
-        legs = 0.0
-        for a, b in ((x, z), (z, y)):
-            m = distance_exponent(a, b)
-            if m is not None:
-                legs += rho ** (-m * gamma)
-        if legs == 0.0:
-            continue
-        n_chain += 1
-        r = float(uniform_distance(phi.phi_at(x), phi.phi_at(y)))
-        worst_chain = max(worst_chain, r / legs)
-    passed = worst_fresh <= c_frozen and worst_chain <= c_frozen
-    return HolderCheckReport(
-        gamma, c_frozen, len(fit), len(fresh), worst_fresh, passed, n_chain, worst_chain
-    )
 
 
 @dataclass(frozen=True)

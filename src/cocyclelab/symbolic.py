@@ -13,7 +13,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -121,21 +121,18 @@ class SFTSpace:
         if length == 0:
             yield ()
             return
-        stack = [(s,) for s in range(self.k - 1, -1, -1)]
-        count = 0
-        while stack:
-            w = stack.pop()
-            if len(w) == length:
-                count += 1
-                if count > ENUMERATION_CAP:
-                    raise ResourceLimit(
-                        f"words of length {length} exceeded enumeration cap {ENUMERATION_CAP}"
-                    )
-                yield w
-            else:
-                for s in range(self.k - 1, -1, -1):
-                    if self.P[w[-1]][s]:
-                        stack.append(w + (s,))
+        # level by level, each cut at ENUMERATION_CAP + 1 words: with no null
+        # row, the first words of a level are extensions of the first of the last
+        succ = [self.successors(s) for s in range(self.k)]
+        words = [(s,) for s in range(self.k)]
+        for _ in range(length - 1):
+            extend = (w + (t,) for w in words for t in succ[w[-1]])
+            words = list(islice(extend, ENUMERATION_CAP + 1))
+        yield from words[:ENUMERATION_CAP]
+        if len(words) > ENUMERATION_CAP:
+            raise ResourceLimit(
+                f"words of length {length} exceeded enumeration cap {ENUMERATION_CAP}"
+            )
 
     def to_json(self) -> dict:
         rho = self.rho

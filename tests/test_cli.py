@@ -84,6 +84,21 @@ def test_gen_conjugated_pair_passes_theorem_a(tmp_path, monkeypatch):
     assert "periodic-data" in names and "cohomological-residual" in names
 
 
+# sha256 of the file `gen conjugated-pair --seed 4 --param psi_window=N` writes
+GEN_CONJUGATED_PAIR_SHA256 = {
+    3: "c1f3416c514c4c523208d91c25fa27df8296de925f04d32ebbd6cf2b67e6811e",
+    5: "72c2fb934eddf15de87f0ad881e1f56379554083315b802373f0efb8e3bf755c",
+}
+
+
+@pytest.mark.parametrize("psi_window", sorted(GEN_CONJUGATED_PAIR_SHA256))
+def test_gen_conjugated_pair_is_pinned(tmp_path, psi_window):
+    assert main(["gen", "conjugated-pair", "--seed", "4", "--param", f"psi_window={psi_window}",
+                 "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "conjugated_pair.json").read_bytes()).hexdigest()
+    assert digest == GEN_CONJUGATED_PAIR_SHA256[psi_window]
+
+
 def test_theorem_a_rows_with_a_one_product_orbit_memo(tmp_path, monkeypatch):
     from cocyclelab import cocycles
 

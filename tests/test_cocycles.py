@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,7 @@ from cocyclelab.cocycles import (
     TABLE_ENTRY_CAP,
     DominationReport,
     _word_generators,
-    prefix_products,
+    orbit_product,
 )
 from cocyclelab.errors import ResourceLimit
 from cocyclelab.fixtures import (
@@ -76,13 +77,14 @@ def test_generator_window_property(full2, rng):
 
 
 def test_table_must_cover_admissible_words(golden):
-    with pytest.raises(ValueError):
-        CocycleSpec(golden, 0, {(0,): PLMap.identity()})  # missing word (1,)
-    with pytest.raises(ValueError):
-        CocycleSpec(
-            golden, 1,
-            {w: PLMap.identity() for w in SFTSpace.full_shift(2).words(3)},  # extra 111 etc.
-        )
+    with pytest.raises(ValueError, match=re.escape("missing=[(1,)] extra=[]")):
+        CocycleSpec(golden, 0, {(0,): PLMap.identity()})
+    extra = "missing=[] extra=[(0, 1, 1), (1, 1, 0), (1, 1, 1)]"
+    with pytest.raises(ValueError, match=re.escape(extra)):
+        CocycleSpec(golden, 1, {w: PLMap.identity() for w in SFTSpace.full_shift(2).words(3)})
+    # as many entries as words, one of them not a word
+    with pytest.raises(ValueError, match=re.escape("missing=[(1,)] extra=[(2,)]")):
+        CocycleSpec(golden, 0, {(0,): PLMap.identity(), (2,): PLMap.identity()})
 
 
 def test_tables_stop_at_the_entry_cap(full2, monkeypatch):
@@ -162,9 +164,10 @@ def test_cocycle_law_and_prefixes_property(seed, space_name, window, n, m):
     # exact maps have one representation, so the law holds under ==
     assert iterate(c, x, n + m) == compose(iterate(c, x.shift(n), m), iterate(c, x, n))
     sign = 1 if n >= 0 else -1
-    prefixes = list(prefix_products(reference_generators(c, x, n)))
-    assert len(prefixes) == abs(n)
-    for j, h in enumerate(prefixes, 1):
+    gens = reference_generators(c, x, n)
+    assert len(gens) == abs(n)
+    for j in range(1, abs(n) + 1):
+        h = orbit_product(gens[:j])
         assert h == iterate(c, x, sign * j)
         if sign < 0:
             assert h == invert(iterate(c, x.shift(-j), j))
@@ -221,9 +224,100 @@ def test_iterate_denominator_cap(full2, monkeypatch):
         iterate(c, x, 50)
 
 
+def reference_fold(maps, h=None, step=0):
+    """Reference: compose one map at a time and check both caps on every prefix."""
+    from cocyclelab import cocycles
+
+    for step, m in enumerate(maps, step + 1):
+        h = m if h is None else compose(m, h)
+        if len(h.breaks) > cocycles.BREAKPOINT_CAP:
+            raise ResourceLimit(f"orbit product reached {len(h.breaks)} breakpoints at step {step} "
+                                f"(cap {cocycles.BREAKPOINT_CAP})")
+        if h.is_exact:
+            bits = max(q.denominator for q in h.breaks + h.vals).bit_length()
+            if bits > cocycles.DENOMINATOR_BITS_CAP:
+                raise ResourceLimit(f"orbit product reached {bits}-bit denominators at step "
+                                    f"{step} (cap {cocycles.DENOMINATOR_BITS_CAP})")
+    return PLMap.identity() if h is None else h
+
+
+def fold_outcome(fold, *args):
+    try:
+        return fold(*args)
+    except ResourceLimit as e:
+        return str(e)
+
+
+def rotations(*angles):
+    return [PLMap.rotation(Fraction(a)) for a in angles]
+
+
+def test_rotation_run_passes_the_cap_on_its_lcm_only(monkeypatch):
+    from cocyclelab import cocycles
+
+    monkeypatch.setattr(cocycles, "DENOMINATOR_BITS_CAP", 8)
+    # the lcm reaches 7 * 11 * 13 = 1001 (10 bits); every reduced prefix is at most 13
+    run = rotations("1/7", "6/7", "1/11", "10/11", "1/13", "12/13", "1/5")
+    assert math.lcm(7, 11, 13).bit_length() > 8
+    assert orbit_product(run) == reference_fold(run) == PLMap.rotation(Fraction(1, 5))
+    # a reduced prefix of 1001 at step 3, or at step 7 of a fold resumed after 4
+    run = rotations("1/7", "1/11", "1/13", "1/5")
+    message = "orbit product reached 10-bit denominators at step 3 (cap 8)"
+    for fold in (orbit_product, reference_fold):
+        with pytest.raises(ResourceLimit, match=re.escape(message)):
+            fold(run)
+        with pytest.raises(ResourceLimit, match="at step 7 "):
+            fold(run, PLMap.identity(), 4)
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.fractions(min_value=0, max_value=1, max_denominator=60).filter(lambda q: q < 1),
+            st.sampled_from(["pl", "float"]),
+        ),
+        max_size=14,
+    ),
+    st.integers(2, 24), st.integers(0, 14), st.integers(0, 3),
+)
+@settings(max_examples=150, deadline=None)
+def test_orbit_product_matches_the_checked_fold_property(items, cap, split, step):
+    """Runs of exact rotations, broken by PL maps and float rotations, fold to
+    the product a map-by-map checked fold gives, or fail with its message."""
+    from cocyclelab import cocycles
+
+    rng = np.random.default_rng(len(items))
+    maps = [
+        near_identity_plmap(rng, denom=16) if q == "pl"
+        else PLMap.rotation(0.3) if q == "float" else PLMap.rotation(q)
+        for q in items
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cocycles, "DENOMINATOR_BITS_CAP", cap)
+        want = fold_outcome(reference_fold, maps, None, step)
+        assert fold_outcome(orbit_product, maps, None, step) == want
+        # a fold resumed from a prefix it made reaches the same product
+        head = fold_outcome(orbit_product, maps[:split], None, step)
+        if isinstance(head, PLMap) and isinstance(want, PLMap):
+            split = min(split, len(maps))
+            assert orbit_product(maps[split:], head, step + split) == want
+
+
 def near_identity_rule(space, window, seed):
     rng = np.random.default_rng(seed)
     return WindowRule(window, {w: near_identity_plmap(rng) for w in space.words(2 * window + 1)})
+
+
+def naive_conjugated_table(F, psi):
+    """Reference: psi(sigma x)^-1 f_x psi(x) by compose and invert, word by word."""
+    wf, wp, wg = F.window, psi.window, max(F.window, psi.window + 1)
+    naive = {}
+    for v in F.space.words(2 * wg + 1):
+        f = F.table[v[wg - wf : wg + wf + 1]]
+        p0 = psi.table[v[wg - wp : wg + wp + 1]]
+        p1 = psi.table[v[wg + 1 - wp : wg + 2 + wp]]
+        naive[v] = compose(invert(p1), compose(f, p0))
+    return naive
 
 
 @pytest.mark.parametrize("case", ["rotations", "cocycle-wider", "rule-wider"])
@@ -235,23 +329,65 @@ def test_conjugated_pair_matches_naive_table(full2, case):
     else:
         F, psi = pl_dominated_cocycle(full2, 0, 0.4, seed=7), near_identity_rule(full2, 2, 8)
     G = conjugated_pair(F, psi)
-    wf, wp, wg = F.window, psi.window, max(F.window, psi.window + 1)
-    assert G.window == wg
-    naive = {}
-    for v in full2.words(2 * wg + 1):
-        f = F.table[v[wg - wf : wg + wf + 1]]
-        p0 = psi.table[v[wg - wp : wg + wp + 1]]
-        p1 = psi.table[v[wg + 1 - wp : wg + 2 + wp]]
-        naive[v] = compose(invert(p1), compose(f, p0))
+    assert G.window == max(F.window, psi.window + 1)
+    naive = naive_conjugated_table(F, psi)
     assert G.table.keys() == naive.keys()
     assert all(G.table[v] == naive[v] for v in naive)
 
 
+@given(
+    st.integers(0, 10_000), st.sampled_from(["full2", "golden"]), st.integers(0, 2),
+    st.integers(1, 720), st.integers(0, 5), st.one_of(st.none(), st.integers(1, 720)),
+    st.fractions(min_value=0, max_value=3, max_denominator=50),
+)
+@settings(max_examples=30, deadline=None)
+def test_rotation_tables_match_the_compose_reference_property(
+    seed, space_name, wf, denom, wp, psi_denom, amp
+):
+    """The integer-numerator rotation tables are == to compose and Fraction
+    sums, entry by entry: decaying_rotation_rule at any amplitude, and
+    conjugated_pair over decaying or random rotation rules."""
+    space = SFTSpace.full_shift(2) if space_name == "full2" else SFTSpace.golden_mean()
+    psi = decaying_rotation_rule(space, wp, amp)
+    for w, m in psi.table.items():
+        angle = sum(amp * s / Fraction(space.rho) ** abs(j) for j, s in zip(range(-wp, wp + 1), w))
+        assert m == PLMap.rotation(angle)
+    if psi_denom is not None:  # a rule with no common structure in its angles
+        rng = np.random.default_rng(seed)
+        angles = rng.integers(0, psi_denom, size=len(psi.table))
+        psi = WindowRule(wp, {w: PLMap.rotation(Fraction(int(a), psi_denom))
+                              for w, a in zip(psi.table, angles)})
+    F = rotation_cocycle(space, wf, seed, denom=denom)
+    G = conjugated_pair(F, psi)
+    naive = naive_conjugated_table(F, psi)
+    assert G.window == max(wf, wp + 1)
+    assert G.table.keys() == naive.keys()
+    assert all(G.table[v] == naive[v] for v in naive)
+
+
+@pytest.mark.parametrize("where", ["cocycle-pl", "rule-pl", "rule-float"])
+def test_conjugated_pair_composes_unless_every_entry_is_an_exact_rotation(full2, where,
+                                                                         monkeypatch):
+    from cocyclelab import fixtures
+
+    F, psi = rotation_cocycle(full2, 1, seed=4), decaying_rotation_rule(full2, 2)
+    word = sorted(F.table if where == "cocycle-pl" else psi.table)[0]
+    odd = PLMap.rotation(0.3) if where == "rule-float" else near_identity_plmap(
+        np.random.default_rng(1))
+    if where == "cocycle-pl":
+        F = CocycleSpec(full2, 1, {**F.table, word: odd})
+    else:
+        psi = WindowRule(psi.window, {**psi.table, word: odd})
+    calls = []
+    monkeypatch.setattr(fixtures, "compose", lambda a, b: calls.append(1) or compose(a, b))
+    G = conjugated_pair(F, psi)
+    assert calls  # one entry off the integer path sends the whole table through compose
+    naive = naive_conjugated_table(F, psi)
+    assert all(G.table[v] == naive[v] for v in naive)
+
+
 def fresh_fold(c, x, n):
-    h = PLMap.identity()
-    for h in prefix_products(reference_generators(c, x, n)):
-        pass
-    return h
+    return orbit_product(reference_generators(c, x, n))
 
 
 @given(
@@ -406,11 +542,8 @@ def _scanned_margins(c, n0):
     """Reference: every time-n0 product's extremal slopes, rotations included."""
     products = c.table.values()
     if n0 > 1:
-        products = []
-        for word in c.space.words(2 * c.window + n0):
-            for h in prefix_products(_word_generators(c, word, n0)):
-                pass
-            products.append(h)
+        products = [orbit_product(_word_generators(c, word, n0))
+                    for word in c.space.words(2 * c.window + n0)]
     alpha, log_rho = float(c.alpha), math.log(float(c.space.rho) ** n0)
     theta_u = alpha - math.log(max(float(h.max_slope) for h in products)) / log_rho
     theta_s = alpha - math.log(max(1.0 / float(h.min_slope) for h in products)) / log_rho

@@ -22,13 +22,11 @@ from cocyclelab import (
     resample_future,
     resample_past,
     sample_measure,
-    stable_pair_holder_check,
     uniform_distance,
     verify_lemma1,
 )
 from cocyclelab.errors import (
     DistortionUnbounded,
-    InsufficientScales,
     MissingSample,
     NotDominated,
 )
@@ -175,39 +173,6 @@ def test_measurable_conjugacy_over_a_transfer_map(setup):
     for z in [*T.class_points, forward_only]:
         if z != y:
             assert phi.phi_at(z) == T.phi_at(z)
-
-
-# -------------------------------------------------------------- modulus check
-
-
-def test_holder_check_identity_rule(setup):
-    space, F, _, _, _, _, mu = setup
-    rep = stable_pair_holder_check(identity_rule(space), F, stable_pairs(mu, 30, 5))
-    assert rep.passed and rep.constant == 0.0
-
-
-def test_holder_check_rotation_family(setup):
-    space, F, _, _, x0, rule, mu = setup
-    phi = MeasurableConjugacy(rule)
-    pairs = stable_pairs(mu, 60, 6)
-    draws = sample_measure(mu, 30, seed=66, depth=20)
-    generic = [(a, b) for a, b in zip(draws[0::2], draws[1::2]) if a[0] == b[0]]
-    rep = stable_pair_holder_check(phi, F, pairs, generic_pairs=generic)
-    assert rep.passed
-    assert rep.chain_pairs > 0 and rep.worst_chain_ratio <= rep.constant
-    # regression estimate on the same construction clears the budget
-    pts = sorted({p for pr in pairs for p in pr}, key=SymbolicPoint.sort_key)
-    est = holder_regression(pts, phi.phi_at, float(space.rho))
-    assert est[0] >= rep.exponent - 0.1
-
-
-def test_holder_check_needs_scales(setup):
-    space, F, _, _, _, rule, mu = setup
-    phi = MeasurableConjugacy(rule)
-    # pairs all at a single distance scale: degenerate regression input
-    pairs = stable_pairs(mu, 10, 10)[:1]
-    with pytest.raises(InsufficientScales):
-        stable_pair_holder_check(phi, F, pairs)
 
 
 # ---------------------------------------------------------------- regularise

@@ -475,6 +475,32 @@ def test_enumerations_stop_at_their_cap(full2, monkeypatch):
         list(full2.words(2))
 
 
+@pytest.mark.parametrize("space", [SFTSpace.full_shift(2), SFTSpace.golden_mean(),
+                                   SFTSpace(3, ((1, 1, 0), (0, 1, 1), (1, 0, 1)))],
+                         ids=["full2", "golden", "sft3"])
+def test_words_match_the_filtered_product(space, monkeypatch):
+    """Every admissible word in lexicographic order; past the cap, the first
+    ENUMERATION_CAP of them and then the cap's error."""
+    import itertools
+
+    from cocyclelab import symbolic
+
+    for length in range(8):
+        want = [w for w in itertools.product(range(space.k), repeat=length)
+                if space.admissible_word(w)]
+        assert list(space.words(length)) == want
+        cap = max(1, len(want) // 3)
+        got = []
+        with monkeypatch.context() as mp:
+            mp.setattr(symbolic, "ENUMERATION_CAP", cap)
+            if len(want) > cap:
+                with pytest.raises(ResourceLimit, match=f"length {length} exceeded .* cap {cap}"):
+                    got.extend(space.words(length))
+                assert got == want[:cap]
+            else:
+                assert list(space.words(length)) == want
+
+
 # ------------------------------------------------------------------ homoclinic
 
 
