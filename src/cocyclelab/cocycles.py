@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circlemaps import PLMap, compose, invert, lipschitz_metric
+from .circlemaps import PLMap, _angle_terms, compose, invert, lipschitz_metric
 from .errors import NotDominated, ResourceLimit
 from .symbolic import SFTSpace, SymbolicPoint
 
@@ -214,11 +214,10 @@ def iterate(c: CocycleSpec, x: SymbolicPoint, n: int) -> PLMap:
     return h
 
 
-def _inverse_iterate(c: CocycleSpec, x: SymbolicPoint, n: int) -> PLMap:
-    """(f^n_x)^-1.  A product with breakpoints is inverted once and its inverse
-    kept under the product's key; a rotation's inverse, one negated angle,
-    costs less to recompute than to hold."""
-    h = iterate(c, x, n)
+def _inverse_iterate(c: CocycleSpec, x: SymbolicPoint, n: int, h: PLMap) -> PLMap:
+    """(f^n_x)^-1 for the product ``h`` = f^n_x.  A product with breakpoints
+    is inverted once and its inverse kept under the product's key; a
+    rotation's inverse, one negated angle, costs less to recompute than to hold."""
     if h.is_rotation:
         return invert(h)
     inverses = c._cache.setdefault("orbit_inverse", {})
@@ -229,8 +228,14 @@ def _inverse_iterate(c: CocycleSpec, x: SymbolicPoint, n: int) -> PLMap:
 
 
 def quotient(A: CocycleSpec, y: SymbolicPoint, B: CocycleSpec, x: SymbolicPoint, n: int) -> PLMap:
-    """(A^n_y)^-1 B^n_x, the quotient that holonomies and conjugacies are limits of."""
-    return compose(_inverse_iterate(A, y, n), iterate(B, x, n))
+    """(A^n_y)^-1 B^n_x, the quotient that holonomies and conjugacies are limits of.
+
+    The quotient of two exact rotations is one integer angle difference.
+    """
+    a, b = iterate(A, y, n), iterate(B, x, n)
+    if a.is_rotation and b.is_rotation and type(a.vals[0]) is type(b.vals[0]) is Fraction:
+        return PLMap((_ZERO,), (Fraction(*_angle_terms(b.vals[0], a.vals[0], -1)),))
+    return compose(_inverse_iterate(A, y, n, a), b)
 
 
 def holder_const_cocycle(c: CocycleSpec) -> float:

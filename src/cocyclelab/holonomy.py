@@ -15,6 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import cocycles
 from .circlemaps import PLMap, compose, invert, uniform_distance
 from .cocycles import CocycleSpec, power_domination, quotient
 from .errors import NoConvergence, NotDominated
@@ -67,33 +68,42 @@ def _onset(x: SymbolicPoint, y: SymbolicPoint, side: str) -> int:
     return stable_agreement_onset(x, y) if side == "s" else unstable_agreement_onset(x, y)
 
 
-def _limit(quot, side: str, onset: int, window: int, n0: int, tol: float, what):
+def _limit(quot, side: str, start, n0: int, tol: float, what, memo: dict, key):
     """``quot(n)`` at the stabilisation index, with the index and the tail.
 
-    The index n_used is the first multiple of n0 at or past ``onset + window``
-    (n = -n_used on the unstable side); the tail is the distance to the
-    quotient at n_used + n0.  ``what()`` names the limit in the
-    ``NoConvergence`` raised when n_used exceeds ``HOLONOMY_ITER_CAP`` or the
-    tail exceeds ``tol``.
+    The index n_used is the first multiple of n0 at or past ``start()``, the
+    onset plus the window (n = -n_used on the unstable side); the tail is the
+    distance to the quotient at n_used + n0.  A result held in ``memo`` under
+    ``key`` is read instead of recomputed, and a fresh one is held there; the
+    memo is emptied when it holds ``ORBIT_MEMO_CAP`` results.  Held or fresh,
+    ``what()`` names the limit in the ``NoConvergence`` raised when n_used
+    exceeds ``HOLONOMY_ITER_CAP`` or the tail exceeds ``tol``.
     """
-    n_used = max(0, math.ceil((onset + window) / n0)) * n0
+    held = memo.get(key)
+    n_used = held[1] if held else max(0, math.ceil(start() / n0)) * n0
     if n_used > HOLONOMY_ITER_CAP:
         raise NoConvergence(
             f"{what()}: stabilisation index {n_used} exceeds cap {HOLONOMY_ITER_CAP}"
         )
-    sign = 1 if side == "s" else -1
-    h = quot(sign * n_used)
-    tail = float(uniform_distance(h, quot(sign * (n_used + n0))))
-    if tail > tol:
-        raise NoConvergence(f"{what()}: residual tail {tail:.3e} exceeds tol {tol:.3e}")
-    return h, n_used, tail
+    if held is None:
+        sign = 1 if side == "s" else -1
+        h = quot(sign * n_used)
+        held = h, n_used, float(uniform_distance(h, quot(sign * (n_used + n0))))
+        if len(memo) >= cocycles.ORBIT_MEMO_CAP:
+            memo.clear()
+        memo[key] = held
+    if held[2] > tol:
+        raise NoConvergence(f"{what()}: residual tail {held[2]:.3e} exceeds tol {tol:.3e}")
+    return held
 
 
 def _holonomy(c: CocycleSpec, x, y, side: str, tol: float, n0: int):
+    """The holonomy, held per cocycle under (side, n0, x, y) in ``c._cache``."""
     theta = _margin(c, side, n0)
     h, n_used, tail = _limit(
-        lambda n: quotient(c, y, c, x, n), side, _onset(x, y, side), c.window, n0, tol,
-        lambda: f"{side}-holonomy of ({x!r}, {y!r})",
+        lambda n: quotient(c, y, c, x, n), side, lambda: _onset(x, y, side) + c.window, n0,
+        tol, lambda: f"{side}-holonomy of ({x!r}, {y!r})",
+        c._cache.setdefault("holonomy", {}), (side, n0, x, y),
     )
     alpha = float(c.alpha)
     return HolonomyResult(h, side, n_used, tail, gamma_budget(theta, alpha), (x, y, alpha))
@@ -151,11 +161,11 @@ def conjugacy_quotient(
     cocycle dominated on ``side``, the onset, the iteration cap and the tail.
     """
     _margin(F, side, n0)
-    onset = _onset(x, y, side)
+    start = _onset(x, y, side) + max(F.window, G.window)
     _margin(G, side, n0)
     h, _, _ = _limit(
-        lambda n: quotient(F, y, G, y, n), side, onset, max(F.window, G.window), n0, tol,
-        lambda: f"{side}-conjugacy quotient of ({x!r}, {y!r})",
+        lambda n: quotient(F, y, G, y, n), side, lambda: start, n0, tol,
+        lambda: f"{side}-conjugacy quotient of ({x!r}, {y!r})", {}, None,  # phi_at holds these
     )
     return h
 

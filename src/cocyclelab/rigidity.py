@@ -224,9 +224,11 @@ def regularize(
 
     # regress over the corruption-independent targets so the measured modulus
     # is comparable across runs with and without injected corruption
+    base = sorted(base_targets, key=SymbolicPoint.sort_key)
+    ks = [row[t] for t in base]
     try:
         regression = holder_regression(
-            sorted(base_targets, key=SymbolicPoint.sort_key), tilde.__getitem__, float(F.space.rho)
+            base, tilde.__getitem__, float(F.space.rho), _exponents=exponents[np.ix_(ks, ks)]
         )
     except InsufficientScales:
         regression = None

@@ -259,16 +259,17 @@ def verify_lemma1(T: TransferMap, points=None, tol: float = 1e-6) -> ResidualRep
     return ResidualReport.of(rows, tol, diags, skipped)
 
 
-def holder_regression(points, lookup, rho: float, min_samples: int = 30):
+def holder_regression(points, lookup, rho: float, min_samples: int = 30, *, _exponents=None):
     """Log-log regression of d(lookup(y), lookup(z)) against d(y, z).
 
     Returns (exponent, constant); exponent is inf when the map is constant
     across the samples (all numerators vanish).  Pairs with zero numerator are
     dropped from the fit.  The pairs run over i < j in row-major order, with
-    their distance exponents read from ``agreement_exponents``.  ``lookup`` is
-    called once per point.  Each distance and its log are computed once per
-    distinct ordered pair of values, or once per unordered pair when both
-    values are exact, since the exact distance is symmetric.
+    their distance exponents read from ``agreement_exponents(points)``; a
+    caller that already holds that array passes it as ``_exponents``.
+    ``lookup`` is called once per point.  Each distance and its log are
+    computed once per distinct ordered pair of values, or once per unordered
+    pair when both values are exact, since the exact distance is symmetric.
     """
     pts = list(points)
     if len(pts) < min_samples:
@@ -283,7 +284,7 @@ def holder_regression(points, lookup, rho: float, min_samples: int = 30):
     vals = [m for m, _ in ids]
     idx = np.array(idx, dtype=np.intp)
     i, j = np.triu_indices(len(pts), 1)
-    n = agreement_exponents(pts)[i, j]
+    n = (agreement_exponents(pts) if _exponents is None else _exponents)[i, j]
     distinct = n >= 0
     n, a, b = n[distinct], idx[i[distinct]], idx[j[distinct]]
     exact = np.array([m.is_exact for m in vals], dtype=bool)

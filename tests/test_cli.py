@@ -111,6 +111,16 @@ def test_theorem_a_rows_with_a_one_product_orbit_memo(tmp_path, monkeypatch):
     assert_rows_pinned(tmp_path / "out", "theorem-a")
 
 
+def test_theorem_b_rows_with_a_one_entry_memo(tmp_path, monkeypatch):
+    from cocyclelab import cocycles
+
+    # the orbit-product and holonomy memos are emptied before every new entry
+    monkeypatch.setattr(cocycles, "ORBIT_MEMO_CAP", 1)
+    cfg = write_config(tmp_path, {"experiment": "theorem-b", "seed": 5})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert_rows_pinned(tmp_path / "out", "theorem-b")
+
+
 def test_run_exit_codes(tmp_path, capsys):
     missing = main(["run", "--config", str(tmp_path / "nope.json")])
     assert missing == 2

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cocyclelab import (
     CocycleSpec,
@@ -454,12 +454,62 @@ def test_quotient_inverts_each_memoised_product_once(full2, rng, monkeypatch):
     monkeypatch.setattr(cocycles, "ORBIT_MEMO_CAP", len(memo))
     iterate(c, x, 9)
     assert len(memo) == 1 and inverses == {}
-    # a rotation product is inverted afresh and not held
+    # a quotient of exact rotations is one angle difference: nothing inverted or held
     r = rotation_cocycle(full2, 1, seed=4)
     inverted.clear()
     for _ in range(2):
         assert cocycles.quotient(r, y, r, x, 3) == compose(invert(iterate(r, y, 3)), iterate(r, x, 3))
-    assert len(inverted) == 2 and "orbit_inverse" not in r._cache
+    assert inverted == [] and "orbit_inverse" not in r._cache
+
+
+def two_rotation_cocycle(space, angles):
+    return CocycleSpec(space, 0, {(s,): PLMap.rotation(a) for s, a in enumerate(angles)})
+
+
+@given(
+    st.sampled_from((2, 3, 7, 11, 97, 360)), st.sampled_from((2, 3, 7, 11, 97, 360)),
+    st.lists(st.integers(1, 10**6), min_size=4, max_size=4), st.integers(-6, 6),
+    st.integers(0, 10_000),
+)
+@settings(max_examples=40, deadline=None)
+def test_exact_rotation_quotient_is_one_angle_difference(qa, qb, nums, n, seed):
+    from cocyclelab import cocycles
+
+    assume(qa != qb)
+    space = SFTSpace.full_shift(2)
+    A = two_rotation_cocycle(space, [Fraction(k, qa) for k in nums[:2]])
+    B = two_rotation_cocycle(space, [Fraction(k, qb) for k in nums[2:]])
+    rng = np.random.default_rng(seed)
+    x, y = random_point(space, rng), random_point(space, rng)
+    got = cocycles.quotient(A, y, B, x, n)
+    assert got == compose(invert(iterate(A, y, n)), iterate(B, x, n))
+    assert got.is_rotation and got.is_exact
+
+
+def test_quotient_composes_float_mixed_and_pl_products(full2, rng, monkeypatch):
+    from cocyclelab import cocycles
+
+    exact = rotation_cocycle(full2, 1, seed=4)
+    floats = CocycleSpec(full2, 1, {w: PLMap.rotation(float(m.angle))
+                                    for w, m in exact.table.items()})
+    pl = pl_dominated_cocycle(full2, 1, 0.4, seed=9)
+    composed = []
+
+    def counted(f, g):
+        composed.append((f, g))
+        return compose(f, g)
+
+    monkeypatch.setattr(cocycles, "compose", counted)
+    x = random_point(full2, rng)
+    y = x.shift(2)
+    for A, B in ((floats, floats), (exact, floats), (floats, exact), (pl, pl), (exact, pl)):
+        for n in (3, -2):
+            want = compose(invert(iterate(A, y, n)), iterate(B, x, n))  # folds the products
+            composed.clear()
+            assert cocycles.quotient(A, y, B, x, n) == want and len(composed) == 1
+    composed.clear()
+    cocycles.quotient(exact, y, exact, x, 3)
+    assert composed == []
 
 
 # ------------------------------------------------------------- Holder constant

@@ -110,6 +110,77 @@ def test_holonomy_stops_at_its_iteration_cap(full2, monkeypatch):
         stable_holonomy(c, x, y)
 
 
+# ------------------------------------------------------------------------ memo
+
+
+def _fresh(hol, c, x, y, n0):
+    """``hol`` computed with the cocycle's caches emptied, which are then put back."""
+    held = dict(c._cache)
+    c._cache.clear()
+    try:
+        return hol(c, x, y, n0=n0)
+    finally:
+        c._cache.clear()
+        c._cache.update(held)
+
+
+@settings(max_examples=12)
+@given(
+    kind=st.sampled_from(["pl", "rotation", "float"]),
+    seed=st.integers(0, 50),
+    i=st.integers(0, 29),
+    j=st.integers(0, 29),
+)
+def test_memoised_holonomy_equals_a_fresh_one(kind, seed, i, j):
+    space = SFTSpace.full_shift(2)
+    c = {
+        "pl": lambda: pl_dominated_cocycle(space, 1, 0.4, seed=seed),
+        "rotation": lambda: rotation_cocycle(space, 1, seed=seed),
+        "float": lambda: pl_dominated_cocycle(space, 1, 0.4, seed=seed, exact=False),
+    }[kind]()
+    pts = homoclinic_points(SymbolicPoint.fixed(space, 0), 3)
+    x, y = pts[i % len(pts)], pts[j % len(pts)]  # on one stable and one unstable set
+    calls = [(hol, n0, a, b) for hol in (stable_holonomy, unstable_holonomy)
+             for n0 in (1, 2) for a, b in ((x, y), (y, x))]
+    for _ in range(2):  # every call of the second round is a hit
+        for hol, n0, a, b in calls:
+            got, want = hol(c, a, b, n0=n0), _fresh(hol, c, a, b, n0)
+            assert got == want
+            assert (got.n_used, got.cauchy_tail, got.gamma_bound) == (
+                want.n_used, want.cauchy_tail, want.gamma_bound)
+    assert len(c._cache["holonomy"]) == len(set(calls))
+
+
+def test_memoised_holonomy_rechecks_its_tail(full2):
+    c = pl_dominated_cocycle(full2, 1, 0.4, seed=3, exact=False)
+    x0 = SymbolicPoint.fixed(full2, 0)
+    y = next(y for y in homoclinic_points(x0, 3) if stable_holonomy(c, x0, y).cauchy_tail > 0)
+    tol = stable_holonomy(c, x0, y).cauchy_tail / 2
+    assert ("s", 1, x0, y) in c._cache["holonomy"]
+    with pytest.raises(NoConvergence, match="residual tail") as hit:
+        stable_holonomy(c, x0, y, tol)
+    c._cache.clear()
+    with pytest.raises(NoConvergence) as fresh:
+        stable_holonomy(c, x0, y, tol)
+    assert str(hit.value) == str(fresh.value)
+
+
+def test_holonomy_memo_is_emptied_when_full(full2, monkeypatch):
+    from cocyclelab import cocycles
+
+    monkeypatch.setattr(cocycles, "ORBIT_MEMO_CAP", 3)
+    c = pl_dominated_cocycle(full2, 1, 0.4, seed=3)
+    x0 = SymbolicPoint.fixed(full2, 0)
+    ys = homoclinic_points(x0, 3)[:4]
+    for y in ys[:3]:
+        stable_holonomy(c, x0, y)
+    memo = c._cache["holonomy"]
+    stable_holonomy(c, x0, ys[0])  # a hit adds nothing
+    assert list(memo) == [("s", 1, x0, y) for y in ys[:3]]
+    stable_holonomy(c, x0, ys[3])
+    assert list(memo) == [("s", 1, x0, ys[3])]
+
+
 def test_result_invariants(full2, rng):
     c = pl_dominated_cocycle(full2, 1, 0.4, seed=3)
     x0 = SymbolicPoint.fixed(full2, 0)

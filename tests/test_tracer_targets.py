@@ -63,6 +63,27 @@ def test_traced_theorem_a_calls_every_transfer_span(monkeypatch):
     assert traced.passed
 
 
+def test_traced_theorem_b_calls_the_regression_span(monkeypatch):
+    """theorem-b is the only ``repair`` operation that reaches ``regularize``
+    and ``holder_regression``, so ``regularize`` must call the regression by
+    name."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # workload.py prepends to it
+    expected = load("workload").EXPECTED_SPANS["repair"]
+    cfg = ExperimentConfig("theorem-b", seed=5)
+    untraced = experiments.run(cfg)
+    tracer = load("tracer").Tracer()
+    tracer.install()
+    try:
+        traced = experiments.run(cfg)
+    finally:
+        tracer.uninstall()
+    calls, _, _ = tracer.take()
+    for span in ("rigidity.regularize", "transfer.holder_regression"):
+        assert span in expected and calls.get(span)
+    assert traced.rows == untraced.rows and traced.tables == untraced.tables
+    assert traced.passed
+
+
 def test_traced_sampling_calls_every_sampling_span(monkeypatch):
     """The same guard for ``sampling``: one operation on the golden-mean
     measure of the workload, run untraced and traced."""
