@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidExponent, ResourceLimit
@@ -42,7 +42,6 @@ class PLMap:
 
     breaks: tuple
     vals: tuple
-    _segments: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def make(cls, breaks, vals) -> "PLMap":
@@ -99,8 +98,6 @@ class PLMap:
 
     def segments(self):
         """(x1, x2, v1, slope) covering one period [b0, b0+1)."""
-        if self._segments is not None:
-            return self._segments
         b, v = self.breaks, self.vals
         m = len(b)
         if m == 1 and type(b[0]) is Fraction:
@@ -113,9 +110,7 @@ class PLMap:
             x2 = b[i + 1] if i + 1 < m else b[0] + 1
             y2 = v[i + 1] if i + 1 < m else v[0] + 1
             out.append((x1, x2, y1, (y2 - y1) / (x2 - x1)))
-        out = tuple(out)
-        object.__setattr__(self, "_segments", out)
-        return out
+        return tuple(out)
 
     @property
     def slopes(self) -> tuple:

@@ -160,22 +160,13 @@ def _word_generators(c: CocycleSpec, word: tuple, n: int, start: int = 0):
     """Generators of steps start+1 .. |n| of f^n, read from its orbit word.
 
     For n < 0 these are the inverse generators at sigma^-1 x, sigma^-2 x, ...,
-    since f^-j_x = (g at sigma^-j x)^-1 f^-(j-1)_x; each table entry is
-    inverted once per cocycle and kept in its cache.
+    since f^-j_x = (g at sigma^-j x)^-1 f^-(j-1)_x.
     """
-    span = 2 * c.window + 1
+    span, table = 2 * c.window + 1, c.table
     if n >= 0:
-        table = c.table
         return (table[word[j : j + span]] for j in range(start, n))
     # step j reads the window of sigma^-j x, which starts at word index |n| - j
-    return (_inverse_generator(c, word[j : j + span]) for j in range(-n - 1 - start, -1, -1))
-
-
-def _inverse_generator(c: CocycleSpec, word: tuple) -> PLMap:
-    inverses = c._cache.setdefault("inverse", {})
-    if word not in inverses:
-        inverses[word] = invert(c.table[word])
-    return inverses[word]
+    return (invert(table[word[j : j + span]]) for j in range(-n - 1 - start, -1, -1))
 
 
 def iterate(c: CocycleSpec, x: SymbolicPoint, n: int) -> PLMap:
@@ -186,8 +177,7 @@ def iterate(c: CocycleSpec, x: SymbolicPoint, n: int) -> PLMap:
     checked against ``BREAKPOINT_CAP`` and ``DENOMINATOR_BITS_CAP`` when it
     was folded.  A product not yet memoised extends the longest memoised
     prefix of its word.  The memo holds at most ``ORBIT_MEMO_CAP`` products
-    and is emptied when full, together with the inverses ``quotient`` keeps
-    under the same keys.
+    and is emptied when full.
     """
     if n == 0:
         return PLMap.identity()
@@ -209,33 +199,21 @@ def iterate(c: CocycleSpec, x: SymbolicPoint, n: int) -> PLMap:
             raise ResourceLimit(f"{e} folding f^{n} at {x!r}") from None
         if len(memo) >= ORBIT_MEMO_CAP:
             memo.clear()
-            c._cache.get("orbit_inverse", {}).clear()
         memo[key] = h
     return h
-
-
-def _inverse_iterate(c: CocycleSpec, x: SymbolicPoint, n: int, h: PLMap) -> PLMap:
-    """(f^n_x)^-1 for the product ``h`` = f^n_x.  A product with breakpoints
-    is inverted once and its inverse kept under the product's key; a
-    rotation's inverse, one negated angle, costs less to recompute than to hold."""
-    if h.is_rotation:
-        return invert(h)
-    inverses = c._cache.setdefault("orbit_inverse", {})
-    key = (n > 0, _orbit_word(c, x, n))
-    if key not in inverses:
-        inverses[key] = invert(h)
-    return inverses[key]
 
 
 def quotient(A: CocycleSpec, y: SymbolicPoint, B: CocycleSpec, x: SymbolicPoint, n: int) -> PLMap:
     """(A^n_y)^-1 B^n_x, the quotient that holonomies and conjugacies are limits of.
 
-    The quotient of two exact rotations is one integer angle difference.
+    Both products are read through ``iterate``.  The quotient of two exact
+    rotations is one integer angle difference; any other pair is inverted
+    and composed.
     """
     a, b = iterate(A, y, n), iterate(B, x, n)
     if a.is_rotation and b.is_rotation and type(a.vals[0]) is type(b.vals[0]) is Fraction:
         return PLMap((_ZERO,), (Fraction(*_angle_terms(b.vals[0], a.vals[0], -1)),))
-    return compose(_inverse_iterate(A, y, n, a), b)
+    return compose(invert(a), b)
 
 
 def holder_const_cocycle(c: CocycleSpec) -> float:
@@ -246,8 +224,6 @@ def holder_const_cocycle(c: CocycleSpec) -> float:
     admissible word occurs in some point (true whenever every symbol has a
     predecessor); otherwise the value is still a valid upper bound.
     """
-    if "holder" in c._cache:
-        return c._cache["holder"]
     rho = float(c.space.rho)
     alpha = float(c.alpha)
     words = sorted(c.table)
@@ -261,7 +237,6 @@ def holder_const_cocycle(c: CocycleSpec) -> float:
             # u, v agree on |m| < r and are realised by points at distance rho**-r
             d1 = float(lipschitz_metric(c.table[u], c.table[v]))
             best = max(best, d1 * rho ** (alpha * r))
-    c._cache["holder"] = best
     return best
 
 

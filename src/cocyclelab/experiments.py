@@ -146,7 +146,7 @@ class ExperimentConfig:
         if exp not in EXPERIMENTS:
             raise ConfigError(f"experiment: expected one of {', '.join(EXPERIMENTS)}, got {exp!r}")
         seed = doc.get("seed", 0)
-        if not isinstance(seed, int):
+        if isinstance(seed, bool) or not isinstance(seed, int):
             raise ConfigError("seed: expected an integer")
         space = None
         if "space" in doc:
@@ -166,9 +166,13 @@ class ExperimentConfig:
             except (KeyError, TypeError, ValueError, ResourceLimit) as e:
                 raise ConfigError(f"cocycles.{name}: {e}") from None
         for name, val in tols.items():
-            if not isinstance(val, (int, float)) or not math.isfinite(val) or val <= 0:
+            number = isinstance(val, (int, float)) and not isinstance(val, bool)
+            if not number or not math.isfinite(val) or val <= 0:
                 raise ConfigError(f"tolerances.{name}: must be a positive finite number")
-        return cls(exp, seed, space, cocycles, dict(tols), doc.get("output_dir"))
+        output_dir = doc.get("output_dir")
+        if output_dir is not None and not isinstance(output_dir, str):
+            raise ConfigError("output_dir: expected a string")
+        return cls(exp, seed, space, cocycles, dict(tols), output_dir)
 
     def digest(self) -> str:
         payload = {

@@ -80,14 +80,19 @@ class SFTSpace:
             raise ValueError("transition matrix has a null row")
         if not self.rho > 1:
             raise ValueError("rho must exceed 1")
-        # what point construction tests words against, and a memo of shortest
-        # cycles filled one symbol at a time.  They are not fields, so ==,
-        # hash, repr and to_json never see them.
+        # the hash every dict keyed by a point or a space asks for, what point
+        # construction tests words against, and a memo of shortest cycles
+        # filled one symbol at a time.  They are not fields, so ==, repr and
+        # to_json never see them; the hash is the one the fields give.
+        object.__setattr__(self, "_hash", hash((self.k, self.P, self.rho)))
         object.__setattr__(self, "_symbols", frozenset(range(self.k)))
         object.__setattr__(self, "_forbidden", frozenset(
             (i, j) for i, row in enumerate(self.P) for j, e in enumerate(row) if not e
         ))
         object.__setattr__(self, "_cycles", {})
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def full_shift(cls, k: int, rho=2) -> "SFTSpace":

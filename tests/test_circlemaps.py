@@ -71,14 +71,15 @@ def test_compose_pointwise_oracle_float(rng):
 # ------------------------------------------------------------------- inversion
 
 
-def test_segment_cache_is_outside_equality(rng):
+def test_plmap_is_slotted_on_its_breaks_and_vals(rng):
     f = random_plmap(rng)
     g = PLMap.make(f.breaks, f.vals)
     f.segments()
     assert f == g and hash(f) == hash(g) and not hasattr(f, "__dict__")
-    # an exact rotation's slope is exactly 1, with nothing cached on the map
+    assert PLMap.__slots__ == ("breaks", "vals")
+    # an exact rotation's slope is exactly 1
     r = PLMap.rotation(Fraction(2, 7))
-    assert r.segments() == ((0, 1, Fraction(2, 7), 1),) and r._segments is None
+    assert r.segments() == ((0, 1, Fraction(2, 7), 1),)
     assert r.slopes == (Fraction(1),) and type(r.max_slope) is Fraction
 
 

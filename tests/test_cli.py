@@ -133,6 +133,9 @@ def test_run_exit_codes(tmp_path, capsys):
         ({"experiment": "theorem-a", "tolerances": 1e-6}, "tolerances: "),
         ({"experiment": "theorem-a", "space": space,
           "cocycles": {"F": {"window": 0, "table": []}}}, "cocycles.F: table: "),
+        ({"experiment": "distortion", "output_dir": 5}, "output_dir: expected a string"),
+        ({"experiment": "distortion", "seed": True}, "seed: expected an integer"),
+        ({"experiment": "distortion", "tolerances": {"horizon": True}}, "tolerances.horizon: "),
     ):
         assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 2
         assert f"config error: {name}" in capsys.readouterr().err

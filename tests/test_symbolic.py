@@ -176,6 +176,17 @@ def test_shortest_cycles_are_stored_per_space(space):
     assert repr(fresh) == repr(space) and fresh.to_json() == space.to_json()
 
 
+def test_space_hash_is_the_hash_of_its_fields():
+    import dataclasses
+
+    space = staircase_space(3)
+    assert hash(space) == hash((space.k, space.P, space.rho))
+    twin = SFTSpace(space.k, [list(row) for row in space.P], space.rho)
+    assert twin == space and hash(twin) == hash(space)
+    other = dataclasses.replace(space, rho=3)
+    assert other != space and hash(other) == hash((space.k, space.P, 3)) != hash(space)
+
+
 def test_canonical_equality_matches_coordinates(full2, golden, rng):
     # canonical-form equality must coincide with coordinatewise agreement
     for space in (full2, golden):
