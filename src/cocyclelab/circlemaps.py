@@ -416,8 +416,8 @@ def holder_constant(f: PLMap, beta, tol: float = 1e-6):
     if beta == 1:
         return f.max_slope
     beta = float(beta)
-    lmax = float(f.max_slope)
-    lmin = float(f.min_slope)
+    slopes = f.slopes
+    lmax, lmin = float(max(slopes)), float(min(slopes))
     fl = PLMap.make([float(b) for b in f.breaks], [float(v) for v in f.vals])
 
     def num(p, t):

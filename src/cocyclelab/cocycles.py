@@ -20,6 +20,7 @@ BREAKPOINT_CAP = 100_000
 DENOMINATOR_BITS_CAP = 4096  # bit length of the largest denominator of an exact orbit product
 ORBIT_MEMO_CAP = 4096  # orbit products memoised per cocycle before the memo is emptied
 TABLE_ENTRY_CAP = 16_384  # words a window table may have; theorem-a's default G has 8,192
+HORIZON_CAP = 1000  # largest distortion horizon a config may ask for
 _ZERO = Fraction(0)
 
 
@@ -265,7 +266,8 @@ def _margins(c: CocycleSpec, n0: int) -> DominationReport:
                 # slope exactly 1; a float rotation's can round away from 1
                 up, down = max(up, 1.0), max(down, 1.0)
             else:
-                up, down = max(up, float(h.max_slope)), max(down, 1.0 / float(h.min_slope))
+                slopes = h.slopes
+                up, down = max(up, float(max(slopes))), max(down, 1.0 / float(min(slopes)))
         alpha, log_rho = float(c.alpha), math.log(float(c.space.rho) ** n0)
         theta_u = alpha - math.log(up) / log_rho
         theta_s = alpha - math.log(down) / log_rho
@@ -302,8 +304,8 @@ def check_bounded_distortion(c: CocycleSpec, horizon: int, samples) -> Distortio
     per_step = [1.0] * horizon
     for x in samples:
         for n in range(1, horizon + 1):
-            h = iterate(c, x, n)
-            per_step[n - 1] = max(per_step[n - 1], float(h.max_slope), 1.0 / float(h.min_slope))
+            slopes = iterate(c, x, n).slopes
+            per_step[n - 1] = max(per_step[n - 1], float(max(slopes)), 1.0 / float(min(slopes)))
     k_est = max(per_step) if samples else 1.0
     certified = all(m.is_rotation for m in c.table.values())
     growth = False

@@ -29,6 +29,7 @@ from .circlemaps import (
     uniform_distance,
 )
 from .cocycles import (
+    HORIZON_CAP,
     CocycleSpec,
     check_bounded_distortion,
     check_domination,
@@ -169,6 +170,11 @@ class ExperimentConfig:
             number = isinstance(val, (int, float)) and not isinstance(val, bool)
             if not number or not math.isfinite(val) or val <= 0:
                 raise ConfigError(f"tolerances.{name}: must be a positive finite number")
+        horizon = tols.get("horizon", 1)
+        if horizon != int(horizon) or horizon > HORIZON_CAP:
+            raise ConfigError(
+                f"tolerances.horizon: must be a whole number from 1 to {HORIZON_CAP} (HORIZON_CAP)"
+            )
         output_dir = doc.get("output_dir")
         if output_dir is not None and not isinstance(output_dir, str):
             raise ConfigError("output_dir: expected a string")

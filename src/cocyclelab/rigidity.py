@@ -233,7 +233,8 @@ def regularize(
     except InsufficientScales:
         regression = None
 
-    lip = max(max(float(m.max_slope), 1.0 / float(m.min_slope)) for m in tilde.values())
+    slopes = [m.slopes for m in tilde.values()]
+    lip = max(max(float(max(s)), 1.0 / float(min(s))) for s in slopes)
     report = RigidityReport(
         gamma, gamma, regression, repaired, path_worst, coh_worst, len(anchors), excluded, lip
     )

@@ -9,6 +9,7 @@ an exactly computable metric, which is what the rest of the library leans on.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ from .errors import (
 Word = tuple[int, ...]
 
 ENUMERATION_CAP = 200_000  # points a periodic or homoclinic enumeration may produce
+SAMPLE_BLOCK = 256  # draws sample_measure reads and steps at once; all at once costs memory
 
 
 def _primitive(word: Word) -> Word:
@@ -47,12 +49,10 @@ def _tiling(word: Word, lo: int, hi: int) -> Word:
     return (word * (stop // len(word) + 1))[start:stop]
 
 
-def _rot_left(word: Word) -> Word:
-    return word[1:] + word[:1]
-
-
-def _rot_right(word: Word) -> Word:
-    return word[-1:] + word[:-1]
+def _rotate(word: Word, n: int) -> Word:
+    """``word`` rotated left by n places (right for n < 0)."""
+    n %= len(word)
+    return word[n:] + word[:n]
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,7 @@ class SFTSpace:
         object.__setattr__(self, "_forbidden", frozenset(
             (i, j) for i, row in enumerate(self.P) for j, e in enumerate(row) if not e
         ))
+        object.__setattr__(self, "_pattern", _forbidden_pattern(self.P))
         object.__setattr__(self, "_cycles", {})
 
     def __hash__(self) -> int:
@@ -113,11 +114,22 @@ class SFTSpace:
         return tuple(i for i in range(self.k) if self.P[i][j])
 
     def admissible_word(self, word) -> bool:
-        """No forbidden pair in ``word``, whose symbols must lie in ``0..k-1``."""
+        """No forbidden pair in ``word``, whose symbols must lie in ``0..k-1``.
+
+        With k <= 256 the word is searched as bytes by one compiled pattern;
+        a word ``bytes`` refuses (a float symbol) takes the pair scan.
+        """
+        if not self._forbidden:
+            return True
+        if self._pattern is not None:
+            try:
+                return self._pattern.search(bytes(word)) is None
+            except (TypeError, ValueError):
+                pass
         return self._forbidden.isdisjoint(zip(word, word[1:]))
 
     def admissible_cycle(self, word) -> bool:
-        return bool(word) and self._forbidden.isdisjoint(zip(word, word[1:] + word[:1]))
+        return bool(word) and self.admissible_word(word + word[:1])
 
     def words(self, length: int):
         """Admissible words of the given length in lexicographic order, at most ENUMERATION_CAP."""
@@ -152,38 +164,60 @@ class SFTSpace:
         return cls(int(doc["k"]), tuple(tuple(row) for row in doc["P"]), doc.get("rho", 2))
 
 
+_BYTE_ESCAPES = tuple(b"\\x%02x" % i for i in range(256))
+
+
+def _forbidden_pattern(P):
+    """One compiled bytes pattern matching a forbidden pair, with one branch
+    ``a[B]`` per symbol a whose forbidden successors are B; None when k > 256
+    (symbols are no longer bytes) or nothing is forbidden."""
+    if len(P) > 256:
+        return None
+    esc = _BYTE_ESCAPES
+    branches = [
+        b"%s[%s]" % (esc[a], b"".join([esc[j] for j, e in enumerate(row) if not e]))
+        for a, row in enumerate(P) if not all(row)
+    ]
+    return re.compile(b"|".join(branches)) if branches else None
+
+
 def _canonical(left: Word, core: Word, right: Word, core_start: int):
     """Unique representative: primitive tails, maximally absorbed core,
-    leftmost junction, and periodic points anchored at coordinate 0."""
+    leftmost junction, and periodic points anchored at coordinate 0.
+
+    Each tail absorbs the core symbols that continue its period; their count
+    is taken first, so the core and each tail are sliced once.
+    """
     left = _primitive(left)
     right = _primitive(right)
-    while core and core[-1] == right[-1]:
-        right = _rot_right(right)
-        core = core[:-1]
-    while core and core[0] == left[0]:
-        left = _rot_left(left)
-        core = core[1:]
-        core_start += 1
+    p, q, c = len(left), len(right), len(core)
+    j = 0
+    while j < c and core[c - 1 - j] == right[(-1 - j) % q]:
+        j += 1
+    if j:
+        right = _rotate(right, -j)
+        core = core[: c - j]
+        c -= j
+    i = 0
+    while i < c and core[i] == left[i % p]:
+        i += 1
+    if i:
+        left = _rotate(left, i)
+        core = core[i:]
+        core_start += i
     if core:
         return left, core, right, core_start
-    p, q = len(left), len(right)
+    # the two tails meet: the junction moves left past every symbol they share
     m = math.lcm(p, q)
-    if all(left[(-1 - i) % p] == right[(-1 - i) % q] for i in range(m)):
+    steps = next((i for i in range(m) if left[(-1 - i) % p] != right[(-1 - i) % q]), None)
+    if steps is None:
         # fully periodic: re-anchor the word at coordinate 0
         w = tuple(right[(n - core_start) % q] for n in range(q))
         return w, (), w, 0
-    steps = 0
-    while right[-1] == left[-1]:
-        right = _rot_right(right)
-        left = _rot_right(left)
-        core_start -= 1
-        steps += 1
-        if steps > m:  # pragma: no cover - excluded by the periodicity test
-            raise AssertionError("junction normalisation failed to terminate")
-    return left, (), right, core_start
+    return _rotate(left, -steps), (), _rotate(right, -steps), core_start - steps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymbolicPoint:
     """Eventually-periodic bi-infinite admissible sequence.
 
@@ -749,7 +783,7 @@ def _complete_word(space: SFTSpace, word: Word, core_start: int) -> SymbolicPoin
     cyc_l = _shortest_cycle(space, word[0])
     cyc_r = _shortest_cycle(space, word[-1])
     left = cyc_l  # ends right before word[0]: wrap pair (last, word[0]) is the cycle edge
-    right = _rot_left(cyc_r)  # starts right after word[-1]
+    right = _rotate(cyc_r, 1)  # starts right after word[-1]
     return SymbolicPoint.make(space, left, word, right, core_start)
 
 
@@ -790,18 +824,26 @@ def sample_measure(
     Each draw is an admissible word of length ``depth`` centred on coordinate
     0 (stationary start), completed to a point by periodic continuation.  A
     draw reads ``depth`` uniforms, one per symbol, the first for the start.
+
+    The uniforms come from one stream, read as ``(b, depth)`` blocks of at
+    most SAMPLE_BLOCK draws, row after row, so the draws are those of one
+    ``rng.random(depth)`` call each.  All draws of a block step together: the
+    count of a non-decreasing cdf row's entries <= u is its ``bisect_right``.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
     if depth < 1:
         raise ValueError("depth must be >= 1")
     rng = np.random.default_rng(seed)
+    start, forward = np.array(mu._start_cdf), np.array(mu._forward_cdf)
     out = []
-    for _ in range(count):
-        u = rng.random(depth).tolist()
-        s = bisect_right(mu._start_cdf, u[0])
-        syms = [s] + _walk(mu._forward_cdf, s, u[1:])
-        out.append(_complete_word(mu.space, tuple(syms), -(depth // 2)))
+    for done in range(0, count, SAMPLE_BLOCK):
+        u = rng.random((min(SAMPLE_BLOCK, count - done), depth))
+        syms = np.empty(u.shape, dtype=np.intp)
+        s = syms[:, 0] = np.count_nonzero(start <= u[:, :1], axis=1)
+        for t in range(1, depth):
+            s = syms[:, t] = np.count_nonzero(forward[s] <= u[:, t, None], axis=1)
+        out.extend(_complete_word(mu.space, tuple(w), -(depth // 2)) for w in syms.tolist())
     return out
 
 
@@ -814,7 +856,7 @@ def resample_future(
     syms += _walk(mu._forward_cdf, syms[-1], rng.random(depth).tolist())
     left = x.window(lo - len(x.left), lo)
     cyc_r = _shortest_cycle(mu.space, syms[-1])
-    return SymbolicPoint.make(mu.space, left, tuple(syms), _rot_left(cyc_r), lo)
+    return SymbolicPoint.make(mu.space, left, tuple(syms), _rotate(cyc_r, 1), lo)
 
 
 def resample_past(

@@ -136,6 +136,8 @@ def test_run_exit_codes(tmp_path, capsys):
         ({"experiment": "distortion", "output_dir": 5}, "output_dir: expected a string"),
         ({"experiment": "distortion", "seed": True}, "seed: expected an integer"),
         ({"experiment": "distortion", "tolerances": {"horizon": True}}, "tolerances.horizon: "),
+        ({"experiment": "distortion", "tolerances": {"horizon": 0.5}}, "tolerances.horizon: "),
+        ({"experiment": "distortion", "tolerances": {"horizon": 1e15}}, "tolerances.horizon: "),
     ):
         assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 2
         assert f"config error: {name}" in capsys.readouterr().err

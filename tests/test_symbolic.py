@@ -34,11 +34,14 @@ from cocyclelab.errors import (
 )
 from cocyclelab.fixtures import staircase_space
 from cocyclelab.symbolic import (
+    SAMPLE_BLOCK,
     _canonical,
     _complete_word,
     _cumulative,
-    _rot_left,
+    _primitive,
+    _rotate,
     _shortest_cycle,
+    _tiling,
     agreement_codes,
     agreement_exponents,
     stable_agreement_onset,
@@ -95,16 +98,36 @@ MAKE_SPACES = {
     "golden": SFTSpace.golden_mean(),
     # forbidden pairs 02, 10 and 21
     "sft3": SFTSpace(3, ((1, 1, 0), (0, 1, 1), (1, 0, 1))),
+    # mostly forbidden pairs, searched by one pattern of many branches
+    "staircase2": staircase_space(2),
+    # symbols past 255 are not bytes: the pair scan decides; j - i = 1 mod 3 forbidden
+    "sft300": SFTSpace(300, tuple(tuple(int((j - i) % 3 != 1) for j in range(300))
+                                  for i in range(300))),
 }
+
+
+def _walk_word(data, space, length):
+    """An admissible word drawn one successor at a time."""
+    word = [data.draw(st.integers(0, space.k - 1))]
+    for _ in range(length - 1):
+        succ = space.successors(word[-1])
+        word.append(succ[data.draw(st.integers(0, len(succ) - 1))])
+    return word
 
 
 @given(st.sampled_from(sorted(MAKE_SPACES)), st.data())
 @settings(max_examples=300, deadline=None)
 def test_make_refuses_exactly_where_the_per_symbol_checks_do(name, data):
     space = MAKE_SPACES[name]
+    sizes = [data.draw(st.integers(lo, hi)) for lo, hi in ((1, 5), (0, 5), (1, 5))]
+    if data.draw(st.booleans()):
+        # symbols drawn freely: on a sparse matrix nearly every word is refused
+        word = data.draw(st.lists(st.integers(0, space.k - 1), min_size=sum(sizes),
+                                  max_size=sum(sizes)))
+    else:
+        word = _walk_word(data, space, sum(sizes))
     left, core, right = (
-        tuple(data.draw(st.lists(st.integers(0, space.k - 1), min_size=lo, max_size=hi)))
-        for lo, hi in ((1, 3), (0, 5), (1, 3))
+        tuple(word[: sizes[0]]), tuple(word[sizes[0] : -sizes[2]]), tuple(word[-sizes[2] :])
     )
     start = data.draw(st.integers(-4, 4))
     # half the draws get a flaw: an empty tail or a symbol -1 or k somewhere
@@ -138,6 +161,34 @@ def test_make_refuses_exactly_where_the_per_symbol_checks_do(name, data):
 def test_make_pinned_refusals(golden, left, core, right, message):
     with pytest.raises(ValueError, match=message):
         SymbolicPoint.make(golden, left, core, right, 0)
+
+
+_I = np.int64
+
+
+@pytest.mark.parametrize(
+    "space, left, core, right, outcome",
+    [
+        # a float symbol equal to an int passes the range check; bytes() refuses
+        # it, so the pair scan decides, as it did before the pattern search
+        ("golden", (0,), (1.0,), (0,), "<(0)*|1.0@0|(0)*>"),
+        ("golden", (0, 1.0), (), (0,), "<(01.0)*|@0|(0)*>"),
+        ("golden", (1.0, 0), (), (1, 0), "<(10)*|@0|(10)*>"),
+        ("golden", (0,), (1.0, 1), (0,), "core or junction"),
+        ("golden", (0,), (), (1.0,), "periodic tail"),
+        ("full2", (0,), (1.0,), (1,), "<(0)*|@0|(1)*>"),
+        # bytes() takes numpy integers
+        ("golden", (_I(0),), (_I(1),), (_I(0),), "<(0)*|1@0|(0)*>"),
+        ("golden", (_I(0),), (_I(1), _I(1)), (_I(0),), "core or junction"),
+    ],
+)
+def test_make_keeps_float_and_numpy_symbol_outcomes(space, left, core, right, outcome):
+    space = MAKE_SPACES[space]
+    if outcome.startswith("<"):
+        assert repr(SymbolicPoint.make(space, left, core, right, 0)) == outcome
+    else:
+        with pytest.raises(ValueError, match=outcome):
+            SymbolicPoint.make(space, left, core, right, 0)
 
 
 def _bfs_shortest_cycle(space, s):
@@ -187,6 +238,49 @@ def test_space_hash_is_the_hash_of_its_fields():
     assert other != space and hash(other) == hash((space.k, space.P, 3)) != hash(space)
 
 
+def _loop_canonical(left, core, right, core_start):
+    """The canonical form as it was built one absorbed symbol and one junction
+    step at a time, kept as the reference for the counting version."""
+    left = _primitive(left)
+    right = _primitive(right)
+    while core and core[-1] == right[-1]:
+        right = right[-1:] + right[:-1]
+        core = core[:-1]
+    while core and core[0] == left[0]:
+        left = left[1:] + left[:1]
+        core = core[1:]
+        core_start += 1
+    if core:
+        return left, core, right, core_start
+    p, q = len(left), len(right)
+    m = math.lcm(p, q)
+    if all(left[(-1 - i) % p] == right[(-1 - i) % q] for i in range(m)):
+        w = tuple(right[(n - core_start) % q] for n in range(q))
+        return w, (), w, 0
+    while right[-1] == left[-1]:
+        right = right[-1:] + right[:-1]
+        left = left[-1:] + left[:-1]
+        core_start -= 1
+    return left, (), right, core_start
+
+
+_WORDS = st.lists(st.integers(0, 2), min_size=1, max_size=6).map(tuple)
+
+
+@example(left=(0, 1), core=(0, 1, 0), right=(1, 0), core_start=3)  # absorbed, fully periodic
+@example(left=(1, 0, 0), core=(), right=(1, 1, 0), core_start=-2)  # junction moves 1
+@example(left=(0, 1, 1), core=(1,), right=(0, 1, 1, 0, 1, 1), core_start=0)  # absorbed, junction
+@example(left=(2, 0, 1, 2), core=(0, 1, 2, 0, 1, 2, 1), right=(1,), core_start=5)  # one absorbed
+@given(_WORDS, st.lists(st.integers(0, 2), max_size=12).map(tuple), _WORDS, st.integers(-9, 9))
+@settings(max_examples=400, deadline=None)
+def test_canonical_matches_the_loop_reference(left, core, right, core_start):
+    assert _canonical(left, core, right, core_start) == _loop_canonical(left, core, right, core_start)
+    # a core cut from the tails' own tilings is absorbed whole, or nearly
+    grown = _tiling(left, -3, 0) + core + _tiling(right, 0, 4)
+    assert _canonical(left, grown, right, core_start - 3) == _loop_canonical(
+        left, grown, right, core_start - 3)
+
+
 def test_canonical_equality_matches_coordinates(full2, golden, rng):
     # canonical-form equality must coincide with coordinatewise agreement
     for space in (full2, golden):
@@ -203,6 +297,7 @@ def test_canonical_junction_representations_collapse(full2):
     b = SymbolicPoint.make(full2, (0,), (0, 1), (1,), -1)
     c = SymbolicPoint.make(full2, (0, 0), (), (1, 1), 0)
     assert a == b == c
+    assert not hasattr(a, "__dict__")  # slotted: a sampling pass holds thousands of points
     # a fully periodic point handed over as a splice: x_n = (0,1)[n mod 2]
     p = SymbolicPoint.make(full2, (1, 0), (), (1, 0), 1)
     assert p.is_periodic and p.period == 2
@@ -882,7 +977,7 @@ def _choice_resample_future(mu, x, rng, depth):
         syms.append(int(rng.choice(mu.space.k, p=Q[syms[-1]])))
     left = tuple(x.left[(i + lo - x.core_start) % len(x.left)] for i in range(len(x.left)))
     cyc_r = _shortest_cycle(mu.space, syms[-1])
-    return SymbolicPoint.make(mu.space, left, tuple(syms), _rot_left(cyc_r), lo)
+    return SymbolicPoint.make(mu.space, left, tuple(syms), _rotate(cyc_r, 1), lo)
 
 
 def _choice_resample_past(mu, x, rng, depth):
@@ -930,6 +1025,47 @@ def test_samplers_match_rng_choice(name, q_seed, seed, depth):
         assert new.random() == ref.random()
         assert resample_past(mu, x, new, depth) == _choice_resample_past(mu, x, ref, depth)
         assert new.random() == ref.random()
+
+
+# the two measures perfbench's sampling workload draws from
+SAMPLING_MEASURES = {
+    "full2-uniform": MarkovMeasure.uniform(SFTSpace.full_shift(2)),
+    "golden-markov": MarkovMeasure.from_matrix(SFTSpace.golden_mean(), [[0.35, 0.65], [1.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize(
+    "mu", [_random_markov(SAMPLER_SPACES["full3"], 1), SAMPLING_MEASURES["golden-markov"]],
+    ids=["full3", "golden"],
+)
+@pytest.mark.parametrize("depth", [1, 2, 64])
+def test_sample_measure_blocks_match_rng_choice(mu, depth):
+    # the reference reads draw after draw, so fewer draws are a prefix of more;
+    # the counts sit on either side of the block edges
+    assert SAMPLE_BLOCK == 256
+    ref = _choice_sample_measure(mu, 600, 9, depth)
+    for count in (0, 1, 255, 256, 257, 600):
+        assert sample_measure(mu, count, 9, depth=depth) == ref[:count]
+
+
+# sha256 of the reprs of 1,500 depth-64 draws at seed 5000, then resample_future
+# and resample_past of every draw from default_rng(5000); a change to the
+# stream, the walk or the canonical form moves them
+SAMPLING_PINS = {
+    "full2-uniform": "fc62131963acce78a4cbf6f56c47cc33d4077b33a352c35a33ac452b9b217291",
+    "golden-markov": "b7a91a99dadb0063e1700184fe29253a2bc56a496406cdf5f200d252c7750a05",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLING_PINS))
+def test_sampling_pinned(name):
+    mu = SAMPLING_MEASURES[name]
+    pts = sample_measure(mu, 1500, 5000, depth=64)
+    rng = np.random.default_rng(5000)
+    futures = [resample_future(mu, x, rng) for x in pts]
+    pasts = [resample_past(mu, x, rng) for x in pts]
+    digest = hashlib.sha256("\n".join(map(repr, pts + futures + pasts)).encode()).hexdigest()
+    assert digest == SAMPLING_PINS[name]
 
 
 class _ScriptedGenerator(np.random.Generator):
