@@ -198,6 +198,20 @@ def _merge_collinear(breaks, vals, exact):
     return tuple(breaks[i] for i in keep), tuple(vals[i] for i in keep)
 
 
+def rotation_numerators(maps):
+    """``(den, numerators)`` with the i-th map the rotation by numerators[i] / den,
+    when every map is an exact rotation; None otherwise.  ``den`` is the lcm
+    of the angles' denominators."""
+    angles = []
+    for m in maps:
+        a = m.vals[0]
+        if len(m.breaks) != 1 or type(a) is not Fraction:
+            return None
+        angles.append(a)
+    den = math.lcm(*{a.denominator for a in angles})
+    return den, [a.numerator * (den // a.denominator) for a in angles]
+
+
 def _angle_terms(a: Fraction, b: Fraction, sign: int) -> tuple[int, int]:
     """Numerator and denominator, not reduced, of (a + sign*b) mod 1, in integers."""
     da, db = a.denominator, b.denominator

@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circlemaps import PLMap, _angle_terms, compose, invert, lipschitz_metric
+from . import symbolic
+from .circlemaps import PLMap, _angle_terms, compose, invert, lipschitz_metric, rotation_numerators
 from .errors import NotDominated, ResourceLimit
 from .symbolic import SFTSpace, SymbolicPoint
 
@@ -21,6 +22,7 @@ DENOMINATOR_BITS_CAP = 4096  # bit length of the largest denominator of an exact
 ORBIT_MEMO_CAP = 4096  # orbit products memoised per cocycle before the memo is emptied
 TABLE_ENTRY_CAP = 16_384  # words a window table may have; theorem-a's default G has 8,192
 HORIZON_CAP = 1000  # largest distortion horizon a config may ask for
+N_MAX_CAP = 200  # largest holonomy convergence depth n_max a config may ask for
 _ZERO = Fraction(0)
 
 
@@ -29,7 +31,10 @@ def table_words(space: SFTSpace, window: int, where: str):
 
     They are counted by last symbol before any is enumerated.  With no null
     row the count never falls as words grow, so the count stops as soon as it
-    passes TABLE_ENTRY_CAP; ResourceLimit then names ``where``.
+    passes TABLE_ENTRY_CAP; ResourceLimit then names ``where``.  The space
+    keeps the last tuple of words enumerated here, under its length and the
+    ``ENUMERATION_CAP`` it was enumerated under, so a fixture and the
+    ``CocycleSpec`` it builds enumerate one table's words once.
     """
     length = 2 * window + 1
     ends = [1] * space.k  # admissible words of the length reached, by last symbol
@@ -42,7 +47,13 @@ def table_words(space: SFTSpace, window: int, where: str):
             f"{where}: a window-{window} table over this space has more than "
             f"{TABLE_ENTRY_CAP} entries (TABLE_ENTRY_CAP)"
         )
-    return space.words(length)
+    key = (length, symbolic.ENUMERATION_CAP)
+    memo = space._table_words
+    if key not in memo:
+        words = tuple(space.words(length))
+        memo.clear()
+        memo[key] = words
+    return memo[key]
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,8 +68,12 @@ class CocycleSpec:
             raise ValueError("window must be >= 0")
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must lie in (0, 1]")
-        words = list(table_words(self.space, self.window, "CocycleSpec"))
-        if len(words) != len(self.table) or not all(w in self.table for w in words):
+        words = table_words(self.space, self.window, "CocycleSpec")
+        # a table built from these very words passes the first test at
+        # identity-comparison speed
+        if tuple(self.table) != words and (
+            len(words) != len(self.table) or not all(w in self.table for w in words)
+        ):
             want, have = set(words), set(self.table)
             missing = sorted(want - have)[:3]
             extra = sorted(have - want)[:3]
@@ -112,42 +127,12 @@ def orbit_product(maps, h: PLMap | None = None, step: int = 0) -> PLMap:
 
     A fold resumed from a known product passes it as ``h``, with the number
     of steps it covers as ``step``; with no ``h`` and no maps the product is
-    the identity.  This is the one place where maps are composed along an
-    orbit.  Each prefix m_j ... m_1 h is checked against ``BREAKPOINT_CAP``
-    and, when exact, against ``DENOMINATOR_BITS_CAP``.
-
-    A run of exact rotations is folded as one integer numerator over the
-    running lcm of their denominators, and made a map only where the run
-    ends.  A rotation has one breakpoint, and every reduced prefix
-    denominator divides the lcm; so while the lcm fits the denominator cap
-    no prefix can pass it, and once the lcm passes the cap the angle is
-    reduced and checked, which names the step a checked fold would name.
+    the identity.  Each prefix m_j ... m_1 h is checked against
+    ``BREAKPOINT_CAP`` and, when exact, against ``DENOMINATOR_BITS_CAP``.
     """
-    num = den = None  # the product so far as num / den mod 1, while it is an exact rotation
     for step, m in enumerate(maps, step + 1):
-        a = m.vals[0]
-        if len(m.breaks) == 1 and type(a) is Fraction:
-            if num is None and (h is None or len(h.breaks) == 1 and type(h.vals[0]) is Fraction):
-                num, den = (0, 1) if h is None else (h.vals[0].numerator, h.vals[0].denominator)
-            if num is not None:
-                d = a.denominator
-                if den % d:
-                    lcm = den // math.gcd(den, d) * d
-                    num *= lcm // den
-                    den = lcm
-                num = (num + a.numerator * (den // d)) % den
-                if den.bit_length() > DENOMINATOR_BITS_CAP:
-                    r = Fraction(num, den)
-                    num, den = r.numerator, r.denominator
-                    if den.bit_length() > DENOMINATOR_BITS_CAP:
-                        _check_caps(PLMap.rotation(r), step)
-                continue
-        if num is not None:
-            h, num = PLMap((_ZERO,), (Fraction(num, den),)), None
         h = m if h is None else compose(m, h)
         _check_caps(h, step)
-    if num is not None:
-        return PLMap((_ZERO,), (Fraction(num, den),))  # 0 <= num < den: canonical as it is
     return PLMap.identity() if h is None else h
 
 
@@ -170,19 +155,70 @@ def _word_generators(c: CocycleSpec, word: tuple, n: int, start: int = 0):
     return (invert(table[word[j : j + span]]) for j in range(-n - 1 - start, -1, -1))
 
 
+class _WindowNumerators(dict):
+    """Angle numerators by window, read from the table when first asked for:
+    a run reads few of a wide table's windows.  A key is a window as bytes
+    or as a tuple; ``by_id`` holds each distinct map's numerator."""
+
+    def __init__(self, table: dict, by_id: dict):
+        super().__init__()
+        self.table, self.by_id = table, by_id
+
+    def __missing__(self, key):
+        num = self[key] = self.by_id[id(self.table[tuple(key)])]
+        return num
+
+
+def _rotation_sums(c: CocycleSpec):
+    """``(den, numerators, maps)`` when every entry of c's table is an exact
+    rotation, else None, held in ``c._cache``.  ``numerators`` gives a
+    window's angle numerator over ``den``; ``maps`` holds one rotation per
+    numerator read so far."""
+    if "rotations" not in c._cache:
+        distinct = list({id(m): m for m in c.table.values()}.values())  # tables share maps
+        found = rotation_numerators(distinct)
+        if found is not None:
+            den, nums = found
+            found = den, _WindowNumerators(c.table, dict(zip(map(id, distinct), nums))), {}
+        c._cache["rotations"] = found
+    return c._cache["rotations"]
+
+
 def iterate(c: CocycleSpec, x: SymbolicPoint, n: int) -> PLMap:
     """n-step fibre composition; negative n uses the inverse-iterate convention
     f^n_x = (f^{|n|} at sigma^n(x))^{-1}, the unique one satisfying the cocycle law.
 
-    Products are memoised per cocycle by direction and orbit word; each was
-    checked against ``BREAKPOINT_CAP`` and ``DENOMINATOR_BITS_CAP`` when it
-    was folded.  A product not yet memoised extends the longest memoised
-    prefix of its word.  The memo holds at most ``ORBIT_MEMO_CAP`` products
-    and is emptied when full.
+    On a table of exact rotations whose common denominator ``den`` fits
+    ``DENOMINATOR_BITS_CAP`` the product is the sum of its windows' angle
+    numerators mod ``den``.  Every prefix denominator divides ``den`` and a
+    rotation has one breakpoint, so no step of a fold could pass a cap.  Each
+    distinct numerator's map is held, at most ``ORBIT_MEMO_CAP`` of them.
+
+    Other products are folded by ``orbit_product`` and memoised per cocycle
+    by direction and orbit word; each was checked against ``BREAKPOINT_CAP``
+    and ``DENOMINATOR_BITS_CAP`` when it was folded.  A product not yet
+    memoised extends the longest memoised prefix of its word.  The memo holds
+    at most ``ORBIT_MEMO_CAP`` products and is emptied when full.
     """
     if n == 0:
         return PLMap.identity()
     word = _orbit_word(c, x, n)
+    rot = _rotation_sums(c)
+    if rot is not None and rot[0].bit_length() <= DENOMINATOR_BITS_CAP and BREAKPOINT_CAP >= 1:
+        den, nums, maps = rot
+        try:
+            word = bytes(word)  # slices and hashes faster than a tuple
+        except (TypeError, ValueError):
+            pass  # a symbol past 255, or a float one: the word stays a tuple
+        span = 2 * c.window + 1
+        total = sum([nums[word[j : j + span]] for j in range(abs(n))])
+        num = (total if n > 0 else -total) % den
+        h = maps.get(num)
+        if h is None:
+            if len(maps) >= ORBIT_MEMO_CAP:
+                maps.clear()
+            h = maps[num] = PLMap((_ZERO,), (Fraction(num, den),))
+        return h
     memo = c._cache.setdefault("orbit", {})
     key = (n > 0, word)
     h = memo.get(key)

@@ -30,6 +30,7 @@ from .circlemaps import (
 )
 from .cocycles import (
     HORIZON_CAP,
+    N_MAX_CAP,
     CocycleSpec,
     check_bounded_distortion,
     check_domination,
@@ -127,6 +128,11 @@ class ReportDocument:
         return written
 
 
+# tolerances that count something, with the cap each may not pass and its name
+_COUNT_CAPS = {"horizon": (HORIZON_CAP, "HORIZON_CAP"), "n_max": (N_MAX_CAP, "N_MAX_CAP"),
+               "points": None, "triples": None, "family_pairs": None}
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -170,11 +176,12 @@ class ExperimentConfig:
             number = isinstance(val, (int, float)) and not isinstance(val, bool)
             if not number or not math.isfinite(val) or val <= 0:
                 raise ConfigError(f"tolerances.{name}: must be a positive finite number")
-        horizon = tols.get("horizon", 1)
-        if horizon != int(horizon) or horizon > HORIZON_CAP:
-            raise ConfigError(
-                f"tolerances.horizon: must be a whole number from 1 to {HORIZON_CAP} (HORIZON_CAP)"
-            )
+        # counts, each positive by the check above; a fraction would be truncated
+        for name, cap in _COUNT_CAPS.items():
+            val = tols.get(name, 1)
+            if val != int(val) or cap and val > cap[0]:
+                bound = f" to {cap[0]} ({cap[1]})" if cap else ""
+                raise ConfigError(f"tolerances.{name}: must be a whole number from 1{bound}")
         output_dir = doc.get("output_dir")
         if output_dir is not None and not isinstance(output_dir, str):
             raise ConfigError("output_dir: expected a string")

@@ -6,12 +6,12 @@ pipelines (rotation families, the three-slope family) stay fast.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
-from .circlemaps import PLMap, compose, invert
+from .circlemaps import PLMap, compose, invert, rotation_numerators
 from .cocycles import CocycleSpec, table_words
 from .errors import ParamError
 from .rigidity import MeasurableConjugacy, WindowRule
@@ -123,15 +123,23 @@ def decaying_rotation_rule(
         raise ParamError("decaying amplitudes need an integer rho")
     # integer weights amp * rho**-|m| over the common denominator amp.den * rho**window
     weights = [amp.numerator * rho ** (window - abs(m)) for m in range(-window, window + 1)]
-    denom = amp.denominator * rho**window
-    rotations = {}  # one map per distinct angle numerator
-    table = {}
-    for w in table_words(space, window, "decaying_rotation_rule"):
-        num = sum(k * s for k, s in zip(weights, w)) % denom
-        if num not in rotations:
-            rotations[num] = PLMap.rotation(Fraction(num, denom))
-        table[w] = rotations[num]
-    return WindowRule(window, table)
+    words = table_words(space, window, "decaying_rotation_rule")
+    return WindowRule(window, _rotation_table(
+        words, [sum(map(mul, weights, w)) for w in words], amp.denominator * rho**window
+    ))
+
+
+def _rotation_table(words, nums, den: int) -> dict:
+    """{word: rotation by num / den} over paired ``words`` and ``nums``, with
+    one map per distinct angle."""
+    nums = [num % den for num in nums]
+    rotations = {num: PLMap.rotation(Fraction(num, den)) for num in set(nums)}
+    return dict(zip(words, map(rotations.__getitem__, nums)))
+
+
+def _distinct(maps) -> list:
+    """Each map object once, in first-seen order: tables share their maps."""
+    return list({id(m): m for m in maps}.values())
 
 
 def conjugated_pair(F: CocycleSpec, psi: WindowRule) -> CocycleSpec:
@@ -145,22 +153,16 @@ def conjugated_pair(F: CocycleSpec, psi: WindowRule) -> CocycleSpec:
     wf, wp = F.window, psi.window
     wg = max(wf, wp + 1)
     words = table_words(space, wg, "conjugated_pair")
-    maps = [*F.table.values(), *psi.table.values()]
-    if all(m.is_rotation and m.is_exact for m in maps):
-        den = math.lcm(*{m.vals[0].denominator for m in maps})
-        fn, pn = (
-            {w: m.vals[0].numerator * (den // m.vals[0].denominator) for w, m in t.items()}
-            for t in (F.table, psi.table)
-        )
-        rotations = {}  # one map per distinct angle numerator
-        table = {}
-        for v in words:
-            num = (fn[v[wg - wf : wg + wf + 1]] + pn[v[wg - wp : wg + wp + 1]]
-                   - pn[v[wg + 1 - wp : wg + 2 + wp]]) % den
-            if num not in rotations:
-                rotations[num] = PLMap.rotation(Fraction(num, den))
-            table[v] = rotations[num]
-        return CocycleSpec(space, wg, table)
+    maps = _distinct([*F.table.values(), *psi.table.values()])
+    found = rotation_numerators(maps)
+    if found is not None:
+        den, scaled = found
+        by_id = dict(zip(map(id, maps), scaled))
+        fn, pn = ({w: by_id[id(m)] for w, m in t.items()} for t in (F.table, psi.table))
+        # f_x reads v[fa:fb] of a G word v, psi(x) reads v[pa:pb], psi(sigma x) one further
+        (fa, fb), (pa, pb) = (wg - wf, wg + wf + 1), (wg - wp, wg + wp + 1)
+        nums = [fn[v[fa:fb]] + pn[v[pa:pb]] - pn[v[pa + 1 : pb + 1]] for v in words]
+        return CocycleSpec(space, wg, _rotation_table(words, nums, den))
     inverses = {w: invert(m) for w, m in psi.table.items()}
     inner = {}  # f psi(x) per distinct (f-word, psi-word) pair
     table = {}
@@ -173,9 +175,11 @@ def conjugated_pair(F: CocycleSpec, psi: WindowRule) -> CocycleSpec:
 
 
 def rotation_conjugacy_rule(psi: WindowRule, x0: SymbolicPoint) -> WindowRule:
-    """Ground-truth conjugacy phi_y = psi_{x0}^-1 psi_y as a window rule."""
+    """Ground-truth conjugacy phi_y = psi_{x0}^-1 psi_y as a window rule,
+    composed once per distinct map of psi."""
     base = invert(psi.phi_at(x0))
-    return WindowRule(psi.window, {w: compose(base, m) for w, m in psi.table.items()})
+    composed = {id(m): compose(base, m) for m in _distinct(psi.table.values())}
+    return WindowRule(psi.window, {w: composed[id(m)] for w, m in psi.table.items()})
 
 
 def corrupted_conjugacy(

@@ -81,9 +81,10 @@ class SFTSpace:
         if not self.rho > 1:
             raise ValueError("rho must exceed 1")
         # the hash every dict keyed by a point or a space asks for, what point
-        # construction tests words against, and a memo of shortest cycles
-        # filled one symbol at a time.  They are not fields, so ==, repr and
-        # to_json never see them; the hash is the one the fields give.
+        # construction tests words against, a memo of shortest cycles filled
+        # one symbol at a time, and the last word list cocycles.table_words
+        # enumerated.  They are not fields, so ==, repr and to_json never see
+        # them; the hash is the one the fields give.
         object.__setattr__(self, "_hash", hash((self.k, self.P, self.rho)))
         object.__setattr__(self, "_symbols", frozenset(range(self.k)))
         object.__setattr__(self, "_forbidden", frozenset(
@@ -91,6 +92,7 @@ class SFTSpace:
         ))
         object.__setattr__(self, "_pattern", _forbidden_pattern(self.P))
         object.__setattr__(self, "_cycles", {})
+        object.__setattr__(self, "_table_words", {})
 
     def __hash__(self) -> int:
         return self._hash

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .circlemaps import PLMap, compose, invert, uniform_distance
+from .circlemaps import PLMap, compose, invert, rotation_numerators, uniform_distance
 from .cocycles import CocycleSpec, dominated_pair, iterate, quotient
 from .errors import (
     InadmissibleLoop,
@@ -270,6 +271,11 @@ def holder_regression(points, lookup, rho: float, min_samples: int = 30, *, _exp
     ``lookup`` is called once per point.  Each distance and its log are
     computed once per distinct ordered pair of values, or once per unordered
     pair when both values are exact, since the exact distance is symmetric.
+    Between two exact rotations, with angles d_p / den and d_q / den over one
+    common denominator, the distance is min(d, den - d) / den for
+    d = (d_p - d_q) mod den, in Python ints: integer true division is
+    correctly rounded, so it is float(uniform_distance) exactly.  Other pairs
+    take ``uniform_distance``.
     """
     pts = list(points)
     if len(pts) < min_samples:
@@ -292,9 +298,16 @@ def holder_regression(points, lookup, rho: float, min_samples: int = 30, *, _exp
     a, b = np.where(swap, b, a), np.where(swap, a, b)
     need = np.zeros((len(vals), len(vals)), dtype=bool)
     need[a, b] = True
+    rotations = [p for p, m in enumerate(vals) if m.is_rotation and type(m.vals[0]) is Fraction]
+    den, nums = rotation_numerators(vals[p] for p in rotations)
+    num = dict(zip(rotations, nums))
     log_r = np.full(need.shape, -math.inf)  # -inf marks a zero distance
-    for p, q in zip(*np.nonzero(need)):
-        r = float(uniform_distance(vals[p], vals[q]))
+    for p, q in zip(*(ix.tolist() for ix in np.nonzero(need))):
+        if p in num and q in num:
+            d = (num[p] - num[q]) % den
+            r = min(d, den - d) / den
+        else:
+            r = float(uniform_distance(vals[p], vals[q]))
         if r:
             log_r[p, q] = math.log(r)
     log_r = log_r[a, b]

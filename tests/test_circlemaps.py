@@ -19,7 +19,12 @@ from cocyclelab import (
     uniform_distance,
 )
 from cocyclelab import circlemaps
-from cocyclelab.circlemaps import SLOPE_EPS, _contains_half_integer, _merge_collinear
+from cocyclelab.circlemaps import (
+    SLOPE_EPS,
+    _contains_half_integer,
+    _merge_collinear,
+    rotation_numerators,
+)
 from cocyclelab.errors import InvalidExponent, ResourceLimit
 from cocyclelab.fixtures import random_plmap
 
@@ -151,6 +156,18 @@ def test_metric_report_consistency(rng):
     assert rep.d_max == max(rep.d_1, lipschitz_metric(invert(f), invert(g)))
 
 
+def test_rotation_numerators_accepts_only_exact_rotations():
+    rots = [PLMap.rotation(Fraction(1, 6)), PLMap.rotation(Fraction(3, 4)), PLMap.identity()]
+    assert rotation_numerators(rots) == (12, [2, 9, 0])
+    assert rotation_numerators(iter(rots)) == (12, [2, 9, 0])
+    assert rotation_numerators([]) == (1, [])
+    pl = fb_family(Fraction(1, 4))
+    float_pl = PLMap.make([float(b) for b in pl.breaks], [float(v) for v in pl.vals])
+    for maps in ([PLMap.rotation(0.25)], [pl], [float_pl], rots + [pl],
+                 [PLMap.rotation(0.5)] + rots):
+        assert rotation_numerators(maps) is None
+
+
 # ------------------------------------------------------------- Holder constant
 
 
@@ -195,6 +212,18 @@ def test_holder_random_chord_oracle():
     brute = float(vals.max())
     assert brute <= cert + 1e-12
     assert cert <= brute + 5e-3  # certified value exceeds the sup by at most tol (plus sampling slack)
+
+
+def test_holder_pruning_bound_reaches_an_interior_supremum():
+    """For fb_{1/10} at beta 1/2 the supremum lies on a chord ending at the
+    breakpoint 1/10 from inside a segment.  The candidate chords miss it, so
+    the certificate rests on the cells the (lmax - lmin) bound keeps."""
+    f = fb_family(Fraction(1, 10))
+    p, t = Fraction(-673, 2500), Fraction(923, 2500)  # best chord on a 1/10000 grid
+    assert p + t == Fraction(1, 10)
+    witness = float(circle_norm(f(p + t) - f(p))) / float(t) ** 0.5
+    cert = holder_constant(f, 0.5, tol=1e-6)
+    assert witness <= cert <= witness + 1e-4
 
 
 # ---------------------------------------------------------------- fb family

@@ -99,6 +99,49 @@ def test_gen_conjugated_pair_is_pinned(tmp_path, psi_window):
     assert digest == GEN_CONJUGATED_PAIR_SHA256[psi_window]
 
 
+# sha256 of every file `run` writes for {"experiment": ..., "seed": ...};
+# report.json is hashed as json.dumps(doc, indent=2) without wall_clock_s
+OUTPUT_SHA256 = {
+    ("theorem-a", 0): {
+        "report.json": "4bb710f7632715bba940467d79f019fbb3c61c85316ed9bed3ae91691c61c410",
+        "residuals.csv": "9ce1cd190bf0c78fad382c627cd7af218f556ae6a8d35db5d5cf7584372f7293",
+        "rows.csv": "755b645d64af3108cd2fc4d994734f024cc20584c63f7bdd4ab0797827a902b4",
+    },
+    ("theorem-a", 77): {
+        "report.json": "b9ccb4e0ed07999ff82204e20945c85e65b34a24c14a3143443e71921f3f76ff",
+        "residuals.csv": "9ce1cd190bf0c78fad382c627cd7af218f556ae6a8d35db5d5cf7584372f7293",
+        "rows.csv": "755b645d64af3108cd2fc4d994734f024cc20584c63f7bdd4ab0797827a902b4",
+    },
+    ("theorem-b", 0): {
+        "repaired.csv": "0abc9b075e40efe5ff6310b88411fc887e12dfcec6b04f0c91933eedfd2046a9",
+        "report.json": "50e3cd8399d1a0a297fde17f4aa3231cfaa0d184a9dc8a242470ae47ad71ad37",
+        "rigidity.json": "fda8ecf084d9424ed1f6b5b734606c2ba4479bac84f3409424fe72cf8abe9153",
+        "rows.csv": "b1dfdeaece96f65f75c03e56b7a23fd02cf883399d81e5cab0df8d36af4256fe",
+    },
+    ("theorem-b", 77): {
+        "repaired.csv": "edfec8f28d1a0d38164d3af3f1609e217b7795ff2115ffbc2477ff8397059f31",
+        "report.json": "d9f1b8ba8fb08bc5db7d3d12d7c55a923624be3e6f538a99089b8cc57c228b73",
+        "rigidity.json": "377e1a580153f75733f24e329616c806716dbe5d81c25336abce4cd8136012aa",
+        "rows.csv": "ddecf163375aaa2afc3fd1cf1d1f3b432f1f628ee49389fa07cbcff1785a24cb",
+    },
+}
+
+
+@pytest.mark.parametrize("experiment,seed", sorted(OUTPUT_SHA256))
+def test_transfer_and_repair_outputs_are_pinned(tmp_path, experiment, seed):
+    cfg = write_config(tmp_path, {"experiment": experiment, "seed": seed})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    digests = {}
+    for path in sorted((tmp_path / "out").iterdir()):
+        data = path.read_bytes()
+        if path.name == "report.json":
+            doc = json.loads(data)
+            del doc["wall_clock_s"]
+            data = json.dumps(doc, indent=2).encode()
+        digests[path.name] = hashlib.sha256(data).hexdigest()
+    assert digests == OUTPUT_SHA256[experiment, seed]
+
+
 def test_theorem_a_rows_with_a_one_product_orbit_memo(tmp_path, monkeypatch):
     from cocyclelab import cocycles
 
@@ -138,6 +181,14 @@ def test_run_exit_codes(tmp_path, capsys):
         ({"experiment": "distortion", "tolerances": {"horizon": True}}, "tolerances.horizon: "),
         ({"experiment": "distortion", "tolerances": {"horizon": 0.5}}, "tolerances.horizon: "),
         ({"experiment": "distortion", "tolerances": {"horizon": 1e15}}, "tolerances.horizon: "),
+        # refused before staircase_cocycle builds its (2 n_max + 7)**2 matrix; never run
+        ({"experiment": "holonomy", "tolerances": {"n_max": 0.5}}, "tolerances.n_max: "),
+        ({"experiment": "holonomy", "tolerances": {"n_max": 1e15}},
+         "tolerances.n_max: must be a whole number from 1 to 200 (N_MAX_CAP)"),
+        ({"experiment": "closing-lemma", "tolerances": {"points": 2.5}}, "tolerances.points: "),
+        ({"experiment": "metric-suite", "tolerances": {"triples": 0.5}}, "tolerances.triples: "),
+        ({"experiment": "metric-suite", "tolerances": {"family_pairs": 0.5}},
+         "tolerances.family_pairs: "),
     ):
         assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 2
         assert f"config error: {name}" in capsys.readouterr().err

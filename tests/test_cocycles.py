@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 from fractions import Fraction
@@ -39,6 +40,7 @@ from cocyclelab.fixtures import (
     near_identity_plmap,
     pl_dominated_cocycle,
     rotation_cocycle,
+    staircase_space,
     telescoping_cocycle,
 )
 
@@ -405,6 +407,118 @@ def test_memoised_iterate_matches_fresh_fold_property(seed, space_name, window, 
     for i, j, n in calls:
         p = points[i].shift(j)
         assert iterate(c, p, n) == fresh_fold(c, p, n)
+
+
+@functools.cache
+def rotation_space(name):
+    """The spaces rotation tables are iterated over; "k300" has 300 symbols
+    with j after i forbidden when j - i = 1 (mod 3), so a word with a symbol
+    past 255 stays a tuple instead of becoming bytes."""
+    if name == "k300":
+        return SFTSpace(300, tuple(tuple(int((j - i) % 3 != 1) for j in range(300))
+                                   for i in range(300)))
+    return {"full2": SFTSpace.full_shift(2), "golden": SFTSpace.golden_mean(),
+            "staircase": staircase_space(2)}[name]
+
+
+ROTATION_DENOMINATORS = (2, 3, 7, 11, 13, 360, 2**61 - 1, 3**40)
+
+
+@given(
+    st.sampled_from(["full2", "golden", "staircase", "k300"]), st.integers(0, 1),
+    st.integers(0, 10_000), st.lists(st.integers(1, 12).flatmap(
+        lambda n: st.sampled_from([n, -n])), min_size=1, max_size=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_iterate_on_rotation_tables_matches_fresh_fold_property(name, window, seed, ns):
+    """A table of exact rotations, with denominators up to and past 2**53,
+    iterates to the checked fold's product by summing window numerators."""
+    space = rotation_space(name)
+    window = 0 if space.k > 256 else window
+    rng = np.random.default_rng(seed)
+    table = {}
+    for w in space.words(2 * window + 1):
+        q = ROTATION_DENOMINATORS[int(rng.integers(len(ROTATION_DENOMINATORS)))]
+        table[w] = PLMap.rotation(Fraction(int(rng.integers(2**62)) % q, q))
+    c = CocycleSpec(space, window, table)
+    x = random_point(space, rng)
+    for n in ns:
+        assert iterate(c, x, n) == fresh_fold(c, x, n)
+        assert iterate(c, x.shift(n), -n) == invert(fresh_fold(c, x, n))
+    assert c._cache["rotations"] is not None and "orbit" not in c._cache
+
+
+def test_rotation_tables_past_the_denominator_cap_take_the_fold(monkeypatch):
+    from cocyclelab import cocycles
+
+    monkeypatch.setattr(cocycles, "DENOMINATOR_BITS_CAP", 8)
+    space = SFTSpace.full_shift(3)
+    c = CocycleSpec(space, 0, {(s,): PLMap.rotation(Fraction(1, q))
+                               for s, q in enumerate((7, 11, 13))})
+    x = SymbolicPoint.periodic(space, (0, 1, 2))
+    # the common denominator 1001 has 10 bits; 1/7 + 1/11 = 18/77 has 7
+    assert iterate(c, x, 2) == fresh_fold(c, x, 2) and "orbit" in c._cache
+    want = fold_outcome(reference_fold, reference_generators(c, x, 3))
+    assert want == "orbit product reached 10-bit denominators at step 3 (cap 8)"
+    with pytest.raises(ResourceLimit, match=re.escape(f"{want} folding f^3 at {x!r}")):
+        iterate(c, x, 3)
+    with pytest.raises(ResourceLimit, match=re.escape("denominators at step 3 (cap 8) folding f^-3")):
+        iterate(c, x, -3)
+    # at a cap the common denominator fits, the product is the numerator sum
+    monkeypatch.setattr(cocycles, "DENOMINATOR_BITS_CAP", 10)
+    c = CocycleSpec(space, 0, dict(c.table))
+    assert iterate(c, x, 3) == PLMap.rotation(Fraction(1, 7) + Fraction(1, 11) + Fraction(1, 13))
+    assert "orbit" not in c._cache
+
+
+def test_rotation_tables_read_points_with_float_symbols(full2):
+    c = rotation_cocycle(full2, 1, seed=4)
+    x = SymbolicPoint.make(full2, (0,), (1.0, 0, 1.0), (1,), 0)
+    assert 1.0 in x.core
+    for n in (5, -5):
+        assert iterate(c, x, n) == fresh_fold(c, x, n)
+
+
+@pytest.mark.parametrize("odd", ["pl", "float"])
+def test_a_mixed_table_takes_the_memoised_fold(full2, rng, odd):
+    r = rotation_cocycle(full2, 1, seed=4)
+    word = sorted(r.table)[0]
+    m = near_identity_plmap(np.random.default_rng(1)) if odd == "pl" else PLMap.rotation(0.3)
+    c = CocycleSpec(full2, 1, {**r.table, word: m})
+    x = random_point(full2, rng)
+    for n in (5, -4):
+        assert iterate(c, x, n) == fresh_fold(c, x, n)
+    assert c._cache["rotations"] is None and len(c._cache["orbit"]) == 2
+
+
+def test_rotation_maps_are_emptied_at_the_memo_cap(full2, rng, monkeypatch):
+    from cocyclelab import cocycles
+
+    monkeypatch.setattr(cocycles, "ORBIT_MEMO_CAP", 3)
+    c = rotation_cocycle(full2, 1, seed=4)
+    x = random_point(full2, rng)
+    for n in range(-6, 7):
+        assert iterate(c, x, n) == fresh_fold(c, x, n)
+        assert len(c._cache["rotations"][2]) <= 3
+
+
+def test_table_words_are_enumerated_once_under_the_cap_in_force(monkeypatch):
+    from cocyclelab import cocycles, symbolic
+
+    space = SFTSpace.full_shift(2)
+    words = cocycles.table_words(space, 2, "here")
+    assert cocycles.table_words(space, 2, "here") is words
+    assert words == tuple(space.words(5))
+    # a lowered cap is honoured, not answered from the held words
+    monkeypatch.setattr(symbolic, "ENUMERATION_CAP", 31)
+    with pytest.raises(ResourceLimit, match="length 5 exceeded enumeration cap 31"):
+        cocycles.table_words(space, 2, "here")
+    monkeypatch.undo()
+    cocycles.table_words(space, 1, "here")
+    assert list(space._table_words) == [(3, symbolic.ENUMERATION_CAP)]  # the last list only
+    # a table in another order than the words still validates
+    table = {w: PLMap.identity() for w in reversed(words)}
+    assert CocycleSpec(space, 2, table).table is table
 
 
 def test_orbit_memo_is_emptied_at_its_cap(full2, rng, monkeypatch):

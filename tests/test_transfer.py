@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from cocyclelab import holonomy, transfer
 from cocyclelab import (
@@ -28,6 +28,7 @@ from cocyclelab import (
     is_stable_pair,
     iterate,
     power_domination,
+    regularize,
     sample_measure,
     splice,
     uniform_distance,
@@ -330,15 +331,42 @@ def _rotation_pair(space, seed):
     return F, conjugated_pair(F, decaying_rotation_rule(space, 3))
 
 
-def _equivariant_pair(space):
-    """F = R conjugated by chi, G = R conjugated by rho: PL values that do not
-    commute, with equal return maps at 0^inf because rho and chi commute with
-    R's 1/4-rotations."""
+def _equivariant_rules(space):
+    """A rotation cocycle R with 1/4-rotation values and two window rules
+    rho, chi whose PL values commute with those rotations."""
     R = rotation_cocycle(space, 1, 3, denom=4)
     rng = np.random.default_rng(8)
     rho, chi = (WindowRule(1, {w: _equivariant_plmap(rng, 4) for w in space.words(3)})
                 for _ in range(2))
+    return R, rho, chi
+
+
+def _equivariant_pair(space):
+    """F = R conjugated by chi, G = R conjugated by rho: PL values that do not
+    commute, with equal return maps at 0^inf because rho and chi commute with
+    R's 1/4-rotations."""
+    R, rho, chi = _equivariant_rules(space)
     return conjugated_pair(R, chi), conjugated_pair(R, rho)
+
+
+@pytest.mark.parametrize("order", ["chi-rho", "rho-chi"])
+def test_regularize_fiber_lipschitz_max_reads_both_slope_extremes(order):
+    """fiber_lipschitz_max is the max over the rebuilt values of
+    max(max slope, 1 / min slope).  phi = a^-1 b conjugates R conjugated by b
+    to R conjugated by a; swapping a and b inverts every value, so the
+    largest slope decides one order and the smallest slope the other."""
+    space = SFTSpace.full_shift(2)
+    R, rho, chi = _equivariant_rules(space)
+    a, b = (chi, rho) if order == "chi-rho" else (rho, chi)
+    phi = WindowRule(1, {w: compose(invert(a.table[w]), m) for w, m in b.table.items()})
+    F, G = conjugated_pair(R, a), conjugated_pair(R, b)
+    tilde, rep = regularize(MeasurableConjugacy(phi), F, G, 20, 1e-8,
+                            mu=MarkovMeasure.uniform(space), seed=5)
+    assert rep.cohomology_worst == 0
+    up = max(float(max(m.slopes)) for m in tilde.values())
+    down = max(1.0 / float(min(m.slopes)) for m in tilde.values())
+    assert rep.fiber_lipschitz_max == max(up, down)
+    assert (up > down) == (order == "chi-rho")  # each order tests one extreme
 
 
 _FULL2 = SFTSpace.full_shift(2)
@@ -579,6 +607,47 @@ def test_holder_regression_matches_reference_at_workload_size(mixed):
     assert len(pts) == 180 and 30 <= len({(m, m.is_exact) for m in value.values()}) < 90
     got = holder_regression(pts, value.__getitem__, float(space.rho))
     assert got == _naive_regression(pts, value.__getitem__, float(space.rho), 30)
+
+
+_WIDE_ROTATIONS = [PLMap.rotation(Fraction(k, q)) for k, q in (
+    (1, 2**61 - 1), (2**60, 2**61 - 1), (5, 3**40), (3**39, 3**40), (1, 4), (1, 3), (0, 1),
+    (2**53 + 1, 2**54), (7, 2**53 + 5),
+)]
+
+
+@given(st.data())
+# no shrinking: each example runs two regressions, and shrinking a failure
+# took more than five minutes
+@settings(max_examples=40, phases=[Phase.explicit, Phase.generate])
+def test_holder_regression_rotation_distances_match_the_reference(data):
+    """Distances between exact rotations are taken on integer numerators over
+    one common denominator, here past 2**200, and must be the floats of
+    uniform_distance that the per-pair reference takes; pairs with a PL or
+    float value keep uniform_distance."""
+    pool = _POOL_POINTS
+    maps = _WIDE_ROTATIONS + data.draw(st.sampled_from([[], _MAP_POOL]))
+    assignment = data.draw(st.lists(st.integers(0, len(maps) - 1), min_size=len(pool),
+                                    max_size=len(pool)))
+    value = {y: maps[k] for y, k in zip(pool, assignment)}
+
+    def outcome(fn):
+        try:
+            return fn(pool, value.__getitem__, 2.0, 4)
+        except InsufficientScales:
+            return "insufficient"
+
+    assert outcome(holder_regression) == outcome(_naive_regression)
+
+
+def test_rotation_conjugacy_rule_composes_each_entry():
+    space = SFTSpace.full_shift(2)
+    x0 = SymbolicPoint.fixed(space, 0)
+    _, rho, _ = _equivariant_rules(space)
+    for psi in (decaying_rotation_rule(space, 3), rho):
+        base = invert(psi.phi_at(x0))
+        rule = rotation_conjugacy_rule(psi, x0)
+        assert rule.window == psi.window
+        assert rule.table == {w: compose(base, m) for w, m in psi.table.items()}
 
 
 def test_holder_regression_reads_points_whole(monkeypatch):
