@@ -58,7 +58,6 @@ from .symbolic import (
     resample_past,
     sample_measure,
     splice,
-    splice_toward,
     stable_agreement_onset,
     unstable_agreement_onset,
     verify_closing_bound,
@@ -69,7 +68,6 @@ from .transfer import (
     build_transfer,
     check_periodic_data,
     estimate_holder,
-    extend_transfer,
     holder_regression,
     verify_cohomology,
     verify_lemma1,

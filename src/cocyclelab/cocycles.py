@@ -170,10 +170,12 @@ class _WindowNumerators(dict):
 
 
 def _rotation_sums(c: CocycleSpec):
-    """``(den, numerators, maps)`` when every entry of c's table is an exact
-    rotation, else None, held in ``c._cache``.  ``numerators`` gives a
-    window's angle numerator over ``den``; ``maps`` holds one rotation per
-    numerator read so far."""
+    """``(den, numerators, maps)`` when c's orbit products are numerator sums,
+    else None: every entry of c's table is an exact rotation, ``den`` fits
+    ``DENOMINATOR_BITS_CAP`` and ``BREAKPOINT_CAP`` admits one breakpoint.
+    The table's scan is held in ``c._cache``; the caps are read on every call.
+    ``numerators`` gives a window's angle numerator over ``den``; ``maps``
+    holds one rotation per numerator read so far."""
     if "rotations" not in c._cache:
         distinct = list({id(m): m for m in c.table.values()}.values())  # tables share maps
         found = rotation_numerators(distinct)
@@ -181,7 +183,10 @@ def _rotation_sums(c: CocycleSpec):
             den, nums = found
             found = den, _WindowNumerators(c.table, dict(zip(map(id, distinct), nums))), {}
         c._cache["rotations"] = found
-    return c._cache["rotations"]
+    rot = c._cache["rotations"]
+    if rot is not None and rot[0].bit_length() <= DENOMINATOR_BITS_CAP and BREAKPOINT_CAP >= 1:
+        return rot
+    return None
 
 
 def iterate(c: CocycleSpec, x: SymbolicPoint, n: int) -> PLMap:
@@ -204,7 +209,7 @@ def iterate(c: CocycleSpec, x: SymbolicPoint, n: int) -> PLMap:
         return PLMap.identity()
     word = _orbit_word(c, x, n)
     rot = _rotation_sums(c)
-    if rot is not None and rot[0].bit_length() <= DENOMINATOR_BITS_CAP and BREAKPOINT_CAP >= 1:
+    if rot is not None:
         den, nums, maps = rot
         try:
             word = bytes(word)  # slices and hashes faster than a tuple
@@ -332,11 +337,13 @@ def check_bounded_distortion(c: CocycleSpec, horizon: int, samples) -> Distortio
     case all compositions are isometries.  Growth is flagged when the per-step
     maxima have a positive fitted growth rate and the later half of the
     horizon exceeds the earlier half's maximum, so distortion that keeps
-    increasing is flagged and bounded oscillation is not.
+    increasing is flagged and bounded oscillation is not.  When ``iterate``
+    would sum numerators, every product is an exact rotation of slope exactly
+    1 that passes every cap, so no orbit is read.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    samples = list(samples)
+    samples = list(samples) if _rotation_sums(c) is None else []
     per_step = [1.0] * horizon
     for x in samples:
         for n in range(1, horizon + 1):

@@ -45,10 +45,6 @@ class MissingSample(CocycleLabError):
     """A transfer-map value was requested at a point that cannot be resolved."""
 
 
-class DepthUnreachable(CocycleLabError):
-    """Splicing toward the base orbit is blocked by admissibility."""
-
-
 class InsufficientScales(CocycleLabError):
     """Regression input does not span enough distinct distance scales."""
 

@@ -128,9 +128,14 @@ class ReportDocument:
         return written
 
 
-# tolerances that count something, with the cap each may not pass and its name
+TRIPLES_CAP = 10_000  # metric-suite map triples a config may ask for (300 by default)
+FAMILY_PAIRS_CAP = 10_000  # metric-suite three-slope pairs a config may ask for (25 by default)
+
+# tolerances that count something, with the cap each may not pass and its name;
+# closing-lemma never samples more points than the class it samples from
 _COUNT_CAPS = {"horizon": (HORIZON_CAP, "HORIZON_CAP"), "n_max": (N_MAX_CAP, "N_MAX_CAP"),
-               "points": None, "triples": None, "family_pairs": None}
+               "points": None, "triples": (TRIPLES_CAP, "TRIPLES_CAP"),
+               "family_pairs": (FAMILY_PAIRS_CAP, "FAMILY_PAIRS_CAP")}
 
 
 @dataclass
@@ -373,11 +378,11 @@ def run_theorem_a(cfg: ExperimentConfig):
     n_pts = len(coh.rows)
     rows.append(CheckRow("cohomology-sample-count", float(-n_pts), -200.0, n_pts >= 200))
 
-    lem1 = verify_lemma1(T, points=_subsample(sorted(T.samples, key=SymbolicPoint.sort_key),
-                                              60, cfg.seed + 4), tol=tol)
+    samples = sorted(T.samples, key=SymbolicPoint.sort_key)
+    lem1 = verify_lemma1(T, points=_subsample(samples, 60, cfg.seed + 4), tol=tol)
     rows.append(CheckRow("forward-backward-agreement", lem1.worst, tol, lem1.worst <= tol))
 
-    pts = _subsample(sorted(T.samples, key=SymbolicPoint.sort_key), 120, cfg.seed + 5)
+    pts = _subsample(samples, 120, cfg.seed + 5)
     measured = estimate_holder(T, pts)
     if psi is not None:
         truth_rule = fixtures.rotation_conjugacy_rule(psi, x0)

@@ -22,34 +22,33 @@ def random_fraction(rng, denom: int = 64) -> Fraction:
     return Fraction(int(rng.integers(0, denom)), denom)
 
 
-def random_plmap(rng, n_breaks: int = 4, exact: bool = True, denom: int = 64) -> PLMap:
-    """Random PL circle homeomorphism with ``n_breaks`` breakpoints."""
+def random_plmap(rng, n_breaks: int = 4, exact: bool = True) -> PLMap:
+    """Random PL circle homeomorphism with ``n_breaks`` breakpoints at multiples of 1/64."""
     if n_breaks < 1:
         raise ValueError("need at least one breakpoint")
-    idx = sorted(rng.choice(denom, size=n_breaks, replace=False))
+    idx = sorted(rng.choice(64, size=n_breaks, replace=False))
     if exact:
-        breaks = [Fraction(int(i), denom) for i in idx]
+        breaks = [Fraction(int(i), 64) for i in idx]
         weights = [int(rng.integers(1, 16)) for _ in range(n_breaks)]
         total = sum(weights)
-        v0 = random_fraction(rng, denom)
+        v0 = random_fraction(rng)
         vals = [v0]
         for w in weights[:-1]:
             vals.append(vals[-1] + Fraction(w, total))
     else:
-        breaks = [i / denom for i in idx]
+        breaks = [i / 64 for i in idx]
         weights = rng.integers(1, 16, size=n_breaks).astype(float)
         weights /= weights.sum()
-        v0 = float(rng.integers(0, denom)) / denom
+        v0 = float(rng.integers(0, 64)) / 64
         vals = [v0]
         for w in weights[:-1]:
             vals.append(vals[-1] + w)
     return PLMap.make(breaks, vals)
 
 
-def near_identity_plmap(rng, n_breaks: int = 4, dev: float = 0.3, exact: bool = True,
-                        denom: int = 64) -> PLMap:
-    """Random homeomorphism with every slope inside [1-dev, 1+dev]."""
-    idx = sorted(rng.choice(denom, size=n_breaks, replace=False))
+def near_identity_plmap(rng, dev: float = 0.3, exact: bool = True, denom: int = 64) -> PLMap:
+    """Random homeomorphism with four breakpoints and every slope inside [1-dev, 1+dev]."""
+    idx = sorted(rng.choice(denom, size=4, replace=False))
     breaks = [Fraction(int(i), denom) for i in idx]
     gaps = [b2 - b1 for b1, b2 in zip(breaks, breaks[1:])] + [breaks[0] + 1 - breaks[-1]]
     dev_frac = Fraction(int(dev * 4096), 4096)  # round down: keeps the slope band
@@ -73,8 +72,7 @@ def rotation_cocycle(space: SFTSpace, window: int, seed: int, denom: int = 360) 
 
 
 def pl_dominated_cocycle(
-    space: SFTSpace, window: int, theta: float, seed: int, n_breaks: int = 4,
-    exact: bool = True,
+    space: SFTSpace, window: int, theta: float, seed: int, exact: bool = True
 ) -> CocycleSpec:
     """PL generator table with all slopes strictly inside the domination band
     (rho**-(alpha-theta), rho**(alpha-theta)) for alpha = 1."""
@@ -84,7 +82,7 @@ def pl_dominated_cocycle(
     dev = 0.98 * (1.0 - 1.0 / band)
     rng = np.random.default_rng(seed)
     table = {
-        w: near_identity_plmap(rng, n_breaks, dev, exact)
+        w: near_identity_plmap(rng, dev, exact)
         for w in table_words(space, window, "pl_dominated_cocycle")
     }
     return CocycleSpec(space, window, table)
@@ -182,14 +180,12 @@ def rotation_conjugacy_rule(psi: WindowRule, x0: SymbolicPoint) -> WindowRule:
     return WindowRule(psi.window, {w: composed[id(m)] for w, m in psi.table.items()})
 
 
-def corrupted_conjugacy(
-    rule: WindowRule, points, seed: int, magnitude=Fraction(1, 8)
-) -> MeasurableConjugacy:
-    """Override the rule at finitely many points by extra rotations."""
+def corrupted_conjugacy(rule: WindowRule, points, seed: int) -> MeasurableConjugacy:
+    """Override the rule at finitely many points by rotations by angles in [1/8, 1/4)."""
     rng = np.random.default_rng(seed)
     corruption = {}
     for pt in points:
-        offset = magnitude + random_fraction(rng, 64) * magnitude
+        offset = Fraction(1, 8) + random_fraction(rng, 64) / 8
         corruption[pt] = compose(PLMap.rotation(offset), rule.phi_at(pt))
     return MeasurableConjugacy(rule, corruption)
 

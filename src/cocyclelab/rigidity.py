@@ -154,9 +154,8 @@ def regularize(
     dom_f, _ = dominated_pair(F, G)
     gamma = gamma_budget(dom_f.theta_s, float(F.alpha))
 
-    anchors_raw = sample_measure(mu, sample_count, seed) + sorted(
-        phi.corruption, key=SymbolicPoint.sort_key
-    )
+    corrupted = sorted(phi.corruption, key=SymbolicPoint.sort_key)
+    anchors_raw = sample_measure(mu, sample_count, seed) + corrupted
     _screen_distortion(G, anchors_raw[:24])
     anchors = []
     excluded = 0
@@ -173,8 +172,7 @@ def regularize(
     ))
     base_targets += [t.shift(1) for t in base_targets]
     base_targets = list(dict.fromkeys(base_targets))
-    extras = sorted(phi.corruption, key=SymbolicPoint.sort_key)
-    extras += [t.shift(1) for t in extras]
+    extras = corrupted + [t.shift(1) for t in corrupted]
     targets = list(dict.fromkeys(base_targets + extras))
 
     exponents = agreement_exponents(targets)  # every anchor is a target
@@ -206,7 +204,7 @@ def regularize(
 
     repaired = tuple(
         (t, float(uniform_distance(tilde[t], phi.phi_at(t))))
-        for t in sorted(phi.corruption, key=SymbolicPoint.sort_key)
+        for t in corrupted
     )
 
     path_worst = 0.0

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import (
     CylinderMismatch,
-    DepthUnreachable,
     InadmissibleLoop,
     NotStablePair,
     NotUnstablePair,
@@ -102,12 +101,9 @@ class SFTSpace:
         return cls(k, tuple((1,) * k for _ in range(k)), rho)
 
     @classmethod
-    def golden_mean(cls, rho=2) -> "SFTSpace":
+    def golden_mean(cls) -> "SFTSpace":
         """Two symbols, the word 11 forbidden."""
-        return cls(2, ((1, 1), (1, 0)), rho)
-
-    def admissible(self, i: int, j: int) -> bool:
-        return self.P[i][j] == 1
+        return cls(2, ((1, 1), (1, 0)))
 
     def successors(self, i: int) -> Word:
         return tuple(j for j in range(self.k) if self.P[i][j])
@@ -525,39 +521,6 @@ def homoclinic_points(x0: SymbolicPoint, core_len: int) -> list[SymbolicPoint]:
             if d <= core_len:
                 stack.append((filling + (s,), s, d))
     return sorted(out, key=SymbolicPoint.sort_key)
-
-
-def _rejoin(x: SymbolicPoint, start: int, ref: SymbolicPoint, step: int, cap: int):
-    """Shortest admissible walk from ``x[start]``, one coordinate per ``step``
-    (+1 forward, -1 backward), to the first coordinate where it can take the
-    symbol of ``ref``: that coordinate and the symbols walked, in walk order."""
-    nbrs = x.space.successors if step > 0 else x.space.predecessors
-    frontier = {x[start]: ()}
-    pos = start
-    while step * pos < cap and frontier:
-        pos += step
-        target = ref[pos]
-        nxt = {}
-        for s, path in frontier.items():
-            for t in nbrs(s):
-                if t == target:
-                    return pos, path + (t,)
-                nxt.setdefault(t, path + (t,))
-        frontier = nxt
-    raise DepthUnreachable(f"cannot rejoin the base orbit {'forward' if step > 0 else 'backward'}")
-
-
-def splice_toward(x: SymbolicPoint, depth: int, x0: SymbolicPoint) -> SymbolicPoint:
-    """Point agreeing with x on |n| <= depth whose tails follow the orbit of
-    the periodic point ``x0`` with the phases of ``homoclinic_points``; each
-    side rejoins its reference by the shortest admissible connector."""
-    if x0.period is None:
-        raise ValueError("x0 must be periodic")
-    left_ref = x0.shift(x0.period - 1)
-    cap = depth + 4 * x.space.k * x0.period + 4
-    r_pos, r_path = _rejoin(x, depth, x0, 1, cap)
-    l_pos, l_path = _rejoin(x, -depth, left_ref, -1, cap)
-    return splice(left_ref, l_path[::-1] + x.window(-depth, depth + 1) + r_path, l_pos, x0)
 
 
 def _closing_word(y: SymbolicPoint, lo: int, hi: int) -> Word:

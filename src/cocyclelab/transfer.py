@@ -32,10 +32,8 @@ from .symbolic import (
     SymbolicPoint,
     agreement_exponents,
     closing_point_range,
-    distance,
     homoclinic_points,
     periodic_points,
-    splice_toward,
     stable_agreement_onset,
     unstable_agreement_onset,
 )
@@ -326,19 +324,3 @@ def estimate_holder(T: TransferMap, points=None):
     """Regularity regression of the transfer map over its sampled class."""
     pts = list(points) if points is not None else _default_points(T)
     return holder_regression(pts, T.phi_at, float(T.F.space.rho))
-
-
-def extend_transfer(T: TransferMap, x: SymbolicPoint, depth: int):
-    """phi at the nearest splice of x into the sampled class, with a
-    certified-regression error bound C * d(x, y)**exponent."""
-    if T.holder_estimate is None:
-        raise InsufficientScales("transfer map carries no regression metadata")
-    exponent, const = T.holder_estimate
-    if x in T.samples:
-        return T.samples[x], 0.0
-    y = splice_toward(x, depth, T.base_point)
-    phi = T.phi_at(y)
-    d = float(distance(x, y))
-    if d == 0.0 or math.isinf(exponent):
-        return phi, 0.0
-    return phi, const * d**exponent

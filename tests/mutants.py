@@ -1,0 +1,181 @@
+"""A standing set of mutants of ``src/cocyclelab``: one-snippet edits that the
+named test files must fail on.
+
+Each entry names a module under ``src/cocyclelab``, the exact snippet it
+replaces, the replacement, and the test files expected to kill it.
+``tests/test_mutants.py`` checks in the tier-1 suite that every old snippet
+occurs exactly once in ``src/``, so a change to a mutated line must update
+its entry in the same change.
+
+Run as a script, this file copies the repository into a temporary directory,
+runs the named test files once unmutated (they must pass), then applies each
+mutant in turn and runs ``pytest -x`` on its test files.  It prints each
+outcome and exits 1 if a mutant survived or a run could not be judged:
+
+    python3 tests/mutants.py [NAME ...]
+
+The whole set took 173 s on a 2-core Linux machine with Python
+3.11 (one test process at a time).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # module file under src/cocyclelab
+    old: str
+    new: str
+    tests: tuple[str, ...]  # test files, relative to the repository root
+
+
+CLI, COCYCLES, SYMBOLIC, TRANSFER = (
+    ("tests/test_cli.py",), ("tests/test_cocycles.py",), ("tests/test_symbolic.py",),
+    ("tests/test_transfer.py",),
+)
+
+MUTANTS = (
+    # symbolic points and sampling
+    Mutant("canonical-right-tail-rotated-wrong-way", "symbolic.py",
+           "right = _rotate(right, -j)", "right = _rotate(right, j)", SYMBOLIC),
+    Mutant("canonical-junction-keeps-core-start", "symbolic.py",
+           "(), _rotate(right, -steps), core_start - steps",
+           "(), _rotate(right, -steps), core_start", SYMBOLIC),
+    Mutant("forbidden-pattern-first-branch-only", "symbolic.py",
+           'return re.compile(b"|".join(branches)) if branches else None',
+           "return re.compile(branches[0]) if branches else None", SYMBOLIC),
+    Mutant("forbidden-pattern-past-256-symbols", "symbolic.py",
+           "if len(P) > 256:", "if len(P) > 512:", SYMBOLIC),
+    Mutant("admissible-word-lets-type-error-through", "symbolic.py",
+           "            except (TypeError, ValueError):\n                pass",
+           "            except ValueError:\n                pass", SYMBOLIC),
+    Mutant("block-step-strict-comparison", "symbolic.py",
+           "np.count_nonzero(forward[s] <= u[:, t, None], axis=1)",
+           "np.count_nonzero(forward[s] < u[:, t, None], axis=1)", SYMBOLIC),
+    Mutant("block-drawn-column-major", "symbolic.py",
+           "u = rng.random((min(SAMPLE_BLOCK, count - done), depth))",
+           "u = rng.random((depth, min(SAMPLE_BLOCK, count - done))).T", SYMBOLIC),
+    Mutant("golden-mean-rho-3", "symbolic.py",
+           "return cls(2, ((1, 1), (1, 0)))", "return cls(2, ((1, 1), (1, 0)), 3)", SYMBOLIC),
+    # PL maps
+    Mutant("rotation-numerators-accept-pl", "circlemaps.py",
+           "if len(m.breaks) != 1 or type(a) is not Fraction:",
+           "if type(a) is not Fraction:", ("tests/test_circlemaps.py",)),
+    Mutant("holder-constant-lmin-reads-max", "circlemaps.py",
+           "lmax, lmin = float(max(slopes)), float(min(slopes))",
+           "lmax, lmin = float(max(slopes)), float(max(slopes))", ("tests/test_circlemaps.py",)),
+    # orbit products and cocycle reports
+    Mutant("rotation-sum-not-negated", "cocycles.py",
+           "num = (total if n > 0 else -total) % den", "num = total % den", COCYCLES),
+    Mutant("numerator-sum-past-denominator-cap", "cocycles.py",
+           "if rot is not None and rot[0].bit_length() <= DENOMINATOR_BITS_CAP and BREAKPOINT_CAP >= 1:",
+           "if rot is not None and BREAKPOINT_CAP >= 1:", COCYCLES),
+    Mutant("distortion-reads-summable-orbits", "cocycles.py",
+           "samples = list(samples) if _rotation_sums(c) is None else []",
+           "samples = list(samples)", COCYCLES),
+    Mutant("distortion-inverse-slope-reads-max", "cocycles.py",
+           "float(max(slopes)), 1.0 / float(min(slopes)))\n",
+           "float(max(slopes)), 1.0 / float(max(slopes)))\n", COCYCLES),
+    Mutant("margins-inverse-slope-reads-max", "cocycles.py",
+           "max(down, 1.0 / float(min(slopes)))", "max(down, 1.0 / float(max(slopes)))", COCYCLES),
+    Mutant("table-words-memo-keyed-without-cap", "cocycles.py",
+           "key = (length, symbolic.ENUMERATION_CAP)", "key = (length,)", COCYCLES),
+    # fixtures
+    Mutant("conjugated-pair-psi-sigma-at-psi-offset", "fixtures.py",
+           "- pn[v[pa + 1 : pb + 1]]", "- pn[v[pa:pb]]", COCYCLES),
+    Mutant("rotation-conjugacy-rule-compose-order", "fixtures.py",
+           "compose(base, m)", "compose(m, base)", TRANSFER),
+    Mutant("near-identity-three-breaks", "fixtures.py",
+           "rng.choice(denom, size=4, replace=False)", "rng.choice(denom, size=3, replace=False)",
+           CLI),
+    Mutant("corruption-angle-doubled", "fixtures.py",
+           "offset = Fraction(1, 8) + random_fraction(rng, 64) / 8",
+           "offset = Fraction(1, 8) + random_fraction(rng, 64) / 4", CLI),
+    # transfer and repair
+    Mutant("regression-rotation-distance-plus", "transfer.py",
+           "d = (num[p] - num[q]) % den", "d = (num[p] + num[q]) % den", TRANSFER),
+    Mutant("regression-rotation-distance-float-quotient", "transfer.py",
+           "r = min(d, den - d) / den", "r = float(min(d, den - d)) / float(den)", TRANSFER),
+    Mutant("regularize-lip-inverse-slope-reads-max", "rigidity.py",
+           "1.0 / float(min(s))) for s in slopes)", "1.0 / float(max(s))) for s in slopes)",
+           TRANSFER),
+    Mutant("regularize-corruption-unsorted", "rigidity.py",
+           "corrupted = sorted(phi.corruption, key=SymbolicPoint.sort_key)",
+           "corrupted = list(phi.corruption)", CLI),
+    # experiment configs and rows
+    Mutant("count-check-accepts-fractions", "experiments.py",
+           "if val != int(val) or cap and val > cap[0]:", "if cap and val > cap[0]:", CLI),
+    Mutant("points-left-out-of-count-check", "experiments.py",
+           '"points": None, ', "", CLI),
+    Mutant("triples-uncapped", "experiments.py",
+           '"triples": (TRIPLES_CAP, "TRIPLES_CAP")', '"triples": None', CLI),
+    Mutant("family-pairs-uncapped", "experiments.py",
+           '"family_pairs": (FAMILY_PAIRS_CAP, "FAMILY_PAIRS_CAP")', '"family_pairs": None', CLI),
+    Mutant("n-max-cap-raised", "cocycles.py",
+           "N_MAX_CAP = 200  #", "N_MAX_CAP = 200 * 10**20  #", CLI),
+)
+
+
+RUN_TIMEOUT_S = 600  # a mutant can make a test loop for good; no file takes a minute
+
+
+def _pytest(root: Path, files, env) -> int | str:
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *files]
+    try:
+        return subprocess.run(cmd, cwd=root, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=RUN_TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return "timeout"
+
+
+def main(names) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    start = time.perf_counter()
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "repo"
+        shutil.copytree(Path(__file__).resolve().parent.parent, root, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".hypothesis", ".pytest_cache", "*.egg-info"))
+        env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        files = sorted({f for m in chosen for f in m.tests})
+        code = _pytest(root, files, env)
+        if code != 0:
+            print(f"unmutated tests fail (pytest exit {code}): {' '.join(files)}", file=sys.stderr)
+            return 2
+        for m in chosen:
+            path = root / "src" / "cocyclelab" / m.path
+            text = path.read_text()
+            if text.count(m.old) != 1:
+                print(f"{m.name}: the old snippet does not occur exactly once", file=sys.stderr)
+                return 2
+            path.write_text(text.replace(m.old, m.new))
+            t0 = time.perf_counter()
+            try:
+                code = _pytest(root, m.tests, env)
+            finally:
+                path.write_text(text)
+            # pytest exits 1 when a test failed and 2 when collection failed,
+            # which the unmutated run ruled out; any other code is no verdict
+            outcome = {0: "SURVIVED", 1: "killed", 2: "killed"}.get(
+                code, f"NO VERDICT (pytest exit {code})")
+            failed += code not in (1, 2)
+            print(f"{outcome:<10} {m.name} ({time.perf_counter() - t0:.1f} s)", flush=True)
+    print(f"{len(chosen) - failed} of {len(chosen)} killed in {time.perf_counter() - start:.0f} s")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

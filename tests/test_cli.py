@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -162,6 +163,18 @@ def test_theorem_b_rows_with_a_one_entry_memo(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, {"experiment": "theorem-b", "seed": 5})
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert_rows_pinned(tmp_path / "out", "theorem-b")
+
+
+@pytest.mark.parametrize("name, value, cap", [
+    ("triples", 10_001, "TRIPLES_CAP"), ("family_pairs", 1e15, "FAMILY_PAIRS_CAP"),
+])
+def test_metric_suite_counts_are_capped(name, value, cap):
+    # parsed only: were the cap gone, a run of 1e15 family pairs would not end
+    with pytest.raises(ConfigError, match=re.escape(
+        f"tolerances.{name}: must be a whole number from 1 to 10000 ({cap})"
+    )):
+        ExperimentConfig.from_json({"experiment": "metric-suite", "tolerances": {name: value}})
+    ExperimentConfig.from_json({"experiment": "metric-suite", "tolerances": {name: 10_000}})
 
 
 def test_run_exit_codes(tmp_path, capsys):

@@ -28,6 +28,7 @@ from cocyclelab import (
 )
 from cocyclelab.cocycles import (
     TABLE_ENTRY_CAP,
+    DistortionReport,
     DominationReport,
     _word_generators,
     orbit_product,
@@ -731,6 +732,42 @@ def test_distortion_rotations_certified(full2, rng):
     pts = [random_point(full2, rng) for _ in range(5)]
     rep = check_bounded_distortion(c, 8, pts)
     assert rep.certified and rep.K_est == pytest.approx(1.0)
+
+
+def test_distortion_of_a_summable_rotation_table_reads_no_orbit(full2, rng, monkeypatch):
+    from cocyclelab import cocycles
+
+    def unread(*args):
+        raise AssertionError("iterate was called")
+
+    c = rotation_cocycle(full2, 1, seed=1)
+    pts = [random_point(full2, rng) for _ in range(5)]
+    monkeypatch.setattr(cocycles, "iterate", unread)
+    h = cocycles.HORIZON_CAP
+    rep = check_bounded_distortion(c, h, pts)
+    assert rep == DistortionReport(1.0, h, True, (1.0,) * h, False)
+
+
+def test_distortion_of_a_rotation_table_past_the_denominator_cap_walks_the_orbit(monkeypatch):
+    from cocyclelab import cocycles
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return iterate(*args)
+
+    monkeypatch.setattr(cocycles, "iterate", counted)
+    monkeypatch.setattr(cocycles, "DENOMINATOR_BITS_CAP", 8)
+    space = SFTSpace.full_shift(3)
+    c = CocycleSpec(space, 0, {(s,): PLMap.rotation(Fraction(1, q))
+                               for s, q in enumerate((7, 11, 13))})
+    x = SymbolicPoint.periodic(space, (0, 1, 2))
+    # the common denominator 1001 has 10 bits; f^2_x = 18/77 has 7, f^3_x 10
+    assert check_bounded_distortion(c, 2, [x, x]) == DistortionReport(1.0, 2, True, (1.0, 1.0))
+    assert len(calls) == 4
+    with pytest.raises(ResourceLimit, match="10-bit denominators at step 3"):
+        check_bounded_distortion(c, 3, [x])
 
 
 def test_distortion_telescoping(full2):

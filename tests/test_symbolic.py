@@ -21,12 +21,10 @@ from cocyclelab import (
     resample_past,
     sample_measure,
     splice,
-    splice_toward,
     verify_closing_bound,
 )
 from cocyclelab.errors import (
     CylinderMismatch,
-    DepthUnreachable,
     InadmissibleLoop,
     NotStablePair,
     NotUnstablePair,
@@ -429,7 +427,7 @@ def _mixed_points(space, seed):
     resampled = [resample_past(mu, x, rng, depth=5) for x in sampled[:4]]
     resampled += [resample_future(mu, x, rng, depth=5) for x in sampled[:4]]
     # close to a sampled point: agree with it on |n| <= depth
-    near = [splice_toward(x, d, periodic[0]) for x, d in zip(sampled, range(1, 9))]
+    near = [_complete_word(space, x.window(-d, d + 1), -d) for x, d in zip(sampled, range(1, 9))]
     pts = sampled + periodic + homoclinic + tails + shifted + resampled + near
     dups = [SymbolicPoint.from_json(space, pts[int(i)].to_json())
             for i in rng.choice(len(pts), 6, replace=False)]
@@ -668,95 +666,6 @@ def test_homoclinic_period_two_enumeration_pinned(golden):
 # ------------------------------------------------------------------- splicing
 
 
-def _splice_toward_base(x, depth, x0):
-    """Reference for ``splice_toward``: two mirror-image connector searches and
-    tails phased by hand."""
-    space = x.space
-    n0 = x0.period
-    right_ref = x0
-    left_ref = x0 if n0 == 1 else x0.shift(n0 - 1)
-    p = x0.period
-    cap = depth + 4 * space.k * p + 4
-
-    def forward():
-        frontier = {x[depth]: ()}
-        pos = depth
-        while pos < cap:
-            pos += 1
-            target = right_ref[pos]
-            nxt = {}
-            for s, path in frontier.items():
-                for t in space.successors(s):
-                    if t == target:
-                        return pos, path + (t,)
-                    if t not in nxt:
-                        nxt[t] = path + (t,)
-            frontier = nxt
-            if not frontier:
-                break
-        raise DepthUnreachable("cannot rejoin the base orbit forward")
-
-    def backward():
-        frontier = {x[-depth]: ()}
-        pos = -depth
-        while pos > -cap:
-            pos -= 1
-            target = left_ref[pos]
-            nxt = {}
-            for s, path in frontier.items():
-                for t in space.predecessors(s):
-                    if t == target:
-                        return pos, (t,) + path
-                    if t not in nxt:
-                        nxt[t] = (t,) + path
-            frontier = nxt
-            if not frontier:
-                break
-        raise DepthUnreachable("cannot rejoin the base orbit backward")
-
-    r_pos, r_path = forward()
-    l_pos, l_path = backward()
-    core = l_path + x.window(-depth, depth + 1) + r_path
-    a = l_pos
-    wl, wr = left_ref.right, right_ref.right
-    pl, pr = len(wl), len(wr)
-    left = tuple(wl[(i + a) % pl] for i in range(pl))
-    r0 = a + len(core)
-    right = tuple(wr[(i + r0) % pr] for i in range(pr))
-    return SymbolicPoint.make(space, left, core, right, a)
-
-
-SPLICE_SPACES = {
-    "full2": SFTSpace.full_shift(2),
-    "full3": SFTSpace.full_shift(3),
-    "golden": SFTSpace.golden_mean(),
-    # connectors here run over several symbols, and the two backward paths
-    # 4 <- 2 <- 1 and 4 <- 3 <- 1 tie, so the walk order and the tie-break show
-    "diamond": SFTSpace(5, (
-        (1, 1, 0, 0, 0), (1, 0, 1, 1, 0), (0, 0, 0, 0, 1), (0, 0, 0, 0, 1), (1, 0, 0, 0, 0),
-    )),
-}
-
-
-@example(name="diamond", base=(0,), seed=4, depth=3)  # x[-3] = 4: the tie
-@given(
-    st.sampled_from(sorted(SPLICE_SPACES)),
-    st.sampled_from([(0,), (0, 1)]),
-    st.integers(0, 10_000),
-    st.integers(0, 6),
-)
-@settings(max_examples=60, deadline=None)
-def test_splice_toward_matches_mirrored_reference(name, base, seed, depth):
-    space = SPLICE_SPACES[name]
-    x0 = SymbolicPoint.periodic(space, base)
-    x = random_point(space, np.random.default_rng(seed))
-    y = splice_toward(x, depth, x0)
-    assert y == _splice_toward_base(x, depth, x0)
-    assert y.window(-depth, depth + 1) == x.window(-depth, depth + 1)
-    stable_agreement_onset(y, x0)
-    unstable_agreement_onset(y, x0.shift(len(base) - 1))
-
-
 def test_splice_reads_each_source_on_its_periodic_side(full2):
     x = SymbolicPoint.make(full2, (0,), (1, 1), (0,), 0)  # ...0 11 0...
     one = SymbolicPoint.fixed(full2, 1)
@@ -766,16 +675,6 @@ def test_splice_reads_each_source_on_its_periodic_side(full2):
         splice(x, (0,), 1, one)  # x is not periodic below 1
     with pytest.raises(ValueError):
         splice(one, (0,), -1, x)  # nor from 0 on
-
-
-def test_splice_toward_one_way_trapdoor():
-    # symbol 1 never returns to 0, and 0 has no predecessor but itself
-    space = SFTSpace(2, ((1, 1), (0, 1)))
-    zero, one = SymbolicPoint.fixed(space, 0), SymbolicPoint.fixed(space, 1)
-    for x, x0, side in ((one, zero, "forward"), (zero, one, "backward")):
-        for fn in (splice_toward, _splice_toward_base):
-            with pytest.raises(DepthUnreachable, match=side):
-                fn(x, 3, x0)
 
 
 # --------------------------------------------------------------------- closing

@@ -21,7 +21,6 @@ from cocyclelab import (
     check_periodic_data,
     compose,
     estimate_holder,
-    extend_transfer,
     holder_regression,
     homoclinic_points,
     invert,
@@ -669,33 +668,6 @@ def test_holder_regression_reads_points_whole(monkeypatch):
     assert len(reads) <= len(pts)
 
 
-# ------------------------------------------------------------------- extension
-
-
-def test_extend_transfer_exact_on_samples(family):
-    space, F, G, _, x0 = family
-    T = build_transfer(F, G, x0, 3, tol=1e-10)
-    y = list(T.class_points)[4]
-    phi, bound = extend_transfer(T, y, 3)
-    assert bound == 0.0 and phi == T.samples[y]
-
-
-def test_extend_transfer_splice(family):
-    space, F, G, psi, x0 = family
-    T = build_transfer(F, G, x0, 3, tol=1e-10)
-    stranger = SymbolicPoint.periodic(space, (0, 1, 1))
-    depth = 8
-    phi, bound = extend_transfer(T, stranger, depth)
-    exponent, const = T.holder_estimate
-    assert bound <= const * float(space.rho) ** (-(depth + 1) * exponent) + 1e-15
-    # the returned value matches the rule at the spliced point
-    truth = rotation_conjugacy_rule(psi, x0)
-    spliced_truth = truth.phi_at(stranger)  # window rule only sees the centre window
-    assert float(uniform_distance(phi, spliced_truth)) <= 0.6  # same circle map family
-    phi0, bound0 = extend_transfer(T, stranger, 0)
-    assert bound0 >= bound
-
-
 # -------------------------------------------------------------- periodic base
 
 
@@ -804,17 +776,14 @@ def test_transfer_json_document(family):
     assert uniform_distance(restored, T.samples[pt]) == 0
 
 
-def test_extend_transfer_depth_unreachable():
-    # one-way trapdoor: symbol 2 can never return to the base symbol 0
-    from cocyclelab.errors import DepthUnreachable
-
+def test_transfer_on_a_one_way_space_is_constant_on_its_class():
+    # one-way trapdoor: symbol 2 can never return to the base symbol 0, so the
+    # class of 0 never reads a 2
     space = SFTSpace(3, ((1, 1, 1), (1, 1, 1), (0, 0, 1)))
     angle = Fraction(1, 6)
     F = CocycleSpec(space, 0, {w: PLMap.rotation(angle) for w in space.words(1)})
     x0 = SymbolicPoint.fixed(space, 0)
     T = build_transfer(F, F, x0, 3)
+    assert all(2 not in y.window(-4, 4) for y in T.class_points)
     # phi is the identity across the whole class: the regression reads it as constant
     assert len(T.class_points) == 42 and T.holder_estimate == (math.inf, 0.0)
-    trapped = SymbolicPoint.fixed(space, 2)
-    with pytest.raises(DepthUnreachable):
-        extend_transfer(T, trapped, 3)
