@@ -64,7 +64,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "list-experiments":
-            for name, (_, help_line) in RUNNERS.items():
+            for name, (_, help_line, _) in RUNNERS.items():
                 print(f"{name:15s} {help_line}")
             return 0
         if args.command == "gen":

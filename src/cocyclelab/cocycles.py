@@ -157,8 +157,8 @@ def _word_generators(c: CocycleSpec, word: tuple, n: int, start: int = 0):
 
 class _WindowNumerators(dict):
     """Angle numerators by window, read from the table when first asked for:
-    a run reads few of a wide table's windows.  A key is a window as bytes
-    or as a tuple; ``by_id`` holds each distinct map's numerator."""
+    a run reads few of a wide table's windows.  A key is a window as bytes;
+    ``by_id`` holds each distinct map's numerator."""
 
     def __init__(self, table: dict, by_id: dict):
         super().__init__()
@@ -211,10 +211,7 @@ def iterate(c: CocycleSpec, x: SymbolicPoint, n: int) -> PLMap:
     rot = _rotation_sums(c)
     if rot is not None:
         den, nums, maps = rot
-        try:
-            word = bytes(word)  # slices and hashes faster than a tuple
-        except (TypeError, ValueError):
-            pass  # a symbol past 255, or a float one: the word stays a tuple
+        word = bytes(word)  # slices and hashes faster than a tuple
         span = 2 * c.window + 1
         total = sum([nums[word[j : j + span]] for j in range(abs(n))])
         num = (total if n > 0 else -total) % den

@@ -147,8 +147,9 @@ class ExperimentConfig:
     tolerances: dict = field(default_factory=dict)
     output_dir: str | None = None
 
-    def tol(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
+    def tol(self, name: str) -> float:
+        """The tolerance ``name``, or the experiment's default for it in RUNNERS."""
+        return float(self.tolerances.get(name, RUNNERS[self.experiment][2][name]))
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
@@ -177,7 +178,10 @@ class ExperimentConfig:
                 cocycles[name] = CocycleSpec.from_json(space, cdoc)
             except (KeyError, TypeError, ValueError, ResourceLimit) as e:
                 raise ConfigError(f"cocycles.{name}: {e}") from None
+        reads = RUNNERS[exp][2]
         for name, val in tols.items():
+            if name not in reads:
+                raise ConfigError(f"tolerances.{name}: {exp} reads only {', '.join(reads)}")
             number = isinstance(val, (int, float)) and not isinstance(val, bool)
             if not number or not math.isfinite(val) or val <= 0:
                 raise ConfigError(f"tolerances.{name}: must be a positive finite number")
@@ -225,8 +229,8 @@ def _subsample(items, count, seed):
 
 
 def run_metric_suite(cfg: ExperimentConfig):
-    tol = cfg.tol("equality", 1e-12)
-    n_triples = int(cfg.tol("triples", 300))
+    tol = cfg.tol("equality")
+    n_triples = int(cfg.tol("triples"))
     rng = np.random.default_rng(cfg.seed)
     worst_right = worst_left = worst_chain = worst_inv = 0.0
     chain_exact_ok = True
@@ -252,7 +256,7 @@ def run_metric_suite(cfg: ExperimentConfig):
         CheckRow("lipschitz-chain-bound", worst_chain, tol, chain_exact_ok and worst_chain <= tol),
         CheckRow("inverse-roundtrip", worst_inv, tol, worst_inv <= tol),
     ]
-    pairs = int(cfg.tol("family_pairs", 25))
+    pairs = int(cfg.tol("family_pairs"))
     worst_gap = math.inf
     for _ in range(pairs):
         b1 = Fraction(int(rng.integers(1, 4999)), 10000)
@@ -274,7 +278,7 @@ def run_closing_lemma(cfg: ExperimentConfig):
         ("full-2-shift", SFTSpace.full_shift(2), 4),
         ("golden-mean", SFTSpace.golden_mean(), 6),
     ]
-    n_points = int(cfg.tol("points", 100))
+    n_points = int(cfg.tol("points"))
     raised = 0
     for label, space, core in specs:
         x0 = SymbolicPoint.fixed(space, 0)
@@ -300,8 +304,8 @@ def run_closing_lemma(cfg: ExperimentConfig):
 
 
 def run_holonomy(cfg: ExperimentConfig):
-    theta = cfg.tol("theta", 0.4)
-    n_max = int(cfg.tol("n_max", 24))
+    theta = cfg.tol("theta")
+    n_max = int(cfg.tol("n_max"))
     coc, x, y = fixtures.staircase_cocycle(n_max + 2, theta)
     table = holonomy_convergence_table(coc, x, y, n_max)
     target = -theta * math.log(float(coc.space.rho))
@@ -312,7 +316,7 @@ def run_holonomy(cfg: ExperimentConfig):
         CheckRow("holonomy-increments-below-bound", over, 1e-12, over <= 1e-12),
     ]
 
-    axiom_tol = cfg.tol("axioms", 1e-6)
+    axiom_tol = cfg.tol("axioms")
     c = cfg.cocycles.get("C") or fixtures.pl_dominated_cocycle(
         SFTSpace.full_shift(2), 1, theta, cfg.seed
     )
@@ -361,7 +365,7 @@ def _rotation_family(cfg: ExperimentConfig, space: SFTSpace, psi_window: int = 5
 
 
 def run_theorem_a(cfg: ExperimentConfig):
-    tol = cfg.tol("residual", 1e-6)
+    tol = cfg.tol("residual")
     space = cfg.space or SFTSpace.full_shift(2)
     if cfg.cocycles:
         F, G = _need_cocycle(cfg, "F"), _need_cocycle(cfg, "G")
@@ -378,11 +382,10 @@ def run_theorem_a(cfg: ExperimentConfig):
     n_pts = len(coh.rows)
     rows.append(CheckRow("cohomology-sample-count", float(-n_pts), -200.0, n_pts >= 200))
 
-    samples = sorted(T.samples, key=SymbolicPoint.sort_key)
-    lem1 = verify_lemma1(T, points=_subsample(samples, 60, cfg.seed + 4), tol=tol)
+    lem1 = verify_lemma1(T, points=_subsample(T.class_points, 60, cfg.seed + 4), tol=tol)
     rows.append(CheckRow("forward-backward-agreement", lem1.worst, tol, lem1.worst <= tol))
 
-    pts = _subsample(samples, 120, cfg.seed + 5)
+    pts = _subsample(T.class_points, 120, cfg.seed + 5)
     measured = estimate_holder(T, pts)
     if psi is not None:
         truth_rule = fixtures.rotation_conjugacy_rule(psi, x0)
@@ -406,7 +409,7 @@ def run_theorem_a(cfg: ExperimentConfig):
 
 
 def run_theorem_b(cfg: ExperimentConfig):
-    tol = cfg.tol("residual", 1e-6)
+    tol = cfg.tol("residual")
     space = cfg.space or SFTSpace.full_shift(2)
     F, G, psi = _rotation_family(cfg, space, 4)
     x0 = SymbolicPoint.fixed(space, 0)
@@ -446,7 +449,7 @@ def run_theorem_b(cfg: ExperimentConfig):
 
 def run_distortion(cfg: ExperimentConfig):
     space = cfg.space or SFTSpace.full_shift(2)
-    horizon = int(cfg.tol("horizon", 10))
+    horizon = int(cfg.tol("horizon"))
     mu = MarkovMeasure.uniform(space)
     pts = sample_measure(mu, 12, cfg.seed, depth=2 * horizon + 4)
 
@@ -471,14 +474,20 @@ def run_distortion(cfg: ExperimentConfig):
 # ------------------------------------------------------------------ entry point
 
 
-# name -> (runner, help line); a runner returns (rows, tables, json documents)
+# name -> (runner, help line, the tolerances it reads with their defaults); a
+# runner returns (rows, tables, json documents)
 RUNNERS = {
-    "metric-suite": (run_metric_suite, "composition/inversion metric algebra on random PL maps"),
-    "holonomy": (run_holonomy, "convergence rate, axioms and identity bound of holonomies"),
-    "theorem-a": (run_theorem_a, "periodic-data transfer pipeline with residual checks"),
-    "theorem-b": (run_theorem_b, "measurable-conjugacy repair and regularity regression"),
-    "closing-lemma": (run_closing_lemma, "exact shadowing exponents for orbit closing"),
-    "distortion": (run_distortion, "iterated Lipschitz bounds and growth flags"),
+    "metric-suite": (run_metric_suite, "composition/inversion metric algebra on random PL maps",
+                     {"equality": 1e-12, "triples": 300, "family_pairs": 25}),
+    "holonomy": (run_holonomy, "convergence rate, axioms and identity bound of holonomies",
+                 {"theta": 0.4, "n_max": 24, "axioms": 1e-6}),
+    "theorem-a": (run_theorem_a, "periodic-data transfer pipeline with residual checks",
+                  {"residual": 1e-6}),
+    "theorem-b": (run_theorem_b, "measurable-conjugacy repair and regularity regression",
+                  {"residual": 1e-6}),
+    "closing-lemma": (run_closing_lemma, "exact shadowing exponents for orbit closing",
+                      {"points": 100}),
+    "distortion": (run_distortion, "iterated Lipschitz bounds and growth flags", {"horizon": 10}),
 }
 EXPERIMENTS = tuple(RUNNERS)
 

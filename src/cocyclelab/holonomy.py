@@ -37,7 +37,6 @@ def gamma_budget(theta: float, alpha: float) -> float:
 @dataclass(frozen=True)
 class HolonomyResult:
     map: PLMap
-    side: str
     n_used: int
     cauchy_tail: float
     gamma_bound: float
@@ -106,7 +105,7 @@ def _holonomy(c: CocycleSpec, x, y, side: str, tol: float, n0: int):
         c._cache.setdefault("holonomy", {}), (side, n0, x, y),
     )
     alpha = float(c.alpha)
-    return HolonomyResult(h, side, n_used, tail, gamma_budget(theta, alpha), (x, y, alpha))
+    return HolonomyResult(h, n_used, tail, gamma_budget(theta, alpha), (x, y, alpha))
 
 
 def stable_holonomy(

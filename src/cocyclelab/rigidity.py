@@ -207,11 +207,11 @@ def regularize(
         for t in corrupted
     )
 
+    # the other route through the bracket, at the first 20 targets carried
+    # from another point; an anchor is its own target and carries nothing
     path_worst = 0.0
-    for t in targets[:20]:
+    for t in [t for t in targets if anchor[t] != t][:20]:
         a = anchor[t]
-        if a == t:
-            continue
         alt = _transport(phi.phi_at(a), F, G, a, t, tol, order="us")
         path_worst = max(path_worst, float(uniform_distance(tilde[t], alt)))
 

@@ -29,6 +29,7 @@ from .errors import (
 Word = tuple[int, ...]
 
 ENUMERATION_CAP = 200_000  # points a periodic or homoclinic enumeration may produce
+SYMBOL_CAP = 256  # symbols a space may have, so that every word is a bytes string
 SAMPLE_BLOCK = 256  # draws sample_measure reads and steps at once; all at once costs memory
 
 
@@ -58,8 +59,10 @@ def _rotate(word: Word, n: int) -> Word:
 class SFTSpace:
     """Two-sided shift space over symbols ``0..k-1`` restricted by a 0/1 matrix.
 
-    ``rho`` is the base of the metric ``d(x, y) = rho**(-N)`` and is kept as a
-    parameter because domination margins downstream depend on it.
+    With k at most SYMBOL_CAP every symbol is a byte, and a word is read as
+    the ``bytes`` of its symbols.  ``rho`` is the base of the metric
+    ``d(x, y) = rho**(-N)`` and is kept as a parameter because domination
+    margins downstream depend on it.
     """
 
     k: int
@@ -70,6 +73,8 @@ class SFTSpace:
         object.__setattr__(self, "P", tuple(tuple(int(e) for e in row) for row in self.P))
         if self.k < 2:
             raise ValueError("need at least two symbols")
+        if self.k > SYMBOL_CAP:
+            raise ValueError(f"{self.k} symbols, more than {SYMBOL_CAP} (SYMBOL_CAP)")
         if len(self.P) != self.k or any(len(row) != self.k for row in self.P):
             raise ValueError("transition matrix must be k x k")
         if any(e not in (0, 1) for row in self.P for e in row):
@@ -79,16 +84,13 @@ class SFTSpace:
             raise ValueError("transition matrix has a null row")
         if not self.rho > 1:
             raise ValueError("rho must exceed 1")
-        # the hash every dict keyed by a point or a space asks for, what point
-        # construction tests words against, a memo of shortest cycles filled
-        # one symbol at a time, and the last word list cocycles.table_words
-        # enumerated.  They are not fields, so ==, repr and to_json never see
-        # them; the hash is the one the fields give.
+        # the hash every dict keyed by a point or a space asks for, the symbol
+        # bytes and the pattern point construction tests words against, a memo
+        # of shortest cycles filled one symbol at a time, and the last word
+        # list cocycles.table_words enumerated.  They are not fields, so ==,
+        # repr and to_json never see them; the hash is the one the fields give.
         object.__setattr__(self, "_hash", hash((self.k, self.P, self.rho)))
-        object.__setattr__(self, "_symbols", frozenset(range(self.k)))
-        object.__setattr__(self, "_forbidden", frozenset(
-            (i, j) for i, row in enumerate(self.P) for j, e in enumerate(row) if not e
-        ))
+        object.__setattr__(self, "_symbols", bytes(range(self.k)))
         object.__setattr__(self, "_pattern", _forbidden_pattern(self.P))
         object.__setattr__(self, "_cycles", {})
         object.__setattr__(self, "_table_words", {})
@@ -112,19 +114,9 @@ class SFTSpace:
         return tuple(i for i in range(self.k) if self.P[i][j])
 
     def admissible_word(self, word) -> bool:
-        """No forbidden pair in ``word``, whose symbols must lie in ``0..k-1``.
-
-        With k <= 256 the word is searched as bytes by one compiled pattern;
-        a word ``bytes`` refuses (a float symbol) takes the pair scan.
-        """
-        if not self._forbidden:
-            return True
-        if self._pattern is not None:
-            try:
-                return self._pattern.search(bytes(word)) is None
-            except (TypeError, ValueError):
-                pass
-        return self._forbidden.isdisjoint(zip(word, word[1:]))
+        """No forbidden pair in ``word``, whose symbols must lie in ``0..k-1``;
+        the word is searched as bytes by one compiled pattern."""
+        return self._pattern is None or self._pattern.search(bytes(word)) is None
 
     def admissible_cycle(self, word) -> bool:
         return bool(word) and self.admissible_word(word + word[:1])
@@ -162,15 +154,13 @@ class SFTSpace:
         return cls(int(doc["k"]), tuple(tuple(row) for row in doc["P"]), doc.get("rho", 2))
 
 
-_BYTE_ESCAPES = tuple(b"\\x%02x" % i for i in range(256))
+_BYTE_ESCAPES = tuple(b"\\x%02x" % i for i in range(SYMBOL_CAP))
 
 
 def _forbidden_pattern(P):
     """One compiled bytes pattern matching a forbidden pair, with one branch
-    ``a[B]`` per symbol a whose forbidden successors are B; None when k > 256
-    (symbols are no longer bytes) or nothing is forbidden."""
-    if len(P) > 256:
-        return None
+    ``a[B]`` per symbol a whose forbidden successors are B; None when nothing
+    is forbidden."""
     esc = _BYTE_ESCAPES
     branches = [
         b"%s[%s]" % (esc[a], b"".join([esc[j] for j, e in enumerate(row) if not e]))
@@ -236,7 +226,11 @@ class SymbolicPoint:
         left, core, right = tuple(left), tuple(core), tuple(right)
         if not left or not right:
             raise ValueError("periodic tails must be non-empty")
-        if not space._symbols.issuperset(left + core + right):
+        try:  # bytes() refuses a float, a negative symbol and one past 255
+            stray = bytes(left + core + right).translate(None, space._symbols)
+        except (TypeError, ValueError):
+            stray = True
+        if stray:  # translate() deleted 0..k-1 and left a symbol from k to 255
             raise ValueError("symbol out of range")
         # a periodic point's two tails are one word, checked once
         if not (space.admissible_cycle(left) and (right == left or space.admissible_cycle(right))):
@@ -309,10 +303,6 @@ class SymbolicPoint:
             "right": list(self.right),
             "core_start": self.core_start,
         }
-
-    @classmethod
-    def from_json(cls, space: SFTSpace, doc: dict) -> "SymbolicPoint":
-        return cls.make(space, doc["left"], doc["core"], doc["right"], doc.get("core_start", 0))
 
 
 def distance_exponent(x: SymbolicPoint, y: SymbolicPoint) -> int | None:
@@ -651,7 +641,7 @@ class MarkovMeasure:
             raise ValueError("chain is not irreducible")
         # the samplers' cumulative tables, one per direction, built here so
         # that their checks refuse at construction what sampling would refuse.
-        # They are not fields, so ==, hash, repr and to_json never see them.
+        # They are not fields, so ==, hash and repr never see them.
         object.__setattr__(self, "_start_cdf", _cumulative(self.pi))
         object.__setattr__(self, "_forward_cdf", tuple(map(_cumulative, self.Q)))
         object.__setattr__(self, "_backward_cdf", tuple(map(_cumulative, self.backward_kernel())))
@@ -696,21 +686,6 @@ class MarkovMeasure:
         return tuple(
             tuple(self.pi[j] * self.Q[j][i] / self.pi[i] for j in range(k)) for i in range(k)
         )
-
-    def to_json(self) -> dict:
-        doc = self.space.to_json()
-        doc["Q"] = [list(r) for r in self.Q]
-        doc["pi"] = list(self.pi)
-        return doc
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "MarkovMeasure":
-        space = SFTSpace.from_json(doc)
-        if "Q" not in doc:
-            raise ValueError("document carries no Markov kernel")
-        if "pi" in doc:
-            return cls(space, tuple(map(tuple, doc["Q"])), tuple(doc["pi"]))
-        return cls.from_matrix(space, doc["Q"])
 
 
 def _shortest_cycle(space: SFTSpace, s: int) -> Word:

@@ -84,11 +84,12 @@ class TransferMap:
     the return maps at the base point are equal, else through the holonomy
     transport.  The stored ``samples`` are the enumerated class, and phi at
     the base point is the identity.  Values off the class are cached in
-    ``_cache``, at most ``PHI_CACHE_CAP`` of them.
-    ``holder_estimate`` is the regression over the sorted ``class_points``,
-    computed when first read.  ``periodic_data`` is the report with which
-    ``build_transfer`` checked the pair, and ``cohomology`` the residual report
-    over the class; its ``worst`` is the construction residual.
+    ``_cache``, at most ``PHI_CACHE_CAP`` of them.  ``class_points`` is the
+    class in ``sort_key`` order, as ``homoclinic_points`` returns it, and
+    ``holder_estimate`` is the regression over it, computed when first read.
+    ``periodic_data`` is the report with which ``build_transfer`` checked the
+    pair, and ``cohomology`` the residual report over the class; its
+    ``worst`` is the construction residual.
     """
 
     F: CocycleSpec
@@ -143,20 +144,6 @@ class TransferMap:
         self._cache[y] = phi
         return phi
 
-    def to_json(self) -> dict:
-        return {
-            "base_point": self.base_point.to_json(),
-            "period": self.period,
-            "beta_budget": self.beta_budget,
-            "tol": self.tol,
-            "holder_estimate": list(self.holder_estimate) if self.holder_estimate else None,
-            "construction_residual": self.cohomology.worst if self.cohomology else None,
-            "samples": [
-                {"point": pt.to_json(), "map": m.to_json()}
-                for pt, m in sorted(self.samples.items(), key=lambda kv: kv[0].sort_key())
-            ],
-        }
-
 
 def build_transfer(
     F: CocycleSpec,
@@ -192,10 +179,6 @@ def build_transfer(
     return T
 
 
-def _default_points(T):
-    return sorted(T.class_points, key=SymbolicPoint.sort_key)
-
-
 def cohomology_residual(F: CocycleSpec, G: CocycleSpec, phi, y: SymbolicPoint) -> float:
     """Uniform distance between f_y and phi(sigma y) g_y phi(y)^-1, for a lookup ``phi``."""
     rhs = compose(compose(phi(y.shift(1)), G.generator(y)), invert(phi(y)))
@@ -204,7 +187,7 @@ def cohomology_residual(F: CocycleSpec, G: CocycleSpec, phi, y: SymbolicPoint) -
 
 def verify_cohomology(T: TransferMap, points=None, tol: float = 1e-6) -> ResidualReport:
     """Residuals of f_y = phi(sigma y) g_y phi(y)^-1 over the sampled class."""
-    pts = list(points) if points is not None else _default_points(T)
+    pts = T.class_points if points is None else points
     return ResidualReport.of(((y, cohomology_residual(T.F, T.G, T.phi_at, y)) for y in pts), tol)
 
 
@@ -218,7 +201,7 @@ def verify_lemma1(T: TransferMap, points=None, tol: float = 1e-6) -> ResidualRep
     bridged through periodic points repeating a long central word of y, for
     which forward and backward return quotients agree identically.
     """
-    pts = list(points) if points is not None else _default_points(T)
+    pts = T.class_points if points is None else points
     x0, n0 = T.base_point, T.period
     F, G = T.F, T.G
     w = max(F.window, G.window)
@@ -322,5 +305,5 @@ def holder_regression(points, lookup, rho: float, min_samples: int = 30, *, _exp
 
 def estimate_holder(T: TransferMap, points=None):
     """Regularity regression of the transfer map over its sampled class."""
-    pts = list(points) if points is not None else _default_points(T)
+    pts = T.class_points if points is None else points
     return holder_regression(pts, T.phi_at, float(T.F.space.rho))

@@ -43,7 +43,7 @@ def test_list_experiments(capsys):
         assert name in out
     # one table names the experiments, runs them and gives their help lines
     assert EXPERIMENTS == tuple(RUNNERS)
-    assert out.splitlines() == [f"{name:15s} {line}" for name, (_, line) in RUNNERS.items()]
+    assert out.splitlines() == [f"{name:15s} {line}" for name, (_, line, _) in RUNNERS.items()]
 
 
 def test_gen_fb_family_matches_formula(tmp_path, capsys):
@@ -190,6 +190,8 @@ def test_run_exit_codes(tmp_path, capsys):
         ({"experiment": "theorem-a", "space": space,
           "cocycles": {"F": {"window": 0, "table": []}}}, "cocycles.F: table: "),
         ({"experiment": "distortion", "output_dir": 5}, "output_dir: expected a string"),
+        ({"experiment": "distortion", "space": {"k": 257, "P": [[1] * 257] * 257}},
+         "space: 257 symbols, more than 256 (SYMBOL_CAP)"),
         ({"experiment": "distortion", "seed": True}, "seed: expected an integer"),
         ({"experiment": "distortion", "tolerances": {"horizon": True}}, "tolerances.horizon: "),
         ({"experiment": "distortion", "tolerances": {"horizon": 0.5}}, "tolerances.horizon: "),
@@ -266,16 +268,35 @@ def test_tolerance_override(tmp_path):
 
 def test_tolerances_must_be_positive_and_finite(tmp_path, capsys):
     # an override passes the same check as a tolerance in the file
-    cfg = write_config(tmp_path, {"experiment": "distortion"})
-    for name, val in (("horizon", "-3"), ("horizon", "nan"), ("residual", "0"), ("horizon", "inf")):
+    for experiment, name, val in (("distortion", "horizon", "-3"), ("distortion", "horizon", "nan"),
+                                  ("theorem-a", "residual", "0"), ("distortion", "horizon", "inf")):
+        cfg = write_config(tmp_path, {"experiment": experiment})
         assert main(["run", "--config", str(cfg), "--tol", f"{name}={val}"]) == 2
-        assert f"config error: tolerances.{name}: " in capsys.readouterr().err
+        assert f"config error: tolerances.{name}: must be a positive" in capsys.readouterr().err
     # json reads NaN and Infinity as floats
     for val in ("NaN", "Infinity"):
         bad = tmp_path / "bad.json"
         bad.write_text('{"experiment": "distortion", "tolerances": {"horizon": %s}}' % val)
         assert main(["run", "--config", str(bad)]) == 2
         assert "config error: tolerances.horizon: " in capsys.readouterr().err
+
+
+def test_each_experiment_reads_only_its_own_tolerances(tmp_path, capsys):
+    from cocyclelab.experiments import RUNNERS
+
+    cfg = write_config(tmp_path, {"experiment": "distortion"})
+    assert main(["run", "--config", str(cfg), "--tol", "horizn=500"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: tolerances.horizn: distortion reads only horizon\n"
+    )
+    # parsed only: a name another experiment reads is refused as well
+    with pytest.raises(ConfigError, match=re.escape(
+        "tolerances.residual: metric-suite reads only equality, triples, family_pairs"
+    )):
+        ExperimentConfig.from_json({"experiment": "metric-suite", "tolerances": {"residual": 1}})
+    for experiment, (_, _, reads) in RUNNERS.items():
+        cfg = ExperimentConfig.from_json({"experiment": experiment, "tolerances": dict(reads)})
+        assert {name: cfg.tol(name) for name in reads} == reads
 
 
 def test_gen_stops_at_the_enumeration_cap(tmp_path, monkeypatch, capsys):

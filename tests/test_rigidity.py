@@ -203,6 +203,28 @@ def test_regularize_repairs_corruption(setup):
     assert rep.anchors_excluded == len(corrupt_pts)
 
 
+def test_path_check_takes_the_other_route_at_twenty_carried_targets(setup, monkeypatch):
+    """path-independence carries 20 targets again by the "us" route through
+    the bracket, each from its anchor, which is another point: an anchor is
+    its own target and has no route to compare."""
+    space, F, G, _, _, rule, mu = setup
+    real = rigidity._transport
+    other = []
+
+    def bent(phi_anchor, F, G, a, t, tol, order="su"):
+        val = real(phi_anchor, F, G, a, t, tol, order)
+        if order == "us":
+            assert a != t
+            other.append(t)
+            val = compose(PLMap.rotation(Fraction(1, 1000)), val)
+        return val
+
+    monkeypatch.setattr(rigidity, "_transport", bent)
+    _, rep = regularize(MeasurableConjugacy(rule), F, G, 40, 1e-8, mu=mu, seed=21)
+    assert len(set(other)) == len(other) == 20
+    assert rep.path_independence_worst == pytest.approx(1 / 1000)
+
+
 def test_regularize_screens_corrupted_anchor(setup):
     space, F, G, _, _, rule, mu = setup
     anchor_pool = sample_measure(mu, 40, seed=41, depth=18)

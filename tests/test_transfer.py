@@ -752,7 +752,6 @@ def test_holder_estimate_is_lazy(family, regression_calls):
     assert len(regression_calls) == 1
     assert T.holder_estimate is first and len(regression_calls) == 1
     assert first == estimate_holder(T)
-    assert T.to_json()["holder_estimate"] == list(first)
 
 
 def test_holder_estimate_given_value_wins(family, regression_calls):
@@ -760,20 +759,22 @@ def test_holder_estimate_given_value_wins(family, regression_calls):
     T = build_transfer(F, G, x0, 3, tol=1e-10)
     T.holder_estimate = (0.5, 2.0)
     assert T.holder_estimate == (0.5, 2.0)
-    assert T.to_json()["holder_estimate"] == [0.5, 2.0]
     assert regression_calls == []
 
 
-def test_transfer_json_document(family):
-    space, F, G, _, x0 = family
+@pytest.mark.parametrize("word", [(0,), (0, 1)], ids=["period-1", "period-2"])
+def test_class_points_are_in_sort_key_order(word):
+    """The verifiers and theorem-a read ``class_points`` without sorting it."""
+    space = SFTSpace.golden_mean()
+    F = rotation_cocycle(space, 1, seed=5)
+    G = conjugated_pair(F, decaying_rotation_rule(space, 3))
+    x0 = SymbolicPoint.periodic(space, word)
     T = build_transfer(F, G, x0, 3, tol=1e-10)
-    doc = T.to_json()
-    assert doc["period"] == 1 and doc["holder_estimate"] is not None
-    assert doc["construction_residual"] == T.cohomology.worst
-    assert len(doc["samples"]) == len(T.samples)
-    restored = PLMap.from_json(doc["samples"][0]["map"])
-    pt = SymbolicPoint.from_json(space, doc["samples"][0]["point"])
-    assert uniform_distance(restored, T.samples[pt]) == 0
+    assert T.class_points == tuple(homoclinic_points(x0, 3))
+    assert list(T.class_points) == sorted(T.class_points, key=SymbolicPoint.sort_key)
+    assert [y for y, _ in T.cohomology.rows] == list(T.class_points)
+    # the class holds a fixed base point itself, so the samples keep its order
+    assert (list(T.samples) == list(T.class_points)) == (len(word) == 1)
 
 
 def test_transfer_on_a_one_way_space_is_constant_on_its_class():
