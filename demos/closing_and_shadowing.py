@@ -32,7 +32,7 @@ print("\npseudo-orbit of length", len(po.points), "gap eps =", po.eps)
 # Closing replaces it by a genuine periodic orbit through the same window.
 z = closing_point(y, 3)
 print("closing point  z =", z, " (repeats y_-3..y_2, period 6)")
-print("z window -3..8:", z.window(-3, 9))
+print("z window -3..8:", tuple(z.window(-3, 9)))
 
 # The shadowing bound, checked as an inequality of integer exponents:
 # the shifted pair (sigma^{j-n} y, sigma^{j-n} z) agrees to radius at least

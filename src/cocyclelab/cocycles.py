@@ -32,8 +32,8 @@ def table_words(space: SFTSpace, window: int, where: str):
     They are counted by last symbol before any is enumerated.  With no null
     row the count never falls as words grow, so the count stops as soon as it
     passes TABLE_ENTRY_CAP; ResourceLimit then names ``where``.  The space
-    keeps the last tuple of words enumerated here, under its length and the
-    ``ENUMERATION_CAP`` it was enumerated under, so a fixture and the
+    keeps the last tuple of ``bytes`` words enumerated here, under its length
+    and the ``ENUMERATION_CAP`` it was enumerated under, so a fixture and the
     ``CocycleSpec`` it builds enumerate one table's words once.
     """
     length = 2 * window + 1
@@ -75,8 +75,8 @@ class CocycleSpec:
             len(words) != len(self.table) or not all(w in self.table for w in words)
         ):
             want, have = set(words), set(self.table)
-            missing = sorted(want - have)[:3]
-            extra = sorted(have - want)[:3]
+            missing, extra = ([tuple(w) for w in sorted(ws)[:3]]  # words as int tuples
+                              for ws in (want - have, have - want))
             raise ValueError(f"table mismatch; missing={missing} extra={extra}")
         object.__setattr__(self, "_cache", {})
 
@@ -102,7 +102,10 @@ class CocycleSpec:
         for key, m in doc["table"].items():
             # to_json joins symbols with "," when k > 10; a one-symbol word has no ","
             split = "," in key or space.k > 10
-            word = tuple(int(s) for s in (key.split(",") if split else key))
+            try:
+                word = bytes(int(s) for s in (key.split(",") if split else key))
+            except ValueError:  # a symbol that is not an int, or not a byte
+                raise ValueError(f"table key {key!r}: symbols must be ints from 0 to 255") from None
             table[word] = PLMap.from_json(m)
         return cls(space, int(doc["window"]), table, doc.get("alpha", 1))
 
@@ -136,13 +139,13 @@ def orbit_product(maps, h: PLMap | None = None, step: int = 0) -> PLMap:
     return PLMap.identity() if h is None else h
 
 
-def _orbit_word(c: CocycleSpec, x: SymbolicPoint, n: int) -> tuple:
+def _orbit_word(c: CocycleSpec, x: SymbolicPoint, n: int) -> bytes:
     """The word f^n_x depends on: x[-w : n+w] for n >= 0, x[n-w : w] for n < 0."""
     w = c.window
     return x.window(-w, n + w) if n >= 0 else x.window(n - w, w)
 
 
-def _word_generators(c: CocycleSpec, word: tuple, n: int, start: int = 0):
+def _word_generators(c: CocycleSpec, word: bytes, n: int, start: int = 0):
     """Generators of steps start+1 .. |n| of f^n, read from its orbit word.
 
     For n < 0 these are the inverse generators at sigma^-1 x, sigma^-2 x, ...,
@@ -165,7 +168,7 @@ class _WindowNumerators(dict):
         self.table, self.by_id = table, by_id
 
     def __missing__(self, key):
-        num = self[key] = self.by_id[id(self.table[tuple(key)])]
+        num = self[key] = self.by_id[id(self.table[key])]
         return num
 
 
@@ -211,7 +214,6 @@ def iterate(c: CocycleSpec, x: SymbolicPoint, n: int) -> PLMap:
     rot = _rotation_sums(c)
     if rot is not None:
         den, nums, maps = rot
-        word = bytes(word)  # slices and hashes faster than a tuple
         span = 2 * c.window + 1
         total = sum([nums[word[j : j + span]] for j in range(abs(n))])
         num = (total if n > 0 else -total) % den

@@ -161,17 +161,26 @@ class ExperimentConfig:
         seed = doc.get("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ConfigError("seed: expected an integer")
-        space = None
+        space, (names, measured, cycle) = None, _SPACE_USES.get(exp, (None, False, b""))
         if "space" in doc:
+            if names is None:
+                raise ConfigError(f"space: {exp} reads no space")
             try:
                 space = SFTSpace.from_json(doc["space"])
             except (KeyError, TypeError, ValueError) as e:
                 raise ConfigError(f"space: {e}") from None
+            if measured and not space.is_irreducible():
+                raise ConfigError(f"space: {exp} samples a Markov measure, which needs P irreducible")
+            if not space.admissible_cycle(cycle):
+                raise ConfigError(f"space: {exp} builds on the cycle {list(cycle)}, which P forbids")
         cocycles, cdocs, tols = {}, doc.get("cocycles", {}), doc.get("tolerances", {})
         for key, val in (("cocycles", cdocs), ("tolerances", tols)):
             if not isinstance(val, dict):
                 raise ConfigError(f"{key}: expected an object")
         for name, cdoc in cdocs.items():
+            if name not in (names or ()):
+                reads = f"only {', '.join(names)}" if names else "no cocycles"
+                raise ConfigError(f"cocycles.{name}: {exp} reads {reads}")
             if space is None:
                 raise ConfigError(f"cocycles.{name}: a space document is required alongside cocycles")
             try:
@@ -191,6 +200,8 @@ class ExperimentConfig:
             if val != int(val) or cap and val > cap[0]:
                 bound = f" to {cap[0]} ({cap[1]})" if cap else ""
                 raise ConfigError(f"tolerances.{name}: must be a whole number from 1{bound}")
+        if exp == "holonomy" and space and not cocycles:
+            raise ConfigError("space: holonomy reads a space only as cocycle C's")
         output_dir = doc.get("output_dir")
         if output_dir is not None and not isinstance(output_dir, str):
             raise ConfigError("output_dir: expected a string")
@@ -209,10 +220,8 @@ class ExperimentConfig:
 
 def _need_cocycle(cfg: ExperimentConfig, name: str) -> CocycleSpec:
     if name not in cfg.cocycles:
-        raise ConfigError(
-            f"cocycles.{name}: missing ({cfg.experiment} requires cocycles "
-            f"{'F and G' if cfg.experiment in ('theorem-a', 'theorem-b') else name})"
-        )
+        names = " and ".join(_SPACE_USES[cfg.experiment][0])
+        raise ConfigError(f"cocycles.{name}: missing ({cfg.experiment} requires cocycles {names})")
     return cfg.cocycles[name]
 
 
@@ -490,6 +499,12 @@ RUNNERS = {
     "distortion": (run_distortion, "iterated Lipschitz bounds and growth flags", {"horizon": 10}),
 }
 EXPERIMENTS = tuple(RUNNERS)
+
+# name -> (the cocycles a config may name, whether the run samples the space's
+# uniform Markov measure, the cycle its periodic base point repeats) for each
+# experiment that reads a space; metric-suite and closing-lemma read none
+_SPACE_USES = {"holonomy": (("C",), True, b"\0"), "theorem-a": (("F", "G"), False, b"\0"),
+               "theorem-b": ((), True, b"\0"), "distortion": (("C",), True, b"\0\1")}
 
 
 def run(cfg: ExperimentConfig) -> ReportDocument:

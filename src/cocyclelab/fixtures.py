@@ -232,12 +232,10 @@ def staircase_cocycle(levels: int, theta: float = 0.4, amp: float = 0.1):
             track_a = c <= levels + 1
             angle = base_angle + (amp * rho ** (-theta * j) if track_a else 0.0)
             table[w] = PLMap.rotation(angle)
-    coc = CocycleSpec(space, 1, table)
-    a_core = tuple(1 + j for j in range(levels + 1))
-    b_core = tuple(1 + (levels + 1) + j for j in range(levels + 1))
-    x = SymbolicPoint.make(space, (0,), a_core, (0,), 0)
-    y = SymbolicPoint.make(space, (0,), b_core, (0,), 0)
-    return coc, x, y
+    # x climbs ladder a, y ladder b, both between 0 tails
+    x, y = (SymbolicPoint.make(space, b"\0", bytes(range(a, a + levels + 1)), b"\0")
+            for a in (1, levels + 2))
+    return CocycleSpec(space, 1, table), x, y
 
 
 def perturb_one_entry(c: CocycleSpec, angle=Fraction(1, 100)) -> CocycleSpec:

@@ -26,7 +26,7 @@ from .errors import (
     ResourceLimit,
 )
 
-Word = tuple[int, ...]
+Word = bytes
 
 ENUMERATION_CAP = 200_000  # points a periodic or homoclinic enumeration may produce
 SYMBOL_CAP = 256  # symbols a space may have, so that every word is a bytes string
@@ -34,12 +34,9 @@ SAMPLE_BLOCK = 256  # draws sample_measure reads and steps at once; all at once 
 
 
 def _primitive(word: Word) -> Word:
-    """Shortest word whose repetition tiles ``word``."""
-    n = len(word)
-    for d in range(1, n):
-        if n % d == 0 and word == word[:d] * (n // d):
-            return word[:d]
-    return word
+    """Shortest word whose repetition tiles ``word``: its length is the first
+    offset past 0 at which ``word`` occurs in ``word + word``."""
+    return word[: (word + word).find(word, 1)]
 
 
 def _tiling(word: Word, lo: int, hi: int) -> Word:
@@ -59,10 +56,10 @@ def _rotate(word: Word, n: int) -> Word:
 class SFTSpace:
     """Two-sided shift space over symbols ``0..k-1`` restricted by a 0/1 matrix.
 
-    With k at most SYMBOL_CAP every symbol is a byte, and a word is read as
-    the ``bytes`` of its symbols.  ``rho`` is the base of the metric
-    ``d(x, y) = rho**(-N)`` and is kept as a parameter because domination
-    margins downstream depend on it.
+    With k at most SYMBOL_CAP every symbol is a byte, and every word (a tail,
+    a core, a window, an enumerated word, a table key) is ``bytes``.  ``rho``
+    is the base of the metric ``d(x, y) = rho**(-N)`` and is kept as a
+    parameter because domination margins downstream depend on it.
     """
 
     k: int
@@ -107,18 +104,18 @@ class SFTSpace:
         """Two symbols, the word 11 forbidden."""
         return cls(2, ((1, 1), (1, 0)))
 
-    def successors(self, i: int) -> Word:
+    def successors(self, i: int) -> tuple[int, ...]:
         return tuple(j for j in range(self.k) if self.P[i][j])
 
-    def predecessors(self, j: int) -> Word:
+    def predecessors(self, j: int) -> tuple[int, ...]:
         return tuple(i for i in range(self.k) if self.P[i][j])
 
-    def admissible_word(self, word) -> bool:
+    def admissible_word(self, word: Word) -> bool:
         """No forbidden pair in ``word``, whose symbols must lie in ``0..k-1``;
-        the word is searched as bytes by one compiled pattern."""
-        return self._pattern is None or self._pattern.search(bytes(word)) is None
+        the word is searched by one compiled pattern."""
+        return self._pattern is None or self._pattern.search(word) is None
 
-    def admissible_cycle(self, word) -> bool:
+    def admissible_cycle(self, word: Word) -> bool:
         return bool(word) and self.admissible_word(word + word[:1])
 
     def words(self, length: int):
@@ -126,20 +123,28 @@ class SFTSpace:
         if length < 0:
             raise ValueError(f"word length must be >= 0, got {length}")
         if length == 0:
-            yield ()
+            yield b""
             return
         # level by level, each cut at ENUMERATION_CAP + 1 words: with no null
         # row, the first words of a level are extensions of the first of the last
-        succ = [self.successors(s) for s in range(self.k)]
-        words = [(s,) for s in range(self.k)]
+        succ = [[bytes((t,)) for t in self.successors(s)] for s in range(self.k)]
+        words = [bytes((s,)) for s in range(self.k)]
         for _ in range(length - 1):
-            extend = (w + (t,) for w in words for t in succ[w[-1]])
+            extend = (w + t for w in words for t in succ[w[-1]])
             words = list(islice(extend, ENUMERATION_CAP + 1))
         yield from words[:ENUMERATION_CAP]
         if len(words) > ENUMERATION_CAP:
             raise ResourceLimit(
                 f"words of length {length} exceeded enumeration cap {ENUMERATION_CAP}"
             )
+
+    def is_irreducible(self) -> bool:
+        """Every symbol reaches every other by allowed transitions: P or the
+        identity, squared until it covers every path of k steps, has no zero."""
+        m = np.array(self.P, dtype=np.int64) | np.eye(self.k, dtype=np.int64)
+        for _ in range(self.k.bit_length()):
+            m = np.minimum(m @ m, 1)
+        return bool(m.all())
 
     def to_json(self) -> dict:
         rho = self.rho
@@ -200,9 +205,9 @@ def _canonical(left: Word, core: Word, right: Word, core_start: int):
     steps = next((i for i in range(m) if left[(-1 - i) % p] != right[(-1 - i) % q]), None)
     if steps is None:
         # fully periodic: re-anchor the word at coordinate 0
-        w = tuple(right[(n - core_start) % q] for n in range(q))
-        return w, (), w, 0
-    return _rotate(left, -steps), (), _rotate(right, -steps), core_start - steps
+        w = _rotate(right, -core_start)
+        return w, b"", w, 0
+    return _rotate(left, -steps), b"", _rotate(right, -steps), core_start - steps
 
 
 @dataclass(frozen=True, slots=True)
@@ -223,11 +228,14 @@ class SymbolicPoint:
 
     @classmethod
     def make(cls, space: SFTSpace, left, core, right, core_start: int = 0) -> "SymbolicPoint":
-        left, core, right = tuple(left), tuple(core), tuple(right)
+        """The point with these tails and core: each ``bytes`` or a sequence of
+        int symbols, read by value (``bytes()`` of a numpy array is its buffer)."""
+        left, core, right = (w if type(w) is bytes else tuple(w) for w in (left, core, right))
         if not left or not right:
             raise ValueError("periodic tails must be non-empty")
         try:  # bytes() refuses a float, a negative symbol and one past 255
-            stray = bytes(left + core + right).translate(None, space._symbols)
+            left, core, right = bytes(left), bytes(core), bytes(right)
+            stray = (left + core + right).translate(None, space._symbols)
         except (TypeError, ValueError):
             stray = True
         if stray:  # translate() deleted 0..k-1 and left a symbol from k to 255
@@ -235,17 +243,16 @@ class SymbolicPoint:
         # a periodic point's two tails are one word, checked once
         if not (space.admissible_cycle(left) and (right == left or space.admissible_cycle(right))):
             raise ValueError("periodic tail is not an admissible cycle")
-        seam = (left[-1],) + core + (right[0],)
+        seam = left[-1:] + core + right[:1]
         if not space.admissible_word(seam):
             raise ValueError("core or junction is not admissible")
         return cls(space, *_canonical(left, core, right, core_start))
 
     @classmethod
     def periodic(cls, space: SFTSpace, word) -> "SymbolicPoint":
-        """The point ``x_n = word[n mod len(word)]``; ``make`` refuses an empty
-        word or one that is not an admissible cycle."""
-        word = tuple(word)
-        return cls.make(space, word, (), word, 0)
+        """The point ``x_n = word[n mod len(word)]`` for a sequence ``word``;
+        ``make`` refuses an empty word or one that is not an admissible cycle."""
+        return cls.make(space, word, b"", word, 0)
 
     @classmethod
     def fixed(cls, space: SFTSpace, symbol: int) -> "SymbolicPoint":
@@ -263,7 +270,7 @@ class SymbolicPoint:
         """Symbols at coordinates ``lo .. hi-1``, read tail, core and tail by slices."""
         a = self.core_start
         b = a + len(self.core)
-        out = _tiling(self.left, lo - a, min(hi, a) - a) if lo < a else ()
+        out = _tiling(self.left, lo - a, min(hi, a) - a) if lo < a else b""
         if lo < b and a < hi:
             out += self.core[max(lo, a) - a : min(hi, b) - a]
         if b < hi:
@@ -273,9 +280,8 @@ class SymbolicPoint:
     def shift(self, n: int = 1) -> "SymbolicPoint":
         """sigma**n: coordinate i of the result is coordinate i+n of self."""
         if self.is_periodic:
-            k = n % len(self.right)
-            w = self.right[k:] + self.right[:k]
-            return SymbolicPoint(self.space, w, (), w, 0)
+            w = _rotate(self.right, n)
+            return SymbolicPoint(self.space, w, b"", w, 0)
         return SymbolicPoint(self.space, self.left, self.core, self.right, self.core_start - n)
 
     @property
@@ -319,14 +325,15 @@ def distance_exponent(x: SymbolicPoint, y: SymbolicPoint) -> int | None:
 
 
 def agreement_codes(points):
-    """Pack each point's interleaved word x_0, x_1, x_-1, x_2, x_-2, ... into one int.
+    """Pack each point's interleaved word x_0, x_-1, x_1, x_-2, x_2, ... into one int.
 
     Returns ``(codes, exponent)``: ``exponent(codes[i], codes[j])`` equals
     ``distance_exponent(points[i], points[j])``.  The words run to radius R, the
     largest core reach plus twice the longest tail period: past its reach each
     point is periodic, so by Fine and Wilf two distinct points differ within R
-    and equal codes mean equal points.  With the first symbol in the highest
-    bits, the highest set bit of ``a ^ b`` marks the common-prefix length.
+    and equal codes mean equal points.  Each symbol is one byte of its code,
+    the first in the highest, so the highest set bit of ``a ^ b`` marks the
+    common-prefix length.
     """
     pts = list(points)
     if not pts:
@@ -334,23 +341,20 @@ def agreement_codes(points):
     space = pts[0].space
     if any(p.space != space for p in pts):
         raise ValueError("points live in different spaces")
-    k = space.k
-    bits = max(1, (k - 1).bit_length())
-    digits = [format(s, f"0{bits}b") for s in range(k)]
     reach = max(max(abs(p.core_start), abs(p.core_start + len(p.core))) for p in pts)
     radius = reach + 2 * max(max(len(p.left), len(p.right)) for p in pts)
     width = 2 * radius + 1
     codes = []
-    word = [0] * width
+    word = bytearray(width)
     for p in pts:
         w = p.window(-radius, radius + 1)
         word[0::2] = w[radius:]  # x_0, x_1, x_2, ...
         word[1::2] = w[radius - 1 :: -1]  # x_-1, x_-2, ...
-        codes.append(int("".join(map(digits.__getitem__, word)), 2))
+        codes.append(int.from_bytes(word, "big"))
 
     def exponent(a: int, b: int) -> int | None:
         diff = a ^ b
-        return (width - (diff.bit_length() - 1) // bits) // 2 if diff else None
+        return (width - (diff.bit_length() - 1) // 8) // 2 if diff else None
 
     return codes, exponent
 
@@ -493,7 +497,7 @@ def homoclinic_points(x0: SymbolicPoint, core_len: int) -> list[SymbolicPoint]:
     nxt = x0[core_len]
     ref = [left_ref[n] if n < 0 else x0[n] for n in range(a, core_len)]
     count = 0
-    stack = [((), prev0, 0)]
+    stack = [(b"", prev0, 0)]
     while stack:
         filling, prev, dev = stack.pop()
         i = len(filling)
@@ -509,7 +513,7 @@ def homoclinic_points(x0: SymbolicPoint, core_len: int) -> list[SymbolicPoint]:
                 continue
             d = dev + (s != ref[i])
             if d <= core_len:
-                stack.append((filling + (s,), s, d))
+                stack.append((filling + bytes((s,)), s, d))
     return sorted(out, key=SymbolicPoint.sort_key)
 
 
@@ -526,7 +530,7 @@ def _closing_word(y: SymbolicPoint, lo: int, hi: int) -> Word:
 def closing_point_range(y: SymbolicPoint, lo: int, hi: int) -> SymbolicPoint:
     """Periodic point repeating the word ``y_lo .. y_{hi-1}`` in place."""
     word = _closing_word(y, lo, hi)
-    return SymbolicPoint.make(y.space, word, (), word, lo)
+    return SymbolicPoint.make(y.space, word, b"", word, lo)
 
 
 def closing_point(y: SymbolicPoint, n: int) -> SymbolicPoint:
@@ -637,7 +641,7 @@ class MarkovMeasure:
         piQ = np.array(self.pi) @ np.array(self.Q)
         if np.max(np.abs(piQ - np.array(self.pi))) > 1e-9:
             raise ValueError("pi is not stationary for Q")
-        if not self.is_irreducible():
+        if not self.space.is_irreducible():
             raise ValueError("chain is not irreducible")
         # the samplers' cumulative tables, one per direction, built here so
         # that their checks refuse at construction what sampling would refuse.
@@ -645,24 +649,6 @@ class MarkovMeasure:
         object.__setattr__(self, "_start_cdf", _cumulative(self.pi))
         object.__setattr__(self, "_forward_cdf", tuple(map(_cumulative, self.Q)))
         object.__setattr__(self, "_backward_cdf", tuple(map(_cumulative, self.backward_kernel())))
-
-    def is_irreducible(self) -> bool:
-        k = self.space.k
-
-        def reach(adj):
-            seen = {0}
-            frontier = [0]
-            while frontier:
-                i = frontier.pop()
-                for j in range(k):
-                    if adj[i][j] and j not in seen:
-                        seen.add(j)
-                        frontier.append(j)
-            return len(seen) == k
-
-        fwd = self.space.P
-        bwd = tuple(tuple(self.space.P[j][i] for j in range(k)) for i in range(k))
-        return reach(fwd) and reach(bwd)
 
     @classmethod
     def from_matrix(cls, space: SFTSpace, Q) -> "MarkovMeasure":
@@ -672,7 +658,10 @@ class MarkovMeasure:
         a[-1, :] = 1.0
         b = np.zeros(k)
         b[-1] = 1.0
-        pi = np.linalg.solve(a, b)
+        try:
+            pi = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:  # Q has more than one stationary vector
+            raise ValueError("chain is not irreducible") from None
         return cls(space, tuple(map(tuple, Q)), tuple(pi))
 
     @classmethod
@@ -698,22 +687,16 @@ def _shortest_cycle(space: SFTSpace, s: int) -> Word:
 
 
 def _cycle_search(space: SFTSpace, s: int) -> Word:
-    parent = {t: s for t in space.successors(s)}
-    frontier = list(space.successors(s))
-    if s in parent:
-        return (s,)
+    seen, frontier = set(), [bytes((s,))]  # paths from s, one per symbol reached
     while frontier:
         nxt = []
-        for t in frontier:
-            for u in space.successors(t):
+        for path in frontier:
+            for u in space.successors(path[-1]):
                 if u == s:
-                    path = [t]
-                    while path[-1] != s:
-                        path.append(parent[path[-1]])
-                    return tuple(reversed(path))
-                if u not in parent:
-                    parent[u] = t
-                    nxt.append(u)
+                    return path
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(path + bytes((u,)))
         frontier = nxt
     raise ValueError(f"no cycle through symbol {s}")  # pragma: no cover
 
@@ -779,11 +762,11 @@ def sample_measure(
     out = []
     for done in range(0, count, SAMPLE_BLOCK):
         u = rng.random((min(SAMPLE_BLOCK, count - done), depth))
-        syms = np.empty(u.shape, dtype=np.intp)
+        syms = np.empty(u.shape, dtype=np.uint8)
         s = syms[:, 0] = np.count_nonzero(start <= u[:, :1], axis=1)
         for t in range(1, depth):
             s = syms[:, t] = np.count_nonzero(forward[s] <= u[:, t, None], axis=1)
-        out.extend(_complete_word(mu.space, tuple(w), -(depth // 2)) for w in syms.tolist())
+        out.extend(_complete_word(mu.space, w.tobytes(), -(depth // 2)) for w in syms)
     return out
 
 
@@ -792,11 +775,11 @@ def resample_future(
 ) -> SymbolicPoint:
     """Redraw coordinates n >= 1 from the chain: a point on W^u_loc(x)."""
     lo = min(x.core_start, 0)
-    syms = list(x.window(lo, 1))
-    syms += _walk(mu._forward_cdf, syms[-1], rng.random(depth).tolist())
+    past = x.window(lo, 1)
+    syms = past + bytes(_walk(mu._forward_cdf, past[-1], rng.random(depth).tolist()))
     left = x.window(lo - len(x.left), lo)
     cyc_r = _shortest_cycle(mu.space, syms[-1])
-    return SymbolicPoint.make(mu.space, left, tuple(syms), _rotate(cyc_r, 1), lo)
+    return SymbolicPoint.make(mu.space, left, syms, _rotate(cyc_r, 1), lo)
 
 
 def resample_past(
@@ -805,7 +788,7 @@ def resample_past(
     """Redraw coordinates n <= -1 via the reversed kernel: a point on W^s_loc(x)."""
     hi = max(x.core_start + len(x.core), 0)
     rev = [x[0]] + _walk(mu._backward_cdf, x[0], rng.random(depth).tolist())
-    syms = list(reversed(rev)) + list(x.window(1, hi + 1))
+    syms = bytes(reversed(rev)) + x.window(1, hi + 1)
     right = x.window(hi + 1, hi + 1 + len(x.right))
     cyc_l = _shortest_cycle(mu.space, syms[0])
-    return SymbolicPoint.make(mu.space, cyc_l, tuple(syms), right, -depth)
+    return SymbolicPoint.make(mu.space, cyc_l, syms, right, -depth)

@@ -36,13 +36,13 @@ def random_point(space, rng, max_core=5):
         w = [start if start is not None else int(rng.integers(space.k))]
         while len(w) < length:
             w.append(int(rng.choice(space.successors(w[-1]))))
-        return tuple(w)
+        return bytes(w)
 
     while True:
         left = admissible_word(int(rng.integers(1, 4)))
         if not space.admissible_cycle(left):
             continue
-        core = ()
+        core = b""
         if rng.integers(0, 2):
             nxt = space.successors(left[-1])
             core = admissible_word(int(rng.integers(1, max_core + 1)), int(rng.choice(nxt)))
@@ -50,7 +50,7 @@ def random_point(space, rng, max_core=5):
         right = admissible_word(int(rng.integers(1, 4)), int(rng.choice(space.successors(prev))))
         if not space.admissible_cycle(right):
             continue
-        seam = (left[-1],) + core + (right[0],)
+        seam = left[-1:] + core + right[:1]
         if not space.admissible_word(seam):
             continue
         return SymbolicPoint.make(space, left, core, right, int(rng.integers(-4, 5)))

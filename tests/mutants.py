@@ -14,7 +14,7 @@ outcome and exits 1 if a mutant survived or a run could not be judged:
 
     python3 tests/mutants.py [NAME ...]
 
-The whole set took 160 s on a 2-core Linux machine with Python
+The whole set (35 mutants) took 167 s on a 2-core Linux machine with Python
 3.11 (one test process at a time).
 """
 
@@ -48,16 +48,28 @@ MUTANTS = (
     Mutant("canonical-right-tail-rotated-wrong-way", "symbolic.py",
            "right = _rotate(right, -j)", "right = _rotate(right, j)", SYMBOLIC),
     Mutant("canonical-junction-keeps-core-start", "symbolic.py",
-           "(), _rotate(right, -steps), core_start - steps",
-           "(), _rotate(right, -steps), core_start", SYMBOLIC),
+           'b"", _rotate(right, -steps), core_start - steps',
+           'b"", _rotate(right, -steps), core_start', SYMBOLIC),
+    Mutant("primitive-finds-the-word-itself", "symbolic.py",
+           "return word[: (word + word).find(word, 1)]",
+           "return word[: (word + word).find(word, 0)]", SYMBOLIC),
     Mutant("forbidden-pattern-first-branch-only", "symbolic.py",
            'return re.compile(b"|".join(branches)) if branches else None',
            "return re.compile(branches[0]) if branches else None", SYMBOLIC),
     Mutant("symbol-cap-off-by-one", "symbolic.py",
            "if self.k > SYMBOL_CAP:", "if self.k >= SYMBOL_CAP:", SYMBOLIC),
     Mutant("make-range-check-accepts-float-symbols", "symbolic.py",
-           "stray = bytes(left + core + right).translate(None, space._symbols)",
-           "stray = not set(range(space.k)).issuperset(left + core + right)", SYMBOLIC),
+           "left, core, right = bytes(left), bytes(core), bytes(right)",
+           "left, core, right = (bytes(map(int, w)) for w in (left, core, right))", SYMBOLIC),
+    Mutant("make-reads-the-numpy-buffer", "symbolic.py",
+           "w if type(w) is bytes else tuple(w) for w in (left, core, right)",
+           "w if type(w) is bytes else bytes(w) for w in (left, core, right)", SYMBOLIC),
+    Mutant("agreement-codes-four-bits-a-symbol", "symbolic.py",
+           "return (width - (diff.bit_length() - 1) // 8) // 2 if diff else None",
+           "return (width - (diff.bit_length() - 1) // 4) // 2 if diff else None", SYMBOLIC),
+    Mutant("irreducible-closure-one-squaring-short", "symbolic.py",
+           "for _ in range(self.k.bit_length()):", "for _ in range(self.k.bit_length() - 1):",
+           SYMBOLIC),
     Mutant("block-step-strict-comparison", "symbolic.py",
            "np.count_nonzero(forward[s] <= u[:, t, None], axis=1)",
            "np.count_nonzero(forward[s] < u[:, t, None], axis=1)", SYMBOLIC),

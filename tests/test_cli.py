@@ -204,9 +204,36 @@ def test_run_exit_codes(tmp_path, capsys):
         ({"experiment": "metric-suite", "tolerances": {"triples": 0.5}}, "tolerances.triples: "),
         ({"experiment": "metric-suite", "tolerances": {"family_pairs": 0.5}},
          "tolerances.family_pairs: "),
+        # spaces a run cannot use: no stationary vector, a stationary vector
+        # that is not positive, no fixed point at 0, no cycle 01
+        *(({"experiment": e, "space": {"k": 2, "P": P}},
+           f"space: {e} samples a Markov measure, which needs P irreducible")
+          for e in ("theorem-b", "distortion") for P in ([[1, 0], [0, 1]], [[1, 1], [0, 1]])),
+        *(({"experiment": e, "space": {"k": 2, "P": [[0, 1], [1, 0]]}},
+           f"space: {e} builds on the cycle [0], which P forbids")
+          for e in ("theorem-a", "theorem-b")),
+        ({"experiment": "distortion", "space": {"k": 3, "P": [[1, 0, 1], [1, 1, 0], [0, 1, 1]]}},
+         "space: distortion builds on the cycle [0, 1], which P forbids"),
+        # a table key whose symbol is no byte
+        ({"experiment": "distortion", "space": {"k": 12, "P": [[1] * 12] * 12},
+          "cocycles": {"C": {"window": 0, "table": {"300": {}}}}},
+         "cocycles.C: table key '300': symbols must be ints from 0 to 255"),
+        # fields the experiment never reads
+        ({"experiment": "theorem-b", "space": space, "cocycles": {"F": {}, "G": {}}},
+         "cocycles.F: theorem-b reads no cocycles"),
+        ({"experiment": "theorem-a", "space": space, "cocycles": {"C": {}}},
+         "cocycles.C: theorem-a reads only F, G"),
+        ({"experiment": "distortion", "space": space, "cocycles": {"F": {}}},
+         "cocycles.F: distortion reads only C"),
+        ({"experiment": "holonomy", "space": space}, "space: holonomy reads a space only as"),
+        *(({"experiment": e, "space": space}, f"space: {e} reads no space")
+          for e in ("closing-lemma", "metric-suite")),
+        *(({"experiment": e, "cocycles": {"C": {}}}, f"cocycles.C: {e} reads no cocycles")
+          for e in ("closing-lemma", "metric-suite")),
     ):
         assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 2
-        assert f"config error: {name}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config error: {name}" in err and "Traceback" not in err
     for args, name in (
         (["conjugated-pair", "--param", "psi_window=abc"], "psi_window: "),
         (["rotation-cocycle", "--param", "window=-1"], "window: "),

@@ -65,7 +65,7 @@ def reference_generators(c, x, n):
 
 
 def test_generator_lookup(full2):
-    table = {(0,): PLMap.identity(), (1,): PLMap.rotation(Fraction(1, 4))}
+    table = {b"\x00": PLMap.identity(), b"\x01": PLMap.rotation(Fraction(1, 4))}
     c = CocycleSpec(full2, 0, table)
     x = SymbolicPoint.fixed(full2, 1)
     assert c.generator(x) == PLMap.rotation(Fraction(1, 4))
@@ -81,13 +81,13 @@ def test_generator_window_property(full2, rng):
 
 def test_table_must_cover_admissible_words(golden):
     with pytest.raises(ValueError, match=re.escape("missing=[(1,)] extra=[]")):
-        CocycleSpec(golden, 0, {(0,): PLMap.identity()})
+        CocycleSpec(golden, 0, {b"\x00": PLMap.identity()})
     extra = "missing=[] extra=[(0, 1, 1), (1, 1, 0), (1, 1, 1)]"
     with pytest.raises(ValueError, match=re.escape(extra)):
         CocycleSpec(golden, 1, {w: PLMap.identity() for w in SFTSpace.full_shift(2).words(3)})
     # as many entries as words, one of them not a word
     with pytest.raises(ValueError, match=re.escape("missing=[(1,)] extra=[(2,)]")):
-        CocycleSpec(golden, 0, {(0,): PLMap.identity(), (2,): PLMap.identity()})
+        CocycleSpec(golden, 0, {b"\x00": PLMap.identity(), b"\x02": PLMap.identity()})
 
 
 def test_tables_stop_at_the_entry_cap(full2, monkeypatch):
@@ -448,7 +448,7 @@ def test_rotation_tables_past_the_denominator_cap_take_the_fold(monkeypatch):
 
     monkeypatch.setattr(cocycles, "DENOMINATOR_BITS_CAP", 8)
     space = SFTSpace.full_shift(3)
-    c = CocycleSpec(space, 0, {(s,): PLMap.rotation(Fraction(1, q))
+    c = CocycleSpec(space, 0, {bytes((s,)): PLMap.rotation(Fraction(1, q))
                                for s, q in enumerate((7, 11, 13))})
     x = SymbolicPoint.periodic(space, (0, 1, 2))
     # the common denominator 1001 has 10 bits; 1/7 + 1/11 = 18/77 has 7
@@ -539,7 +539,7 @@ def test_quotient_inverts_then_composes(full2, rng, monkeypatch):
 
 
 def two_rotation_cocycle(space, angles):
-    return CocycleSpec(space, 0, {(s,): PLMap.rotation(a) for s, a in enumerate(angles)})
+    return CocycleSpec(space, 0, {bytes((s,)): PLMap.rotation(a) for s, a in enumerate(angles)})
 
 
 @given(
@@ -598,16 +598,16 @@ def test_holder_const_constant_table(full2):
 
 def test_holder_const_two_word_oracle(full2):
     r = Fraction(1, 5)
-    c = CocycleSpec(full2, 0, {(0,): PLMap.identity(), (1,): PLMap.rotation(r)})
+    c = CocycleSpec(full2, 0, {b"\x00": PLMap.identity(), b"\x01": PLMap.rotation(r)})
     # words differ at the centre: realised distance 1, d_1 = r
     assert holder_const_cocycle(c) == pytest.approx(float(r))
 
 
 def test_holder_const_window_padding_invariant(full2):
     r = Fraction(1, 5)
-    base = {(0,): PLMap.identity(), (1,): PLMap.rotation(r)}
+    base = {b"\x00": PLMap.identity(), b"\x01": PLMap.rotation(r)}
     c0 = CocycleSpec(full2, 0, base)
-    c1 = CocycleSpec(full2, 1, {w: base[(w[1],)] for w in full2.words(3)})
+    c1 = CocycleSpec(full2, 1, {w: base[w[1:2]] for w in full2.words(3)})
     assert holder_const_cocycle(c1) == pytest.approx(holder_const_cocycle(c0))
 
 
@@ -690,7 +690,7 @@ def _margin_tables():
         "mixed": CocycleSpec(space, 1, {w: mixed[i % 4] for i, w in enumerate(space.words(3))}),
         # exact rotations pin the largest slope at 1 although the float one reads less
         "exact-and-float-rotations": CocycleSpec(
-            space, 0, {(0,): PLMap.rotation(Fraction(1, 3)), (1,): PLMap.rotation(0.9)}
+            space, 0, {b"\x00": PLMap.rotation(Fraction(1, 3)), b"\x01": PLMap.rotation(0.9)}
         ),
     }
 
@@ -746,7 +746,7 @@ def test_distortion_of_a_rotation_table_past_the_denominator_cap_walks_the_orbit
     monkeypatch.setattr(cocycles, "iterate", counted)
     monkeypatch.setattr(cocycles, "DENOMINATOR_BITS_CAP", 8)
     space = SFTSpace.full_shift(3)
-    c = CocycleSpec(space, 0, {(s,): PLMap.rotation(Fraction(1, q))
+    c = CocycleSpec(space, 0, {bytes((s,)): PLMap.rotation(Fraction(1, q))
                                for s, q in enumerate((7, 11, 13))})
     x = SymbolicPoint.periodic(space, (0, 1, 2))
     # the common denominator 1001 has 10 bits; f^2_x = 18/77 has 7, f^3_x 10
@@ -765,7 +765,7 @@ def test_distortion_telescoping(full2):
     assert not rep.growth_flagged
     # oracle: alternating products m^-1 m collapse, so distortion never
     # exceeds a single step's slope
-    m = c.table[(0,)]
+    m = c.table[b"\x00"]
     assert rep.K_est == float(m.max_slope)
 
 

@@ -90,7 +90,7 @@ def _per_symbol_make(space, left, core, right, core_start):
         return None
     if not word_ok((left[-1],) + core + (right[0],)):
         return None
-    return SymbolicPoint(space, *_canonical(left, core, right, core_start))
+    return SymbolicPoint(space, *_canonical(bytes(left), bytes(core), bytes(right), core_start))
 
 
 MAKE_SPACES = {
@@ -188,6 +188,52 @@ def test_make_keeps_float_and_numpy_symbol_outcomes(space, left, core, right, ou
             SymbolicPoint.make(space, left, core, right, 0)
 
 
+def _make_outcome(space, left, core, right):
+    """``make``'s outcome by per-symbol checks, in the order ``make`` checks:
+    the point, or the message of the first refusal."""
+    if not left or not right:
+        return "periodic tails must be non-empty"
+    if any(isinstance(s, float) or not 0 <= s < space.k for s in [*left, *core, *right]):
+        return "symbol out of range"
+
+    def word_ok(w):
+        return all(space.P[a][b] == 1 for a, b in zip(w, w[1:]))
+
+    if not all(word_ok(w) and space.P[w[-1]][w[0]] == 1 for w in (left, right)):
+        return "periodic tail is not an admissible cycle"
+    if not word_ok([left[-1], *core, right[0]]):
+        return "core or junction is not admissible"
+    return SymbolicPoint(space, *_canonical(bytes(left), bytes(core), bytes(right), 0))
+
+
+# the sequence types a word is given as; numpy reads a list of ints as int64
+_WORD_TYPES = {"tuple": tuple, "list": list, "bytes": bytes, "bytearray": bytearray,
+               "numpy": np.array}
+
+
+@given(st.sampled_from(sorted(MAKE_SPACES)), st.data())
+@settings(max_examples=300, deadline=None)
+def test_make_reads_every_word_type_by_value(name, data):
+    space = MAKE_SPACES[name]
+    words = [data.draw(st.lists(st.integers(0, space.k - 1), max_size=4)) for _ in range(3)]
+    # half the draws get a symbol no byte below k is: a float (1.0 too), -1, k or 256
+    flaw = data.draw(st.sampled_from((None, None, None, None, 1.0, 0.5, -1, space.k, 256)))
+    if flaw is not None:
+        w = words[data.draw(st.integers(0, 2))]
+        w.insert(data.draw(st.integers(0, len(w))), flaw)
+    expected = _make_outcome(space, *words)
+    for kind, as_type in _WORD_TYPES.items():
+        try:
+            left, core, right = map(as_type, words)
+        except (TypeError, ValueError):  # bytes hold no float, -1 or 256
+            continue
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=expected):
+                SymbolicPoint.make(space, left, core, right)
+        else:
+            assert SymbolicPoint.make(space, left, core, right) == expected, kind
+
+
 def test_spaces_stop_at_the_symbol_cap():
     assert SYMBOL_CAP == 256
     with pytest.raises(ValueError, match=r"257 symbols, more than 256 \(SYMBOL_CAP\)"):
@@ -198,7 +244,7 @@ def test_spaces_stop_at_the_symbol_cap():
     P[last][0] = 0
     space = SFTSpace(SYMBOL_CAP, P)
     x = SymbolicPoint.make(space, (last,), (last, 1), (0,))
-    assert x.window(-1, 3) == (last, last, 1, 0)
+    assert x.window(-1, 3) == bytes((last, last, 1, 0))
     with pytest.raises(ValueError, match="core or junction"):
         SymbolicPoint.make(space, (last,), (last,), (0,))
     with pytest.raises(ValueError, match="out of range"):
@@ -210,7 +256,7 @@ def _bfs_shortest_cycle(space, s):
     tie order of the library's search, kept as the reference for its memo."""
     parent = {t: s for t in space.successors(s)}
     if s in parent:
-        return (s,)
+        return bytes((s,))
     frontier = list(space.successors(s))
     while frontier:
         nxt = []
@@ -220,7 +266,7 @@ def _bfs_shortest_cycle(space, s):
                     path = [t]
                     while path[-1] != s:
                         path.append(parent[path[-1]])
-                    return tuple(reversed(path))
+                    return bytes(reversed(path))
                 if u not in parent:
                     parent[u] = t
                     nxt.append(u)
@@ -250,11 +296,19 @@ def test_space_hash_is_the_hash_of_its_fields():
     assert other != space and hash(other) == hash((space.k, space.P, 3)) != hash(space)
 
 
+def _loop_primitive(word):
+    """The divisor loop ``_primitive`` replaced, kept as its reference."""
+    n = len(word)
+    return next((word[:d] for d in range(1, n) if n % d == 0 and word == word[:d] * (n // d)),
+                word)
+
+
 def _loop_canonical(left, core, right, core_start):
     """The canonical form as it was built one absorbed symbol and one junction
-    step at a time, kept as the reference for the counting version."""
-    left = _primitive(left)
-    right = _primitive(right)
+    step at a time, with primitive tails by the divisor loop, kept as the
+    reference for the counting version."""
+    left = _loop_primitive(left)
+    right = _loop_primitive(right)
     while core and core[-1] == right[-1]:
         right = right[-1:] + right[:-1]
         core = core[:-1]
@@ -267,25 +321,31 @@ def _loop_canonical(left, core, right, core_start):
     p, q = len(left), len(right)
     m = math.lcm(p, q)
     if all(left[(-1 - i) % p] == right[(-1 - i) % q] for i in range(m)):
-        w = tuple(right[(n - core_start) % q] for n in range(q))
-        return w, (), w, 0
+        w = bytes(right[(n - core_start) % q] for n in range(q))
+        return w, b"", w, 0
     while right[-1] == left[-1]:
         right = right[-1:] + right[:-1]
         left = left[-1:] + left[:-1]
         core_start -= 1
-    return left, (), right, core_start
+    return left, b"", right, core_start
 
 
-_WORDS = st.lists(st.integers(0, 2), min_size=1, max_size=6).map(tuple)
+_WORDS = st.lists(st.integers(0, 2), min_size=1, max_size=6).map(bytes)
 
 
-@example(left=(0, 1), core=(0, 1, 0), right=(1, 0), core_start=3)  # absorbed, fully periodic
-@example(left=(1, 0, 0), core=(), right=(1, 1, 0), core_start=-2)  # junction moves 1
-@example(left=(0, 1, 1), core=(1,), right=(0, 1, 1, 0, 1, 1), core_start=0)  # absorbed, junction
-@example(left=(2, 0, 1, 2), core=(0, 1, 2, 0, 1, 2, 1), right=(1,), core_start=5)  # one absorbed
-@given(_WORDS, st.lists(st.integers(0, 2), max_size=12).map(tuple), _WORDS, st.integers(-9, 9))
+# absorbed, fully periodic
+@example(left=bytes((0, 1)), core=bytes((0, 1, 0)), right=bytes((1, 0)), core_start=3)
+# junction moves 1
+@example(left=bytes((1, 0, 0)), core=b"", right=bytes((1, 1, 0)), core_start=-2)
+# absorbed, junction
+@example(left=bytes((0, 1, 1)), core=bytes((1,)), right=bytes((0, 1, 1, 0, 1, 1)), core_start=0)
+# one absorbed
+@example(left=bytes((2, 0, 1, 2)), core=bytes((0, 1, 2, 0, 1, 2, 1)), right=bytes((1,)),
+         core_start=5)
+@given(_WORDS, st.lists(st.integers(0, 2), max_size=12).map(bytes), _WORDS, st.integers(-9, 9))
 @settings(max_examples=400, deadline=None)
 def test_canonical_matches_the_loop_reference(left, core, right, core_start):
+    assert _primitive(left) == _loop_primitive(left)
     assert _canonical(left, core, right, core_start) == _loop_canonical(left, core, right, core_start)
     # a core cut from the tails' own tilings is absorbed whole, or nearly
     grown = _tiling(left, -3, 0) + core + _tiling(right, 0, 4)
@@ -334,7 +394,7 @@ def test_shift_core_bookkeeping(full2):
     x = SymbolicPoint.make(full2, (0,), (1,), (0,), 0)
     y = x.shift(3)
     # oracle: direct index arithmetic on materialised windows
-    assert y.window(-6, 7) == tuple(x[n + 3] for n in range(-6, 7))
+    assert y.window(-6, 7) == bytes(x[n + 3] for n in range(-6, 7))
     assert y[-3] == 1 and y.shift(-3) == x
 
 
@@ -345,7 +405,7 @@ def test_window_matches_coordinates(seed, space_name, lo, length):
     space = SFTSpace.full_shift(2) if space_name == "full2" else SFTSpace.golden_mean()
     x = random_point(space, np.random.default_rng(seed))
     # oracle: one coordinate at a time; a negative length is an empty window
-    assert x.window(lo, lo + length) == tuple(x[n] for n in range(lo, lo + length))
+    assert x.window(lo, lo + length) == bytes(x[n] for n in range(lo, lo + length))
 
 
 @given(st.integers(-9, 9), st.integers(-9, 9))
@@ -419,7 +479,7 @@ def _periodic_of_period(space, p, rng):
         w = [int(rng.integers(space.k))]
         while len(w) < p:
             w.append(int(rng.choice(space.successors(w[-1]))))
-        if space.admissible_cycle(w):
+        if space.admissible_cycle(bytes(w)):
             pt = SymbolicPoint.periodic(space, w)
             if pt.period == p:
                 return pt
@@ -508,7 +568,7 @@ def test_bracket_splice_examples(full2):
     y2 = SymbolicPoint.make(full2, (0,), (1,), (0,), 0)
     z2 = SymbolicPoint.periodic(full2, (1,))
     w = bracket(y2, z2)
-    assert w.window(-3, 4) == (1, 1, 1, 1, 0, 0, 0)
+    assert w.window(-3, 4) == bytes((1, 1, 1, 1, 0, 0, 0))
 
 
 def test_bracket_membership(full2, golden, rng):
@@ -603,7 +663,7 @@ def test_words_match_the_filtered_product(space, monkeypatch):
     from cocyclelab import symbolic
 
     for length in range(8):
-        want = [w for w in itertools.product(range(space.k), repeat=length)
+        want = [w for w in map(bytes, itertools.product(range(space.k), repeat=length))
                 if space.admissible_word(w)]
         assert list(space.words(length)) == want
         cap = max(1, len(want) // 3)
@@ -683,7 +743,7 @@ def test_splice_reads_each_source_on_its_periodic_side(full2):
     x = SymbolicPoint.make(full2, (0,), (1, 1), (0,), 0)  # ...0 11 0...
     one = SymbolicPoint.fixed(full2, 1)
     y = splice(x, (0,), 0, one)
-    assert y.window(-3, 4) == (0, 0, 0, 0, 1, 1, 1)
+    assert y.window(-3, 4) == bytes((0, 0, 0, 0, 1, 1, 1))
     with pytest.raises(ValueError):
         splice(x, (0,), 1, one)  # x is not periodic below 1
     with pytest.raises(ValueError):
@@ -839,6 +899,52 @@ def test_markov_uniform_stationary(golden):
 def test_markov_validation(full2):
     with pytest.raises(ValueError):
         MarkovMeasure(full2, ((1.0, 0.0), (0.0, 1.0)), (0.5, 0.5))  # support mismatch
+
+
+def _reaches_every_symbol(space):
+    """Depth-first search from symbol 0 forwards and backwards, the loop
+    ``is_irreducible`` replaced, kept as its reference."""
+    for step in (space.successors, space.predecessors):
+        seen, stack = {0}, [0]
+        while stack:
+            for t in step(stack.pop()):
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        if len(seen) < space.k:
+            return False
+    return True
+
+
+def test_irreducibility_matches_the_search_reference():
+    import itertools
+
+    spaces = [staircase_space(2), staircase_space(26), SFTSpace.full_shift(SYMBOL_CAP)]
+    for k in (2, 3):
+        for bits in itertools.product((0, 1), repeat=k * k):
+            P = [bits[i * k : (i + 1) * k] for i in range(k)]
+            if all(any(row) for row in P):
+                spaces.append(SFTSpace(k, P))
+    # a cycle through every symbol, then the same cycle with one edge cut
+    ring = [[int(j == (i + 1) % 40) for j in range(40)] for i in range(40)]
+    spaces.append(SFTSpace(40, ring))
+    ring[39] = [0] * 39 + [1]
+    spaces.append(SFTSpace(40, ring))
+    assert {s.is_irreducible() for s in spaces} == {True, False}
+    assert all(s.is_irreducible() == _reaches_every_symbol(s) for s in spaces)
+
+
+def test_reducible_spaces_have_no_uniform_measure(full2):
+    # two closed classes: the stationary system is singular, refused by type
+    split = SFTSpace(2, ((1, 0), (0, 1)))
+    assert full2.is_irreducible() and not split.is_irreducible()
+    with pytest.raises(ValueError, match="chain is not irreducible"):
+        MarkovMeasure.uniform(split)
+    # one closed class {1}: the stationary vector (0, 1) is not positive
+    upper = SFTSpace(2, ((1, 1), (0, 1)))
+    assert not upper.is_irreducible()
+    with pytest.raises(ValueError, match="positive probability vector"):
+        MarkovMeasure.uniform(upper)
 
 
 def test_sample_measure_deterministic_and_lln(full2):

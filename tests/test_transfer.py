@@ -436,9 +436,9 @@ def test_phi_at_forward_quotient_refuses_a_side_not_dominated(monkeypatch):
     space = _FULL2
     x0 = SymbolicPoint.fixed(space, 0)
     spin = PLMap.rotation(Fraction(1, 7))
-    F = CocycleSpec(space, 0, {(0,): spin, (1,): PLMap.rotation(Fraction(2, 7))})
+    F = CocycleSpec(space, 0, {b"\x00": spin, b"\x01": PLMap.rotation(Fraction(2, 7))})
     steep = PLMap.make([Fraction(0), Fraction(1, 10)], [Fraction(0), Fraction(3, 10)])
-    G = CocycleSpec(space, 0, {(0,): spin, (1,): steep})
+    G = CocycleSpec(space, 0, {b"\x00": spin, b"\x01": steep})
     assert power_domination(G, 1).theta_s > 0 > power_domination(G, 1).theta_u
     T = TransferMap(F, G, x0, 1, {}, 0.0, 1e-9)
     forward_only, backward_only = _one_sided(SymbolicPoint.make(space, (0,), (1,), (0,)),
