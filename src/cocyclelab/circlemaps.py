@@ -49,6 +49,8 @@ class PLMap:
         exact = not any(isinstance(x, float) for x in breaks + vals)
         num = Fraction if exact else float
         breaks, vals = (tuple(x if type(x) is num else num(x) for x in xs) for xs in (breaks, vals))
+        if not exact and not all(map(math.isfinite, breaks + vals)):
+            raise ValueError("coordinates must be finite")
         if len(breaks) != len(vals) or not breaks:
             raise ValueError("breakpoints and values must be non-empty, equal length")
         if any(not (0 <= b < 1) for b in breaks):
@@ -57,8 +59,12 @@ class PLMap:
             raise ValueError("breakpoints must be strictly increasing")
         if not exact:
             breaks, vals = _drop_tiny_segments(breaks, vals)
-        _check_increasing(breaks, vals)
-        breaks, vals = _merge_collinear(breaks, vals, exact)
+        slopes = _slopes(breaks, vals)
+        if any(s <= 0 for s in slopes[:-1]):
+            raise ValueError("lift values must be strictly increasing")
+        if slopes[-1] <= 0:
+            raise ValueError("wrap segment must have positive slope")
+        breaks, vals = _merge_collinear(breaks, vals, slopes, exact)
         # normalise after the merge: it may drop the first breakpoint
         k = math.floor(vals[0])
         if k:
@@ -96,25 +102,9 @@ class PLMap:
             raise ValueError("not a rotation")
         return self.vals[0] % 1
 
-    def segments(self):
-        """(x1, x2, v1, slope) covering one period [b0, b0+1)."""
-        b, v = self.breaks, self.vals
-        m = len(b)
-        if m == 1 and type(b[0]) is Fraction:
-            # an exact rotation is canonical with its breakpoint at 0; its
-            # slope is exactly 1 (a float one can round to 1 - 2**-53)
-            return ((_ZERO, _ONE, v[0], _ONE),)
-        out = []
-        for i in range(m):
-            x1, y1 = b[i], v[i]
-            x2 = b[i + 1] if i + 1 < m else b[0] + 1
-            y2 = v[i + 1] if i + 1 < m else v[0] + 1
-            out.append((x1, x2, y1, (y2 - y1) / (x2 - x1)))
-        return tuple(out)
-
     @property
     def slopes(self) -> tuple:
-        return tuple(s for _, _, _, s in self.segments())
+        return _slopes(self.breaks, self.vals)
 
     @property
     def max_slope(self):
@@ -155,12 +145,14 @@ class PLMap:
         return cls.make(load(doc["breakpoints"]), load(doc["values"]))
 
 
-def _check_increasing(breaks, vals):
-    for v1, v2 in zip(vals, vals[1:]):
-        if v2 <= v1:
-            raise ValueError("lift values must be strictly increasing")
-    if vals[0] + 1 <= vals[-1]:
-        raise ValueError("wrap segment must have positive slope")
+def _slopes(breaks: tuple, vals: tuple) -> tuple:
+    """The slope of each segment of the lift through (breaks, vals), the last
+    one wrapping to (breaks[0] + 1, vals[0] + 1).  An exact rotation's one
+    slope is exactly 1 (a float one can round to 1 - 2**-53)."""
+    if len(breaks) == 1 and type(breaks[0]) is Fraction:
+        return (_ONE,)
+    xs, ys = breaks + (breaks[0] + 1,), vals + (vals[0] + 1,)
+    return tuple((y2 - y1) / (x2 - x1) for x1, x2, y1, y2 in zip(xs, xs[1:], ys, ys[1:]))
 
 
 def _drop_tiny_segments(breaks, vals):
@@ -181,14 +173,11 @@ def _drop_tiny_segments(breaks, vals):
     return tuple(out_b), tuple(out_v)
 
 
-def _merge_collinear(breaks, vals, exact):
-    """Keep the points whose incoming and outgoing slopes differ; if none
+def _merge_collinear(breaks, vals, slopes, exact):
+    """Keep the points whose incoming and outgoing ``slopes`` differ; if none
     does, the map is a rotation and its last point is kept.  Merging two
     collinear segments keeps their common slope, so no other point's slopes
     change and one pass over the slopes suffices."""
-    if len(breaks) == 1:
-        return breaks, vals
-    slopes = PLMap(breaks, vals).slopes
     if exact:
         keep = [i for i, s in enumerate(slopes) if slopes[i - 1] != s]
     else:
@@ -199,17 +188,18 @@ def _merge_collinear(breaks, vals, exact):
 
 
 def rotation_numerators(maps):
-    """``(den, numerators)`` with the i-th map the rotation by numerators[i] / den,
-    when every map is an exact rotation; None otherwise.  ``den`` is the lcm
-    of the angles' denominators."""
-    angles = []
-    for m in maps:
+    """``(den, numerators)`` when every map is an exact rotation, None otherwise:
+    map m is the rotation by ``numerators[id(m)] / den``, where ``den`` is the
+    lcm of the angles' denominators.  Tables share their map objects, so each
+    object is read once; its key names it while the caller holds it."""
+    angles = {}
+    for i, m in {id(m): m for m in maps}.items():
         a = m.vals[0]
         if len(m.breaks) != 1 or type(a) is not Fraction:
             return None
-        angles.append(a)
-    den = math.lcm(*{a.denominator for a in angles})
-    return den, [a.numerator * (den // a.denominator) for a in angles]
+        angles[i] = a
+    den = math.lcm(*{a.denominator for a in angles.values()})
+    return den, {i: a.numerator * (den // a.denominator) for i, a in angles.items()}
 
 
 def _angle_terms(a: Fraction, b: Fraction, sign: int) -> tuple[int, int]:
@@ -383,7 +373,7 @@ def uniform_distance(f: PLMap, g: PLMap):
 def lipschitz_seminorm_diff(f: PLMap, g: PLMap):
     """Lipschitz seminorm of the lift difference: max slope gap on the merged partition."""
     fb, gb = f.breaks, g.breaks
-    fs, gs = f.segments(), g.segments()
+    fs, gs = f.slopes, g.slopes
     m, n = len(fb), len(gb)
     best = 0
     i = j = 0  # breakpoints read so far; each map is on its segment i - 1, j - 1
@@ -394,7 +384,7 @@ def lipschitz_seminorm_diff(f: PLMap, g: PLMap):
             i += 1
         else:
             j += 1
-        best = max(best, abs(fs[i - 1][3] - gs[j - 1][3]))
+        best = max(best, abs(fs[i - 1] - gs[j - 1]))
     return best
 
 

@@ -23,6 +23,7 @@ ORBIT_MEMO_CAP = 4096  # orbit products memoised per cocycle before the memo is 
 TABLE_ENTRY_CAP = 16_384  # words a window table may have; theorem-a's default G has 8,192
 HORIZON_CAP = 1000  # largest distortion horizon a config may ask for
 N_MAX_CAP = 200  # largest holonomy convergence depth n_max a config may ask for
+HOLDER_PAIRS_CAP = 200_000  # table-word pairs holder_const_cocycle may read
 _ZERO = Fraction(0)
 
 
@@ -74,6 +75,9 @@ class CocycleSpec:
         if tuple(self.table) != words and (
             len(words) != len(self.table) or not all(w in self.table for w in words)
         ):
+            odd = next((key for key in self.table if type(key) is not bytes), None)
+            if odd is not None:
+                raise ValueError(f"table key {odd!r}: words must be bytes")
             want, have = set(words), set(self.table)
             missing, extra = ([tuple(w) for w in sorted(ws)[:3]]  # words as int tuples
                               for ws in (want - have, have - want))
@@ -180,11 +184,10 @@ def _rotation_sums(c: CocycleSpec):
     ``numerators`` gives a window's angle numerator over ``den``; ``maps``
     holds one rotation per numerator read so far."""
     if "rotations" not in c._cache:
-        distinct = list({id(m): m for m in c.table.values()}.values())  # tables share maps
-        found = rotation_numerators(distinct)
+        found = rotation_numerators(c.table.values())
         if found is not None:
-            den, nums = found
-            found = den, _WindowNumerators(c.table, dict(zip(map(id, distinct), nums))), {}
+            den, by_id = found
+            found = den, _WindowNumerators(c.table, by_id), {}
         c._cache["rotations"] = found
     rot = c._cache["rotations"]
     if rot is not None and rot[0].bit_length() <= DENOMINATOR_BITS_CAP and BREAKPOINT_CAP >= 1:
@@ -263,8 +266,13 @@ def holder_const_cocycle(c: CocycleSpec) -> float:
     The sup is attained among table-word pairs grouped by their centred
     agreement radius, so the computation is finite.  Exactness assumes every
     admissible word occurs in some point (true whenever every symbol has a
-    predecessor); otherwise the value is still a valid upper bound.
+    predecessor); otherwise the value is still a valid upper bound.  A table
+    with more than ``HOLDER_PAIRS_CAP`` word pairs is refused before any is read.
     """
+    pairs = len(c.table) * (len(c.table) - 1) // 2
+    if pairs > HOLDER_PAIRS_CAP:
+        raise ResourceLimit(f"holder_const_cocycle: {pairs} table-word pairs, "
+                            f"more than {HOLDER_PAIRS_CAP} (HOLDER_PAIRS_CAP)")
     rho = float(c.space.rho)
     alpha = float(c.alpha)
     words = sorted(c.table)
@@ -293,21 +301,22 @@ class DominationReport:
 
 
 def _margins(c: CocycleSpec, n0: int) -> DominationReport:
-    """theta = alpha - log_{rho**n0}(extremal slope) over the time-n0 products."""
+    """theta = alpha - log_{rho**n0}(extremal slope) over the time-n0 products.
+
+    When ``iterate`` would sum numerators, every product is an exact rotation
+    of slope exactly 1 that passes every cap, so the identity stands for them."""
     key = ("dom", n0)
     if key not in c._cache:
         products = c.table.values()
-        if n0 > 1:
+        if _rotation_sums(c) is not None:
+            products = (PLMap.identity(),)
+        elif n0 > 1:
             products = [orbit_product(_word_generators(c, word, n0))
                         for word in c.space.words(2 * c.window + n0)]
         up = down = 0.0  # largest slope and largest inverse slope
         for h in products:
-            if h.is_rotation and h.is_exact:
-                # slope exactly 1; a float rotation's can round away from 1
-                up, down = max(up, 1.0), max(down, 1.0)
-            else:
-                slopes = h.slopes
-                up, down = max(up, float(max(slopes))), max(down, 1.0 / float(min(slopes)))
+            slopes = h.slopes
+            up, down = max(up, float(max(slopes))), max(down, 1.0 / float(min(slopes)))
         alpha, log_rho = float(c.alpha), math.log(float(c.space.rho) ** n0)
         theta_u = alpha - math.log(up) / log_rho
         theta_s = alpha - math.log(down) / log_rho

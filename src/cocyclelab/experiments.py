@@ -161,7 +161,7 @@ class ExperimentConfig:
         seed = doc.get("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ConfigError("seed: expected an integer")
-        space, (names, measured, cycle) = None, _SPACE_USES.get(exp, (None, False, b""))
+        space, (names, cycle) = None, _SPACE_USES.get(exp, (None, b""))
         if "space" in doc:
             if names is None:
                 raise ConfigError(f"space: {exp} reads no space")
@@ -169,8 +169,8 @@ class ExperimentConfig:
                 space = SFTSpace.from_json(doc["space"])
             except (KeyError, TypeError, ValueError) as e:
                 raise ConfigError(f"space: {e}") from None
-            if measured and not space.is_irreducible():
-                raise ConfigError(f"space: {exp} samples a Markov measure, which needs P irreducible")
+            if not space.is_irreducible():
+                raise ConfigError(f"space: {exp} needs P irreducible")
             if not space.admissible_cycle(cycle):
                 raise ConfigError(f"space: {exp} builds on the cycle {list(cycle)}, which P forbids")
         cocycles, cdocs, tols = {}, doc.get("cocycles", {}), doc.get("tolerances", {})
@@ -500,11 +500,13 @@ RUNNERS = {
 }
 EXPERIMENTS = tuple(RUNNERS)
 
-# name -> (the cocycles a config may name, whether the run samples the space's
-# uniform Markov measure, the cycle its periodic base point repeats) for each
-# experiment that reads a space; metric-suite and closing-lemma read none
-_SPACE_USES = {"holonomy": (("C",), True, b"\0"), "theorem-a": (("F", "G"), False, b"\0"),
-               "theorem-b": ((), True, b"\0"), "distortion": (("C",), True, b"\0\1")}
+# name -> (the cocycles a config may name, the cycle its periodic base point
+# repeats) for each experiment that reads a space; metric-suite and
+# closing-lemma read none.  Each needs P irreducible: holonomy, theorem-b and
+# distortion sample the uniform Markov measure, and theorem-a samples the
+# homoclinic class of its base point, dense in X only for an irreducible P.
+_SPACE_USES = {"holonomy": (("C",), b"\0"), "theorem-a": (("F", "G"), b"\0"),
+               "theorem-b": ((), b"\0"), "distortion": (("C",), b"\0\1")}
 
 
 def run(cfg: ExperimentConfig) -> ReportDocument:

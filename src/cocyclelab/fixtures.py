@@ -135,11 +135,6 @@ def _rotation_table(words, nums, den: int) -> dict:
     return dict(zip(words, map(rotations.__getitem__, nums)))
 
 
-def _distinct(maps) -> list:
-    """Each map object once, in first-seen order: tables share their maps."""
-    return list({id(m): m for m in maps}.values())
-
-
 def conjugated_pair(F: CocycleSpec, psi: WindowRule) -> CocycleSpec:
     """The cocycle G_x = psi(sigma x)^-1 f_x psi(x), tabulated exactly.
 
@@ -151,11 +146,9 @@ def conjugated_pair(F: CocycleSpec, psi: WindowRule) -> CocycleSpec:
     wf, wp = F.window, psi.window
     wg = max(wf, wp + 1)
     words = table_words(space, wg, "conjugated_pair")
-    maps = _distinct([*F.table.values(), *psi.table.values()])
-    found = rotation_numerators(maps)
+    found = rotation_numerators([*F.table.values(), *psi.table.values()])
     if found is not None:
-        den, scaled = found
-        by_id = dict(zip(map(id, maps), scaled))
+        den, by_id = found
         fn, pn = ({w: by_id[id(m)] for w, m in t.items()} for t in (F.table, psi.table))
         # f_x reads v[fa:fb] of a G word v, psi(x) reads v[pa:pb], psi(sigma x) one further
         (fa, fb), (pa, pb) = (wg - wf, wg + wf + 1), (wg - wp, wg + wp + 1)
@@ -176,7 +169,8 @@ def rotation_conjugacy_rule(psi: WindowRule, x0: SymbolicPoint) -> WindowRule:
     """Ground-truth conjugacy phi_y = psi_{x0}^-1 psi_y as a window rule,
     composed once per distinct map of psi."""
     base = invert(psi.phi_at(x0))
-    composed = {id(m): compose(base, m) for m in _distinct(psi.table.values())}
+    distinct = {id(m): m for m in psi.table.values()}  # tables share their maps
+    composed = {i: compose(base, m) for i, m in distinct.items()}
     return WindowRule(psi.window, {w: composed[id(m)] for w, m in psi.table.items()})
 
 

@@ -279,13 +279,13 @@ def holder_regression(points, lookup, rho: float, min_samples: int = 30, *, _exp
     a, b = np.where(swap, b, a), np.where(swap, a, b)
     need = np.zeros((len(vals), len(vals)), dtype=bool)
     need[a, b] = True
-    rotations = [p for p, m in enumerate(vals) if m.is_rotation and type(m.vals[0]) is Fraction]
-    den, nums = rotation_numerators(vals[p] for p in rotations)
-    num = dict(zip(rotations, nums))
+    rotations = (m for m in vals if m.is_rotation and type(m.vals[0]) is Fraction)
+    den, num = rotation_numerators(rotations)
     log_r = np.full(need.shape, -math.inf)  # -inf marks a zero distance
     for p, q in zip(*(ix.tolist() for ix in np.nonzero(need))):
-        if p in num and q in num:
-            d = (num[p] - num[q]) % den
+        f, g = id(vals[p]), id(vals[q])
+        if f in num and g in num:
+            d = (num[f] - num[g]) % den
             r = min(d, den - d) / den
         else:
             r = float(uniform_distance(vals[p], vals[q]))

@@ -14,7 +14,7 @@ outcome and exits 1 if a mutant survived or a run could not be judged:
 
     python3 tests/mutants.py [NAME ...]
 
-The whole set (35 mutants) took 167 s on a 2-core Linux machine with Python
+The whole set (40 mutants) took 209 s on a 2-core Linux machine with Python
 3.11 (one test process at a time).
 """
 
@@ -85,6 +85,23 @@ MUTANTS = (
     Mutant("holder-constant-lmin-reads-max", "circlemaps.py",
            "lmax, lmin = float(max(slopes)), float(min(slopes))",
            "lmax, lmin = float(max(slopes)), float(max(slopes))", ("tests/test_circlemaps.py",)),
+    Mutant("slopes-wrap-point-at-one", "circlemaps.py",
+           "xs, ys = breaks + (breaks[0] + 1,), vals", "xs, ys = breaks + (1,), vals",
+           ("tests/test_circlemaps.py",)),
+    Mutant("make-accepts-zero-interior-slope", "circlemaps.py",
+           "if any(s <= 0 for s in slopes[:-1]):", "if any(s < 0 for s in slopes[:-1]):",
+           ("tests/test_circlemaps.py",)),
+    Mutant("make-positivity-messages-swapped", "circlemaps.py",
+           'raise ValueError("lift values must be strictly increasing")\n'
+           '        if slopes[-1] <= 0:\n'
+           '            raise ValueError("wrap segment must have positive slope")',
+           'raise ValueError("wrap segment must have positive slope")\n'
+           '        if slopes[-1] <= 0:\n'
+           '            raise ValueError("lift values must be strictly increasing")',
+           ("tests/test_circlemaps.py",)),
+    Mutant("make-accepts-non-finite", "circlemaps.py",
+           "if not exact and not all(map(math.isfinite, breaks + vals)):",
+           "if not exact and not all(map(math.isfinite, breaks)):", ("tests/test_circlemaps.py",)),
     # orbit products and cocycle reports
     Mutant("rotation-sum-not-negated", "cocycles.py",
            "num = (total if n > 0 else -total) % den", "num = total % den", COCYCLES),
@@ -97,6 +114,9 @@ MUTANTS = (
     Mutant("distortion-inverse-slope-reads-max", "cocycles.py",
            "float(max(slopes)), 1.0 / float(min(slopes)))\n",
            "float(max(slopes)), 1.0 / float(max(slopes)))\n", COCYCLES),
+    Mutant("margins-shortcut-inverted", "cocycles.py",
+           "if _rotation_sums(c) is not None:\n            products = (PLMap.identity(),)",
+           "if _rotation_sums(c) is None:\n            products = (PLMap.identity(),)", COCYCLES),
     Mutant("margins-inverse-slope-reads-max", "cocycles.py",
            "max(down, 1.0 / float(min(slopes)))", "max(down, 1.0 / float(max(slopes)))", COCYCLES),
     Mutant("table-words-memo-keyed-without-cap", "cocycles.py",
@@ -114,7 +134,7 @@ MUTANTS = (
            "offset = Fraction(1, 8) + random_fraction(rng, 64) / 4", CLI),
     # transfer and repair
     Mutant("regression-rotation-distance-plus", "transfer.py",
-           "d = (num[p] - num[q]) % den", "d = (num[p] + num[q]) % den", TRANSFER),
+           "d = (num[f] - num[g]) % den", "d = (num[f] + num[g]) % den", TRANSFER),
     Mutant("regression-rotation-distance-float-quotient", "transfer.py",
            "r = min(d, den - d) / den", "r = float(min(d, den - d)) / float(den)", TRANSFER),
     Mutant("regularize-lip-inverse-slope-reads-max", "rigidity.py",

@@ -79,12 +79,11 @@ def test_compose_pointwise_oracle_float(rng):
 def test_plmap_is_slotted_on_its_breaks_and_vals(rng):
     f = random_plmap(rng)
     g = PLMap.make(f.breaks, f.vals)
-    f.segments()
+    f.slopes
     assert f == g and hash(f) == hash(g) and not hasattr(f, "__dict__")
     assert PLMap.__slots__ == ("breaks", "vals")
     # an exact rotation's slope is exactly 1
     r = PLMap.rotation(Fraction(2, 7))
-    assert r.segments() == ((0, 1, Fraction(2, 7), 1),)
     assert r.slopes == (Fraction(1),) and type(r.max_slope) is Fraction
 
 
@@ -158,9 +157,16 @@ def test_metric_report_consistency(rng):
 
 def test_rotation_numerators_accepts_only_exact_rotations():
     rots = [PLMap.rotation(Fraction(1, 6)), PLMap.rotation(Fraction(3, 4)), PLMap.identity()]
-    assert rotation_numerators(rots) == (12, [2, 9, 0])
-    assert rotation_numerators(iter(rots)) == (12, [2, 9, 0])
-    assert rotation_numerators([]) == (1, [])
+    by_id = {id(m): num for m, num in zip(rots, (2, 9, 0))}
+    assert rotation_numerators(rots) == (12, by_id)
+    assert rotation_numerators(iter(rots)) == (12, by_id)
+    assert rotation_numerators([]) == (1, {})
+    # one entry per map object: the same object twice is read once, and two
+    # equal objects are two entries with one numerator
+    r, twin = PLMap.rotation(Fraction(2, 5)), PLMap.rotation(Fraction(2, 5))
+    assert r == twin and r is not twin
+    assert rotation_numerators([r, r]) == (5, {id(r): 2})
+    assert rotation_numerators([r, twin]) == (5, {id(r): 2, id(twin): 2})
     pl = fb_family(Fraction(1, 4))
     float_pl = PLMap.make([float(b) for b in pl.breaks], [float(v) for v in pl.vals])
     for maps in ([PLMap.rotation(0.25)], [pl], [float_pl], rots + [pl],
@@ -389,6 +395,28 @@ def test_make_rejects_bad_maps():
         PLMap.make((0.5, 0.2), (0.1, 0.2))  # unsorted breakpoints
     with pytest.raises(ValueError):
         PLMap.make((0.0, 1.5), (0.0, 0.5))  # breakpoint outside [0,1)
+    # a non-finite coordinate is refused before any other check, in either list
+    for bad in (math.nan, math.inf, -math.inf):
+        for breaks, vals in (([0.0, 0.5], [bad, 0.5]), ([0.0, bad], [0.0, 0.5]),
+                             ([bad], [0.0]), ([0.0], [bad]), ([0, Fraction(1, 2)], [0, bad])):
+            with pytest.raises(ValueError, match="coordinates must be finite"):
+                PLMap.make(breaks, vals)
+
+
+@pytest.mark.parametrize("num", [Fraction, float])
+def test_make_names_the_first_nonpositive_slope(num):
+    increasing, wrap = "lift values must be strictly increasing", "wrap segment must have positive slope"
+    cases = [
+        ((0, "1/4", "1/2"), (0, "1/4", "1/8"), increasing),  # a negative interior slope
+        ((0, "1/2"), (0, "5/4"), wrap),  # a negative wrap slope
+        ((0, "1/4", "1/2"), ("1/2", "1/4", 2), increasing),  # both bad: the interior one is named
+    ]
+    if num is Fraction:  # float mode prunes a rise shorter than SEGMENT_EPS as rounding noise
+        cases += [((0, "1/4", "1/2"), (0, "1/4", "1/4"), increasing),  # a zero interior slope
+                  ((0, "1/2"), (0, 1), wrap)]  # a zero wrap slope
+    for breaks, vals, message in cases:
+        with pytest.raises(ValueError, match=message):
+            PLMap.make([num(Fraction(b)) for b in breaks], [num(Fraction(v)) for v in vals])
 
 
 # ----------------------------------------------------------- reference kernels
@@ -463,8 +491,9 @@ def merges_checked_against_reference():
     """Within the block, every merge make runs is checked against the reference."""
     merge = circlemaps._merge_collinear
 
-    def checked(breaks, vals, exact):
-        out = merge(breaks, vals, exact)
+    def checked(breaks, vals, slopes, exact):
+        assert slopes == PLMap(breaks, vals).slopes, (breaks, vals)
+        out = merge(breaks, vals, slopes, exact)
         assert out == reference_merge_collinear(breaks, vals, exact), (breaks, vals)
         return out
 
@@ -482,7 +511,9 @@ def test_merge_drops_inserted_collinear_points(f, extra):
     # extra points on f's own segments are collinear with their neighbours
     breaks = tuple(sorted(set(f.breaks) | set(extra)))
     vals = tuple(f(t) for t in breaks)
-    assert _merge_collinear(breaks, vals, True) == reference_merge_collinear(breaks, vals, True)
+    slopes = PLMap(breaks, vals).slopes
+    assert (_merge_collinear(breaks, vals, slopes, True)
+            == reference_merge_collinear(breaks, vals, True))
     assert PLMap.make(breaks, vals) == f
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -206,9 +207,18 @@ def test_run_exit_codes(tmp_path, capsys):
          "tolerances.family_pairs: "),
         # spaces a run cannot use: no stationary vector, a stationary vector
         # that is not positive, no fixed point at 0, no cycle 01
-        *(({"experiment": e, "space": {"k": 2, "P": P}},
-           f"space: {e} samples a Markov measure, which needs P irreducible")
-          for e in ("theorem-b", "distortion") for P in ([[1, 0], [0, 1]], [[1, 1], [0, 1]])),
+        *(({"experiment": e, "space": {"k": 2, "P": P}}, f"space: {e} needs P irreducible")
+          for e in ("theorem-a", "theorem-b", "distortion")
+          for P in ([[1, 0], [0, 1]], [[1, 1], [0, 1]])),
+        # a non-finite coordinate in a table entry, which json reads as a float
+        *(({"experiment": "distortion", "space": space,
+            "cocycles": {"C": {"window": 0, "table": {
+                "0": {"breakpoints": breaks, "values": vals},
+                "1": {"breakpoints": [0.0], "values": [0.0]}}}}},
+           "cocycles.C: coordinates must be finite")
+          for bad in (math.nan, math.inf, -math.inf)
+          for breaks, vals in (([0.0, 0.5], [bad, 0.5]), ([0.0, bad], [0.0, 0.5]),
+                               ([0.0], [bad]), ([bad], [0.0]))),
         *(({"experiment": e, "space": {"k": 2, "P": [[0, 1], [1, 0]]}},
            f"space: {e} builds on the cycle [0], which P forbids")
           for e in ("theorem-a", "theorem-b")),

@@ -88,6 +88,11 @@ def test_table_must_cover_admissible_words(golden):
     # as many entries as words, one of them not a word
     with pytest.raises(ValueError, match=re.escape("missing=[(1,)] extra=[(2,)]")):
         CocycleSpec(golden, 0, {b"\x00": PLMap.identity(), b"\x02": PLMap.identity()})
+    # a key that is not bytes is named, not listed as both missing and extra
+    with pytest.raises(ValueError, match=re.escape("table key (1,): words must be bytes")):
+        CocycleSpec(golden, 0, {b"\x00": PLMap.identity(), (1,): PLMap.identity()})
+    with pytest.raises(ValueError, match=re.escape("table key (0,): words must be bytes")):
+        CocycleSpec(golden, 0, {(0,): PLMap.identity(), (1,): PLMap.identity()})
 
 
 def test_tables_stop_at_the_entry_cap(full2, monkeypatch):
@@ -609,6 +614,20 @@ def test_holder_const_window_padding_invariant(full2):
     c0 = CocycleSpec(full2, 0, base)
     c1 = CocycleSpec(full2, 1, {w: base[w[1:2]] for w in full2.words(3)})
     assert holder_const_cocycle(c1) == pytest.approx(holder_const_cocycle(c0))
+
+
+def test_holder_const_refuses_a_table_past_the_pair_cap(full2, monkeypatch):
+    from cocyclelab import cocycles
+
+    r = Fraction(1, 5)
+    c = CocycleSpec(full2, 1, {w: PLMap.rotation(r * w[1]) for w in full2.words(3)})
+    want = holder_const_cocycle(c)  # 8 words, 28 pairs
+    monkeypatch.setattr(cocycles, "HOLDER_PAIRS_CAP", 28)
+    assert holder_const_cocycle(c) == want
+    monkeypatch.setattr(cocycles, "HOLDER_PAIRS_CAP", 27)
+    monkeypatch.setattr(cocycles, "lipschitz_metric", lambda *a: pytest.fail("a pair was read"))
+    with pytest.raises(ResourceLimit, match=r"28 table-word pairs, more than 27 \(HOLDER_PAIRS_CAP\)"):
+        holder_const_cocycle(c)
 
 
 # ------------------------------------------------------------------ domination
