@@ -25,16 +25,18 @@ from .experiments import (
 CONFIG_BYTES_CAP = 16 * 2**20
 
 
-def _parse_tol(items):
+def _name_values(items, field="", parse=str) -> dict:
+    """{NAME: parse(VALUE)} for repeated NAME=VALUE options; a message names
+    ``field``, the config field they set, when there is one."""
     out = {}
     for item in items or ():
-        if "=" not in item:
-            raise ConfigError(f"tolerances: expected NAME=VALUE, got {item!r}")
-        name, _, val = item.partition("=")
+        name, eq, val = item.partition("=")
+        if not eq:
+            raise ConfigError(f"{field and field + ': '}expected NAME=VALUE, got {item!r}")
         try:
-            out[name] = float(val)
+            out[name] = parse(val)
         except ValueError:
-            raise ConfigError(f"tolerances.{name}: not a number: {val!r}") from None
+            raise ConfigError(f"{field}.{name}: not a number: {val!r}") from None
     return out
 
 
@@ -64,16 +66,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "list-experiments":
-            for name, (_, help_line, _) in RUNNERS.items():
+            for name, (_, help_line, *_) in RUNNERS.items():
                 print(f"{name:15s} {help_line}")
             return 0
         if args.command == "gen":
-            params = {}
-            for item in args.param or ():
-                if "=" not in item:
-                    raise ParamError(f"expected NAME=VALUE, got {item!r}")
-                name, _, val = item.partition("=")
-                params[name] = val
+            params = _name_values(args.param)
             for path in generate_fixture(args.kind, params, args.seed, args.out):
                 print(path)
             return 0
@@ -98,7 +95,7 @@ def main(argv=None) -> int:
                 doc["output_dir"] = args.out
             tols = doc.get("tolerances", {})
             if args.tol and isinstance(tols, dict):
-                doc["tolerances"] = {**tols, **_parse_tol(args.tol)}
+                doc["tolerances"] = {**tols, **_name_values(args.tol, "tolerances", float)}
         doc = run(ExperimentConfig.from_json(doc))
         for row in doc.rows:
             status = "pass" if row.passed else "FAIL"

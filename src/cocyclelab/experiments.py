@@ -103,27 +103,18 @@ class ReportDocument:
     def write(self, out_dir) -> list:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
+        rows = [("name", "residual", "bound", "passed")]
+        rows += [(r.name, repr(float(r.residual)), repr(float(r.bound)), int(r.passed))
+                 for r in self.rows]
         written = []
-        report = out / "report.json"
-        report.write_text(json.dumps(self.to_json(), indent=2))
-        written.append(report)
-        rows_csv = out / "rows.csv"
-        with rows_csv.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(("name", "residual", "bound", "passed"))
-            for r in self.rows:
-                w.writerow((r.name, repr(float(r.residual)), repr(float(r.bound)), int(r.passed)))
-        written.append(rows_csv)
-        for name, table in self.tables.items():
-            path = out / f"{name}.csv"
-            with path.open("w", newline="") as fh:
-                w = csv.writer(fh)
-                for row in table:
-                    w.writerow(row)
-            written.append(path)
-        for name, doc in self.extra_json.items():
+        for name, doc in {"report": self.to_json(), **self.extra_json}.items():
             path = out / f"{name}.json"
             path.write_text(json.dumps(doc, indent=2))
+            written.append(path)
+        for name, table in {"rows": rows, **self.tables}.items():
+            path = out / f"{name}.csv"
+            with path.open("w", newline="") as fh:
+                csv.writer(fh).writerows(table)
             written.append(path)
         return written
 
@@ -136,6 +127,13 @@ FAMILY_PAIRS_CAP = 10_000  # metric-suite three-slope pairs a config may ask for
 _COUNT_CAPS = {"horizon": (HORIZON_CAP, "HORIZON_CAP"), "n_max": (N_MAX_CAP, "N_MAX_CAP"),
                "points": None, "triples": (TRIPLES_CAP, "TRIPLES_CAP"),
                "family_pairs": (FAMILY_PAIRS_CAP, "FAMILY_PAIRS_CAP")}
+
+
+def _seed(seed) -> int:
+    """A config's or a generator's seed, which numpy reads as a non-negative int."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError("seed: expected a non-negative integer")
+    return seed
 
 
 @dataclass
@@ -158,10 +156,8 @@ class ExperimentConfig:
         exp = doc.get("experiment")
         if exp not in EXPERIMENTS:
             raise ConfigError(f"experiment: expected one of {', '.join(EXPERIMENTS)}, got {exp!r}")
-        seed = doc.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigError("seed: expected an integer")
-        space, (names, cycle) = None, _SPACE_USES.get(exp, (None, b""))
+        seed, space = _seed(doc.get("seed", 0)), None
+        _, _, reads, names, cycle = RUNNERS[exp]
         if "space" in doc:
             if names is None:
                 raise ConfigError(f"space: {exp} reads no space")
@@ -179,15 +175,18 @@ class ExperimentConfig:
                 raise ConfigError(f"{key}: expected an object")
         for name, cdoc in cdocs.items():
             if name not in (names or ()):
-                reads = f"only {', '.join(names)}" if names else "no cocycles"
-                raise ConfigError(f"cocycles.{name}: {exp} reads {reads}")
+                only = f"only {', '.join(names)}" if names else "no cocycles"
+                raise ConfigError(f"cocycles.{name}: {exp} reads {only}")
             if space is None:
                 raise ConfigError(f"cocycles.{name}: a space document is required alongside cocycles")
             try:
                 cocycles[name] = CocycleSpec.from_json(space, cdoc)
             except (KeyError, TypeError, ValueError, ResourceLimit) as e:
                 raise ConfigError(f"cocycles.{name}: {e}") from None
-        reads = RUNNERS[exp][2]
+        if cocycles and len(cocycles) < len(names):  # all of them or none
+            missing = next(name for name in names if name not in cocycles)
+            raise ConfigError(f"cocycles.{missing}: missing ({exp} requires cocycles "
+                              f"{' and '.join(names)})")
         for name, val in tols.items():
             if name not in reads:
                 raise ConfigError(f"tolerances.{name}: {exp} reads only {', '.join(reads)}")
@@ -216,13 +215,6 @@ class ExperimentConfig:
             "tolerances": dict(sorted(self.tolerances.items())),
         }
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
-
-def _need_cocycle(cfg: ExperimentConfig, name: str) -> CocycleSpec:
-    if name not in cfg.cocycles:
-        names = " and ".join(_SPACE_USES[cfg.experiment][0])
-        raise ConfigError(f"cocycles.{name}: missing ({cfg.experiment} requires cocycles {names})")
-    return cfg.cocycles[name]
 
 
 def _subsample(items, count, seed):
@@ -360,14 +352,14 @@ def run_holonomy(cfg: ExperimentConfig):
     rows.append(CheckRow("holonomy-identity-bound-frozen", worst_fresh, c_frozen, worst_fresh <= c_frozen))
     worst_all = max(ratios)
     rows.append(CheckRow("holonomy-identity-bound-certified", worst_all, c_theory, worst_all <= c_theory))
-    return rows, {"convergence": list(table.csv_rows())}, {}
+    return rows, {"convergence": [("n", "increment", "bound"), *table.rows]}, {}
 
 
 # -------------------------------------------------------------------- theorem-a
 
 
-def _rotation_family(cfg: ExperimentConfig, space: SFTSpace, psi_window: int = 5):
-    F = fixtures.rotation_cocycle(space, 1, cfg.seed)
+def _rotation_family(space: SFTSpace, seed: int, psi_window: int):
+    F = fixtures.rotation_cocycle(space, 1, seed)
     psi = fixtures.decaying_rotation_rule(space, psi_window)
     G = fixtures.conjugated_pair(F, psi)
     return F, G, psi
@@ -377,10 +369,9 @@ def run_theorem_a(cfg: ExperimentConfig):
     tol = cfg.tol("residual")
     space = cfg.space or SFTSpace.full_shift(2)
     if cfg.cocycles:
-        F, G = _need_cocycle(cfg, "F"), _need_cocycle(cfg, "G")
-        psi = None
+        F, G, psi = cfg.cocycles["F"], cfg.cocycles["G"], None
     else:
-        F, G, psi = _rotation_family(cfg, space)
+        F, G, psi = _rotation_family(space, cfg.seed, 5)
     x0 = SymbolicPoint.fixed(space, 0)
 
     T = build_transfer(F, G, x0, 5, tol=1e-9)
@@ -420,7 +411,7 @@ def run_theorem_a(cfg: ExperimentConfig):
 def run_theorem_b(cfg: ExperimentConfig):
     tol = cfg.tol("residual")
     space = cfg.space or SFTSpace.full_shift(2)
-    F, G, psi = _rotation_family(cfg, space, 4)
+    F, G, psi = _rotation_family(space, cfg.seed, 4)
     x0 = SymbolicPoint.fixed(space, 0)
     rule = fixtures.rotation_conjugacy_rule(psi, x0)
     mu = MarkovMeasure.uniform(space)
@@ -483,30 +474,28 @@ def run_distortion(cfg: ExperimentConfig):
 # ------------------------------------------------------------------ entry point
 
 
-# name -> (runner, help line, the tolerances it reads with their defaults); a
-# runner returns (rows, tables, json documents)
+# name -> (runner, help line, the tolerances it reads with their defaults, the
+# cocycles a config may give, all of them or none (None: it reads no space),
+# the cycle its periodic base point repeats); a runner returns (rows, tables,
+# json documents).  Every experiment that reads a space needs P irreducible:
+# holonomy, theorem-b and distortion sample the uniform Markov measure, and
+# theorem-a samples the homoclinic class of its base point, dense in X only for
+# an irreducible P.
 RUNNERS = {
     "metric-suite": (run_metric_suite, "composition/inversion metric algebra on random PL maps",
-                     {"equality": 1e-12, "triples": 300, "family_pairs": 25}),
+                     {"equality": 1e-12, "triples": 300, "family_pairs": 25}, None, b""),
     "holonomy": (run_holonomy, "convergence rate, axioms and identity bound of holonomies",
-                 {"theta": 0.4, "n_max": 24, "axioms": 1e-6}),
+                 {"theta": 0.4, "n_max": 24, "axioms": 1e-6}, ("C",), b"\0"),
     "theorem-a": (run_theorem_a, "periodic-data transfer pipeline with residual checks",
-                  {"residual": 1e-6}),
+                  {"residual": 1e-6}, ("F", "G"), b"\0"),
     "theorem-b": (run_theorem_b, "measurable-conjugacy repair and regularity regression",
-                  {"residual": 1e-6}),
+                  {"residual": 1e-6}, (), b"\0"),
     "closing-lemma": (run_closing_lemma, "exact shadowing exponents for orbit closing",
-                      {"points": 100}),
-    "distortion": (run_distortion, "iterated Lipschitz bounds and growth flags", {"horizon": 10}),
+                      {"points": 100}, None, b""),
+    "distortion": (run_distortion, "iterated Lipschitz bounds and growth flags", {"horizon": 10},
+                   ("C",), b"\0\1"),
 }
 EXPERIMENTS = tuple(RUNNERS)
-
-# name -> (the cocycles a config may name, the cycle its periodic base point
-# repeats) for each experiment that reads a space; metric-suite and
-# closing-lemma read none.  Each needs P irreducible: holonomy, theorem-b and
-# distortion sample the uniform Markov measure, and theorem-a samples the
-# homoclinic class of its base point, dense in X only for an irreducible P.
-_SPACE_USES = {"holonomy": (("C",), b"\0"), "theorem-a": (("F", "G"), b"\0"),
-               "theorem-b": ((), b"\0"), "distortion": (("C",), b"\0\1")}
 
 
 def run(cfg: ExperimentConfig) -> ReportDocument:
@@ -566,9 +555,7 @@ def _pl_dominated_entries(space, params, seed):
 
 
 def _conjugated_pair_entries(space, params, seed):
-    F = fixtures.rotation_cocycle(space, 1, seed)
-    psi = fixtures.decaying_rotation_rule(space, _param(params, "psi_window", 3))
-    G = fixtures.conjugated_pair(F, psi)
+    F, G, _ = _rotation_family(space, seed, _param(params, "psi_window", 3))
     return {"cocycles": {"F": F.to_json(), "G": G.to_json()}}
 
 
@@ -576,38 +563,53 @@ def _corrupted_conjugacy_entries(space, params, seed):
     return {"tolerances": {"residual": _param(params, "tol", 1e-6, float)}}
 
 
-# kind -> (experiment, file name, config entries after experiment/seed/space)
-_CONFIG_FIXTURES = {
-    "rotation-cocycle": ("distortion", "rotation_cocycle.json", _rotation_cocycle_entries),
-    "pl-dominated-cocycle": ("holonomy", "pl_dominated_cocycle.json", _pl_dominated_entries),
-    "conjugated-pair": ("theorem-a", "conjugated_pair.json", _conjugated_pair_entries),
-    "corrupted-conjugacy": ("theorem-b", "corrupted_conjugacy.json", _corrupted_conjugacy_entries),
+def _fb_family_doc(params):
+    return _param(params, "b", "1/4", lambda b: fb_family(Fraction(b))).to_json()
+
+
+# kind -> (the experiment its config runs, file name, what it writes after
+# experiment/seed/space, the parameters it reads); fb-family writes the PL-map
+# document alone, and a config kind also reads space, and k on the full shift
+_FIXTURES = {
+    "rotation-cocycle": ("distortion", "rotation_cocycle.json", _rotation_cocycle_entries,
+                         ("window",)),
+    "pl-dominated-cocycle": ("holonomy", "pl_dominated_cocycle.json", _pl_dominated_entries,
+                             ("window", "theta")),
+    "conjugated-pair": ("theorem-a", "conjugated_pair.json", _conjugated_pair_entries,
+                        ("psi_window",)),
+    "corrupted-conjugacy": ("theorem-b", "corrupted_conjugacy.json", _corrupted_conjugacy_entries,
+                            ("tol",)),
+    "fb-family": (None, "fb_family.json", _fb_family_doc, ("b",)),
 }
-FIXTURE_KINDS = (*_CONFIG_FIXTURES, "fb-family")
+FIXTURE_KINDS = tuple(_FIXTURES)
 
 
 def generate_fixture(kind: str, params: dict, seed: int, out_dir) -> list:
-    """Write ready-to-run config/fixture JSON files for the named generator."""
+    """Write the ready-to-run config (fb-family: the PL-map document) of the
+    named generator.  A parameter the kind does not read and a negative seed
+    are refused before anything is written."""
+    if kind not in _FIXTURES:
+        raise ParamError(f"unknown fixture kind {kind!r}; expected one of {FIXTURE_KINDS}")
+    experiment, name, entries, reads = _FIXTURES[kind]
+    params = dict(params or {})
+    space_name = params.get("space", "full-2-shift")
+    full = space_name == "full-2-shift"
+    if experiment:
+        if not full and space_name != "golden-mean":
+            raise ParamError(f"unknown space {space_name!r}")
+        reads += ("space", "k") if full else ("space",)
+    for param in params:
+        if param not in reads:
+            raise ParamError(f"{param}: {kind} reads only {', '.join(reads)}")
+    _seed(seed)
+    if experiment:
+        space = _param(params, "k", 2, _full_shift) if full else SFTSpace.golden_mean()
+        doc = {"experiment": experiment, "seed": seed, "space": space.to_json(),
+               **entries(space, params, seed)}
+    else:
+        doc = entries(params)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    params = dict(params or {})
-    if kind == "fb-family":
-        doc = _param(params, "b", "1/4", lambda b: fb_family(Fraction(b))).to_json()
-        path = out / "fb_family.json"
-        path.write_text(json.dumps(doc, indent=2))
-        return [path]
-    if kind not in _CONFIG_FIXTURES:
-        raise ParamError(f"unknown fixture kind {kind!r}; expected one of {FIXTURE_KINDS}")
-    experiment, name, entries = _CONFIG_FIXTURES[kind]
-    space_name = params.get("space", "full-2-shift")
-    if space_name == "full-2-shift":
-        space = _param(params, "k", 2, _full_shift)
-    elif space_name == "golden-mean":
-        space = SFTSpace.golden_mean()
-    else:
-        raise ParamError(f"unknown space {space_name!r}")
-    doc = {"experiment": experiment, "seed": seed, "space": space.to_json()}
-    doc.update(entries(space, params, seed))
     path = out / name
     path.write_text(json.dumps(doc, indent=2))
     return [path]

@@ -209,11 +209,6 @@ class ConvergenceTable:
     slope: float | None
     decaying: bool
 
-    def csv_rows(self):
-        yield ("n", "increment", "bound")
-        for n, inc, bound in self.rows:
-            yield (n, inc, bound)
-
 
 def holonomy_convergence_table(
     c: CocycleSpec, x: SymbolicPoint, y: SymbolicPoint, n_max: int

@@ -177,22 +177,16 @@ def regularize(
 
     exponents = agreement_exponents(targets)  # every anchor is a target
     row = {t: k for k, t in enumerate(targets)}
-    # each pool runs by descending sort_key, so the first closest anchor wins
-    # ties as the largest sort_key would
-    pools = {}
-    for a in sorted(anchors, key=SymbolicPoint.sort_key, reverse=True):
-        pools.setdefault(a[0], []).append(row[a])
     anchor = {a: a for a in anchors}
-    rest = {}  # the other targets' rows, by cylinder
-    for k, t in enumerate(targets):
-        if t not in anchor:
-            rest.setdefault(t[0], []).append(k)
-    for s, ks in rest.items():
-        if s not in pools:
-            raise MissingSample(f"no clean anchor shares the cylinder of {targets[ks[0]]}")
-        cols = pools[s]
-        closest = np.argmax(exponents[np.ix_(ks, cols)], axis=1)
-        anchor.update((targets[k], targets[cols[c]]) for k, c in zip(ks, closest))
+    # anchors by descending sort_key, so the first closest anchor wins ties as
+    # the largest sort_key would; an exponent of 0 is another cylinder
+    cols = [row[a] for a in sorted(anchors, key=SymbolicPoint.sort_key, reverse=True)]
+    ks = [k for k, t in enumerate(targets) if t not in anchor]
+    closeness = exponents[np.ix_(ks, cols)]
+    for i, c in enumerate(np.argmax(closeness, axis=1)):
+        if closeness[i, c] < 1:
+            raise MissingSample(f"no clean anchor shares the cylinder of {targets[ks[i]]}")
+        anchor[targets[ks[i]]] = targets[cols[c]]
 
     tilde = {}
     for t in targets:

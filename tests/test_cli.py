@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from cocyclelab import PLMap, fb_family
+from cocyclelab import PLMap, SFTSpace, fb_family
 from cocyclelab.cli import main
-from cocyclelab.experiments import ExperimentConfig
+from cocyclelab.experiments import FIXTURE_KINDS, ExperimentConfig
 from cocyclelab.errors import ConfigError
+from cocyclelab.fixtures import rotation_cocycle
 
 
 # sha256 of rows.csv for the run each test below makes; a change that keeps
@@ -44,7 +45,7 @@ def test_list_experiments(capsys):
         assert name in out
     # one table names the experiments, runs them and gives their help lines
     assert EXPERIMENTS == tuple(RUNNERS)
-    assert out.splitlines() == [f"{name:15s} {line}" for name, (_, line, _) in RUNNERS.items()]
+    assert out.splitlines() == [f"{name:15s} {line}" for name, (_, line, *_) in RUNNERS.items()]
 
 
 def test_gen_fb_family_matches_formula(tmp_path, capsys):
@@ -99,6 +100,62 @@ def test_gen_conjugated_pair_is_pinned(tmp_path, psi_window):
                  "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "conjugated_pair.json").read_bytes()).hexdigest()
     assert digest == GEN_CONJUGATED_PAIR_SHA256[psi_window]
+
+
+# (kind, the base file's parameters, a parameter the kind declares, a valid
+# value other than its default); each case must change the file gen writes
+GEN_PARAMETER_CASES = [
+    ("rotation-cocycle", {}, "window", "2"),
+    ("pl-dominated-cocycle", {}, "window", "2"),
+    ("pl-dominated-cocycle", {}, "theta", "0.3"),
+    ("conjugated-pair", {}, "psi_window", "2"),
+    ("corrupted-conjugacy", {}, "tol", "1e-5"),
+    ("fb-family", {}, "b", "1/3"),
+    *((kind, {}, name, value) for kind in ("rotation-cocycle", "pl-dominated-cocycle",
+                                             "corrupted-conjugacy")
+      for name, value in (("space", "golden-mean"), ("k", "3"))),
+    # the default psi window makes the full 3-shift's G table too large
+    *(("conjugated-pair", {"psi_window": "1"}, name, value)
+      for name, value in (("space", "golden-mean"), ("k", "3"))),
+]
+
+
+def test_gen_parameter_cases_cover_every_declared_parameter():
+    from cocyclelab.experiments import _FIXTURES
+
+    declared = {(kind, name) for kind, (experiment, _, _, reads) in _FIXTURES.items()
+                for name in (*reads, *(("space", "k") if experiment else ()))}
+    assert {(kind, name) for kind, _, name, _ in GEN_PARAMETER_CASES} == declared
+
+
+@pytest.mark.parametrize("kind, base, name, value", GEN_PARAMETER_CASES,
+                         ids=[f"{kind}-{name}" for kind, _, name, _ in GEN_PARAMETER_CASES])
+def test_gen_reads_every_parameter_it_declares(tmp_path, kind, base, name, value):
+    written = []
+    for params in (base, {**base, name: value}):
+        out = tmp_path / str(len(written))
+        args = [f"--param={n}={v}" for n, v in params.items()]
+        assert main(["gen", kind, "--seed", "3", *args, "--out", str(out)]) == 0
+        (path,) = out.iterdir()
+        written.append(path.read_bytes())
+    assert written[0] != written[1]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["rotation-cocycle", "--param", "windw=3"],
+     "windw: rotation-cocycle reads only window, space, k"),
+    (["conjugated-pair", "--param", "window=3"],
+     "window: conjugated-pair reads only psi_window, space, k"),
+    # k names the size of the full shift, so another space reads none
+    (["corrupted-conjugacy", "--param", "space=golden-mean", "--param", "k=5"],
+     "k: corrupted-conjugacy reads only tol, space"),
+    (["fb-family", "--param", "window=1"], "window: fb-family reads only b"),
+])
+def test_gen_refuses_a_parameter_it_does_not_read(tmp_path, capsys, args, message):
+    # a misspelt or misplaced parameter is refused, not dropped for its default
+    assert main(["gen", *args, "--out", str(tmp_path / "gen")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "gen").exists()
 
 
 # sha256 of every file `run` writes for {"experiment": ..., "seed": ...};
@@ -185,6 +242,7 @@ def test_run_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", str(bad)]) == 2
     # malformed fields and parameters exit 2 with a message naming the field
     space = {"k": 2, "P": [[1, 1], [1, 1]], "rho": 2}
+    rotation_doc = rotation_cocycle(SFTSpace.from_json(space), 0, 0).to_json()
     for doc, name in (
         ({"experiment": "theorem-a", "space": space, "cocycles": []}, "cocycles: "),
         ({"experiment": "theorem-a", "tolerances": 1e-6}, "tolerances: "),
@@ -193,7 +251,10 @@ def test_run_exit_codes(tmp_path, capsys):
         ({"experiment": "distortion", "output_dir": 5}, "output_dir: expected a string"),
         ({"experiment": "distortion", "space": {"k": 257, "P": [[1] * 257] * 257}},
          "space: 257 symbols, more than 256 (SYMBOL_CAP)"),
-        ({"experiment": "distortion", "seed": True}, "seed: expected an integer"),
+        ({"experiment": "distortion", "seed": True}, "seed: expected a non-negative integer"),
+        # numpy seeds are non-negative; a negative one ended in a numpy ValueError
+        *(({"experiment": e, "seed": -1}, "seed: expected a non-negative integer")
+          for e in ("theorem-a", "distortion", "closing-lemma")),
         ({"experiment": "distortion", "tolerances": {"horizon": True}}, "tolerances.horizon: "),
         ({"experiment": "distortion", "tolerances": {"horizon": 0.5}}, "tolerances.horizon: "),
         ({"experiment": "distortion", "tolerances": {"horizon": 1e15}}, "tolerances.horizon: "),
@@ -236,6 +297,9 @@ def test_run_exit_codes(tmp_path, capsys):
         ({"experiment": "distortion", "space": space, "cocycles": {"F": {}}},
          "cocycles.F: distortion reads only C"),
         ({"experiment": "holonomy", "space": space}, "space: holonomy reads a space only as"),
+        # a config gives all of an experiment's cocycles or none
+        ({"experiment": "theorem-a", "space": space, "cocycles": {"F": rotation_doc}},
+         "cocycles.G: missing (theorem-a requires cocycles F and G)"),
         *(({"experiment": e, "space": space}, f"space: {e} reads no space")
           for e in ("closing-lemma", "metric-suite")),
         *(({"experiment": e, "cocycles": {"C": {}}}, f"cocycles.C: {e} reads no cocycles")
@@ -250,23 +314,17 @@ def test_run_exit_codes(tmp_path, capsys):
         (["rotation-cocycle", "--param", "k=1"], "k: "),
         (["fb-family", "--param", "b=xyz"], "b: "),
         (["fb-family", "--param", "b=3/4"], "b: "),
+        *(([kind, "--seed", "-1"], "seed: expected a non-negative integer")
+          for kind in FIXTURE_KINDS),
     ):
         assert main(["gen", *args, "--out", str(tmp_path / "gen")]) == 2
         assert f"config error: {name}" in capsys.readouterr().err
-    # referenced cocycle missing -> config error naming the field
-    partial = write_config(
-        tmp_path,
-        {"experiment": "theorem-a", "seed": 1,
-         "space": {"k": 2, "P": [[1, 1], [1, 1]], "rho": 2},
-         "cocycles": {}},
-        "partial.json",
-    )
-    # empty cocycles dict means bundled fixtures are used; force the error path
-    with pytest.raises(ConfigError, match="cocycles.F"):
-        from cocyclelab.experiments import _need_cocycle
-
-        cfg = ExperimentConfig.from_json(json.loads(partial.read_text()))
-        _need_cocycle(cfg, "F")
+    assert not (tmp_path / "gen").exists()
+    # a seed given on the command line passes the same check as the file's
+    cfg = write_config(tmp_path, {"experiment": "distortion"})
+    assert main(["run", "--config", str(cfg), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: seed: expected a non-negative integer" in err and "Traceback" not in err
 
 
 def test_failure_exit_code(tmp_path, capsys):
@@ -331,7 +389,7 @@ def test_each_experiment_reads_only_its_own_tolerances(tmp_path, capsys):
         "tolerances.residual: metric-suite reads only equality, triples, family_pairs"
     )):
         ExperimentConfig.from_json({"experiment": "metric-suite", "tolerances": {"residual": 1}})
-    for experiment, (_, _, reads) in RUNNERS.items():
+    for experiment, (_, _, reads, *_) in RUNNERS.items():
         cfg = ExperimentConfig.from_json({"experiment": experiment, "tolerances": dict(reads)})
         assert {name: cfg.tol(name) for name in reads} == reads
 

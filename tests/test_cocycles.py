@@ -97,10 +97,10 @@ def test_table_must_cover_admissible_words(golden):
 
 def test_tables_stop_at_the_entry_cap(full2, monkeypatch):
     from cocyclelab import cocycles
-    from cocyclelab.experiments import ExperimentConfig, _rotation_family
+    from cocyclelab.experiments import _rotation_family
 
     # theorem-a's default G (window 6 on the full 2-shift) stays under the cap
-    _, G, _ = _rotation_family(ExperimentConfig("theorem-a"), full2)
+    _, G, _ = _rotation_family(full2, 0, 5)
     assert len(G.table) == 2**13 <= TABLE_ENTRY_CAP
     with pytest.raises(ResourceLimit, match="conjugated_pair: a window-7 table"):
         conjugated_pair(rotation_cocycle(full2, 1, 0), decaying_rotation_rule(full2, 6))
