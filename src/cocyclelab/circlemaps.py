@@ -53,18 +53,15 @@ class PLMap:
             raise ValueError("coordinates must be finite")
         if len(breaks) != len(vals) or not breaks:
             raise ValueError("breakpoints and values must be non-empty, equal length")
-        if any(not (0 <= b < 1) for b in breaks):
-            raise ValueError("breakpoints must lie in [0, 1)")
-        if any(b2 <= b1 for b1, b2 in zip(breaks, breaks[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-        if not exact:
+        if exact:
+            breaks, vals = _exact_corners(breaks, vals)
+        else:
+            _check_breaks(all(0 <= b < 1 for b in breaks),
+                          all(b2 > b1 for b1, b2 in zip(breaks, breaks[1:])))
             breaks, vals = _drop_tiny_segments(breaks, vals)
-        slopes = _slopes(breaks, vals)
-        if any(s <= 0 for s in slopes[:-1]):
-            raise ValueError("lift values must be strictly increasing")
-        if slopes[-1] <= 0:
-            raise ValueError("wrap segment must have positive slope")
-        breaks, vals = _merge_collinear(breaks, vals, slopes, exact)
+            slopes = _slopes(breaks, vals)
+            _check_rises(s > 0 for s in slopes)
+            breaks, vals = _merge_collinear(breaks, vals, slopes)
         # normalise after the merge: it may drop the first breakpoint
         k = math.floor(vals[0])
         if k:
@@ -173,18 +170,60 @@ def _drop_tiny_segments(breaks, vals):
     return tuple(out_b), tuple(out_v)
 
 
-def _merge_collinear(breaks, vals, slopes, exact):
-    """Keep the points whose incoming and outgoing ``slopes`` differ; if none
-    does, the map is a rotation and its last point is kept.  Merging two
-    collinear segments keeps their common slope, so no other point's slopes
-    change and one pass over the slopes suffices."""
-    if exact:
-        keep = [i for i, s in enumerate(slopes) if slopes[i - 1] != s]
-    else:
-        keep = [i for i, s in enumerate(slopes)
-                if abs(slopes[i - 1] - s) > SLOPE_EPS * max(1.0, abs(slopes[i - 1]))]
+def _check_breaks(in_range: bool, increasing: bool) -> None:
+    """Refuse breakpoints outside [0, 1), then breakpoints that do not increase."""
+    if not in_range:
+        raise ValueError("breakpoints must lie in [0, 1)")
+    if not increasing:
+        raise ValueError("breakpoints must be strictly increasing")
+
+
+def _check_rises(rises) -> None:
+    """Refuse a lift unless ``rises``, one truth value per segment (the last
+    wraps), are all true, naming an interior segment before the wrap."""
+    *interior, wrap = rises
+    if not all(interior):
+        raise ValueError("lift values must be strictly increasing")
+    if not wrap:
+        raise ValueError("wrap segment must have positive slope")
+
+
+def _kept(breaks, vals, keep):
+    """The points at the indices ``keep``; if there are none, the map is a
+    rotation and its last point is kept."""
     keep = keep or [len(breaks) - 1]
     return tuple(breaks[i] for i in keep), tuple(vals[i] for i in keep)
+
+
+def _merge_collinear(breaks, vals, slopes):
+    """Float mode: keep the points whose incoming and outgoing ``slopes``
+    differ by more than ``SLOPE_EPS``.  Merging two collinear segments keeps
+    their common slope, so no other point's slopes change and one pass over
+    the slopes suffices."""
+    return _kept(breaks, vals, [i for i, s in enumerate(slopes)
+                                if abs(slopes[i - 1] - s) > SLOPE_EPS * max(1.0, abs(slopes[i - 1]))])
+
+
+def _exact_corners(breaks, vals):
+    """``make``'s checks and collinear merge on exact coordinates, each read as
+    an integer pair (numerator, denominator > 0) and compared by
+    cross-multiplying: no Fraction is divided or built.  Segment i runs from
+    point i to point i + 1, the last one to point 0 moved up a period; as
+    breakpoints increase, a segment's slope is positive when its rise is."""
+    xs = [(b.numerator, b.denominator) for b in breaks]
+    ys = [(v.numerator, v.denominator) for v in vals]
+    in_range = all(0 <= n < d for n, d in xs)
+    (n, d), (m, e) = xs[0], ys[0]
+    xs.append((n + d, d))
+    ys.append((m + e, e))
+    runs = [(n2 * d1 - n1 * d2, d1 * d2) for (n1, d1), (n2, d2) in zip(xs, xs[1:])]
+    _check_breaks(in_range, all(n > 0 for n, _ in runs[:-1]))
+    rises = [(n2 * d1 - n1 * d2, d1 * d2) for (n1, d1), (n2, d2) in zip(ys, ys[1:])]
+    _check_rises(n > 0 for n, _ in rises)
+    # slope i = (rise numerator * run denominator) / (rise denominator * run numerator)
+    slopes = [(p * s, q * r) for (p, q), (r, s) in zip(rises, runs)]
+    return _kept(breaks, vals, [i for i, (p, q) in enumerate(slopes)
+                                if p * slopes[i - 1][1] != slopes[i - 1][0] * q])
 
 
 def rotation_numerators(maps):

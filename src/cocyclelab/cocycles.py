@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from . import symbolic
-from .circlemaps import PLMap, _angle_terms, compose, invert, lipschitz_metric, rotation_numerators
+from .circlemaps import PLMap, compose, invert, lipschitz_metric, rotation_numerators
 from .errors import NotDominated, ResourceLimit
 from .symbolic import SFTSpace, SymbolicPoint
 
@@ -195,6 +196,28 @@ def _rotation_sums(c: CocycleSpec):
     return None
 
 
+def _numerator_totals(c: CocycleSpec, nums, x: SymbolicPoint, ns) -> list:
+    """For each n in ``ns``, the signed sum of the window numerators that
+    f^n_x is the rotation by (over ``_rotation_sums``' ``den``, not reduced).
+
+    f^n_x for n > 0 sums the windows of x, sigma x, ..., sigma^(n-1) x, and
+    f^-n_x negates the sum over sigma^-1 x, ..., sigma^-n x: each is a prefix
+    sum along the orbit word of the longest index of its sign, so each word
+    is read once and summed in one pass.
+    """
+    span, top, bottom = 2 * c.window + 1, max(ns), min(ns)
+    totals = {0: 0}
+    if top > 0:
+        word = _orbit_word(c, x, top)
+        totals.update(zip(range(1, top + 1),
+                          accumulate([nums[word[j : j + span]] for j in range(top)])))
+    if bottom < 0:  # step j reads the window that starts at word index |bottom| - j
+        word = _orbit_word(c, x, bottom)
+        totals.update(zip(range(-1, bottom - 1, -1),
+                          accumulate([-nums[word[j : j + span]] for j in range(-bottom - 1, -1, -1)])))
+    return [totals[n] for n in ns]
+
+
 def iterate(c: CocycleSpec, x: SymbolicPoint, n: int) -> PLMap:
     """n-step fibre composition; negative n uses the inverse-iterate convention
     f^n_x = (f^{|n|} at sigma^n(x))^{-1}, the unique one satisfying the cocycle law.
@@ -213,19 +236,17 @@ def iterate(c: CocycleSpec, x: SymbolicPoint, n: int) -> PLMap:
     """
     if n == 0:
         return PLMap.identity()
-    word = _orbit_word(c, x, n)
     rot = _rotation_sums(c)
     if rot is not None:
         den, nums, maps = rot
-        span = 2 * c.window + 1
-        total = sum([nums[word[j : j + span]] for j in range(abs(n))])
-        num = (total if n > 0 else -total) % den
+        num = _numerator_totals(c, nums, x, (n,))[0] % den
         h = maps.get(num)
         if h is None:
             if len(maps) >= ORBIT_MEMO_CAP:
                 maps.clear()
             h = maps[num] = PLMap((_ZERO,), (Fraction(num, den),))
         return h
+    word = _orbit_word(c, x, n)
     memo = c._cache.setdefault("orbit", {})
     key = (n > 0, word)
     h = memo.get(key)
@@ -247,17 +268,23 @@ def iterate(c: CocycleSpec, x: SymbolicPoint, n: int) -> PLMap:
     return h
 
 
-def quotient(A: CocycleSpec, y: SymbolicPoint, B: CocycleSpec, x: SymbolicPoint, n: int) -> PLMap:
-    """(A^n_y)^-1 B^n_x, the quotient that holonomies and conjugacies are limits of.
+def quotients(A: CocycleSpec, y: SymbolicPoint, B: CocycleSpec, x: SymbolicPoint, ns) -> list:
+    """[(A^n_y)^-1 B^n_x for n in ns], the quotients that holonomies and
+    conjugacies are limits of.
 
-    Both products are read through ``iterate``.  The quotient of two exact
-    rotations is one integer angle difference; any other pair is inverted
-    and composed.
+    When ``iterate`` would sum both tables' numerators, the quotient at n is
+    the rotation by one integer difference of the two totals over
+    lcm(den_A, den_B), and each cocycle's orbit words are read once for all of
+    ``ns`` (see ``_numerator_totals``): no product is built.  Any other pair
+    reads both products through ``iterate``, then inverts and composes.
     """
-    a, b = iterate(A, y, n), iterate(B, x, n)
-    if a.is_rotation and b.is_rotation and type(a.vals[0]) is type(b.vals[0]) is Fraction:
-        return PLMap((_ZERO,), (Fraction(*_angle_terms(b.vals[0], a.vals[0], -1)),))
-    return compose(invert(a), b)
+    ra, rb = _rotation_sums(A), _rotation_sums(B)
+    if ra is None or rb is None:
+        return [compose(invert(iterate(A, y, n)), iterate(B, x, n)) for n in ns]
+    den = math.lcm(ra[0], rb[0])
+    ua, ub = den // ra[0], den // rb[0]
+    totals = zip(_numerator_totals(A, ra[1], y, ns), _numerator_totals(B, rb[1], x, ns))
+    return [PLMap((_ZERO,), (Fraction((b * ub - a * ua) % den, den),)) for a, b in totals]
 
 
 def holder_const_cocycle(c: CocycleSpec) -> float:

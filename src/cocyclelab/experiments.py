@@ -390,7 +390,9 @@ def run_theorem_a(cfg: ExperimentConfig):
     if psi is not None:
         truth_rule = fixtures.rotation_conjugacy_rule(psi, x0)
         truth = holder_regression(pts, truth_rule.phi_at, float(space.rho))
-        gap = abs(measured[0] - truth[0]) if math.isfinite(measured[0]) or math.isfinite(truth[0]) else 0.0
+        # two infinite exponents are two constant fits: nothing was measured
+        finite = math.isfinite(measured[0]) or math.isfinite(truth[0])
+        gap = abs(measured[0] - truth[0]) if finite else math.inf
         rows.append(CheckRow("transfer-exponent-gap", gap, 0.1, gap <= 0.1))
 
     Fbad = fixtures.perturb_one_entry(F, Fraction(1, 100))
@@ -427,15 +429,17 @@ def run_theorem_b(cfg: ExperimentConfig):
         CheckRow("regularized-cohomology", rep.cohomology_worst, tol,
                  rep.cohomology_worst <= tol),
     ]
+    # a regression regularize could not fit (too few scales) certifies no exponent
     exp_floor = rep.beta_gamma - 0.1
-    exponent = rep.regression[0] if rep.regression else math.inf
+    exponent = rep.regression[0] if rep.regression else -math.inf
     resid = exp_floor - exponent
     rows.append(CheckRow("regularized-exponent", resid, 0.0, resid <= 0.0))
 
     # corruption invisibility: rerun without any overrides
     _, rep_clean = regularize(MeasurableConjugacy(rule, {}), F, G, 60, tol, mu=mu, seed=cfg.seed + 13)
-    e2 = rep_clean.regression[0] if rep_clean.regression else math.inf
-    drift = abs(exponent - e2) if math.isfinite(exponent) or math.isfinite(e2) else 0.0
+    e2 = rep_clean.regression[0] if rep_clean.regression else -math.inf
+    drift = (math.inf if rep.regression is None or rep_clean.regression is None
+             else abs(exponent - e2) if math.isfinite(exponent) or math.isfinite(e2) else 0.0)
     rows.append(CheckRow("corruption-invisibility", drift, 0.02, drift <= 0.02))
 
     tables = {
@@ -518,11 +522,18 @@ def run(cfg: ExperimentConfig) -> ReportDocument:
 # --------------------------------------------------------------------- fixtures
 
 
-def _count(val) -> int:
-    n = int(val)
-    if n < 0:
-        raise ValueError(f"expected a non-negative integer, got {n}")
-    return n
+def _parser(convert, accept, expected: str):
+    """A generator parameter's parser: ``convert``, then refuse a value ``accept`` does not."""
+    def parse(val):
+        x = convert(val)
+        if not accept(x):
+            raise ValueError(f"expected {expected}, got {val}")
+        return x
+    return parse
+
+
+_count = _parser(int, lambda n: n >= 0, "a non-negative integer")
+_positive = _parser(float, lambda x: math.isfinite(x) and x > 0, "a positive finite number")
 
 
 def _param(params: dict, name: str, default, parse=_count):
@@ -549,7 +560,7 @@ def _rotation_cocycle_entries(space, params, seed):
 
 
 def _pl_dominated_entries(space, params, seed):
-    theta = _param(params, "theta", 0.4, float)
+    theta = _param(params, "theta", 0.4, _positive)
     c = fixtures.pl_dominated_cocycle(space, _param(params, "window", 1), theta, seed)
     return {"cocycles": {"C": c.to_json()}, "tolerances": {"theta": theta}}
 
@@ -560,7 +571,7 @@ def _conjugated_pair_entries(space, params, seed):
 
 
 def _corrupted_conjugacy_entries(space, params, seed):
-    return {"tolerances": {"residual": _param(params, "tol", 1e-6, float)}}
+    return {"tolerances": {"residual": _param(params, "tol", 1e-6, _positive)}}
 
 
 def _fb_family_doc(params):
@@ -586,8 +597,9 @@ FIXTURE_KINDS = tuple(_FIXTURES)
 
 def generate_fixture(kind: str, params: dict, seed: int, out_dir) -> list:
     """Write the ready-to-run config (fb-family: the PL-map document) of the
-    named generator.  A parameter the kind does not read and a negative seed
-    are refused before anything is written."""
+    named generator.  A parameter the kind does not read, a negative seed and
+    a config that ``ExperimentConfig.from_json`` refuses are refused before
+    anything is written."""
     if kind not in _FIXTURES:
         raise ParamError(f"unknown fixture kind {kind!r}; expected one of {FIXTURE_KINDS}")
     experiment, name, entries, reads = _FIXTURES[kind]
@@ -606,6 +618,7 @@ def generate_fixture(kind: str, params: dict, seed: int, out_dir) -> list:
         space = _param(params, "k", 2, _full_shift) if full else SFTSpace.golden_mean()
         doc = {"experiment": experiment, "seed": seed, "space": space.to_json(),
                **entries(space, params, seed)}
+        ExperimentConfig.from_json(doc)  # what run would refuse is not written
     else:
         doc = entries(params)
     out = Path(out_dir)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import cocycles
 from .circlemaps import PLMap, compose, invert, uniform_distance
-from .cocycles import CocycleSpec, power_domination, quotient
+from .cocycles import CocycleSpec, power_domination, quotients
 from .errors import NoConvergence, NotDominated
 from .symbolic import (
     SymbolicPoint,
@@ -67,12 +67,14 @@ def _onset(x: SymbolicPoint, y: SymbolicPoint, side: str) -> int:
     return stable_agreement_onset(x, y) if side == "s" else unstable_agreement_onset(x, y)
 
 
-def _limit(quot, side: str, start, n0: int, tol: float, what, memo: dict, key):
-    """``quot(n)`` at the stabilisation index, with the index and the tail.
+def _limit(pair, side: str, start, n0: int, tol: float, what, memo: dict, key):
+    """The quotient of ``pair`` = (A, y, B, x) at the stabilisation index, with
+    the index and the tail.
 
     The index n_used is the first multiple of n0 at or past ``start()``, the
     onset plus the window (n = -n_used on the unstable side); the tail is the
-    distance to the quotient at n_used + n0.  A result held in ``memo`` under
+    distance to the quotient at n_used + n0.  Both quotients come from one
+    ``quotients`` call.  A result held in ``memo`` under
     ``key`` is read instead of recomputed, and a fresh one is held there; the
     memo is emptied when it holds ``ORBIT_MEMO_CAP`` results.  Held or fresh,
     ``what()`` names the limit in the ``NoConvergence`` raised when n_used
@@ -86,8 +88,8 @@ def _limit(quot, side: str, start, n0: int, tol: float, what, memo: dict, key):
         )
     if held is None:
         sign = 1 if side == "s" else -1
-        h = quot(sign * n_used)
-        held = h, n_used, float(uniform_distance(h, quot(sign * (n_used + n0))))
+        h, h_next = quotients(*pair, (sign * n_used, sign * (n_used + n0)))
+        held = h, n_used, float(uniform_distance(h, h_next))
         if len(memo) >= cocycles.ORBIT_MEMO_CAP:
             memo.clear()
         memo[key] = held
@@ -100,7 +102,7 @@ def _holonomy(c: CocycleSpec, x, y, side: str, tol: float, n0: int):
     """The holonomy, held per cocycle under (side, n0, x, y) in ``c._cache``."""
     theta = _margin(c, side, n0)
     h, n_used, tail = _limit(
-        lambda n: quotient(c, y, c, x, n), side, lambda: _onset(x, y, side) + c.window, n0,
+        (c, y, c, x), side, lambda: _onset(x, y, side) + c.window, n0,
         tol, lambda: f"{side}-holonomy of ({x!r}, {y!r})",
         c._cache.setdefault("holonomy", {}), (side, n0, x, y),
     )
@@ -163,7 +165,7 @@ def conjugacy_quotient(
     start = _onset(x, y, side) + max(F.window, G.window)
     _margin(G, side, n0)
     h, _, _ = _limit(
-        lambda n: quotient(F, y, G, y, n), side, lambda: start, n0, tol,
+        (F, y, G, y), side, lambda: start, n0, tol,
         lambda: f"{side}-conjugacy quotient of ({x!r}, {y!r})", {}, None,  # phi_at holds these
     )
     return h
@@ -222,10 +224,9 @@ def holonomy_convergence_table(
     h_prev = PLMap.identity()
     prod_linv = 1.0
     rows = []
-    for n in range(n_max + 1):
+    for n, h in enumerate(quotients(c, y, c, x, range(1, n_max + 2))):
         gx, gy = c.generator(x.shift(n)), c.generator(y.shift(n))
         bound = prod_linv * float(uniform_distance(invert(gy), invert(gx)))
-        h = quotient(c, y, c, x, n + 1)
         inc = float(uniform_distance(h, h_prev))
         rows.append((n, inc, bound))
         h_prev = h

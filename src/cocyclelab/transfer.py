@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .circlemaps import PLMap, compose, invert, rotation_numerators, uniform_distance
-from .cocycles import CocycleSpec, dominated_pair, iterate, quotient
+from .cocycles import CocycleSpec, dominated_pair, iterate, quotients
 from .errors import (
     InadmissibleLoop,
     InsufficientScales,
@@ -221,7 +221,7 @@ def verify_lemma1(T: TransferMap, points=None, tol: float = 1e-6) -> ResidualRep
         ks = math.ceil((stable_agreement_onset(y, x0) + w) / n0) + 1
         ku = math.ceil((unstable_agreement_onset(y, left_ref) + w) / n0) + 1
         m = max(ks, ku) * n0
-        r = float(uniform_distance(quotient(F, y, G, y, m), quotient(F, y, G, y, -m + 1)))
+        r = float(uniform_distance(*quotients(F, y, G, y, (m, -m + 1))))
         rows.append((y, r))
         # bridge the two limits through orbit-closing points: their forward and
         # backward return quotients agree identically, and the forward quotient
@@ -233,9 +233,9 @@ def verify_lemma1(T: TransferMap, points=None, tol: float = 1e-6) -> ResidualRep
             except InadmissibleLoop:
                 skipped += 1
                 continue
-            zf = quotient(F, z, G, z, hi)
-            gap = float(uniform_distance(zf, quotient(F, z, G, z, lo)))
-            near = float(uniform_distance(zf, quotient(F, y, G, y, hi)))
+            zf, zb = quotients(F, z, G, z, (hi, lo))
+            gap = float(uniform_distance(zf, zb))
+            near = float(uniform_distance(zf, *quotients(F, y, G, y, (hi,))))
             rows.append((z, gap))
             diags.append((y, n, gap, near))
     return ResidualReport.of(rows, tol, diags, skipped)

@@ -14,7 +14,7 @@ outcome and exits 1 if a mutant survived or a run could not be judged:
 
     python3 tests/mutants.py [NAME ...]
 
-The whole set (45 mutants) took 183 s on a 2-core Linux machine with Python
+The whole set (52 mutants) took 226 s on a 2-core Linux machine with Python
 3.11 (one test process at a time); every mutant was killed.
 """
 
@@ -89,22 +89,35 @@ MUTANTS = (
            "xs, ys = breaks + (breaks[0] + 1,), vals", "xs, ys = breaks + (1,), vals",
            ("tests/test_circlemaps.py",)),
     Mutant("make-accepts-zero-interior-slope", "circlemaps.py",
-           "if any(s <= 0 for s in slopes[:-1]):", "if any(s < 0 for s in slopes[:-1]):",
+           "_check_rises(n > 0 for n, _ in rises)", "_check_rises(n >= 0 for n, _ in rises)",
            ("tests/test_circlemaps.py",)),
     Mutant("make-positivity-messages-swapped", "circlemaps.py",
            'raise ValueError("lift values must be strictly increasing")\n'
-           '        if slopes[-1] <= 0:\n'
-           '            raise ValueError("wrap segment must have positive slope")',
+           '    if not wrap:\n'
+           '        raise ValueError("wrap segment must have positive slope")',
            'raise ValueError("wrap segment must have positive slope")\n'
-           '        if slopes[-1] <= 0:\n'
-           '            raise ValueError("lift values must be strictly increasing")',
+           '    if not wrap:\n'
+           '        raise ValueError("lift values must be strictly increasing")',
            ("tests/test_circlemaps.py",)),
+    Mutant("make-order-check-accepts-ties", "circlemaps.py",
+           "all(n > 0 for n, _ in runs[:-1])", "all(n >= 0 for n, _ in runs[:-1])",
+           ("tests/test_circlemaps.py",)),
+    Mutant("exact-merge-keeps-collinear-points", "circlemaps.py",
+           "if p * slopes[i - 1][1] != slopes[i - 1][0] * q])",
+           "if p * slopes[i - 1][1] == slopes[i - 1][0] * q])", ("tests/test_circlemaps.py",)),
     Mutant("make-accepts-non-finite", "circlemaps.py",
            "if not exact and not all(map(math.isfinite, breaks + vals)):",
            "if not exact and not all(map(math.isfinite, breaks)):", ("tests/test_circlemaps.py",)),
     # orbit products and cocycle reports
     Mutant("rotation-sum-not-negated", "cocycles.py",
-           "num = (total if n > 0 else -total) % den", "num = total % den", COCYCLES),
+           "accumulate([-nums[", "accumulate([nums[", COCYCLES),
+    Mutant("numerator-totals-one-term-short", "cocycles.py",
+           "for j in range(top)])", "for j in range(top - 1)])", COCYCLES),
+    Mutant("quotients-scale-swapped", "cocycles.py",
+           "ua, ub = den // ra[0], den // rb[0]", "ua, ub = den // rb[0], den // ra[0]", COCYCLES),
+    Mutant("holonomy-tail-at-the-same-index", "holonomy.py",
+           "(sign * n_used, sign * (n_used + n0))", "(sign * n_used, sign * n_used)",
+           ("tests/test_holonomy.py",)),
     Mutant("numerator-sum-past-denominator-cap", "cocycles.py",
            "if rot is not None and rot[0].bit_length() <= DENOMINATOR_BITS_CAP and BREAKPOINT_CAP >= 1:",
            "if rot is not None and BREAKPOINT_CAP >= 1:", COCYCLES),
@@ -160,6 +173,11 @@ MUTANTS = (
            "if cocycles and len(cocycles) < len(names):", "if cocycles and len(cocycles) < 1:",
            CLI),
     Mutant("seed-refusal-from-minus-two", "experiments.py", "seed < 0", "seed < -1", CLI),
+    Mutant("gen-writes-unchecked-configs", "experiments.py",
+           "        ExperimentConfig.from_json(doc)  #", "        #", CLI),
+    Mutant("exponent-row-passes-without-a-regression", "experiments.py",
+           "exponent = rep.regression[0] if rep.regression else -math.inf",
+           "exponent = rep.regression[0] if rep.regression else math.inf", CLI),
     Mutant("gen-reads-undeclared-parameters", "experiments.py",
            "if param not in reads:", "if False:", CLI),
     Mutant("count-check-accepts-fractions", "experiments.py",

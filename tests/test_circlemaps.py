@@ -22,7 +22,7 @@ from cocyclelab import circlemaps
 from cocyclelab.circlemaps import (
     SLOPE_EPS,
     _contains_half_integer,
-    _merge_collinear,
+    _exact_corners,
     rotation_numerators,
 )
 from cocyclelab.errors import InvalidExponent, ResourceLimit
@@ -486,15 +486,87 @@ def reference_seminorm_diff(f, g):
     return best
 
 
+def reference_make(breaks, vals):
+    """The exact ``make`` before integer pairs: every slope a Fraction
+    quotient, the checks on Fractions, then the collinear merge."""
+    breaks, vals = tuple(map(Fraction, breaks)), tuple(map(Fraction, vals))
+    if len(breaks) != len(vals) or not breaks:
+        raise ValueError("breakpoints and values must be non-empty, equal length")
+    if any(not (0 <= b < 1) for b in breaks):
+        raise ValueError("breakpoints must lie in [0, 1)")
+    if any(b2 <= b1 for b1, b2 in zip(breaks, breaks[1:])):
+        raise ValueError("breakpoints must be strictly increasing")
+    xs, ys = breaks + (breaks[0] + 1,), vals + (vals[0] + 1,)
+    slopes = [(y2 - y1) / (x2 - x1) for x1, x2, y1, y2 in zip(xs, xs[1:], ys, ys[1:])]
+    if any(s <= 0 for s in slopes[:-1]):
+        raise ValueError("lift values must be strictly increasing")
+    if slopes[-1] <= 0:
+        raise ValueError("wrap segment must have positive slope")
+    keep = [i for i, s in enumerate(slopes) if slopes[i - 1] != s] or [len(breaks) - 1]
+    breaks, vals = tuple(breaks[i] for i in keep), tuple(vals[i] for i in keep)
+    k = math.floor(vals[0])
+    vals = tuple(v - k for v in vals)
+    if len(breaks) == 1:
+        return PLMap.rotation(vals[0] - breaks[0])
+    return PLMap(breaks, vals)
+
+
+# grid points, so that ties, collinear runs and coordinates out of range are common
+_COORD = st.one_of(st.builds(Fraction, st.integers(-30, 60), st.sampled_from((1, 2, 3, 5, 12, 30))),
+                   st.integers(-1, 2))
+
+
+@st.composite
+def make_inputs(draw):
+    """Exact coordinates for make, valid or not: raw lists, sorted lists, and
+    lifts built from breakpoints and rises, whose wrap rise may be 0 or less."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("raw", "sorted", "lift", "lift", "lift")))
+    if kind == "lift":
+        den = draw(st.sampled_from((6, 8, 12)))
+        breaks = [Fraction(b, den) for b in sorted(draw(st.sets(st.integers(0, den - 1),
+                                                                min_size=n, max_size=n)))]
+        rises = draw(st.lists(st.integers(0, 4), min_size=n - 1, max_size=n - 1))
+        total = sum(rises) + draw(st.integers(-1, 4))  # the wrap rises by total - sum(rises)
+        v0 = draw(_COORD)
+        vals = [v0 + Fraction(sum(rises[:i]), max(total, 1)) for i in range(len(breaks))]
+        return breaks, vals
+    breaks = draw(st.lists(_COORD, min_size=n, max_size=n))
+    vals = draw(st.lists(_COORD, min_size=n, max_size=n))
+    if kind == "sorted":
+        breaks, vals = sorted(b % 1 for b in breaks), sorted(vals)
+    if draw(st.integers(0, 9)) == 0:
+        vals = vals[:-1]
+    return breaks, vals
+
+
+@given(make_inputs())
+@example(([0, Fraction(1, 4), Fraction(1, 2)], [0, Fraction(1, 4), Fraction(1, 2)]))  # collinear
+@example(([Fraction(1, 4), Fraction(1, 4)], [0, Fraction(1, 2)]))  # a tie
+@example(([Fraction(1, 2)], [Fraction(7, 3)]))  # a rotation off the integers
+@settings(max_examples=400, deadline=None)
+def test_exact_make_matches_the_fraction_oracle(args):
+    try:
+        want = reference_make(*args)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            PLMap.make(*args)
+        assert type(got.value) is type(e) and str(got.value) == str(e)
+        return
+    got = PLMap.make(*args)
+    assert got == want and got.slopes == want.slopes
+    assert all(type(t) is Fraction for t in got.breaks + got.vals)
+
+
 @contextmanager
 def merges_checked_against_reference():
-    """Within the block, every merge make runs is checked against the reference."""
+    """Within the block, every float merge make runs is checked against the reference."""
     merge = circlemaps._merge_collinear
 
-    def checked(breaks, vals, slopes, exact):
+    def checked(breaks, vals, slopes):
         assert slopes == PLMap(breaks, vals).slopes, (breaks, vals)
-        out = merge(breaks, vals, slopes, exact)
-        assert out == reference_merge_collinear(breaks, vals, exact), (breaks, vals)
+        out = merge(breaks, vals, slopes)
+        assert out == reference_merge_collinear(breaks, vals, False), (breaks, vals)
         return out
 
     circlemaps._merge_collinear = checked
@@ -511,9 +583,7 @@ def test_merge_drops_inserted_collinear_points(f, extra):
     # extra points on f's own segments are collinear with their neighbours
     breaks = tuple(sorted(set(f.breaks) | set(extra)))
     vals = tuple(f(t) for t in breaks)
-    slopes = PLMap(breaks, vals).slopes
-    assert (_merge_collinear(breaks, vals, slopes, True)
-            == reference_merge_collinear(breaks, vals, True))
+    assert _exact_corners(breaks, vals) == reference_merge_collinear(breaks, vals, True)
     assert PLMap.make(breaks, vals) == f
 
 

@@ -158,6 +158,61 @@ def test_gen_refuses_a_parameter_it_does_not_read(tmp_path, capsys, args, messag
     assert not (tmp_path / "gen").exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    # theta=nan reached near_identity_plmap and exited 1 with a traceback
+    (["pl-dominated-cocycle", "--param", "theta=nan"], "theta: expected a positive finite number, got nan"),
+    (["pl-dominated-cocycle", "--param", "theta=-5"], "theta: expected a positive finite number, got -5"),
+    (["corrupted-conjugacy", "--param", "tol=nan"], "tol: expected a positive finite number, got nan"),
+    (["corrupted-conjugacy", "--param", "tol=-1"], "tol: expected a positive finite number, got -1"),
+])
+def test_gen_refuses_what_run_would_refuse(tmp_path, capsys, args, message):
+    assert main(["gen", *args, "--out", str(tmp_path / "gen")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "gen").exists()
+
+
+@pytest.mark.parametrize("args", [["pl-dominated-cocycle", "--param", "theta=-5"],
+                                  ["corrupted-conjugacy", "--param", "tol=nan"],
+                                  ["corrupted-conjugacy", "--param", "tol=-1"]])
+def test_gen_checks_the_config_before_writing_it(tmp_path, capsys, monkeypatch, args):
+    # with the parameter's own check gone, the config check refuses the document
+    from cocyclelab import experiments
+
+    monkeypatch.setattr(experiments, "_positive", float)
+    assert main(["gen", *args, "--out", str(tmp_path / "gen")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: tolerances." in err and "Traceback" not in err
+    assert not (tmp_path / "gen").exists()
+
+
+def test_exponent_rows_fail_when_nothing_was_measured(monkeypatch):
+    import dataclasses
+
+    from cocyclelab import experiments
+
+    def rows(exp):
+        return {r.name: r.passed for r in experiments.RUNNERS[exp][0](ExperimentConfig(exp))[0]}
+
+    # theorem-b: a regression regularize could not fit, on either run
+    regularize, fits = experiments.regularize, []
+
+    def unfitted(*args, **kwargs):
+        samples, rep = regularize(*args, **kwargs)
+        return samples, dataclasses.replace(rep, regression=None) if fits.pop(0) else rep
+
+    monkeypatch.setattr(experiments, "regularize", unfitted)
+    for missing in ((True, True), (True, False), (False, True)):
+        fits[:] = missing
+        got = rows("theorem-b")
+        assert got["regularized-exponent"] is not missing[0]
+        assert got["corruption-invisibility"] is False and got["repair-recovery"] is True
+    # theorem-a: two infinite exponents are two constant fits
+    constant = lambda *args, **kwargs: (math.inf, 0.0)  # noqa: E731
+    monkeypatch.setattr(experiments, "estimate_holder", constant)
+    monkeypatch.setattr(experiments, "holder_regression", constant)
+    assert rows("theorem-a")["transfer-exponent-gap"] is False
+
+
 # sha256 of every file `run` writes for {"experiment": ..., "seed": ...};
 # report.json is hashed as json.dumps(doc, indent=2) without wall_clock_s
 OUTPUT_SHA256 = {

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cocyclelab import (
     CocycleSpec,
@@ -32,6 +32,7 @@ from cocyclelab.cocycles import (
     DominationReport,
     _word_generators,
     orbit_product,
+    quotients,
 )
 from cocyclelab.errors import ResourceLimit
 from cocyclelab.fixtures import (
@@ -389,6 +390,11 @@ def fresh_fold(c, x, n):
     return orbit_product(reference_generators(c, x, n))
 
 
+def quotient_at(A, y, B, x, n):
+    """(A^n_y)^-1 B^n_x, asked for alone."""
+    return quotients(A, y, B, x, (n,))[0]
+
+
 @given(
     st.integers(0, 10_000), st.sampled_from(["full2", "golden"]), st.integers(0, 1),
     st.booleans(),
@@ -532,14 +538,14 @@ def test_quotient_inverts_then_composes(full2, rng, monkeypatch):
     y = x.shift(1)
     calls = [(p, n) for p in (x, y) for n in (1, 2, -3, 2, 1, -3, 4, -1)]
     expected = [compose(invert(iterate(c, p, n)), iterate(c, x, n)) for p, n in calls]
-    assert [cocycles.quotient(c, p, c, x, n) for p, n in calls] == expected
-    assert cocycles.quotient(c, y, c, x, 0) == PLMap.identity()
+    assert [quotient_at(c, p, c, x, n) for p, n in calls] == expected
+    assert quotient_at(c, y, c, x, 0) == PLMap.identity()
     # a quotient of exact rotations is one angle difference: nothing inverted
     r = rotation_cocycle(full2, 1, seed=4)
     inverted = []
     monkeypatch.setattr(cocycles, "invert", lambda m: inverted.append(m) or invert(m))
     for _ in range(2):
-        assert cocycles.quotient(r, y, r, x, 3) == compose(invert(iterate(r, y, 3)), iterate(r, x, 3))
+        assert quotient_at(r, y, r, x, 3) == compose(invert(iterate(r, y, 3)), iterate(r, x, 3))
     assert inverted == []
 
 
@@ -554,15 +560,13 @@ def two_rotation_cocycle(space, angles):
 )
 @settings(max_examples=40, deadline=None)
 def test_exact_rotation_quotient_is_one_angle_difference(qa, qb, nums, n, seed):
-    from cocyclelab import cocycles
-
     assume(qa != qb)
     space = SFTSpace.full_shift(2)
     A = two_rotation_cocycle(space, [Fraction(k, qa) for k in nums[:2]])
     B = two_rotation_cocycle(space, [Fraction(k, qb) for k in nums[2:]])
     rng = np.random.default_rng(seed)
     x, y = random_point(space, rng), random_point(space, rng)
-    got = cocycles.quotient(A, y, B, x, n)
+    got = quotient_at(A, y, B, x, n)
     assert got == compose(invert(iterate(A, y, n)), iterate(B, x, n))
     assert got.is_rotation and got.is_exact
 
@@ -587,10 +591,38 @@ def test_quotient_composes_float_mixed_and_pl_products(full2, rng, monkeypatch):
         for n in (3, -2):
             want = compose(invert(iterate(A, y, n)), iterate(B, x, n))  # folds the products
             composed.clear()
-            assert cocycles.quotient(A, y, B, x, n) == want and len(composed) == 1
+            assert quotient_at(A, y, B, x, n) == want and len(composed) == 1
     composed.clear()
-    cocycles.quotient(exact, y, exact, x, 3)
+    quotient_at(exact, y, exact, x, 3)
     assert composed == []
+
+
+@functools.cache
+def quotient_tables(kind):
+    """(A, B) over the full 2-shift: rotation tables over one denominator and
+    over two (with different windows), PL tables, and each mixed order."""
+    space = SFTSpace.full_shift(2)
+    rot, pl = rotation_cocycle(space, 1, seed=4), pl_dominated_cocycle(space, 1, 0.4, seed=9)
+    sevenths = two_rotation_cocycle(space, [Fraction(2, 7), Fraction(6, 7)])
+    return {"rotation": (rot, rot), "rotation-lcm": (rot, sevenths), "pl": (pl, pl),
+            "rotation-pl": (rot, pl), "pl-rotation": (pl, sevenths)}[kind]
+
+
+@given(
+    st.sampled_from(("rotation", "rotation-lcm", "pl", "rotation-pl", "pl-rotation")),
+    st.lists(st.integers(-6, 6), min_size=1, max_size=5), st.integers(0, 10_000),
+)
+@example("rotation-lcm", [0, 3, -2, 3, -5], 1)  # n = 0, both signs, a repeat
+@example("pl-rotation", [-1, 0, 2], 2)
+@settings(max_examples=60, deadline=None)
+def test_quotients_match_one_index_at_a_time(kind, ns, seed):
+    A, B = quotient_tables(kind)
+    rng = np.random.default_rng(seed)
+    x, y = random_point(A.space, rng), random_point(A.space, rng)
+    got = quotients(A, y, B, x, ns)
+    assert got == [quotient_at(A, y, B, x, n) for n in ns]
+    assert got == [compose(invert(fresh_fold(A, y, n)), fresh_fold(B, x, n)) for n in ns]
+    assert all(q.is_exact for q in got)
 
 
 # ------------------------------------------------------------- Holder constant
