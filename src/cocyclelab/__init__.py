@@ -38,7 +38,6 @@ from .rigidity import (
     MeasurableConjugacy,
     RigidityReport,
     WindowRule,
-    check_conj_hol_relation,
     regularize,
 )
 from .symbolic import (
@@ -52,7 +51,6 @@ from .symbolic import (
     distance,
     distance_exponent,
     homoclinic_points,
-    is_stable_pair,
     periodic_points,
     resample_future,
     resample_past,

@@ -221,6 +221,7 @@ def _numerator_totals(c: CocycleSpec, nums, x: SymbolicPoint, ns) -> list:
 def iterate(c: CocycleSpec, x: SymbolicPoint, n: int) -> PLMap:
     """n-step fibre composition; negative n uses the inverse-iterate convention
     f^n_x = (f^{|n|} at sigma^n(x))^{-1}, the unique one satisfying the cocycle law.
+    f^0_x is the identity, as an empty sum or an empty fold.
 
     On a table of exact rotations whose common denominator ``den`` fits
     ``DENOMINATOR_BITS_CAP`` the product is the sum of its windows' angle
@@ -234,8 +235,6 @@ def iterate(c: CocycleSpec, x: SymbolicPoint, n: int) -> PLMap:
     memoised extends the longest memoised prefix of its word.  The memo holds
     at most ``ORBIT_MEMO_CAP`` products and is emptied when full.
     """
-    if n == 0:
-        return PLMap.identity()
     rot = _rotation_sums(c)
     if rot is not None:
         den, nums, maps = rot

@@ -46,7 +46,7 @@ def random_plmap(rng, n_breaks: int = 4, exact: bool = True) -> PLMap:
     return PLMap.make(breaks, vals)
 
 
-def near_identity_plmap(rng, dev: float = 0.3, exact: bool = True, denom: int = 64) -> PLMap:
+def near_identity_plmap(rng, dev: float = 0.3, denom: int = 64) -> PLMap:
     """Random homeomorphism with four breakpoints and every slope inside [1-dev, 1+dev]."""
     idx = sorted(rng.choice(denom, size=4, replace=False))
     breaks = [Fraction(int(i), denom) for i in idx]
@@ -54,11 +54,7 @@ def near_identity_plmap(rng, dev: float = 0.3, exact: bool = True, denom: int = 
     dev_frac = Fraction(int(dev * 4096), 4096)  # round down: keeps the slope band
     amp = min(gaps) * dev_frac / 2
     offsets = [amp * Fraction(int(rng.integers(-denom, denom + 1)), denom) for _ in idx]
-    vals = [b + e for b, e in zip(breaks, offsets)]
-    if not exact:
-        breaks = [float(b) for b in breaks]
-        vals = [float(v) for v in vals]
-    return PLMap.make(breaks, vals)
+    return PLMap.make(breaks, [b + e for b, e in zip(breaks, offsets)])
 
 
 def rotation_cocycle(space: SFTSpace, window: int, seed: int, denom: int = 360) -> CocycleSpec:
@@ -71,9 +67,7 @@ def rotation_cocycle(space: SFTSpace, window: int, seed: int, denom: int = 360) 
     return CocycleSpec(space, window, table)
 
 
-def pl_dominated_cocycle(
-    space: SFTSpace, window: int, theta: float, seed: int, exact: bool = True
-) -> CocycleSpec:
+def pl_dominated_cocycle(space: SFTSpace, window: int, theta: float, seed: int) -> CocycleSpec:
     """PL generator table with all slopes strictly inside the domination band
     (rho**-(alpha-theta), rho**(alpha-theta)) for alpha = 1."""
     band = float(space.rho) ** (1.0 - theta)
@@ -82,7 +76,7 @@ def pl_dominated_cocycle(
     dev = 0.98 * (1.0 - 1.0 / band)
     rng = np.random.default_rng(seed)
     table = {
-        w: near_identity_plmap(rng, dev, exact)
+        w: near_identity_plmap(rng, dev)
         for w in table_words(space, window, "pl_dominated_cocycle")
     }
     return CocycleSpec(space, window, table)

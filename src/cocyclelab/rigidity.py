@@ -23,10 +23,9 @@ from .symbolic import (
     SymbolicPoint,
     agreement_exponents,
     bracket,
-    is_stable_pair,
     sample_measure,
 )
-from .transfer import ResidualReport, cohomology_residual, holder_regression
+from .transfer import cohomology_residual, holder_regression
 
 DISTORTION_HORIZON = 12  # steps over which G's distortion is screened
 
@@ -59,39 +58,6 @@ class MeasurableConjugacy:
         if y in self.corruption:
             return self.corruption[y]
         return self.rule.phi_at(y)
-
-    def is_corrupted(self, y: SymbolicPoint) -> bool:
-        return y in self.corruption
-
-
-def _screen_distortion(G: CocycleSpec, points):
-    rep = check_bounded_distortion(G, DISTORTION_HORIZON, points)
-    if rep.growth_flagged:
-        raise DistortionUnbounded(
-            f"iterated slopes keep growing through horizon {DISTORTION_HORIZON} "
-            f"(K_est={rep.K_est:.3g})"
-        )
-
-
-def check_conj_hol_relation(
-    phi: MeasurableConjugacy, F: CocycleSpec, G: CocycleSpec, pairs, tol: float = 1e-6
-) -> ResidualReport:
-    """Residuals of phi_y = h^{f}_{xy} phi_x (h^{g}_{xy})^{-1} along local pairs.
-
-    The distortion of G is screened first over the sampled points.  Pairs
-    touching the corruption set are skipped, since the relation only holds
-    off it; wrapping a corrupted conjugacy as the rule of a clean one,
-    ``MeasurableConjugacy(phi)``, surfaces the violation instead.  A
-    ``TransferMap`` is checked as ``MeasurableConjugacy(T)``.
-    """
-    pairs = [(x, y) for x, y in pairs if not (phi.is_corrupted(x) or phi.is_corrupted(y))]
-    pts = sorted({p for pair in pairs for p in pair}, key=SymbolicPoint.sort_key)
-    _screen_distortion(G, pts)
-    rows = []
-    for x, y in pairs:
-        rhs = transport(F, G, x, y, "s" if is_stable_pair(x, y) else "u", phi.phi_at(x))
-        rows.append(((x, y), float(uniform_distance(phi.phi_at(y), rhs))))
-    return ResidualReport.of(rows, tol)
 
 
 @dataclass(frozen=True)
@@ -145,18 +111,25 @@ def regularize(
 ):
     """Rebuild a conjugacy on a dense sample from screened anchors.
 
-    Anchor candidates are measure samples plus the corrupted points; anchors
-    whose local cohomological residual exceeds 10*tol are excluded.  Every
-    target value is transported from the nearest clean anchor in its cylinder,
-    so corrupted values are repaired.  Returns the transported conjugacy as a
-    sample table {point: value} plus a report with the moduli measured on it.
+    Anchor candidates are measure samples plus the corrupted points.  G's
+    distortion is screened over the first 24 of them (DistortionUnbounded when
+    it keeps growing); anchors whose local cohomological residual exceeds
+    10*tol are excluded.  Every target value is transported from the nearest
+    clean anchor in its cylinder, so corrupted values are repaired.  Returns
+    the transported conjugacy as a sample table {point: value} plus a report
+    with the moduli measured on it.
     """
     dom_f, _ = dominated_pair(F, G)
     gamma = gamma_budget(dom_f.theta_s, float(F.alpha))
 
     corrupted = sorted(phi.corruption, key=SymbolicPoint.sort_key)
     anchors_raw = sample_measure(mu, sample_count, seed) + corrupted
-    _screen_distortion(G, anchors_raw[:24])
+    distortion = check_bounded_distortion(G, DISTORTION_HORIZON, anchors_raw[:24])
+    if distortion.growth_flagged:
+        raise DistortionUnbounded(
+            f"iterated slopes keep growing through horizon {DISTORTION_HORIZON} "
+            f"(K_est={distortion.K_est:.3g})"
+        )
     anchors = []
     excluded = 0
     for a in anchors_raw:

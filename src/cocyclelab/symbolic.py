@@ -81,6 +81,8 @@ class SFTSpace:
             raise ValueError("transition matrix has a null row")
         if not self.rho > 1:
             raise ValueError("rho must exceed 1")
+        if not self.rho <= sys.float_info.max:  # margins and distances read float(rho)
+            raise ValueError("rho must be finite and fit a float")
         # the hash every dict keyed by a point or a space asks for, the symbol
         # bytes and the pattern point construction tests words against, a memo
         # of shortest cycles filled one symbol at a time, and the last word
@@ -444,14 +446,6 @@ def unstable_agreement_onset(x: SymbolicPoint, y: SymbolicPoint) -> int:
         raise NotUnstablePair("backward tails differ")
     # xw[i] is coordinate lo - span + i
     return next((1 - lo + span - i for i in range(span, len(xw)) if xw[i] != yw[i]), 0)
-
-
-def is_stable_pair(x: SymbolicPoint, y: SymbolicPoint) -> bool:
-    try:
-        stable_agreement_onset(x, y)
-        return True
-    except NotStablePair:
-        return False
 
 
 def _admissible_cycles(space: SFTSpace, length: int):

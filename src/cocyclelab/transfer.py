@@ -4,8 +4,7 @@ coinciding periodic data.
 The transfer map is built from holonomy quotients at the base periodic point,
 sampled over the homoclinic class; the verifiers replay the identities the
 construction is supposed to satisfy (forward/backward agreement, the
-cohomological equation) and report residuals.  Transport consistency is
-checked by ``rigidity.check_conj_hol_relation`` on ``MeasurableConjugacy(T)``.
+cohomological equation) and report residuals.
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ from .symbolic import (
 
 CHECK_PERIOD = 6  # periodic data are compared at every period up to this one
 PHI_CACHE_CAP = 4096  # phi values cached per transfer map before the cache is emptied
+REGRESSION_MIN_SAMPLES = 30  # points holder_regression needs
 
 
 @dataclass(frozen=True)
@@ -241,11 +241,12 @@ def verify_lemma1(T: TransferMap, points=None, tol: float = 1e-6) -> ResidualRep
     return ResidualReport.of(rows, tol, diags, skipped)
 
 
-def holder_regression(points, lookup, rho: float, min_samples: int = 30, *, _exponents=None):
+def holder_regression(points, lookup, rho: float, *, _exponents=None):
     """Log-log regression of d(lookup(y), lookup(z)) against d(y, z).
 
-    Returns (exponent, constant); exponent is inf when the map is constant
-    across the samples (all numerators vanish).  Pairs with zero numerator are
+    Returns (exponent, constant) over at least ``REGRESSION_MIN_SAMPLES``
+    points; exponent is inf when the map is constant across the samples (all
+    numerators vanish).  Pairs with zero numerator are
     dropped from the fit.  The pairs run over i < j in row-major order, with
     their distance exponents read from ``agreement_exponents(points)``; a
     caller that already holds that array passes it as ``_exponents``.
@@ -259,8 +260,8 @@ def holder_regression(points, lookup, rho: float, min_samples: int = 30, *, _exp
     take ``uniform_distance``.
     """
     pts = list(points)
-    if len(pts) < min_samples:
-        raise InsufficientScales(f"need at least {min_samples} samples, got {len(pts)}")
+    if len(pts) < REGRESSION_MIN_SAMPLES:
+        raise InsufficientScales(f"need at least {REGRESSION_MIN_SAMPLES} samples, got {len(pts)}")
     # number the distinct values; an exact map and its float copy compare and
     # hash equal but round differently in uniform_distance, so the mode is part
     # of the key

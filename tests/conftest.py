@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from cocyclelab import PLMap, SFTSpace, SymbolicPoint
+from cocyclelab import CocycleSpec, PLMap, SFTSpace, SymbolicPoint, holonomy, uniform_distance
+from cocyclelab.errors import NotStablePair
+from cocyclelab.symbolic import stable_agreement_onset
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
@@ -28,6 +30,36 @@ def blend_with_identity(f, t):
     if not 0 <= t <= 1:
         raise ValueError("t must be in [0, 1]")
     return PLMap.make(f.breaks, [(1 - t) * v + t * b for b, v in zip(f.breaks, f.vals)])
+
+
+def float_map(m):
+    """The float PL map through the coordinates of ``m``."""
+    return PLMap.make([float(b) for b in m.breaks], [float(v) for v in m.vals])
+
+
+def float_cocycle(c):
+    """``c`` with every table entry replaced by its float copy."""
+    return CocycleSpec(c.space, c.window, {w: float_map(m) for w, m in c.table.items()})
+
+
+def stable_pair(x, y):
+    """Whether x and y lie on one stable set."""
+    try:
+        stable_agreement_onset(x, y)
+    except NotStablePair:
+        return False
+    return True
+
+
+def conj_hol_residuals(phi, F, G, pairs):
+    """Residuals of Theorem B's relation phi_y = h^F_xy phi_x (h^G_xy)^-1, one
+    per pair (x, y): phi_x is carried to y by ``holonomy.transport`` along
+    the stable side when the pair is stable, else along the unstable side."""
+    return [
+        float(uniform_distance(phi.phi_at(y), holonomy.transport(
+            F, G, x, y, "s" if stable_pair(x, y) else "u", phi.phi_at(x))))
+        for x, y in pairs
+    ]
 
 
 def random_point(space, rng, max_core=5):

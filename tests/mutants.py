@@ -14,7 +14,7 @@ outcome and exits 1 if a mutant survived or a run could not be judged:
 
     python3 tests/mutants.py [NAME ...]
 
-The whole set (52 mutants) took 226 s on a 2-core Linux machine with Python
+The whole set (54 mutants) took 323 s on a 2-core Linux machine with Python
 3.11 (one test process at a time); every mutant was killed.
 """
 
@@ -58,6 +58,8 @@ MUTANTS = (
            "return re.compile(branches[0]) if branches else None", SYMBOLIC),
     Mutant("symbol-cap-off-by-one", "symbolic.py",
            "if self.k > SYMBOL_CAP:", "if self.k >= SYMBOL_CAP:", SYMBOLIC),
+    Mutant("rho-past-the-float-range-accepted", "symbolic.py",
+           "if not self.rho <= sys.float_info.max:", "if not self.rho <= math.inf:", CLI),
     Mutant("make-range-check-accepts-float-symbols", "symbolic.py",
            "left, core, right = bytes(left), bytes(core), bytes(right)",
            "left, core, right = (bytes(map(int, w)) for w in (left, core, right))", SYMBOLIC),
@@ -161,6 +163,9 @@ MUTANTS = (
            "for t in [t for t in targets[:20] if anchor[t] != t]:", ("tests/test_rigidity.py",)),
     Mutant("anchor-from-another-cylinder", "rigidity.py",
            "if closeness[i, c] < 1:", "if closeness[i, c] < 0:", ("tests/test_rigidity.py",)),
+    Mutant("distortion-screen-skipped", "rigidity.py",
+           "if distortion.growth_flagged:", "if distortion.growth_flagged and False:",
+           ("tests/test_rigidity.py",)),
     Mutant("regularize-corruption-unsorted", "rigidity.py",
            "corrupted = sorted(phi.corruption, key=SymbolicPoint.sort_key)",
            "corrupted = list(phi.corruption)", CLI),

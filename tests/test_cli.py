@@ -10,7 +10,7 @@ from cocyclelab import PLMap, SFTSpace, fb_family
 from cocyclelab.cli import main
 from cocyclelab.experiments import FIXTURE_KINDS, ExperimentConfig
 from cocyclelab.errors import ConfigError
-from cocyclelab.fixtures import rotation_cocycle
+from cocyclelab.fixtures import pl_dominated_cocycle, rotation_cocycle
 
 
 # sha256 of rows.csv for the run each test below makes; a change that keeps
@@ -298,6 +298,7 @@ def test_run_exit_codes(tmp_path, capsys):
     # malformed fields and parameters exit 2 with a message naming the field
     space = {"k": 2, "P": [[1, 1], [1, 1]], "rho": 2}
     rotation_doc = rotation_cocycle(SFTSpace.from_json(space), 0, 0).to_json()
+    pl_doc = pl_dominated_cocycle(SFTSpace.from_json(space), 1, 0.4, 3).to_json()
     for doc, name in (
         ({"experiment": "theorem-a", "space": space, "cocycles": []}, "cocycles: "),
         ({"experiment": "theorem-a", "tolerances": 1e-6}, "tolerances: "),
@@ -340,6 +341,15 @@ def test_run_exit_codes(tmp_path, capsys):
           for e in ("theorem-a", "theorem-b")),
         ({"experiment": "distortion", "space": {"k": 3, "P": [[1, 0, 1], [1, 1, 0], [0, 1, 1]]}},
          "space: distortion builds on the cycle [0, 1], which P forbids"),
+        # rho past the float range: at +inf every distance is 0, and float(rho)
+        # overflows at 10**400; rho <= 1 keeps its own message
+        *(({"experiment": e, "space": {**space, "rho": rho}, **extra},
+           "space: rho must be finite and fit a float")
+          for e, extra in (("theorem-a", {}), ("theorem-b", {}),
+                           ("holonomy", {"cocycles": {"C": pl_doc}}))
+          for rho in (math.inf, 10**400)),
+        *(({"experiment": "theorem-a", "space": {**space, "rho": rho}}, "space: rho must exceed 1")
+          for rho in (1, -math.inf)),
         # a table key whose symbol is no byte
         ({"experiment": "distortion", "space": {"k": 12, "P": [[1] * 12] * 12},
           "cocycles": {"C": {"window": 0, "table": {"300": {}}}}},

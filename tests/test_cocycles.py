@@ -46,7 +46,7 @@ from cocyclelab.fixtures import (
     telescoping_cocycle,
 )
 
-from conftest import blend_with_identity, random_point
+from conftest import blend_with_identity, float_cocycle, float_map, random_point
 
 
 def constant_cocycle(space, m, window=0):
@@ -404,7 +404,8 @@ def quotient_at(A, y, B, x, n):
 @settings(max_examples=40, deadline=None)
 def test_memoised_iterate_matches_fresh_fold_property(seed, space_name, window, exact, calls):
     space = SFTSpace.full_shift(2) if space_name == "full2" else SFTSpace.golden_mean()
-    c = pl_dominated_cocycle(space, window, 0.4, seed=seed, exact=exact)
+    c = pl_dominated_cocycle(space, window, 0.4, seed=seed)
+    c = c if exact else float_cocycle(c)
     rng = np.random.default_rng(seed)
     mu = MarkovMeasure.uniform(space)
     x = random_point(space, rng)
@@ -733,7 +734,7 @@ def _margin_tables():
     # a float rotation by 0.9 reads slope 1 - 2**-53, so it must not be skipped
     floats = [PLMap.rotation(0.9), PLMap.rotation(0.35)]
     mixed = [PLMap.rotation(Fraction(1, 3)), PLMap.rotation(0.9),
-             near_identity_plmap(rng, exact=False), near_identity_plmap(rng)]
+             float_map(near_identity_plmap(rng)), near_identity_plmap(rng)]
     return {
         "exact-rotations": rotation_cocycle(space, 1, seed=1),
         "exact-pl": pl_dominated_cocycle(space, 1, 0.4, seed=3),

@@ -36,7 +36,7 @@ from cocyclelab.fixtures import (
 )
 from cocyclelab.symbolic import MarkovMeasure, distance, resample_past, sample_measure
 
-from conftest import blend_with_identity, random_point
+from conftest import blend_with_identity, float_cocycle, random_point
 
 
 def constant_cocycle(space, m):
@@ -136,7 +136,7 @@ def test_memoised_holonomy_equals_a_fresh_one(kind, seed, i, j):
     c = {
         "pl": lambda: pl_dominated_cocycle(space, 1, 0.4, seed=seed),
         "rotation": lambda: rotation_cocycle(space, 1, seed=seed),
-        "float": lambda: pl_dominated_cocycle(space, 1, 0.4, seed=seed, exact=False),
+        "float": lambda: float_cocycle(pl_dominated_cocycle(space, 1, 0.4, seed=seed)),
     }[kind]()
     pts = homoclinic_points(SymbolicPoint.fixed(space, 0), 3)
     x, y = pts[i % len(pts)], pts[j % len(pts)]  # on one stable and one unstable set
@@ -152,7 +152,7 @@ def test_memoised_holonomy_equals_a_fresh_one(kind, seed, i, j):
 
 
 def test_memoised_holonomy_rechecks_its_tail(full2):
-    c = pl_dominated_cocycle(full2, 1, 0.4, seed=3, exact=False)
+    c = float_cocycle(pl_dominated_cocycle(full2, 1, 0.4, seed=3))
     x0 = SymbolicPoint.fixed(full2, 0)
     y = next(y for y in homoclinic_points(x0, 3) if stable_holonomy(c, x0, y).cauchy_tail > 0)
     tol = stable_holonomy(c, x0, y).cauchy_tail / 2
@@ -305,13 +305,6 @@ def test_shifted_pair_consistency(full2):
     assert float(uniform_distance(lhs, h)) <= 1e-12
 
 
-def float_copy(c):
-    return CocycleSpec(c.space, c.window, {
-        w: PLMap.make([float(b) for b in m.breaks], [float(v) for v in m.vals])
-        for w, m in c.table.items()
-    })
-
-
 def four_iterate_holonomy(c, x, y, side, n_used, n0):
     """The holonomy and its tail from four products started from scratch,
     with backward products as inverses of forward ones."""
@@ -338,7 +331,7 @@ def test_one_pass_holonomy_matches_four_iterates(full2, n0):
             assert res.cauchy_tail == tail == 0.0
     # exact tails vanish; float forward products round the same way on both
     # routes, so the rounding-level tails must agree bit for bit
-    cf = float_copy(c)
+    cf = float_cocycle(c)
     tails = []
     for x, y in pairs:
         res = stable_holonomy(cf, x, y, n0=n0)
@@ -356,7 +349,7 @@ def test_float_holonomies_track_exact(full2):
     # from products of length n = n_used + 1 makes at most 4(n + 1) such
     # operations, and the steps after an error amplify it by at most lam**n.
     c = pl_dominated_cocycle(full2, 1, 0.4, seed=9)
-    cf = float_copy(c)
+    cf = float_cocycle(c)
     lam = max(max(float(m.max_slope), 1.0 / float(m.min_slope)) for m in c.table.values())
     x0 = SymbolicPoint.fixed(full2, 0)
     for y in homoclinic_points(x0, 4)[::12]:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -15,9 +16,7 @@ from cocyclelab import (
     WindowRule,
     build_transfer,
     check_bounded_distortion,
-    check_conj_hol_relation,
     compose,
-    is_stable_pair,
     regularize,
     resample_future,
     resample_past,
@@ -42,6 +41,8 @@ from cocyclelab.fixtures import (
 from cocyclelab import holonomy, rigidity
 from cocyclelab.symbolic import distance_exponent
 from cocyclelab.transfer import cohomology_residual, holder_regression
+
+from conftest import conj_hol_residuals, float_cocycle, stable_pair
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +72,7 @@ def unstable_pairs(mu, count, seed):
     pairs = []
     for x in sample_measure(mu, count, seed, depth=20):
         y = resample_future(mu, x, rng, depth=12)
-        if not is_stable_pair(x, y):
+        if not stable_pair(x, y):
             pairs.append((x, y))
     assert pairs
     return pairs
@@ -82,22 +83,22 @@ def identity_rule(space):
 
 
 # ----------------------------------------------------- holonomies vs conjugacy
+# Theorem B's relation phi_y = h^F_xy phi_x (h^G_xy)^-1, carried by
+# holonomy.transport (see conftest.conj_hol_residuals)
 
 
 def test_conj_hol_identity_case(setup):
     space, F, _, _, _, _, mu = setup
     phi = identity_rule(space)
     for pairs in (stable_pairs(mu, 10, 1), unstable_pairs(mu, 10, 1)):
-        rep = check_conj_hol_relation(phi, F, F, pairs, tol=1e-12)
-        assert rep.passed and rep.worst == 0.0
+        assert max(conj_hol_residuals(phi, F, F, pairs)) == 0.0
 
 
 def test_conj_hol_rotation_family(setup):
     space, F, G, _, _, rule, mu = setup
     phi = MeasurableConjugacy(rule)
     for pairs in (stable_pairs(mu, 12, 2), unstable_pairs(mu, 12, 2)):
-        rep = check_conj_hol_relation(phi, F, G, pairs, tol=1e-9)
-        assert rep.passed
+        assert max(conj_hol_residuals(phi, F, G, pairs)) <= 1e-9
 
 
 def test_conj_hol_exact_pl_identity_case(setup):
@@ -110,11 +111,9 @@ def test_conj_hol_exact_pl_identity_case(setup):
     H = conjugated_pair(identity, psi)
     assert not all(m.is_rotation for m in H.table.values())
     pairs = stable_pairs(mu, 6, 7) + unstable_pairs(mu, 6, 7)
-    rep = check_conj_hol_relation(identity_rule(space), H, H, pairs, tol=0)
-    assert rep.passed and rep.worst == 0.0
+    assert max(conj_hol_residuals(identity_rule(space), H, H, pairs)) == 0.0
     # psi itself conjugates the identity cocycle to H
-    rep = check_conj_hol_relation(MeasurableConjugacy(psi), identity, H, pairs, tol=0)
-    assert rep.passed and rep.worst == 0.0
+    assert max(conj_hol_residuals(MeasurableConjugacy(psi), identity, H, pairs)) == 0.0
 
 
 def test_bounded_oscillating_distortion_is_not_flagged(setup):
@@ -131,8 +130,7 @@ def test_bounded_oscillating_distortion_is_not_flagged(setup):
         float(m.min_slope) for m in psi.table.values())
     assert rep.K_est <= bound
     assert len(set(rep.per_step_max)) > 1 and not rep.growth_flagged
-    rep = check_conj_hol_relation(MeasurableConjugacy(psi), F, G, pairs, tol=1e-9)
-    assert rep.passed
+    assert max(conj_hol_residuals(MeasurableConjugacy(psi), F, G, pairs)) <= 1e-9
     # an expanding cocycle over the same points is still flagged
     assert check_bounded_distortion(expanding_cocycle(space), 12, pts).growth_flagged
 
@@ -143,21 +141,34 @@ def test_conj_hol_detects_corruption(setup):
     x = pairs[0][0]
     phi = corrupted_conjugacy(rule, [x], seed=5)
     magnitude = float(uniform_distance(phi.phi_at(x), rule.phi_at(x)))
-    # wrapped as the rule of a clean conjugacy, no pair is skipped
-    rep = check_conj_hol_relation(MeasurableConjugacy(phi), F, G, pairs, tol=1e-9)
-    assert not rep.passed
-    assert rep.worst >= magnitude - 1e-9
-    # with screening the corrupted pair is excluded and the rest is clean
-    rep2 = check_conj_hol_relation(phi, F, G, pairs, tol=1e-9)
-    assert rep2.passed
+    # over every pair the corrupted value breaks the relation by its magnitude
+    assert max(conj_hol_residuals(phi, F, G, pairs)) >= magnitude - 1e-9 > 1e-9
+    # off the corruption the relation holds
+    clean = [(a, b) for a, b in pairs if a not in phi.corruption and b not in phi.corruption]
+    assert 0 < len(clean) < len(pairs)
+    assert max(conj_hol_residuals(phi, F, G, clean)) <= 1e-9
 
 
-def test_conj_hol_distortion_screen(setup):
-    space, F, _, _, _, rule, mu = setup
+def test_regularize_refuses_unbounded_distortion(setup, monkeypatch):
+    """regularize screens G's distortion over its first 24 anchor candidates.
+    It checks domination first, so an undominated G such as expanding_cocycle
+    is refused as NotDominated; a screen that reports growth refuses a
+    dominated pair."""
+    space, F, G, _, _, rule, mu = setup
     phi = MeasurableConjugacy(rule)
-    bad = expanding_cocycle(space)
-    with pytest.raises(DistortionUnbounded):
-        check_conj_hol_relation(phi, F, bad, stable_pairs(mu, 4, 4), tol=1e-9)
+    with pytest.raises(NotDominated, match="second cocycle"):
+        regularize(phi, F, expanding_cocycle(space), 40, 1e-8, mu=mu, seed=21)
+    screened = []
+    real = rigidity.check_bounded_distortion
+
+    def growing(c, horizon, samples):
+        screened.append((c, horizon, len(samples)))
+        return dataclasses.replace(real(c, horizon, samples), growth_flagged=True)
+
+    monkeypatch.setattr(rigidity, "check_bounded_distortion", growing)
+    with pytest.raises(DistortionUnbounded, match="through horizon 12"):
+        regularize(phi, F, G, 40, 1e-8, mu=mu, seed=21)
+    assert screened == [(G, 12, 24)]
 
 
 def test_measurable_conjugacy_over_a_transfer_map(setup):
@@ -360,18 +371,14 @@ def test_transports_reach_the_module_holonomies(setup, monkeypatch):
         assert reached(lambda: T.phi_at(y)) == set()
         assert T.phi_at(y) == holonomy.transport(F, G, x0, y, side, tol=T.tol)
     # a float copy of the pair keeps the holonomy transport
-    floats = [CocycleSpec(space, c.window, {w: PLMap.make([float(b) for b in m.breaks],
-                                                          [float(v) for v in m.vals])
-                                            for w, m in c.table.items()})
-              for c in (F, G)]
-    T_float = TransferMap(*floats, x0, 1, {}, T.beta_budget, T.tol)
+    T_float = TransferMap(float_cocycle(F), float_cocycle(G), x0, 1, {}, T.beta_budget, T.tol)
     assert reached(lambda: T_float.phi_at(forward_only)) == {"stable_holonomy"}
     assert reached(lambda: T_float.phi_at(backward_only)) == both
     assert reached(lambda: verify_lemma1(T, pts)) == both
     assert reached(
-        lambda: check_conj_hol_relation(MeasurableConjugacy(T), F, G, [(pts[0], pts[1])])
+        lambda: conj_hol_residuals(MeasurableConjugacy(T), F, G, [(pts[0], pts[1])])
     ) == {"stable_holonomy"}
     pairs = stable_pairs(mu, 2, 8) + unstable_pairs(mu, 2, 8)
     phi = MeasurableConjugacy(rule)
-    assert reached(lambda: check_conj_hol_relation(phi, F, G, pairs)) == both
+    assert reached(lambda: conj_hol_residuals(phi, F, G, pairs)) == both
     assert reached(lambda: regularize(phi, F, G, 8, 1e-8, mu=mu, seed=21)) == both

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,14 +18,12 @@ from cocyclelab import (
     TransferMap,
     WindowRule,
     build_transfer,
-    check_conj_hol_relation,
     check_periodic_data,
     compose,
     estimate_holder,
     holder_regression,
     homoclinic_points,
     invert,
-    is_stable_pair,
     iterate,
     power_domination,
     regularize,
@@ -57,7 +56,7 @@ from cocyclelab.fixtures import (
     rotation_conjugacy_rule,
 )
 
-from conftest import unequal_tail_pool
+from conftest import conj_hol_residuals, float_cocycle, float_map, stable_pair, unequal_tail_pool
 
 
 @pytest.fixture(scope="module")
@@ -218,19 +217,9 @@ def test_hol_conj_transport(family):
     space, F, G, _, x0 = family
     T = build_transfer(F, G, x0, 4, tol=1e-10)
     pts = list(T.class_points)
-    pairs = []
-    for y in pts[:12]:
-        for z in pts[12:24]:
-            try:
-                from cocyclelab import stable_agreement_onset
-
-                stable_agreement_onset(y, z)
-                pairs.append((y, z))
-            except Exception:
-                pass
+    pairs = [(y, z) for y in pts[:12] for z in pts[12:24] if stable_pair(y, z)]
     assert pairs
-    rep = check_conj_hol_relation(MeasurableConjugacy(T), F, G, pairs, tol=1e-9)
-    assert rep.passed
+    assert max(conj_hol_residuals(MeasurableConjugacy(T), F, G, pairs)) <= 1e-9
 
 
 def test_equivariance_invariant(family):
@@ -412,7 +401,7 @@ def test_phi_at_forward_quotient_equals_transport(oracle_case, monkeypatch):
     assert values == [_transported(T, y) for y in probes]
     # both sides are read: an unstable-only point of the period-2 class is a
     # shift, since its splices keep the backward tail of sigma x0
-    stable = [is_stable_pair(x0, y) for y, v in zip(probes, values) if v != "missing"]
+    stable = [stable_pair(x0, y) for y, v in zip(probes, values) if v != "missing"]
     assert any(stable) and not all(stable)
 
 
@@ -454,8 +443,7 @@ def test_phi_at_forward_quotient_refuses_a_side_not_dominated(monkeypatch):
 
 def test_phi_at_keeps_transport_without_equal_exact_returns(family, monkeypatch):
     space, F, G, _, x0 = family
-    Ff, Gf = (CocycleSpec(space, c.window, {w: _float_copy(m) for w, m in c.table.items()})
-              for c in (F, G))
+    Ff, Gf = float_cocycle(F), float_cocycle(G)
     near = perturb_one_entry(G, Fraction(1, 10**12))  # the entry over x0 = 0^inf
     assert float(uniform_distance(iterate(near, x0, 1), iterate(F, x0, 1))) <= 1e-9
     # a base point sigma does not fix, where F and F_far agree for one step only
@@ -522,7 +510,13 @@ def test_estimate_holder_requires_scales(family):
     # no pairs of distinct points: no scale at all
     for pts in ([], [x0], [x0, x0]):
         with pytest.raises(InsufficientScales, match="only 0 distance scales"):
-            holder_regression(pts, lambda y: PLMap.identity(), 2.0, min_samples=0)
+            _regression(pts, lambda y: PLMap.identity(), 2.0, 0)
+
+
+def _regression(points, lookup, rho, min_samples):
+    """holder_regression with ``REGRESSION_MIN_SAMPLES`` set to ``min_samples``."""
+    with mock.patch.object(transfer, "REGRESSION_MIN_SAMPLES", min_samples):
+        return holder_regression(points, lookup, rho)
 
 
 def _naive_regression(points, lookup, rho, min_samples):
@@ -553,10 +547,6 @@ def _naive_regression(points, lookup, rho, min_samples):
     return (float(slope), float(math.exp(intercept)))
 
 
-def _float_copy(m):
-    return PLMap.make([float(b) for b in m.breaks], [float(v) for v in m.vals])
-
-
 def _dyadic_map(rng, n_breaks=3):
     """Exact map on a 1/64 grid: its float copy compares and hashes equal to it,
     while its slopes are not dyadic, so the two modes round differently."""
@@ -570,7 +560,7 @@ _POOL_POINTS = homoclinic_points(SymbolicPoint.fixed(SFTSpace.full_shift(2), 0),
 _EXACT_POOL = [_dyadic_map(np.random.default_rng(k)) for k in range(4)] + [
     PLMap.rotation(Fraction(1, 4)),
 ]
-_MAP_POOL = _EXACT_POOL + [_float_copy(m) for m in _EXACT_POOL]
+_MAP_POOL = _EXACT_POOL + [float_map(m) for m in _EXACT_POOL]
 
 
 _POINT_POOLS = (_POOL_POINTS, unequal_tail_pool())
@@ -590,7 +580,7 @@ def test_holder_regression_matches_per_pair_reference(pool, data):
         except InsufficientScales:
             return "insufficient"
 
-    assert outcome(holder_regression) == outcome(_naive_regression)
+    assert outcome(_regression) == outcome(_naive_regression)
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["exact", "exact-float"])
@@ -602,7 +592,7 @@ def test_holder_regression_matches_reference_at_workload_size(mixed):
     rule = decaying_rotation_rule(space, 4)
     value = {y: rule.phi_at(y) for y in pts}
     if mixed:  # float copies on one cylinder: pairs across it take the float path
-        value = {y: _float_copy(m) if y[0] else m for y, m in value.items()}
+        value = {y: float_map(m) if y[0] else m for y, m in value.items()}
     assert len(pts) == 180 and 30 <= len({(m, m.is_exact) for m in value.values()}) < 90
     got = holder_regression(pts, value.__getitem__, float(space.rho))
     assert got == _naive_regression(pts, value.__getitem__, float(space.rho), 30)
@@ -612,6 +602,17 @@ _WIDE_ROTATIONS = [PLMap.rotation(Fraction(k, q)) for k, q in (
     (1, 2**61 - 1), (2**60, 2**61 - 1), (5, 3**40), (3**39, 3**40), (1, 4), (1, 3), (0, 1),
     (2**53 + 1, 2**54), (7, 2**53 + 5),
 )]
+
+
+def test_holder_regression_wide_rotation_distances_at_every_offset():
+    """The class points take the wide rotations in turn, at each cyclic
+    offset: past 2**53 a distance taken as a float quotient of floats rounds
+    twice, and one such distance moves the fit."""
+    n = len(_WIDE_ROTATIONS)
+    for shift in range(n):
+        value = {y: _WIDE_ROTATIONS[(i + shift) % n] for i, y in enumerate(_POOL_POINTS)}
+        got = holder_regression(_POOL_POINTS, value.__getitem__, 2.0)
+        assert got == _naive_regression(_POOL_POINTS, value.__getitem__, 2.0, 30)
 
 
 @given(st.data())
@@ -635,7 +636,7 @@ def test_holder_regression_rotation_distances_match_the_reference(data):
         except InsufficientScales:
             return "insufficient"
 
-    assert outcome(holder_regression) == outcome(_naive_regression)
+    assert outcome(_regression) == outcome(_naive_regression)
 
 
 def test_rotation_conjugacy_rule_composes_each_entry():
@@ -717,12 +718,10 @@ def test_float_transfer_tracks_exact():
     G = conjugated_pair(F, decaying_rotation_rule(space, 3))
     x0 = SymbolicPoint.fixed(space, 0)
     exact = build_transfer(F, G, x0, 3, tol=1e-9)
-    floats = [CocycleSpec(space, c.window, {w: _float_copy(m) for w, m in c.table.items()})
-              for c in (F, G)]
-    T = build_transfer(*floats, x0, 3, tol=1e-9)
+    T = build_transfer(float_cocycle(F), float_cocycle(G), x0, 3, tol=1e-9)
     assert T.class_points == exact.class_points
     for y in T.class_points:
-        assert float(uniform_distance(T.samples[y], _float_copy(exact.samples[y]))) <= 1e-12
+        assert float(uniform_distance(T.samples[y], float_map(exact.samples[y]))) <= 1e-12
     assert T.cohomology.worst <= 1e-12
     assert verify_lemma1(T, points=list(T.class_points)[:12], tol=1e-12).passed
 
