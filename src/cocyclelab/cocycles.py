@@ -8,6 +8,7 @@ below exactly computable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -203,19 +204,17 @@ def _numerator_totals(c: CocycleSpec, nums, x: SymbolicPoint, ns) -> list:
     f^n_x for n > 0 sums the windows of x, sigma x, ..., sigma^(n-1) x, and
     f^-n_x negates the sum over sigma^-1 x, ..., sigma^-n x: each is a prefix
     sum along the orbit word of the longest index of its sign, so each word
-    is read once and summed in one pass.
+    is read once and its prefix sums are indexed by |n|.
     """
     span, top, bottom = 2 * c.window + 1, max(ns), min(ns)
-    totals = {0: 0}
+    forward = backward = (0,)
     if top > 0:
         word = _orbit_word(c, x, top)
-        totals.update(zip(range(1, top + 1),
-                          accumulate([nums[word[j : j + span]] for j in range(top)])))
+        forward = [0, *accumulate([nums[word[j : j + span]] for j in range(top)])]
     if bottom < 0:  # step j reads the window that starts at word index |bottom| - j
         word = _orbit_word(c, x, bottom)
-        totals.update(zip(range(-1, bottom - 1, -1),
-                          accumulate([-nums[word[j : j + span]] for j in range(-bottom - 1, -1, -1)])))
-    return [totals[n] for n in ns]
+        backward = [0, *accumulate([-nums[word[j : j + span]] for j in range(-bottom - 1, -1, -1)])]
+    return [forward[n] if n >= 0 else backward[-n] for n in ns]
 
 
 def iterate(c: CocycleSpec, x: SymbolicPoint, n: int) -> PLMap:
@@ -267,23 +266,43 @@ def iterate(c: CocycleSpec, x: SymbolicPoint, n: int) -> PLMap:
     return h
 
 
+@functools.lru_cache(maxsize=64)
+def _common_scale(den_a: int, den_b: int) -> tuple[int, int, int]:
+    """(den, den // den_a, den // den_b) for den = lcm(den_a, den_b), once per pair."""
+    den = math.lcm(den_a, den_b)
+    return den, den // den_a, den // den_b
+
+
+def quotient_numerators(A: CocycleSpec, y: SymbolicPoint, B: CocycleSpec, x: SymbolicPoint, ns):
+    """``(den, numerators)`` when both tables pass ``_rotation_sums``, else None.
+
+    (A^n_y)^-1 B^n_x for the i-th n in ``ns`` is then the rotation by
+    numerators[i] / den, with 0 <= numerators[i] < den and den the lcm of the
+    two tables' denominators: one integer difference of the two cocycles'
+    totals, each cocycle's orbit words read once for all of ``ns`` (see
+    ``_numerator_totals``).
+    """
+    ra, rb = _rotation_sums(A), _rotation_sums(B)
+    if ra is None or rb is None:
+        return None
+    den, ua, ub = _common_scale(ra[0], rb[0])
+    totals = zip(_numerator_totals(A, ra[1], y, ns), _numerator_totals(B, rb[1], x, ns))
+    return den, [(b * ub - a * ua) % den for a, b in totals]
+
+
 def quotients(A: CocycleSpec, y: SymbolicPoint, B: CocycleSpec, x: SymbolicPoint, ns) -> list:
     """[(A^n_y)^-1 B^n_x for n in ns], the quotients that holonomies and
     conjugacies are limits of.
 
-    When ``iterate`` would sum both tables' numerators, the quotient at n is
-    the rotation by one integer difference of the two totals over
-    lcm(den_A, den_B), and each cocycle's orbit words are read once for all of
-    ``ns`` (see ``_numerator_totals``): no product is built.  Any other pair
-    reads both products through ``iterate``, then inverts and composes.
+    When ``quotient_numerators`` answers, each quotient is the rotation by its
+    numerator and no product is built.  Any other pair reads both products
+    through ``iterate``, then inverts and composes.
     """
-    ra, rb = _rotation_sums(A), _rotation_sums(B)
-    if ra is None or rb is None:
+    sums = quotient_numerators(A, y, B, x, ns)
+    if sums is None:
         return [compose(invert(iterate(A, y, n)), iterate(B, x, n)) for n in ns]
-    den = math.lcm(ra[0], rb[0])
-    ua, ub = den // ra[0], den // rb[0]
-    totals = zip(_numerator_totals(A, ra[1], y, ns), _numerator_totals(B, rb[1], x, ns))
-    return [PLMap((_ZERO,), (Fraction((b * ub - a * ua) % den, den),)) for a, b in totals]
+    den, nums = sums
+    return [PLMap((_ZERO,), (Fraction(q, den),)) for q in nums]
 
 
 def holder_const_cocycle(c: CocycleSpec) -> float:

@@ -386,8 +386,8 @@ def run_theorem_a(cfg: ExperimentConfig):
     rows.append(CheckRow("forward-backward-agreement", lem1.worst, tol, lem1.worst <= tol))
 
     pts = _subsample(T.class_points, 120, cfg.seed + 5)
-    measured = estimate_holder(T, pts)
-    if psi is not None:
+    if psi is not None:  # a given pair has no ground truth to hold the fit to
+        measured = estimate_holder(T, pts)
         truth_rule = fixtures.rotation_conjugacy_rule(psi, x0)
         truth = holder_regression(pts, truth_rule.phi_at, float(space.rho))
         # two infinite exponents are two constant fits: nothing was measured

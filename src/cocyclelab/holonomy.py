@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from . import cocycles
 from .circlemaps import PLMap, compose, invert, uniform_distance
-from .cocycles import CocycleSpec, power_domination, quotients
+from .cocycles import CocycleSpec, power_domination, quotient_numerators, quotients
 from .errors import NoConvergence, NotDominated
 from .symbolic import (
     SymbolicPoint,
@@ -27,6 +28,7 @@ from .symbolic import (
 )
 
 HOLONOMY_ITER_CAP = 4096  # largest stabilisation index a holonomy may need
+_ZERO = Fraction(0)
 
 
 def gamma_budget(theta: float, alpha: float) -> float:
@@ -74,7 +76,12 @@ def _limit(pair, side: str, start, n0: int, tol: float, what, memo: dict, key):
     The index n_used is the first multiple of n0 at or past ``start()``, the
     onset plus the window (n = -n_used on the unstable side); the tail is the
     distance to the quotient at n_used + n0.  Both quotients come from one
-    ``quotients`` call.  A result held in ``memo`` under
+    call.  When ``quotient_numerators`` answers with q and q' over ``den``,
+    the tail is min(d, den - d) / den for d = (q - q') mod den, in Python ints:
+    integer true division is correctly rounded, so it is
+    float(uniform_distance) exactly, and only the quotient at n_used is made
+    a map.  Any other pair takes ``quotients`` and ``uniform_distance``.
+    A result held in ``memo`` under
     ``key`` is read instead of recomputed, and a fresh one is held there; the
     memo is emptied when it holds ``ORBIT_MEMO_CAP`` results.  Held or fresh,
     ``what()`` names the limit in the ``NoConvergence`` raised when n_used
@@ -88,8 +95,15 @@ def _limit(pair, side: str, start, n0: int, tol: float, what, memo: dict, key):
         )
     if held is None:
         sign = 1 if side == "s" else -1
-        h, h_next = quotients(*pair, (sign * n_used, sign * (n_used + n0)))
-        held = h, n_used, float(uniform_distance(h, h_next))
+        ns = (sign * n_used, sign * (n_used + n0))
+        sums = quotient_numerators(*pair, ns)
+        if sums is None:
+            h, h_next = quotients(*pair, ns)
+            held = h, n_used, float(uniform_distance(h, h_next))
+        else:
+            den, (q, q_next) = sums
+            d = (q - q_next) % den
+            held = PLMap((_ZERO,), (Fraction(q, den),)), n_used, min(d, den - d) / den
         if len(memo) >= cocycles.ORBIT_MEMO_CAP:
             memo.clear()
         memo[key] = held

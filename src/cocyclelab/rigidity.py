@@ -25,7 +25,7 @@ from .symbolic import (
     bracket,
     sample_measure,
 )
-from .transfer import cohomology_residual, holder_regression
+from .transfer import cohomology_residuals, holder_regression
 
 DISTORTION_HORIZON = 12  # steps over which G's distortion is screened
 
@@ -130,13 +130,9 @@ def regularize(
             f"iterated slopes keep growing through horizon {DISTORTION_HORIZON} "
             f"(K_est={distortion.K_est:.3g})"
         )
-    anchors = []
-    excluded = 0
-    for a in anchors_raw:
-        if cohomology_residual(F, G, phi.phi_at, a) <= 10 * tol:
-            anchors.append(a)
-        else:
-            excluded += 1
+    screened = cohomology_residuals(F, G, phi.phi_at, anchors_raw)
+    anchors = [a for a, r in zip(anchors_raw, screened) if r <= 10 * tol]
+    excluded = len(anchors_raw) - len(anchors)
     if not anchors:
         raise MissingSample("no anchor survived the residual screening")
 
@@ -183,7 +179,7 @@ def regularize(
         path_worst = max(path_worst, float(uniform_distance(tilde[t], alt)))
 
     coh_worst = max(
-        (cohomology_residual(F, G, tilde.__getitem__, t) for t in targets if t.shift(1) in tilde),
+        cohomology_residuals(F, G, tilde.__getitem__, [t for t in targets if t.shift(1) in tilde]),
         default=0.0,
     )
 

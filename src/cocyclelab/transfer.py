@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .circlemaps import PLMap, compose, invert, rotation_numerators, uniform_distance
-from .cocycles import CocycleSpec, dominated_pair, iterate, quotients
+from .cocycles import CocycleSpec, _rotation_sums, dominated_pair, iterate, quotients
 from .errors import (
     InadmissibleLoop,
     InsufficientScales,
@@ -119,7 +119,8 @@ class TransferMap:
         x0, n0 = self.base_point, self.period
         return (
             x0.period is not None and n0 % x0.period == 0
-            and all(m.is_exact for c in (self.F, self.G) for m in c.table.values())
+            and all(_rotation_sums(c) is not None or all(m.is_exact for m in c.table.values())
+                    for c in (self.F, self.G))
             and iterate(self.F, x0, n0) == iterate(self.G, x0, n0)
         )
 
@@ -179,16 +180,36 @@ def build_transfer(
     return T
 
 
-def cohomology_residual(F: CocycleSpec, G: CocycleSpec, phi, y: SymbolicPoint) -> float:
-    """Uniform distance between f_y and phi(sigma y) g_y phi(y)^-1, for a lookup ``phi``."""
-    rhs = compose(compose(phi(y.shift(1)), G.generator(y)), invert(phi(y)))
-    return float(uniform_distance(F.generator(y), rhs))
+def cohomology_residuals(F: CocycleSpec, G: CocycleSpec, phi, points) -> list:
+    """Uniform distance between f_y and phi(sigma y) g_y phi(y)^-1 at each y
+    of ``points``, for a lookup ``phi`` called at sigma y, then at y.
+
+    The four maps of every row are read first.  A row whose four maps are
+    exact rotations, with numerators over the lcm ``den`` of every such map's
+    denominator (``rotation_numerators``), reads its residual as
+    min(d, den - d) / den for d the numerator of f_y - phi(sigma y) - g_y +
+    phi(y) mod den, in Python ints: integer true division is correctly
+    rounded, so it is float(uniform_distance) exactly.  Other rows compose,
+    invert and take ``uniform_distance``.
+    """
+    rows = [(F.generator(y), phi(y.shift(1)), G.generator(y), phi(y)) for y in points]
+    rotations = (m for row in rows for m in row if m.is_rotation and type(m.vals[0]) is Fraction)
+    den, num = rotation_numerators(rotations)
+    out = []
+    for f, p1, g, p0 in rows:
+        ids = id(f), id(p1), id(g), id(p0)
+        if all(i in num for i in ids):
+            d = (num[ids[0]] - num[ids[1]] - num[ids[2]] + num[ids[3]]) % den
+            out.append(min(d, den - d) / den)
+        else:
+            out.append(float(uniform_distance(f, compose(compose(p1, g), invert(p0)))))
+    return out
 
 
 def verify_cohomology(T: TransferMap, points=None, tol: float = 1e-6) -> ResidualReport:
     """Residuals of f_y = phi(sigma y) g_y phi(y)^-1 over the sampled class."""
-    pts = T.class_points if points is None else points
-    return ResidualReport.of(((y, cohomology_residual(T.F, T.G, T.phi_at, y)) for y in pts), tol)
+    pts = list(T.class_points if points is None else points)
+    return ResidualReport.of(zip(pts, cohomology_residuals(T.F, T.G, T.phi_at, pts)), tol)
 
 
 def verify_lemma1(T: TransferMap, points=None, tol: float = 1e-6) -> ResidualReport:

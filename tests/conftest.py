@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -40,6 +42,13 @@ def float_map(m):
 def float_cocycle(c):
     """``c`` with every table entry replaced by its float copy."""
     return CocycleSpec(c.space, c.window, {w: float_map(m) for w, m in c.table.items()})
+
+
+def random_rotation_table(space, window, den, rnd):
+    """A window table of exact rotations by k / den, each k drawn by ``rnd``
+    (a ``random.Random``, which draws below any ``den``)."""
+    return CocycleSpec(space, window, {w: PLMap.rotation(Fraction(rnd.randrange(den), den))
+                                       for w in space.words(2 * window + 1)})
 
 
 def stable_pair(x, y):

@@ -96,6 +96,12 @@ ALLOWED = (
     Allowed("transfer.py", "r = float(uniform_distance(vals[p], vals[q]))",
             "regression distances between PL or float values: every conjugacy an entry "
             "point regresses is rotation-valued (ROADMAP 1)"),
+    Allowed("transfer.py", "out.append(float(uniform_distance(f, compose(compose(p1, g), invert(p0)))))",
+            "residual rows with a PL or float map: every conjugacy an entry point checks is "
+            "rotation-valued (ROADMAP 1)"),
+    Allowed("cocycles.py", "den, nums = sums\n    return [PLMap(",
+            "quotient maps of two rotation tables: holonomy limits read quotient_numerators, "
+            "and only verify_lemma1's n0 > 1 branch asks for these (ROADMAP 2)"),
     # float-mode edges
     Allowed("circlemaps.py", "vals = tuple(v - 1 for v in vals)",
             "a float lift value that rounds up to 1; no exact map reaches it"),

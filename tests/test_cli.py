@@ -87,6 +87,22 @@ def test_gen_conjugated_pair_passes_theorem_a(tmp_path, monkeypatch):
     assert "periodic-data" in names and "cohomological-residual" in names
 
 
+@pytest.mark.parametrize("psi_window", [0, 1])
+def test_theorem_a_runs_a_locally_constant_generated_pair(tmp_path, psi_window):
+    # phi is constant on too few distance scales to fit an exponent; a given
+    # pair has no ground truth to compare a fit with, so none is made
+    assert main(["gen", "conjugated-pair", "--param", f"psi_window={psi_window}",
+                 "--out", str(tmp_path)]) == 0
+    code = main(["run", "--config", str(tmp_path / "conjugated_pair.json"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    rows = {r["name"]: r for r in report["rows"]}
+    assert report["verdict"] == "pass" and all(r["passed"] for r in rows.values())
+    assert rows["cohomology-sample-count"]["residual"] == -638.0
+    assert "transfer-exponent-gap" not in rows
+
+
 # sha256 of the file `gen conjugated-pair --seed 4 --param psi_window=N` writes
 GEN_CONJUGATED_PAIR_SHA256 = {
     3: "c1f3416c514c4c523208d91c25fa27df8296de925f04d32ebbd6cf2b67e6811e",

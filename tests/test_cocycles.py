@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from cocyclelab.cocycles import (
     DominationReport,
     _word_generators,
     orbit_product,
+    quotient_numerators,
     quotients,
 )
 from cocyclelab.errors import ResourceLimit
@@ -46,7 +48,9 @@ from cocyclelab.fixtures import (
     telescoping_cocycle,
 )
 
-from conftest import blend_with_identity, float_cocycle, float_map, random_point
+from conftest import (
+    blend_with_identity, float_cocycle, float_map, random_point, random_rotation_table,
+)
 
 
 def constant_cocycle(space, m, window=0):
@@ -570,6 +574,35 @@ def test_exact_rotation_quotient_is_one_angle_difference(qa, qb, nums, n, seed):
     got = quotient_at(A, y, B, x, n)
     assert got == compose(invert(iterate(A, y, n)), iterate(B, x, n))
     assert got.is_rotation and got.is_exact
+
+
+@given(
+    st.sampled_from(((7, 9), (8, 15), (11, 2**61 - 1), (3**40, 2**64))), st.integers(0, 2),
+    st.integers(0, 1), st.lists(st.integers(-8, 8), min_size=1, max_size=4),
+    st.integers(0, 10_000),
+)
+@example((3**40, 2**64), 2, 1, [0, 5, -7, 5], 3)  # n = 0, both signs, a repeat
+@settings(max_examples=40, deadline=None)
+def test_quotient_numerators_match_the_composed_quotients(dens, window_a, window_b, ns, seed):
+    space = SFTSpace.full_shift(2)
+    rnd, rng = random.Random(seed), np.random.default_rng(seed)
+    A, B = (random_rotation_table(space, w, q, rnd) for w, q in zip((window_a, window_b), dens))
+    x, y = random_point(space, rng), random_point(space, rng)
+    den, nums = quotient_numerators(A, y, B, x, ns)
+    assert den == math.lcm(*(m.angle.denominator for c in (A, B) for m in c.table.values()))
+    assert all(0 <= q < den for q in nums)
+    for n, q in zip(ns, nums):
+        want = compose(invert(iterate(A, y, n)), iterate(B, x, n))
+        assert PLMap.rotation(Fraction(q, den)) == want
+        assert want == compose(invert(fresh_fold(A, y, n)), fresh_fold(B, x, n))
+
+
+def test_quotient_numerators_need_two_summable_tables(full2, rng):
+    rot, pl = rotation_cocycle(full2, 1, seed=4), pl_dominated_cocycle(full2, 1, 0.4, seed=9)
+    x = random_point(full2, rng)
+    for A, B in ((rot, pl), (pl, rot), (pl, pl), (rot, float_cocycle(rot))):
+        assert quotient_numerators(A, x, B, x.shift(1), (2, -1)) is None
+    assert quotient_numerators(rot, x, rot, x.shift(1), (2, -1)) is not None
 
 
 def test_quotient_composes_float_mixed_and_pl_products(full2, rng, monkeypatch):

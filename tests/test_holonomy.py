@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from cocyclelab import (
 )
 from cocyclelab import holonomy
 from cocyclelab.circlemaps import SEGMENT_EPS, SLOPE_EPS
+from cocyclelab.cocycles import quotient_numerators, quotients
 from cocyclelab.errors import NoConvergence, NotDominated, NotStablePair
 from cocyclelab.fixtures import (
     expanding_cocycle,
@@ -36,7 +38,7 @@ from cocyclelab.fixtures import (
 )
 from cocyclelab.symbolic import MarkovMeasure, distance, resample_past, sample_measure
 
-from conftest import blend_with_identity, float_cocycle, random_point
+from conftest import blend_with_identity, float_cocycle, random_point, random_rotation_table
 
 
 def constant_cocycle(space, m):
@@ -339,6 +341,53 @@ def test_one_pass_holonomy_matches_four_iterates(full2, n0):
         assert res.map == h and res.cauchy_tail == tail
         tails.append(tail)
     assert max(tails) > 0
+
+
+def limit_pair(kind, rnd):
+    """(A, B) over the full 2-shift: rotation tables over small coprime
+    denominators or over ones whose lcm is at least 2**53, PL tables, or a
+    rotation table and a float one."""
+    space = SFTSpace.full_shift(2)
+    if kind == "pl":
+        return pl_dominated_cocycle(space, 1, 0.4, seed=3), pl_dominated_cocycle(space, 0, 0.4, seed=5)
+    dens = (2**61 - 1, 3**35) if kind == "rotation-wide" else (7, 12)
+    A, B = (random_rotation_table(space, w, q, rnd) for w, q in zip((1, 0), dens))
+    return (A, float_cocycle(B)) if kind == "rotation-float" else (A, B)
+
+
+@given(
+    st.sampled_from(("rotation", "rotation-wide", "pl", "rotation-float")), st.sampled_from("su"),
+    st.integers(0, 6), st.integers(1, 2), st.integers(0, 10_000),
+)
+@settings(max_examples=60, deadline=None)
+def test_limit_tail_is_the_uniform_distance(kind, side, start, n0, seed):
+    # unrelated x and y: the quotients have not stabilised, so tails are not 0
+    rnd, rng = random.Random(seed), np.random.default_rng(seed)
+    A, B = limit_pair(kind, rnd)
+    x, y = random_point(A.space, rng), random_point(A.space, rng)
+    h, n_used, tail = holonomy._limit((A, y, B, x), side, lambda: start, n0, math.inf,
+                                      lambda: "limit", {}, None)
+    sign = 1 if side == "s" else -1
+    want, after = quotients(A, y, B, x, (sign * n_used, sign * (n_used + n0)))
+    assert n_used % n0 == 0 and start <= n_used < start + n0
+    assert h == want and tail == float(uniform_distance(want, after))
+    if kind == "rotation-wide":
+        assert quotient_numerators(A, y, B, x, (0,))[0] >= 2**53
+
+
+def test_limit_tails_cover_both_halves_of_the_circle():
+    # the arc distance of d / den is (den - d) / den past one half
+    rnd, tails = random.Random(1), []
+    for kind in ("rotation", "rotation-wide"):
+        A, B = limit_pair(kind, rnd)
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            x, y = random_point(A.space, rng), random_point(A.space, rng)
+            den, (q, q_next) = quotient_numerators(A, y, B, x, (3, 4))
+            tails.append(((q - q_next) % den > den // 2,
+                          holonomy._limit((A, y, B, x), "s", lambda: 3, 1, math.inf,
+                                          lambda: "limit", {}, None)[2]))
+    assert {past for past, _ in tails} == {True, False} and all(t <= 0.5 for _, t in tails)
 
 
 def test_float_holonomies_track_exact(full2):

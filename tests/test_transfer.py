@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -44,7 +45,7 @@ from cocyclelab.errors import (
 )
 from cocyclelab.cocycles import dominated_pair
 from cocyclelab.symbolic import distance_exponent
-from cocyclelab.transfer import cohomology_residual
+from cocyclelab.transfer import cohomology_residuals
 from cocyclelab.fixtures import (
     conjugated_pair,
     decaying_rotation_rule,
@@ -56,7 +57,10 @@ from cocyclelab.fixtures import (
     rotation_conjugacy_rule,
 )
 
-from conftest import conj_hol_residuals, float_cocycle, float_map, stable_pair, unequal_tail_pool
+from conftest import (
+    conj_hol_residuals, float_cocycle, float_map, random_point, random_rotation_table, stable_pair,
+    unequal_tail_pool,
+)
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +252,45 @@ def _equivariant_plmap(rng, q):
                       [(v + k) / q for k in range(q) for v in h.vals])
 
 
+def composed_residual(F, G, phi, y):
+    """One row's residual by composition: d(f_y, phi(sigma y) g_y phi(y)^-1)."""
+    rhs = compose(compose(phi(y.shift(1)), G.generator(y)), invert(phi(y)))
+    return float(uniform_distance(F.generator(y), rhs))
+
+
+def residual_rows(kind, seed):
+    """(F, G, phi, points): rotation tables and values over small coprime
+    denominators or over ones of at least 2**53; the same with every third
+    value and G's entry at symbol 1 PL; or the same with F, the values and
+    at odd seeds G in float."""
+    space = SFTSpace.full_shift(2)
+    rnd, rng = random.Random(seed), np.random.default_rng(seed)
+    dens = (2**61 - 1, 3**35, 2**60) if kind == "rotation-wide" else (8, 9, 35)
+    F, G = random_rotation_table(space, 1, dens[0], rnd), random_rotation_table(space, 0, dens[1], rnd)
+    pts = [random_point(space, rng) for _ in range(12)]
+    phi = {p: PLMap.rotation(Fraction(rnd.randrange(dens[2]), dens[2]))
+           for y in pts for p in (y, y.shift(1))}
+    if kind == "mixed":
+        G = CocycleSpec(space, 0, {**G.table, b"\1": near_identity_plmap(rng)})
+        phi = {p: near_identity_plmap(rng) if i % 3 == 0 else m for i, (p, m) in enumerate(phi.items())}
+    if kind == "float":
+        F, G = float_cocycle(F), float_cocycle(G) if seed % 2 else G
+        phi = {p: float_map(m) for p, m in phi.items()}
+    return F, G, phi.__getitem__, pts
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", ["rotation", "rotation-wide", "mixed", "float"])
+def test_cohomology_residuals_match_the_composed_rows(kind, seed):
+    F, G, phi, pts = residual_rows(kind, seed)
+    got = cohomology_residuals(F, G, phi, pts)
+    assert got == [composed_residual(F, G, phi, y) for y in pts]
+    assert any(r > 0.25 for r in got)  # arcs past a quarter: rows are not near-zero
+    if kind == "mixed":
+        rows = [(F.generator(y), phi(y.shift(1)), G.generator(y), phi(y)) for y in pts]
+        assert {all(m.is_rotation for m in row) for row in rows} == {True, False}
+
+
 def test_cohomology_residual_order_on_pl_values():
     # G_x = psi(sigma x)^-1 f_x psi(x) with PL f and psi: the values do not
     # commute, so only the order phi(sigma y) g_y phi(y)^-1 gives zero
@@ -257,8 +300,8 @@ def test_cohomology_residual_order_on_pl_values():
     psi = WindowRule(0, {w: near_identity_plmap(rng) for w in space.words(1)})
     G = conjugated_pair(F, psi)
     assert not any(m.is_rotation for m in G.table.values())
-    for y in homoclinic_points(SymbolicPoint.fixed(space, 0), 2):
-        assert cohomology_residual(F, G, psi.phi_at, y) == 0
+    pts = homoclinic_points(SymbolicPoint.fixed(space, 0), 2)
+    assert cohomology_residuals(F, G, psi.phi_at, pts) == [0] * len(pts)
 
 
 def test_rotation_conjugacy_rule_on_equivariant_pl_values():
@@ -272,8 +315,8 @@ def test_rotation_conjugacy_rule_on_equivariant_pl_values():
     rule = rotation_conjugacy_rule(rho, x0)
     G = conjugated_pair(R, rho)
     assert rule.phi_at(x0) == PLMap.identity()
-    for y in homoclinic_points(x0, 2):
-        assert cohomology_residual(R, G, rule.phi_at, y) == 0
+    pts = homoclinic_points(x0, 2)
+    assert cohomology_residuals(R, G, rule.phi_at, pts) == [0] * len(pts)
 
 
 # ------------------------------------------------- one forward quotient per point
