@@ -26,6 +26,7 @@ TABLE_ENTRY_CAP = 16_384  # words a window table may have; theorem-a's default G
 HORIZON_CAP = 1000  # largest distortion horizon a config may ask for
 N_MAX_CAP = 200  # largest holonomy convergence depth n_max a config may ask for
 HOLDER_PAIRS_CAP = 200_000  # table-word pairs holder_const_cocycle may read
+GROWTH_MARGIN = 1.1  # factor by which distortion must rise over the later half to be growth
 _ZERO = Fraction(0)
 
 
@@ -145,10 +146,17 @@ def orbit_product(maps, h: PLMap | None = None, step: int = 0) -> PLMap:
     return PLMap.identity() if h is None else h
 
 
-def _orbit_word(c: CocycleSpec, x: SymbolicPoint, n: int) -> bytes:
-    """The word f^n_x depends on: x[-w : n+w] for n >= 0, x[n-w : w] for n < 0."""
-    w = c.window
+def _orbit_word(x: SymbolicPoint, w: int, n: int) -> bytes:
+    """The word f^n_x depends on for a window-w table: x[-w : n+w] for n >= 0,
+    x[n-w : w] for n < 0."""
     return x.window(-w, n + w) if n >= 0 else x.window(n - w, w)
+
+
+def _orbit_words(x: SymbolicPoint, w: int, top: int, bottom: int) -> tuple[bytes, bytes]:
+    """x's orbit words at window w for the indices ``top`` and ``bottom``,
+    ``b""`` for an index of the other sign."""
+    return (_orbit_word(x, w, top) if top > 0 else b"",
+            _orbit_word(x, w, bottom) if bottom < 0 else b"")
 
 
 def _word_generators(c: CocycleSpec, word: bytes, n: int, start: int = 0):
@@ -197,24 +205,27 @@ def _rotation_sums(c: CocycleSpec):
     return None
 
 
-def _numerator_totals(c: CocycleSpec, nums, x: SymbolicPoint, ns) -> list:
-    """For each n in ``ns``, the signed sum of the window numerators that
-    f^n_x is the rotation by (over ``_rotation_sums``' ``den``, not reduced).
+def _prefix_sums(c: CocycleSpec, nums, words, cut: int, top: int, bottom: int):
+    """``(forward, backward)``: forward[n] for 0 <= n <= top and backward[n]
+    for 0 <= n <= -bottom are the signed sums of the window numerators that
+    f^n_x and f^-n_x are the rotations by (over ``_rotation_sums``' ``den``,
+    not reduced).
 
     f^n_x for n > 0 sums the windows of x, sigma x, ..., sigma^(n-1) x, and
     f^-n_x negates the sum over sigma^-1 x, ..., sigma^-n x: each is a prefix
     sum along the orbit word of the longest index of its sign, so each word
-    is read once and its prefix sums are indexed by |n|.
+    is read once.  ``words`` are x's ``_orbit_words`` for ``top`` and
+    ``bottom`` at window c.window + cut, so c's windows start ``cut``
+    symbols in.
     """
-    span, top, bottom = 2 * c.window + 1, max(ns), min(ns)
+    span, (fwd, bwd) = 2 * c.window + 1, words
     forward = backward = (0,)
     if top > 0:
-        word = _orbit_word(c, x, top)
-        forward = [0, *accumulate([nums[word[j : j + span]] for j in range(top)])]
-    if bottom < 0:  # step j reads the window that starts at word index |bottom| - j
-        word = _orbit_word(c, x, bottom)
-        backward = [0, *accumulate([-nums[word[j : j + span]] for j in range(-bottom - 1, -1, -1)])]
-    return [forward[n] if n >= 0 else backward[-n] for n in ns]
+        forward = [0, *accumulate([nums[fwd[j : j + span]] for j in range(cut, cut + top)])]
+    if bottom < 0:  # step j reads the window that starts at word index cut + |bottom| - j
+        backward = [0, *accumulate([-nums[bwd[j : j + span]]
+                                    for j in range(cut - bottom - 1, cut - 1, -1)])]
+    return forward, backward
 
 
 def iterate(c: CocycleSpec, x: SymbolicPoint, n: int) -> PLMap:
@@ -234,17 +245,18 @@ def iterate(c: CocycleSpec, x: SymbolicPoint, n: int) -> PLMap:
     memoised extends the longest memoised prefix of its word.  The memo holds
     at most ``ORBIT_MEMO_CAP`` products and is emptied when full.
     """
+    word = _orbit_word(x, c.window, n)
     rot = _rotation_sums(c)
     if rot is not None:
         den, nums, maps = rot
-        num = _numerator_totals(c, nums, x, (n,))[0] % den
+        forward, backward = _prefix_sums(c, nums, (word, word), 0, n, n)
+        num = (forward[n] if n >= 0 else backward[-n]) % den
         h = maps.get(num)
         if h is None:
             if len(maps) >= ORBIT_MEMO_CAP:
                 maps.clear()
             h = maps[num] = PLMap((_ZERO,), (Fraction(num, den),))
         return h
-    word = _orbit_word(c, x, n)
     memo = c._cache.setdefault("orbit", {})
     key = (n > 0, word)
     h = memo.get(key)
@@ -279,15 +291,26 @@ def quotient_numerators(A: CocycleSpec, y: SymbolicPoint, B: CocycleSpec, x: Sym
     (A^n_y)^-1 B^n_x for the i-th n in ``ns`` is then the rotation by
     numerators[i] / den, with 0 <= numerators[i] < den and den the lcm of the
     two tables' denominators: one integer difference of the two cocycles'
-    totals, each cocycle's orbit words read once for all of ``ns`` (see
-    ``_numerator_totals``).
+    prefix sums (``_prefix_sums``), each point's orbit words read once for
+    all of ``ns``.  When y is x they are read once, at the wider of the two
+    windows, and both cocycles read them.
     """
     ra, rb = _rotation_sums(A), _rotation_sums(B)
     if ra is None or rb is None:
         return None
     den, ua, ub = _common_scale(ra[0], rb[0])
-    totals = zip(_numerator_totals(A, ra[1], y, ns), _numerator_totals(B, rb[1], x, ns))
-    return den, [(b * ub - a * ua) % den for a, b in totals]
+    top, bottom = max(ns), min(ns)
+    wa, wb = A.window, B.window
+    if y is x:
+        wy = wx = max(wa, wb)
+        words_y = words_x = _orbit_words(y, wy, top, bottom)
+    else:
+        wy, wx = wa, wb
+        words_y, words_x = _orbit_words(y, wa, top, bottom), _orbit_words(x, wb, top, bottom)
+    fa, ba = _prefix_sums(A, ra[1], words_y, wy - wa, top, bottom)
+    fb, bb = _prefix_sums(B, rb[1], words_x, wx - wb, top, bottom)
+    return den, [(fb[n] * ub - fa[n] * ua if n >= 0 else bb[-n] * ub - ba[-n] * ua) % den
+                 for n in ns]
 
 
 def quotients(A: CocycleSpec, y: SymbolicPoint, B: CocycleSpec, x: SymbolicPoint, ns) -> list:
@@ -389,8 +412,9 @@ def check_bounded_distortion(c: CocycleSpec, horizon: int, samples) -> Distortio
     ``certified`` is True exactly when every generator is a rotation, in which
     case all compositions are isometries.  Growth is flagged when the per-step
     maxima have a positive fitted growth rate and the later half of the
-    horizon exceeds the earlier half's maximum, so distortion that keeps
-    increasing is flagged and bounded oscillation is not.  When ``iterate``
+    horizon exceeds the earlier half's maximum by more than GROWTH_MARGIN, so
+    distortion that keeps increasing is flagged and bounded oscillation, whose
+    running maximum levels off, is not.  When ``iterate``
     would sum numerators, every product is an exact rotation of slope exactly
     1 that passes every cap, so no orbit is read.
     """
@@ -411,7 +435,8 @@ def check_bounded_distortion(c: CocycleSpec, horizon: int, samples) -> Distortio
         logs = np.log(np.maximum(per_step, 1.0))
         slope = np.polyfit(range(1, horizon + 1), logs, 1)[0]
         half = horizon // 2
-        growth = bool(slope > 1e-3) and max(per_step[half:]) > max(per_step[:half])
+        rise = max(per_step[half:]) > GROWTH_MARGIN * max(per_step[:half])
+        growth = bool(slope > 1e-3) and rise
     return DistortionReport(k_est, horizon, certified, tuple(per_step), growth)
 
 

@@ -212,6 +212,27 @@ def _canonical(left: Word, core: Word, right: Word, core_start: int):
     return _rotate(left, -steps), b"", _rotate(right, -steps), core_start - steps
 
 
+def _symbol_bytes(space: SFTSpace, words) -> list[Word]:
+    """``words`` as ``bytes``, each read by value (``bytes()`` of a numpy array
+    is its buffer); "symbol out of range" unless every symbol is in 0..k-1."""
+    try:  # bytes() refuses a float, a negative symbol and one past 255
+        words = [w if type(w) is bytes else bytes(tuple(w)) for w in words]
+        stray = b"".join(words).translate(None, space._symbols)
+    except (TypeError, ValueError):
+        stray = True
+    if stray:  # translate() deleted 0..k-1 and left a symbol from k to 255
+        raise ValueError("symbol out of range")
+    return words
+
+
+def _point(space: SFTSpace, left: Word, core: Word, right: Word, core_start: int) -> "SymbolicPoint":
+    """The canonical point with these ``bytes`` tails and core, unchecked: for
+    words whose every new pair the caller checked (``make`` checks outside
+    input and ends here).  A period of a valid point's side and a shortest
+    cycle are admissible cycles by construction."""
+    return SymbolicPoint(space, *_canonical(left, core, right, core_start))
+
+
 @dataclass(frozen=True, slots=True)
 class SymbolicPoint:
     """Eventually-periodic bi-infinite admissible sequence.
@@ -235,20 +256,14 @@ class SymbolicPoint:
         left, core, right = (w if type(w) is bytes else tuple(w) for w in (left, core, right))
         if not left or not right:
             raise ValueError("periodic tails must be non-empty")
-        try:  # bytes() refuses a float, a negative symbol and one past 255
-            left, core, right = bytes(left), bytes(core), bytes(right)
-            stray = (left + core + right).translate(None, space._symbols)
-        except (TypeError, ValueError):
-            stray = True
-        if stray:  # translate() deleted 0..k-1 and left a symbol from k to 255
-            raise ValueError("symbol out of range")
+        left, core, right = _symbol_bytes(space, (left, core, right))
         # a periodic point's two tails are one word, checked once
         if not (space.admissible_cycle(left) and (right == left or space.admissible_cycle(right))):
             raise ValueError("periodic tail is not an admissible cycle")
         seam = left[-1:] + core + right[:1]
         if not space.admissible_word(seam):
             raise ValueError("core or junction is not admissible")
-        return cls(space, *_canonical(left, core, right, core_start))
+        return _point(space, left, core, right, core_start)
 
     @classmethod
     def periodic(cls, space: SFTSpace, word) -> "SymbolicPoint":
@@ -401,16 +416,24 @@ def splice(left_src: SymbolicPoint, word, lo: int, right_src: SymbolicPoint) -> 
 
     Each source must be periodic on the side it gives: below ``lo`` for
     ``left_src`` and from ``lo + len(word)`` on for ``right_src``, as a
-    periodic point is everywhere.
+    periodic point is everywhere.  Each tail is one period of its source's
+    side, so only ``word``'s symbols and the pairs from the left tail through
+    ``word`` to the right tail are checked, with ``make``'s messages.
     """
+    space = left_src.space
+    if right_src.space != space:
+        raise ValueError("points live in different spaces")
     hi = lo + len(word)
     if not (left_src.is_periodic or lo <= left_src.core_start) or not (
         right_src.is_periodic or hi >= right_src.core_start + len(right_src.core)
     ):
         raise ValueError("a source is not periodic on the side it gives")
+    (word,) = _symbol_bytes(space, (word,))
     left = left_src.window(lo - len(left_src.left), lo)
     right = right_src.window(hi, hi + len(right_src.right))
-    return SymbolicPoint.make(left_src.space, left, word, right, lo)
+    if not space.admissible_word(left[-1:] + word + right[:1]):
+        raise ValueError("core or junction is not admissible")
+    return _point(space, left, word, right, lo)
 
 
 def bracket(y: SymbolicPoint, z: SymbolicPoint) -> SymbolicPoint:
@@ -522,9 +545,10 @@ def _closing_word(y: SymbolicPoint, lo: int, hi: int) -> Word:
 
 
 def closing_point_range(y: SymbolicPoint, lo: int, hi: int) -> SymbolicPoint:
-    """Periodic point repeating the word ``y_lo .. y_{hi-1}`` in place."""
+    """Periodic point repeating the word ``y_lo .. y_{hi-1}`` in place: a
+    window of y whose wrap pair ``_closing_word`` checked."""
     word = _closing_word(y, lo, hi)
-    return SymbolicPoint.make(y.space, word, b"", word, lo)
+    return _point(y.space, word, b"", word, lo)
 
 
 def closing_point(y: SymbolicPoint, n: int) -> SymbolicPoint:
@@ -696,12 +720,13 @@ def _cycle_search(space: SFTSpace, s: int) -> Word:
 
 
 def _complete_word(space: SFTSpace, word: Word, core_start: int) -> SymbolicPoint:
-    """Extend a finite admissible word to a point by periodic continuation."""
+    """Extend a finite admissible word to a point by periodic continuation;
+    both seams are edges of shortest cycles, so nothing is checked."""
     cyc_l = _shortest_cycle(space, word[0])
     cyc_r = _shortest_cycle(space, word[-1])
     left = cyc_l  # ends right before word[0]: wrap pair (last, word[0]) is the cycle edge
     right = _rotate(cyc_r, 1)  # starts right after word[-1]
-    return SymbolicPoint.make(space, left, word, right, core_start)
+    return _point(space, left, word, right, core_start)
 
 
 _SUM_ATOL = math.sqrt(sys.float_info.epsilon)
@@ -746,6 +771,7 @@ def sample_measure(
     most SAMPLE_BLOCK draws, row after row, so the draws are those of one
     ``rng.random(depth)`` call each.  All draws of a block step together: the
     count of a non-decreasing cdf row's entries <= u is its ``bisect_right``.
+    Each drawn word is searched for a forbidden pair before it is completed.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -760,29 +786,38 @@ def sample_measure(
         s = syms[:, 0] = np.count_nonzero(start <= u[:, :1], axis=1)
         for t in range(1, depth):
             s = syms[:, t] = np.count_nonzero(forward[s] <= u[:, t, None], axis=1)
-        out.extend(_complete_word(mu.space, w.tobytes(), -(depth // 2)) for w in syms)
+        words = [w.tobytes() for w in syms]
+        if not all(map(mu.space.admissible_word, words)):
+            raise ValueError("sampled word is not admissible")
+        out.extend(_complete_word(mu.space, w, -(depth // 2)) for w in words)
     return out
 
 
 def resample_future(
     mu: MarkovMeasure, x: SymbolicPoint, rng, depth: int = 32
 ) -> SymbolicPoint:
-    """Redraw coordinates n >= 1 from the chain: a point on W^u_loc(x)."""
+    """Redraw coordinates n >= 1 from the chain: a point on W^u_loc(x).  Its
+    word from ``lo`` on is checked; its left tail is a period of x's."""
     lo = min(x.core_start, 0)
     past = x.window(lo, 1)
     syms = past + bytes(_walk(mu._forward_cdf, past[-1], rng.random(depth).tolist()))
+    if not mu.space.admissible_word(syms):
+        raise ValueError("resampled word is not admissible")
     left = x.window(lo - len(x.left), lo)
     cyc_r = _shortest_cycle(mu.space, syms[-1])
-    return SymbolicPoint.make(mu.space, left, syms, _rotate(cyc_r, 1), lo)
+    return _point(mu.space, left, syms, _rotate(cyc_r, 1), lo)
 
 
 def resample_past(
     mu: MarkovMeasure, x: SymbolicPoint, rng, depth: int = 32
 ) -> SymbolicPoint:
-    """Redraw coordinates n <= -1 via the reversed kernel: a point on W^s_loc(x)."""
+    """Redraw coordinates n <= -1 via the reversed kernel: a point on W^s_loc(x).
+    Its word up to ``hi`` is checked; its right tail is a period of x's."""
     hi = max(x.core_start + len(x.core), 0)
     rev = [x[0]] + _walk(mu._backward_cdf, x[0], rng.random(depth).tolist())
     syms = bytes(reversed(rev)) + x.window(1, hi + 1)
+    if not mu.space.admissible_word(syms):
+        raise ValueError("resampled word is not admissible")
     right = x.window(hi + 1, hi + 1 + len(x.right))
     cyc_l = _shortest_cycle(mu.space, syms[0])
-    return SymbolicPoint.make(mu.space, cyc_l, syms, right, -depth)
+    return _point(mu.space, cyc_l, syms, right, -depth)

@@ -6,6 +6,7 @@ from hypothesis import settings
 
 from cocyclelab import CocycleSpec, PLMap, SFTSpace, SymbolicPoint, holonomy, uniform_distance
 from cocyclelab.errors import NotStablePair
+from cocyclelab.fixtures import near_identity_plmap
 from cocyclelab.symbolic import stable_agreement_onset
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
@@ -42,6 +43,14 @@ def float_map(m):
 def float_cocycle(c):
     """``c`` with every table entry replaced by its float copy."""
     return CocycleSpec(c.space, c.window, {w: float_map(m) for w, m in c.table.items()})
+
+
+def equivariant_plmap(rng, q):
+    """A near-identity map on [0, 1/q) repeated with +k/q: it commutes with
+    every rotation by a multiple of 1/q."""
+    h = near_identity_plmap(rng)
+    return PLMap.make([(b + k) / q for k in range(q) for b in h.breaks],
+                      [(v + k) / q for k in range(q) for v in h.vals])
 
 
 def random_rotation_table(space, window, den, rnd):

@@ -14,7 +14,7 @@ outcome and exits 1 if a mutant survived or a run could not be judged:
 
     python3 tests/mutants.py [NAME ...]
 
-The whole set (58 mutants) took 259 s on a 2-core Linux machine with Python
+The whole set (64 mutants) took 352 s on a 2-core Linux machine with Python
 3.11 (one test process at a time); every mutant was killed.
 """
 
@@ -61,8 +61,8 @@ MUTANTS = (
     Mutant("rho-past-the-float-range-accepted", "symbolic.py",
            "if not self.rho <= sys.float_info.max:", "if not self.rho <= math.inf:", CLI),
     Mutant("make-range-check-accepts-float-symbols", "symbolic.py",
-           "left, core, right = bytes(left), bytes(core), bytes(right)",
-           "left, core, right = (bytes(map(int, w)) for w in (left, core, right))", SYMBOLIC),
+           "else bytes(tuple(w)) for w in words]", "else bytes(map(int, w)) for w in words]",
+           SYMBOLIC),
     Mutant("make-reads-the-numpy-buffer", "symbolic.py",
            "w if type(w) is bytes else tuple(w) for w in (left, core, right)",
            "w if type(w) is bytes else bytes(w) for w in (left, core, right)", SYMBOLIC),
@@ -78,6 +78,17 @@ MUTANTS = (
     Mutant("block-drawn-column-major", "symbolic.py",
            "u = rng.random((min(SAMPLE_BLOCK, count - done), depth))",
            "u = rng.random((depth, min(SAMPLE_BLOCK, count - done))).T", SYMBOLIC),
+    Mutant("sampled-words-unchecked", "symbolic.py",
+           "if not all(map(mu.space.admissible_word, words)):", "if False:", SYMBOLIC),
+    Mutant("resampled-future-unchecked", "symbolic.py",
+           "rng.random(depth).tolist()))\n    if not mu.space.admissible_word(syms):",
+           "rng.random(depth).tolist()))\n    if False:", SYMBOLIC),
+    Mutant("resampled-past-unchecked", "symbolic.py",
+           "x.window(1, hi + 1)\n    if not mu.space.admissible_word(syms):",
+           "x.window(1, hi + 1)\n    if False:", SYMBOLIC),
+    Mutant("splice-left-seam-unchecked", "symbolic.py",
+           "if not space.admissible_word(left[-1:] + word + right[:1]):",
+           "if not space.admissible_word(word + right[:1]):", SYMBOLIC),
     Mutant("golden-mean-rho-3", "symbolic.py",
            "return cls(2, ((1, 1), (1, 0)))", "return cls(2, ((1, 1), (1, 0)), 3)", SYMBOLIC),
     # PL maps
@@ -113,8 +124,10 @@ MUTANTS = (
     # orbit products and cocycle reports
     Mutant("rotation-sum-not-negated", "cocycles.py",
            "accumulate([-nums[", "accumulate([nums[", COCYCLES),
+    Mutant("shared-orbit-word-read-from-its-start", "cocycles.py",
+           "words_x, wx - wb, top, bottom)", "words_x, 0, top, bottom)", COCYCLES),
     Mutant("numerator-totals-one-term-short", "cocycles.py",
-           "for j in range(top)])", "for j in range(top - 1)])", COCYCLES),
+           "for j in range(cut, cut + top)])", "for j in range(cut, cut + top - 1)])", COCYCLES),
     Mutant("quotients-scale-swapped", "cocycles.py",
            "return den, den // den_a, den // den_b", "return den, den // den_b, den // den_a",
            COCYCLES),
@@ -129,6 +142,9 @@ MUTANTS = (
     Mutant("distortion-reads-summable-orbits", "cocycles.py",
            "samples = list(samples) if _rotation_sums(c) is None else []",
            "samples = list(samples)", COCYCLES),
+    Mutant("distortion-growth-without-margin", "cocycles.py",
+           "> GROWTH_MARGIN * max(per_step[:half])", "> max(per_step[:half])",
+           ("tests/test_rigidity.py",)),
     Mutant("distortion-inverse-slope-reads-max", "cocycles.py",
            "float(max(slopes)), 1.0 / float(min(slopes)))\n",
            "float(max(slopes)), 1.0 / float(max(slopes)))\n", COCYCLES),

@@ -579,15 +579,19 @@ def test_exact_rotation_quotient_is_one_angle_difference(qa, qb, nums, n, seed):
 @given(
     st.sampled_from(((7, 9), (8, 15), (11, 2**61 - 1), (3**40, 2**64))), st.integers(0, 2),
     st.integers(0, 1), st.lists(st.integers(-8, 8), min_size=1, max_size=4),
-    st.integers(0, 10_000),
+    st.integers(0, 10_000), st.booleans(),
 )
-@example((3**40, 2**64), 2, 1, [0, 5, -7, 5], 3)  # n = 0, both signs, a repeat
+@example((3**40, 2**64), 2, 1, [0, 5, -7, 5], 3, False)  # n = 0, both signs, a repeat
+@example((7, 9), 2, 0, [4, -3], 8, True)  # one point read at A's window for both
+@example((8, 15), 0, 1, [-5, 6], 2, True)  # and at B's
 @settings(max_examples=40, deadline=None)
-def test_quotient_numerators_match_the_composed_quotients(dens, window_a, window_b, ns, seed):
+def test_quotient_numerators_match_the_composed_quotients(dens, window_a, window_b, ns, seed,
+                                                          same):
     space = SFTSpace.full_shift(2)
     rnd, rng = random.Random(seed), np.random.default_rng(seed)
     A, B = (random_rotation_table(space, w, q, rnd) for w, q in zip((window_a, window_b), dens))
-    x, y = random_point(space, rng), random_point(space, rng)
+    x = random_point(space, rng)
+    y = x if same else random_point(space, rng)
     den, nums = quotient_numerators(A, y, B, x, ns)
     assert den == math.lcm(*(m.angle.denominator for c in (A, B) for m in c.table.values()))
     assert all(0 <= q < den for q in nums)
@@ -595,6 +599,26 @@ def test_quotient_numerators_match_the_composed_quotients(dens, window_a, window
         want = compose(invert(iterate(A, y, n)), iterate(B, x, n))
         assert PLMap.rotation(Fraction(q, den)) == want
         assert want == compose(invert(fresh_fold(A, y, n)), fresh_fold(B, x, n))
+
+
+def test_quotient_numerators_read_one_point_once(full2, monkeypatch):
+    # y's words are read once per sign, at the wider window, when both cocycles read y
+    reads = []
+    real = SymbolicPoint.window
+
+    def window(p, lo, hi):
+        reads.append((lo, hi))
+        return real(p, lo, hi)
+
+    rnd = random.Random(3)
+    A, B = random_rotation_table(full2, 1, 7, rnd), random_rotation_table(full2, 3, 9, rnd)
+    y = SymbolicPoint.make(full2, (0,), (1, 1, 0, 1), (1, 0), -2)
+    monkeypatch.setattr(SymbolicPoint, "window", window)
+    quotient_numerators(A, y, B, y, (4, -2))
+    assert reads == [(-3, 7), (-5, 3)]
+    reads.clear()
+    quotient_numerators(A, y, B, y.shift(1), (4, -2))
+    assert reads == [(-1, 5), (-3, 1), (-3, 7), (-5, 3)]
 
 
 def test_quotient_numerators_need_two_summable_tables(full2, rng):

@@ -37,12 +37,14 @@ from cocyclelab.fixtures import (
     near_identity_plmap,
     rotation_cocycle,
     rotation_conjugacy_rule,
+    telescoping_cocycle,
 )
 from cocyclelab import holonomy, rigidity
+from cocyclelab.cocycles import GROWTH_MARGIN
 from cocyclelab.symbolic import distance_exponent
 from cocyclelab.transfer import cohomology_residuals, holder_regression
 
-from conftest import conj_hol_residuals, float_cocycle, stable_pair
+from conftest import conj_hol_residuals, equivariant_plmap, float_cocycle, stable_pair
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +135,49 @@ def test_bounded_oscillating_distortion_is_not_flagged(setup):
     assert max(conj_hol_residuals(MeasurableConjugacy(psi), F, G, pairs)) <= 1e-9
     # an expanding cocycle over the same points is still flagged
     assert check_bounded_distortion(expanding_cocycle(space), 12, pts).growth_flagged
+
+
+@pytest.fixture(scope="module")
+def equivariant_w2():
+    """R with 1/4-rotation values, and G = R conjugated by a window-2 rule rho
+    of 1/4-equivariant PL maps: each product of G is rho(sigma^n x)^-1 R^n
+    rho(x), so G's distortion stays below max L(rho) * max L(rho^-1)."""
+    space = SFTSpace.full_shift(2)
+    R = rotation_cocycle(space, 1, 3, denom=4)
+    rng = np.random.default_rng(8)
+    rho = WindowRule(2, {w: equivariant_plmap(rng, 4) for w in space.words(5)})
+    return R, conjugated_pair(R, rho), rho
+
+
+def test_distortion_screen_passes_bounded_pl_distortion(equivariant_w2):
+    R, G, rho = equivariant_w2
+    space = R.space
+    # the 24 anchors theorem-b's seed-0 regularize screens: the later half of
+    # the horizon peaks 4% above the earlier half, which is oscillation
+    pts = sample_measure(MarkovMeasure.uniform(space), 60, 13)[:24]
+    rep = check_bounded_distortion(G, rigidity.DISTORTION_HORIZON, pts)
+    early, late = max(rep.per_step_max[:6]), max(rep.per_step_max[6:])
+    assert early < late < GROWTH_MARGIN * early
+    bound = max(float(m.max_slope) for m in rho.table.values()) / min(
+        float(m.min_slope) for m in rho.table.values())
+    assert rep.K_est <= bound and not rep.growth_flagged
+    # expanding products are still flagged over the same points, telescoping ones are not
+    orbit = SymbolicPoint.periodic(space, (0, 1))
+    for horizon in (10, 12):
+        assert check_bounded_distortion(expanding_cocycle(space), horizon, pts).growth_flagged
+        tel = check_bounded_distortion(telescoping_cocycle(space), horizon, [orbit, orbit.shift(1)])
+        assert not tel.growth_flagged
+
+
+def test_regularize_repairs_a_bounded_pl_distortion_pair(equivariant_w2):
+    # theorem-b's seed-0 corruption and anchors over the pair (R, G)
+    R, G, rho = equivariant_w2
+    mu = MarkovMeasure.uniform(R.space)
+    rule = rotation_conjugacy_rule(rho, SymbolicPoint.fixed(R.space, 0))
+    corrupt = sample_measure(mu, 10, 11, depth=20)
+    samples, rep = regularize(corrupted_conjugacy(rule, corrupt, 12), R, G, 60, 1e-9, mu=mu, seed=13)
+    assert all(samples[p] == rule.phi_at(p) for p in corrupt)
+    assert rep.cohomology_worst == rep.path_independence_worst == 0
 
 
 def test_conj_hol_detects_corruption(setup):

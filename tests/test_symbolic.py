@@ -14,6 +14,7 @@ from cocyclelab import (
     SymbolicPoint,
     bracket,
     closing_point,
+    closing_point_range,
     distance,
     distance_exponent,
     homoclinic_points,
@@ -983,7 +984,8 @@ def _choice_sample_measure(mu, count, seed, depth):
         syms = [int(rng.choice(k, p=pi))]
         for _ in range(depth - 1):
             syms.append(int(rng.choice(k, p=Q[syms[-1]])))
-        out.append(_complete_word(mu.space, tuple(syms), -(depth // 2)))
+        cyc_l, cyc_r = (_shortest_cycle(mu.space, s) for s in (syms[0], syms[-1]))
+        out.append(SymbolicPoint.make(mu.space, cyc_l, syms, _rotate(cyc_r, 1), -(depth // 2)))
     return out
 
 
@@ -1162,6 +1164,137 @@ def test_sampler_tables_stay_out_of_identity(golden):
     assert {"_start_cdf", "_forward_cdf", "_backward_cdf"} <= set(vars(mu))
     assert mu == fresh and hash(mu) == hash(fresh)
     assert repr(mu) == repr(fresh)
+
+
+# ------------------------------------------- points built from checked words
+
+
+ORACLE_SPACES = {
+    "full2": SFTSpace.full_shift(2),
+    "golden": SFTSpace.golden_mean(),
+    "zero-diagonal3": SFTSpace(3, ((0, 1, 1), (1, 0, 1), (1, 1, 0))),
+}
+
+
+def _checked(fn, *args):
+    """fn's point, or the type and message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return (type(e).__name__, str(e))
+
+
+def _made_splice(left_src, word, lo, right_src):
+    """``make`` on the words ``splice`` reads: one period of each source's
+    side around ``word``."""
+    hi = lo + len(word)
+    return SymbolicPoint.make(left_src.space, left_src.window(lo - len(left_src.left), lo), word,
+                              right_src.window(hi, hi + len(right_src.right)), lo)
+
+
+def _made_completion(space, left, word, right, lo):
+    """``make`` on ``word`` at ``lo`` after ``left`` (or the shortest cycle
+    through word[0]) and before ``right`` (or the shortest cycle through
+    word[-1], from its second symbol)."""
+    left = left or _shortest_cycle(space, word[0])
+    right = right or _rotate(_shortest_cycle(space, word[-1]), 1)
+    return SymbolicPoint.make(space, left, word, right, lo)
+
+
+@example(name="golden", seed=0, depth=1, core_len=0)
+@given(st.sampled_from(sorted(ORACLE_SPACES)), st.integers(0, 2**32 - 1), st.integers(1, 24),
+       st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_built_points_equal_make_on_their_words(name, seed, depth, core_len):
+    space = ORACLE_SPACES[name]
+    mu = _random_markov(space, seed % 1000)
+    rng = np.random.default_rng(seed)
+    start = -(depth // 2)
+    drawn = sample_measure(mu, 4, seed, depth=depth)
+    for p in drawn:
+        assert p == _made_completion(space, b"", p.window(start, start + depth), b"", start)
+    pts = drawn + [random_point(space, rng) for _ in range(4)]
+    for x in pts:
+        lo = min(x.core_start, 0)
+        fut = resample_future(mu, x, rng, depth)
+        left = x.window(lo - len(x.left), lo)
+        assert fut == _made_completion(space, left, fut.window(lo, depth + 1), b"", lo)
+        hi = max(x.core_start + len(x.core), 0)
+        past = resample_past(mu, x, rng, depth)
+        right = x.window(hi + 1, hi + 1 + len(x.right))
+        assert past == _made_completion(space, b"", past.window(-depth, hi + 1), right, -depth)
+    for y in pts:
+        for z in pts:
+            if y[0] == z[0]:
+                lo, hi = min(z.core_start, 0), max(y.core_start + len(y.core), 0)
+                word = bytes(z[n] if n <= 0 else y[n] for n in range(lo, hi))
+                assert bracket(y, z) == _made_splice(z, word, lo, y)
+    # splices of words that often break a seam or leave the alphabet
+    for left_src, right_src in zip(pts, pts[::-1]):
+        lo = left_src.core_start - int(rng.integers(0, 3))
+        end = right_src.core_start + len(right_src.core)
+        size = max(0, end - lo) + int(rng.integers(0, 4))
+        word = tuple(int(s) for s in rng.integers(0, space.k + (rng.random() < 0.2), size))
+        if rng.random() < 0.5:
+            word = right_src.window(lo, lo + size)
+        assert _checked(splice, left_src, word, lo, right_src) == _checked(
+            _made_splice, left_src, word, lo, right_src)
+    cycle = pts[0].window(0, int(rng.integers(1, 4))) * 2
+    if space.admissible_cycle(cycle):
+        x0 = SymbolicPoint.periodic(space, cycle)
+        left_ref = x0.shift(x0.period - 1)
+        for p in homoclinic_points(x0, core_len):
+            assert p == _made_splice(left_ref, p.window(-core_len, core_len), -core_len, x0)
+    for y in pts:
+        lo = int(rng.integers(-6, 3))
+        word = y.window(lo, lo + 1 + int(rng.integers(0, 5)))
+        if space.P[word[-1]][word[0]]:
+            assert closing_point_range(y, lo, lo + len(word)) == SymbolicPoint.make(
+                space, word, b"", word, lo)
+        else:
+            with pytest.raises(InadmissibleLoop):
+                closing_point_range(y, lo, lo + len(word))
+
+
+def _forced(mu, row, successor):
+    """A copy of ``mu`` whose cumulative ``row`` of each sampler table always
+    steps to ``successor``."""
+    bad = MarkovMeasure(mu.space, mu.Q, mu.pi)
+    steps = tuple(1.0 if j >= successor else 0.0 for j in range(mu.space.k))
+    for name in ("_forward_cdf", "_backward_cdf"):
+        table = list(getattr(bad, name))
+        table[row] = steps
+        object.__setattr__(bad, name, tuple(table))
+    return bad
+
+
+def test_samplers_refuse_a_forbidden_draw(golden):
+    # the tables step 1 -> 1, which P forbids: each sampler refuses its word
+    bad = _forced(MarkovMeasure.uniform(golden), 1, 1)
+    with pytest.raises(ValueError, match="sampled word is not admissible"):
+        sample_measure(bad, 300, 0, depth=8)
+    one = SymbolicPoint.make(golden, (0,), (1,), (0,), 0)
+    with pytest.raises(ValueError, match="resampled word is not admissible"):
+        resample_future(bad, one, np.random.default_rng(0), 4)
+    with pytest.raises(ValueError, match="resampled word is not admissible"):
+        resample_past(bad, one, np.random.default_rng(0), 4)
+
+
+def test_splice_keeps_make_refusals(full2, golden):
+    one, zero = SymbolicPoint.fixed(full2, 1), SymbolicPoint.fixed(full2, 0)
+    for word in ((2,), (0, -1), (0.5,), np.array([0, 2])):
+        with pytest.raises(ValueError, match="symbol out of range"):
+            splice(one, word, 0, zero)
+    assert splice(one, np.array([0, 1]), 0, zero) == splice(one, b"\0\1", 0, zero)
+    alt = SymbolicPoint.periodic(golden, (0, 1))  # 1 at odd coordinates
+    gzero = SymbolicPoint.fixed(golden, 0)
+    for left_src, word, right_src in ((alt, (1,), gzero),  # 1 1 at the left seam
+                                      (gzero, (1,), alt),  # and at the right one
+                                      (gzero, (1, 1), gzero)):  # inside the word
+        with pytest.raises(ValueError, match="core or junction is not admissible"):
+            splice(left_src, word, 0, right_src)
+    with pytest.raises(ValueError, match="different spaces"):
+        splice(one, (0,), 0, gzero)
 
 
 # ------------------------------------------------------------------------ JSON

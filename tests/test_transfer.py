@@ -58,8 +58,8 @@ from cocyclelab.fixtures import (
 )
 
 from conftest import (
-    conj_hol_residuals, float_cocycle, float_map, random_point, random_rotation_table, stable_pair,
-    unequal_tail_pool,
+    conj_hol_residuals, equivariant_plmap, float_cocycle, float_map, random_point,
+    random_rotation_table, stable_pair, unequal_tail_pool,
 )
 
 
@@ -244,14 +244,6 @@ def test_swap_gives_inverse_transfer(family):
         assert float(uniform_distance(prod, PLMap.identity())) <= 1e-12
 
 
-def _equivariant_plmap(rng, q):
-    """A near-identity map on [0, 1/q) repeated with +k/q: it commutes with
-    every rotation by a multiple of 1/q."""
-    h = near_identity_plmap(rng)
-    return PLMap.make([(b + k) / q for k in range(q) for b in h.breaks],
-                      [(v + k) / q for k in range(q) for v in h.vals])
-
-
 def composed_residual(F, G, phi, y):
     """One row's residual by composition: d(f_y, phi(sigma y) g_y phi(y)^-1)."""
     rhs = compose(compose(phi(y.shift(1)), G.generator(y)), invert(phi(y)))
@@ -311,7 +303,7 @@ def test_rotation_conjugacy_rule_on_equivariant_pl_values():
     x0 = SymbolicPoint.fixed(space, 0)
     R = rotation_cocycle(space, 1, 3, denom=4)
     rng = np.random.default_rng(8)
-    rho = WindowRule(1, {w: _equivariant_plmap(rng, 4) for w in space.words(3)})
+    rho = WindowRule(1, {w: equivariant_plmap(rng, 4) for w in space.words(3)})
     rule = rotation_conjugacy_rule(rho, x0)
     G = conjugated_pair(R, rho)
     assert rule.phi_at(x0) == PLMap.identity()
@@ -367,7 +359,7 @@ def _equivariant_rules(space):
     rho, chi whose PL values commute with those rotations."""
     R = rotation_cocycle(space, 1, 3, denom=4)
     rng = np.random.default_rng(8)
-    rho, chi = (WindowRule(1, {w: _equivariant_plmap(rng, 4) for w in space.words(3)})
+    rho, chi = (WindowRule(1, {w: equivariant_plmap(rng, 4) for w in space.words(3)})
                 for _ in range(2))
     return R, rho, chi
 
