@@ -134,12 +134,18 @@ class PLMap:
     @classmethod
     def from_json(cls, doc: dict) -> "PLMap":
         def load(xs):
-            return [
-                Fraction(int(e[0]), int(e[1])) if isinstance(e, (list, tuple)) else float(e)
-                for e in xs
-            ]
+            return [_exact_coordinate(e) if isinstance(e, (list, tuple)) else float(e) for e in xs]
 
         return cls.make(load(doc["breakpoints"]), load(doc["values"]))
+
+
+def _exact_coordinate(e) -> Fraction:
+    """An exact coordinate written [numerator, denominator]: two ints, not
+    bools, the denominator nonzero."""
+    if len(e) != 2 or any(type(n) is not int for n in e) or not e[1]:
+        raise ValueError(f"exact coordinate {list(e)!r}: expected [numerator, denominator], "
+                         "two ints with a nonzero denominator")
+    return Fraction(*e)
 
 
 def _slopes(breaks: tuple, vals: tuple) -> tuple:
@@ -239,6 +245,15 @@ def rotation_numerators(maps):
         angles[i] = a
     den = math.lcm(*{a.denominator for a in angles.values()})
     return den, {i: a.numerator * (den // a.denominator) for i, a in angles.items()}
+
+
+def rotation_arc(d: int, den: int) -> float:
+    """float(uniform_distance) of the rotations by a / den and b / den, for
+    d = a - b: min(d mod den, den - d mod den) / den.  Python's int true
+    division and float() of a Fraction are both correctly rounded, so the two
+    agree exactly, past 2**53 too and whether or not d / den is reduced."""
+    d %= den
+    return min(d, den - d) / den
 
 
 def _angle_terms(a: Fraction, b: Fraction, sign: int) -> tuple[int, int]:

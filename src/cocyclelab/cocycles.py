@@ -8,7 +8,6 @@ below exactly computable.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +16,7 @@ from itertools import accumulate
 from . import symbolic
 from .circlemaps import PLMap, compose, invert, lipschitz_metric, rotation_numerators
 from .errors import NotDominated, ResourceLimit
-from .symbolic import SFTSpace, SymbolicPoint
+from .symbolic import SFTSpace, SymbolicPoint, whole_number
 
 BREAKPOINT_CAP = 100_000
 DENOMINATOR_BITS_CAP = 4096  # bit length of the largest denominator of an exact orbit product
@@ -27,7 +26,6 @@ HORIZON_CAP = 1000  # largest distortion horizon a config may ask for
 N_MAX_CAP = 200  # largest holonomy convergence depth n_max a config may ask for
 HOLDER_PAIRS_CAP = 200_000  # table-word pairs holder_const_cocycle may read
 GROWTH_MARGIN = 1.1  # factor by which distortion must rise over the later half to be growth
-_ZERO = Fraction(0)
 
 
 def table_words(space: SFTSpace, window: int, where: str):
@@ -114,7 +112,7 @@ class CocycleSpec:
             except ValueError:  # a symbol that is not an int, or not a byte
                 raise ValueError(f"table key {key!r}: symbols must be ints from 0 to 255") from None
             table[word] = PLMap.from_json(m)
-        return cls(space, int(doc["window"]), table, doc.get("alpha", 1))
+        return cls(space, whole_number(doc["window"], "window"), table, doc.get("alpha", 1))
 
 
 def _check_caps(h: PLMap, step: int) -> None:
@@ -187,17 +185,17 @@ class _WindowNumerators(dict):
 
 
 def _rotation_sums(c: CocycleSpec):
-    """``(den, numerators, maps)`` when c's orbit products are numerator sums,
-    else None: every entry of c's table is an exact rotation, ``den`` fits
-    ``DENOMINATOR_BITS_CAP`` and ``BREAKPOINT_CAP`` admits one breakpoint.
-    The table's scan is held in ``c._cache``; the caps are read on every call.
-    ``numerators`` gives a window's angle numerator over ``den``; ``maps``
-    holds one rotation per numerator read so far."""
+    """``(den, numerators)`` when c's orbit products are numerator sums, else
+    None: every entry of c's table is an exact rotation, ``den`` fits
+    ``DENOMINATOR_BITS_CAP`` and ``BREAKPOINT_CAP`` admits one breakpoint, so
+    no step of a fold could pass a cap.  ``numerators`` gives a window's angle
+    numerator over ``den``.  The table's scan is held in ``c._cache``; the
+    caps are read on every call."""
     if "rotations" not in c._cache:
         found = rotation_numerators(c.table.values())
         if found is not None:
             den, by_id = found
-            found = den, _WindowNumerators(c.table, by_id), {}
+            found = den, _WindowNumerators(c.table, by_id)
         c._cache["rotations"] = found
     rot = c._cache["rotations"]
     if rot is not None and rot[0].bit_length() <= DENOMINATOR_BITS_CAP and BREAKPOINT_CAP >= 1:
@@ -231,32 +229,15 @@ def _prefix_sums(c: CocycleSpec, nums, words, cut: int, top: int, bottom: int):
 def iterate(c: CocycleSpec, x: SymbolicPoint, n: int) -> PLMap:
     """n-step fibre composition; negative n uses the inverse-iterate convention
     f^n_x = (f^{|n|} at sigma^n(x))^{-1}, the unique one satisfying the cocycle law.
-    f^0_x is the identity, as an empty sum or an empty fold.
+    f^0_x is the identity, as an empty fold.
 
-    On a table of exact rotations whose common denominator ``den`` fits
-    ``DENOMINATOR_BITS_CAP`` the product is the sum of its windows' angle
-    numerators mod ``den``.  Every prefix denominator divides ``den`` and a
-    rotation has one breakpoint, so no step of a fold could pass a cap.  Each
-    distinct numerator's map is held, at most ``ORBIT_MEMO_CAP`` of them.
-
-    Other products are folded by ``orbit_product`` and memoised per cocycle
-    by direction and orbit word; each was checked against ``BREAKPOINT_CAP``
-    and ``DENOMINATOR_BITS_CAP`` when it was folded.  A product not yet
-    memoised extends the longest memoised prefix of its word.  The memo holds
-    at most ``ORBIT_MEMO_CAP`` products and is emptied when full.
+    Products are folded by ``orbit_product`` and memoised per cocycle by
+    direction and orbit word; each was checked against ``BREAKPOINT_CAP`` and
+    ``DENOMINATOR_BITS_CAP`` when it was folded.  A product not yet memoised
+    extends the longest memoised prefix of its word.  The memo holds at most
+    ``ORBIT_MEMO_CAP`` products and is emptied when full.
     """
     word = _orbit_word(x, c.window, n)
-    rot = _rotation_sums(c)
-    if rot is not None:
-        den, nums, maps = rot
-        forward, backward = _prefix_sums(c, nums, (word, word), 0, n, n)
-        num = (forward[n] if n >= 0 else backward[-n]) % den
-        h = maps.get(num)
-        if h is None:
-            if len(maps) >= ORBIT_MEMO_CAP:
-                maps.clear()
-            h = maps[num] = PLMap((_ZERO,), (Fraction(num, den),))
-        return h
     memo = c._cache.setdefault("orbit", {})
     key = (n > 0, word)
     h = memo.get(key)
@@ -278,13 +259,6 @@ def iterate(c: CocycleSpec, x: SymbolicPoint, n: int) -> PLMap:
     return h
 
 
-@functools.lru_cache(maxsize=64)
-def _common_scale(den_a: int, den_b: int) -> tuple[int, int, int]:
-    """(den, den // den_a, den // den_b) for den = lcm(den_a, den_b), once per pair."""
-    den = math.lcm(den_a, den_b)
-    return den, den // den_a, den // den_b
-
-
 def quotient_numerators(A: CocycleSpec, y: SymbolicPoint, B: CocycleSpec, x: SymbolicPoint, ns):
     """``(den, numerators)`` when both tables pass ``_rotation_sums``, else None.
 
@@ -298,7 +272,8 @@ def quotient_numerators(A: CocycleSpec, y: SymbolicPoint, B: CocycleSpec, x: Sym
     ra, rb = _rotation_sums(A), _rotation_sums(B)
     if ra is None or rb is None:
         return None
-    den, ua, ub = _common_scale(ra[0], rb[0])
+    den = math.lcm(ra[0], rb[0])
+    ua, ub = den // ra[0], den // rb[0]
     top, bottom = max(ns), min(ns)
     wa, wb = A.window, B.window
     if y is x:
@@ -315,17 +290,8 @@ def quotient_numerators(A: CocycleSpec, y: SymbolicPoint, B: CocycleSpec, x: Sym
 
 def quotients(A: CocycleSpec, y: SymbolicPoint, B: CocycleSpec, x: SymbolicPoint, ns) -> list:
     """[(A^n_y)^-1 B^n_x for n in ns], the quotients that holonomies and
-    conjugacies are limits of.
-
-    When ``quotient_numerators`` answers, each quotient is the rotation by its
-    numerator and no product is built.  Any other pair reads both products
-    through ``iterate``, then inverts and composes.
-    """
-    sums = quotient_numerators(A, y, B, x, ns)
-    if sums is None:
-        return [compose(invert(iterate(A, y, n)), iterate(B, x, n)) for n in ns]
-    den, nums = sums
-    return [PLMap((_ZERO,), (Fraction(q, den),)) for q in nums]
+    conjugacies are limits of, each product read through ``iterate``."""
+    return [compose(invert(iterate(A, y, n)), iterate(B, x, n)) for n in ns]
 
 
 def holder_const_cocycle(c: CocycleSpec) -> float:
@@ -371,8 +337,8 @@ class DominationReport:
 def _margins(c: CocycleSpec, n0: int) -> DominationReport:
     """theta = alpha - log_{rho**n0}(extremal slope) over the time-n0 products.
 
-    When ``iterate`` would sum numerators, every product is an exact rotation
-    of slope exactly 1 that passes every cap, so the identity stands for them."""
+    When ``_rotation_sums`` answers, every product is an exact rotation of
+    slope exactly 1 that passes every cap, so the identity stands for them."""
     key = ("dom", n0)
     if key not in c._cache:
         products = c.table.values()
@@ -414,9 +380,9 @@ def check_bounded_distortion(c: CocycleSpec, horizon: int, samples) -> Distortio
     maxima have a positive fitted growth rate and the later half of the
     horizon exceeds the earlier half's maximum by more than GROWTH_MARGIN, so
     distortion that keeps increasing is flagged and bounded oscillation, whose
-    running maximum levels off, is not.  When ``iterate``
-    would sum numerators, every product is an exact rotation of slope exactly
-    1 that passes every cap, so no orbit is read.
+    running maximum levels off, is not.  When ``_rotation_sums`` answers,
+    every product is an exact rotation of slope exactly 1 that passes every
+    cap, so no orbit is read.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import cocycles
-from .circlemaps import PLMap, compose, invert, uniform_distance
+from .circlemaps import PLMap, compose, invert, rotation_arc, uniform_distance
 from .cocycles import CocycleSpec, power_domination, quotient_numerators, quotients
 from .errors import NoConvergence, NotDominated
 from .symbolic import (
@@ -77,11 +77,9 @@ def _limit(pair, side: str, start, n0: int, tol: float, what, memo: dict, key):
     onset plus the window (n = -n_used on the unstable side); the tail is the
     distance to the quotient at n_used + n0.  Both quotients come from one
     call.  When ``quotient_numerators`` answers with q and q' over ``den``,
-    the tail is min(d, den - d) / den for d = (q - q') mod den, in Python ints:
-    integer true division is correctly rounded, so it is
-    float(uniform_distance) exactly, and only the quotient at n_used is made
-    a map.  Any other pair takes ``quotients`` and ``uniform_distance``.
-    A result held in ``memo`` under
+    the tail is ``rotation_arc(q - q', den)`` and only the quotient at n_used
+    is made a map.  Any other pair takes ``quotients`` and
+    ``uniform_distance``.  A result held in ``memo`` under
     ``key`` is read instead of recomputed, and a fresh one is held there; the
     memo is emptied when it holds ``ORBIT_MEMO_CAP`` results.  Held or fresh,
     ``what()`` names the limit in the ``NoConvergence`` raised when n_used
@@ -102,8 +100,7 @@ def _limit(pair, side: str, start, n0: int, tol: float, what, memo: dict, key):
             held = h, n_used, float(uniform_distance(h, h_next))
         else:
             den, (q, q_next) = sums
-            d = (q - q_next) % den
-            held = PLMap((_ZERO,), (Fraction(q, den),)), n_used, min(d, den - d) / den
+            held = PLMap((_ZERO,), (Fraction(q, den),)), n_used, rotation_arc(q - q_next, den)
         if len(memo) >= cocycles.ORBIT_MEMO_CAP:
             memo.clear()
         memo[key] = held

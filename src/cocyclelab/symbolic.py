@@ -52,6 +52,13 @@ def _rotate(word: Word, n: int) -> Word:
     return word[n:] + word[:n]
 
 
+def whole_number(val, name: str) -> int:
+    """A document's count ``val`` as an int: an int or a whole float, not a bool."""
+    if type(val) is not int and not (type(val) is float and val.is_integer()):
+        raise ValueError(f"{name}: expected a whole number, got {val!r}")
+    return int(val)
+
+
 @dataclass(frozen=True)
 class SFTSpace:
     """Two-sided shift space over symbols ``0..k-1`` restricted by a 0/1 matrix.
@@ -158,7 +165,8 @@ class SFTSpace:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SFTSpace":
-        return cls(int(doc["k"]), tuple(tuple(row) for row in doc["P"]), doc.get("rho", 2))
+        P = tuple(tuple(whole_number(e, "P") for e in row) for row in doc["P"])
+        return cls(whole_number(doc["k"], "k"), P, doc.get("rho", 2))
 
 
 _BYTE_ESCAPES = tuple(b"\\x%02x" % i for i in range(SYMBOL_CAP))

@@ -16,8 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .circlemaps import PLMap, compose, invert, rotation_numerators, uniform_distance
-from .cocycles import CocycleSpec, _rotation_sums, dominated_pair, iterate, quotients
+from .circlemaps import PLMap, compose, invert, rotation_arc, rotation_numerators, uniform_distance
+from .cocycles import (CocycleSpec, _rotation_sums, dominated_pair, iterate, quotient_numerators,
+                       quotients)
 from .errors import (
     InadmissibleLoop,
     InsufficientScales,
@@ -64,14 +65,20 @@ def check_periodic_data(
 ) -> ResidualReport:
     """Compare n-step return compositions at every periodic point, n <= max_period.
 
-    The rows are ((point, n), residual).
+    The rows are ((point, n), float(uniform_distance(f^n, g^n))), read as the
+    ``rotation_arc`` of ``quotient_numerators`` when it answers, else folded.
     """
     if f.space != g.space:
         raise ValueError("cocycles live over different spaces")
     rows = []
     for pt in periodic_points(f.space, max_period):
-        for n in range(pt.period, max_period + 1, pt.period):
-            rows.append(((pt, n), float(uniform_distance(iterate(f, pt, n), iterate(g, pt, n)))))
+        ns = range(pt.period, max_period + 1, pt.period)
+        sums = quotient_numerators(f, pt, g, pt, ns)
+        if sums is None:
+            rs = [float(uniform_distance(iterate(f, pt, n), iterate(g, pt, n))) for n in ns]
+        else:
+            rs = [rotation_arc(q, sums[0]) for q in sums[1]]
+        rows.extend(((pt, n), r) for n, r in zip(ns, rs))
     return ResidualReport.of(rows, tol)
 
 
@@ -186,11 +193,9 @@ def cohomology_residuals(F: CocycleSpec, G: CocycleSpec, phi, points) -> list:
 
     The four maps of every row are read first.  A row whose four maps are
     exact rotations, with numerators over the lcm ``den`` of every such map's
-    denominator (``rotation_numerators``), reads its residual as
-    min(d, den - d) / den for d the numerator of f_y - phi(sigma y) - g_y +
-    phi(y) mod den, in Python ints: integer true division is correctly
-    rounded, so it is float(uniform_distance) exactly.  Other rows compose,
-    invert and take ``uniform_distance``.
+    denominator (``rotation_numerators``), reads its residual as the
+    ``rotation_arc`` of f_y - phi(sigma y) - g_y + phi(y) over ``den``.
+    Other rows compose, invert and take ``uniform_distance``.
     """
     rows = [(F.generator(y), phi(y.shift(1)), G.generator(y), phi(y)) for y in points]
     rotations = (m for row in rows for m in row if m.is_rotation and type(m.vals[0]) is Fraction)
@@ -199,8 +204,7 @@ def cohomology_residuals(F: CocycleSpec, G: CocycleSpec, phi, points) -> list:
     for f, p1, g, p0 in rows:
         ids = id(f), id(p1), id(g), id(p0)
         if all(i in num for i in ids):
-            d = (num[ids[0]] - num[ids[1]] - num[ids[2]] + num[ids[3]]) % den
-            out.append(min(d, den - d) / den)
+            out.append(rotation_arc(num[ids[0]] - num[ids[1]] - num[ids[2]] + num[ids[3]], den))
         else:
             out.append(float(uniform_distance(f, compose(compose(p1, g), invert(p0)))))
     return out
@@ -275,10 +279,8 @@ def holder_regression(points, lookup, rho: float, *, _exponents=None):
     computed once per distinct ordered pair of values, or once per unordered
     pair when both values are exact, since the exact distance is symmetric.
     Between two exact rotations, with angles d_p / den and d_q / den over one
-    common denominator, the distance is min(d, den - d) / den for
-    d = (d_p - d_q) mod den, in Python ints: integer true division is
-    correctly rounded, so it is float(uniform_distance) exactly.  Other pairs
-    take ``uniform_distance``.
+    common denominator, the distance is ``rotation_arc(d_p - d_q, den)``.
+    Other pairs take ``uniform_distance``.
     """
     pts = list(points)
     if len(pts) < REGRESSION_MIN_SAMPLES:
@@ -307,8 +309,7 @@ def holder_regression(points, lookup, rho: float, *, _exponents=None):
     for p, q in zip(*(ix.tolist() for ix in np.nonzero(need))):
         f, g = id(vals[p]), id(vals[q])
         if f in num and g in num:
-            d = (num[f] - num[g]) % den
-            r = min(d, den - d) / den
+            r = rotation_arc(num[f] - num[g], den)
         else:
             r = float(uniform_distance(vals[p], vals[q]))
         if r:

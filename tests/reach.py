@@ -41,7 +41,7 @@ change.  This script is not part of tier-1; run it from the repository root:
 
     python3 tests/reach.py
 
-It takes about 11 s on a 2-core Linux machine with Python 3.11.7.
+It takes about 12 s on a 2-core Linux machine with Python 3.11.7.
 """
 
 from __future__ import annotations
@@ -71,8 +71,6 @@ class Allowed(NamedTuple):
 
 ALLOWED = (
     # caches and memos emptied only at their cap
-    Allowed("cocycles.py", "maps.clear()",
-            "iterate's rotation memo empties at ORBIT_MEMO_CAP distinct numerators"),
     Allowed("cocycles.py", "memo.clear()\n        memo[key] = h",
             "iterate's orbit memo empties at ORBIT_MEMO_CAP products"),
     Allowed("holonomy.py", "memo.clear()",
@@ -99,9 +97,10 @@ ALLOWED = (
     Allowed("transfer.py", "out.append(float(uniform_distance(f, compose(compose(p1, g), invert(p0)))))",
             "residual rows with a PL or float map: every conjugacy an entry point checks is "
             "rotation-valued (ROADMAP 1)"),
-    Allowed("cocycles.py", "den, nums = sums\n    return [PLMap(",
-            "quotient maps of two rotation tables: holonomy limits read quotient_numerators, "
-            "and only verify_lemma1's n0 > 1 branch asks for these (ROADMAP 2)"),
+    Allowed("transfer.py",
+            "rs = [float(uniform_distance(iterate(f, pt, n), iterate(g, pt, n))) for n in ns]",
+            "check_periodic_data's fold branch: every pair an entry point checks is two "
+            "exact-rotation tables (ROADMAP 1)"),
     # float-mode edges
     Allowed("circlemaps.py", "vals = tuple(v - 1 for v in vals)",
             "a float lift value that rounds up to 1; no exact map reaches it"),

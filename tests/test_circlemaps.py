@@ -23,6 +23,7 @@ from cocyclelab.circlemaps import (
     SLOPE_EPS,
     _contains_half_integer,
     _exact_corners,
+    rotation_arc,
     rotation_numerators,
 )
 from cocyclelab.errors import InvalidExponent, ResourceLimit
@@ -172,6 +173,19 @@ def test_rotation_numerators_accepts_only_exact_rotations():
     for maps in ([PLMap.rotation(0.25)], [pl], [float_pl], rots + [pl],
                  [PLMap.rotation(0.5)] + rots):
         assert rotation_numerators(maps) is None
+
+
+@given(st.integers(2**53, 2**200), st.integers(0, 2**200), st.integers(0, 2**200),
+       st.integers(1, 2**20))
+@example(2**54, 2**53 + 1, 0, 1)
+@example(1134472513743130210384403, 339396679542664798367486, 0, 1)  # a float quotient rounds twice
+@settings(max_examples=200)
+def test_rotation_arc_is_the_float_uniform_distance(den, a, b, scale):
+    a, b = a % den, b % den
+    want = float(uniform_distance(PLMap.rotation(Fraction(a, den)), PLMap.rotation(Fraction(b, den))))
+    assert rotation_arc(a - b, den) == rotation_arc(b - a, den) == want
+    # the same angles over an unreduced denominator
+    assert rotation_arc((a - b) * scale, den * scale) == want
 
 
 # ------------------------------------------------------------- Holder constant

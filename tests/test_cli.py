@@ -324,6 +324,9 @@ def test_run_exit_codes(tmp_path, capsys):
         ({"experiment": "distortion", "space": {"k": 257, "P": [[1] * 257] * 257}},
          "space: 257 symbols, more than 256 (SYMBOL_CAP)"),
         ({"experiment": "distortion", "seed": True}, "seed: expected a non-negative integer"),
+        # int() truncated a transition entry: 0.9 ran as 0, a golden-mean space
+        ({"experiment": "distortion", "space": {"k": 2, "P": [[1, 1], [1, 0.9]]}},
+         "space: P: expected a whole number, got 0.9"),
         # numpy seeds are non-negative; a negative one ended in a numpy ValueError
         *(({"experiment": e, "seed": -1}, "seed: expected a non-negative integer")
           for e in ("theorem-a", "distortion", "closing-lemma")),
@@ -406,6 +409,48 @@ def test_run_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--seed", "-1"]) == 2
     err = capsys.readouterr().err
     assert "config error: seed: expected a non-negative integer" in err and "Traceback" not in err
+
+
+FULL2 = {"k": 2, "P": [[1, 1], [1, 1]], "rho": 2}
+
+
+def distortion_doc(entry, window=0, space=FULL2):
+    """A distortion config whose cocycle C maps symbol 0 to ``entry`` and 1 to
+    the rotation by 1/3."""
+    table = {"0": entry, "1": {"breakpoints": [[0, 1]], "values": [[1, 3]]}}
+    return {"experiment": "distortion", "space": space,
+            "cocycles": {"C": {"window": window, "table": table}}}
+
+
+@pytest.mark.parametrize("coordinate", [[0], [1, 0], [0.5, 1], [0, 1, 7], [True, 2]],
+                         ids=["one-int", "zero-denominator", "float", "three-ints", "bool"])
+def test_run_refuses_a_malformed_exact_coordinate(tmp_path, capsys, coordinate):
+    # these ended in an IndexError or a ZeroDivisionError traceback, or ran
+    # truncated to 0 or with the 7 dropped
+    doc = distortion_doc({"breakpoints": [[0, 1], coordinate], "values": [[0, 1], [3, 4]]})
+    assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cocycles.C: exact coordinate {coordinate!r}: expected" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value, name", [
+    ("k", 2.5, "space: k"), ("k", True, "space: k"),
+    ("window", 0.5, "cocycles.C: window"), ("window", False, "cocycles.C: window"),
+])
+def test_run_refuses_a_count_that_is_not_a_whole_number(tmp_path, capsys, field, value, name):
+    # int() truncated these: k = 2.5 ran as k = 2 and window 0.5 as window 0
+    rotation = {"breakpoints": [[0, 1]], "values": [[1, 5]]}
+    space = {**FULL2, "k": value} if field == "k" else FULL2
+    doc = distortion_doc(rotation, value if field == "window" else 0, space)
+    assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {name}: expected a whole number, got {value!r}" in err
+    # a whole float is the count it writes
+    whole = {**FULL2, "k": 2.0} if field == "k" else FULL2
+    cfg = ExperimentConfig.from_json(distortion_doc(rotation, 0.0 if field == "window" else 0, whole))
+    assert type(cfg.space.k) is type(cfg.cocycles["C"].window) is int
+    assert cfg.digest() == ExperimentConfig.from_json(distortion_doc(rotation)).digest()
 
 
 def test_failure_exit_code(tmp_path, capsys):

@@ -399,6 +399,12 @@ def quotient_at(A, y, B, x, n):
     return quotients(A, y, B, x, (n,))[0]
 
 
+def numerator_quotient(A, y, B, x, n):
+    """(A^n_y)^-1 B^n_x as the rotation by its ``quotient_numerators`` numerator."""
+    den, (q,) = quotient_numerators(A, y, B, x, (n,))
+    return PLMap.rotation(Fraction(q, den))
+
+
 @given(
     st.integers(0, 10_000), st.sampled_from(["full2", "golden"]), st.integers(0, 1),
     st.booleans(),
@@ -444,7 +450,8 @@ ROTATION_DENOMINATORS = (2, 3, 7, 11, 13, 360, 2**61 - 1, 3**40)
 @settings(max_examples=60, deadline=None)
 def test_iterate_on_rotation_tables_matches_fresh_fold_property(name, window, seed, ns):
     """A table of exact rotations, with denominators up to and past 2**53,
-    iterates to the checked fold's product by summing window numerators."""
+    iterates to the checked fold's product, which is its window numerators'
+    sum: the quotient over the identity table."""
     space = rotation_space(name)
     rng = np.random.default_rng(seed)
     table = {}
@@ -453,10 +460,10 @@ def test_iterate_on_rotation_tables_matches_fresh_fold_property(name, window, se
         table[w] = PLMap.rotation(Fraction(int(rng.integers(2**62)) % q, q))
     c = CocycleSpec(space, window, table)
     x = random_point(space, rng)
+    ident = constant_cocycle(space, PLMap.identity())
     for n in ns:
-        assert iterate(c, x, n) == fresh_fold(c, x, n)
+        assert iterate(c, x, n) == fresh_fold(c, x, n) == numerator_quotient(ident, x, c, x, n)
         assert iterate(c, x.shift(n), -n) == invert(fresh_fold(c, x, n))
-    assert c._cache["rotations"] is not None and "orbit" not in c._cache
 
 
 def test_rotation_tables_past_the_denominator_cap_take_the_fold(monkeypatch):
@@ -468,7 +475,8 @@ def test_rotation_tables_past_the_denominator_cap_take_the_fold(monkeypatch):
                                for s, q in enumerate((7, 11, 13))})
     x = SymbolicPoint.periodic(space, (0, 1, 2))
     # the common denominator 1001 has 10 bits; 1/7 + 1/11 = 18/77 has 7
-    assert iterate(c, x, 2) == fresh_fold(c, x, 2) and "orbit" in c._cache
+    assert iterate(c, x, 2) == fresh_fold(c, x, 2)
+    assert quotient_numerators(c, x, c, x, (2,)) is None
     want = fold_outcome(reference_fold, reference_generators(c, x, 3))
     assert want == "orbit product reached 10-bit denominators at step 3 (cap 8)"
     with pytest.raises(ResourceLimit, match=re.escape(f"{want} folding f^3 at {x!r}")):
@@ -478,8 +486,9 @@ def test_rotation_tables_past_the_denominator_cap_take_the_fold(monkeypatch):
     # at a cap the common denominator fits, the product is the numerator sum
     monkeypatch.setattr(cocycles, "DENOMINATOR_BITS_CAP", 10)
     c = CocycleSpec(space, 0, dict(c.table))
-    assert iterate(c, x, 3) == PLMap.rotation(Fraction(1, 7) + Fraction(1, 11) + Fraction(1, 13))
-    assert "orbit" not in c._cache
+    want = PLMap.rotation(Fraction(1, 7) + Fraction(1, 11) + Fraction(1, 13))
+    ident = constant_cocycle(space, PLMap.identity())
+    assert iterate(c, x, 3) == want == numerator_quotient(ident, x, c, x, 3)
 
 
 @pytest.mark.parametrize("odd", ["pl", "float"])
@@ -489,9 +498,9 @@ def test_a_mixed_table_takes_the_memoised_fold(full2, rng, odd):
     m = near_identity_plmap(np.random.default_rng(1)) if odd == "pl" else PLMap.rotation(0.3)
     c = CocycleSpec(full2, 1, {**r.table, word: m})
     x = random_point(full2, rng)
-    for n in (5, -4):
+    for n in (5, -4, 5, -4):  # the repeats are read from the memo
         assert iterate(c, x, n) == fresh_fold(c, x, n)
-    assert c._cache["rotations"] is None and len(c._cache["orbit"]) == 2
+    assert quotient_numerators(c, x, r, x, (5, -4)) is None
 
 
 def test_rotation_maps_are_emptied_at_the_memo_cap(full2, rng, monkeypatch):
@@ -499,10 +508,11 @@ def test_rotation_maps_are_emptied_at_the_memo_cap(full2, rng, monkeypatch):
 
     monkeypatch.setattr(cocycles, "ORBIT_MEMO_CAP", 3)
     c = rotation_cocycle(full2, 1, seed=4)
+    ident = constant_cocycle(full2, PLMap.identity())
     x = random_point(full2, rng)
     for n in range(-6, 7):
-        assert iterate(c, x, n) == fresh_fold(c, x, n)
-        assert len(c._cache["rotations"][2]) <= 3
+        assert iterate(c, x, n) == fresh_fold(c, x, n) == numerator_quotient(ident, x, c, x, n)
+        assert len(c._cache["orbit"]) <= 3
 
 
 def test_table_words_are_enumerated_once_under_the_cap_in_force(monkeypatch):
@@ -535,9 +545,7 @@ def test_orbit_memo_is_emptied_at_its_cap(full2, rng, monkeypatch):
         assert len(c._cache["orbit"]) <= 3
 
 
-def test_quotient_inverts_then_composes(full2, rng, monkeypatch):
-    from cocyclelab import cocycles
-
+def test_quotient_inverts_then_composes(full2, rng):
     c = pl_dominated_cocycle(full2, 1, 0.4, seed=9)
     x = random_point(full2, rng)
     y = x.shift(1)
@@ -545,13 +553,10 @@ def test_quotient_inverts_then_composes(full2, rng, monkeypatch):
     expected = [compose(invert(iterate(c, p, n)), iterate(c, x, n)) for p, n in calls]
     assert [quotient_at(c, p, c, x, n) for p, n in calls] == expected
     assert quotient_at(c, y, c, x, 0) == PLMap.identity()
-    # a quotient of exact rotations is one angle difference: nothing inverted
+    # a quotient of exact rotations is the rotation by its numerator difference
     r = rotation_cocycle(full2, 1, seed=4)
-    inverted = []
-    monkeypatch.setattr(cocycles, "invert", lambda m: inverted.append(m) or invert(m))
-    for _ in range(2):
-        assert quotient_at(r, y, r, x, 3) == compose(invert(iterate(r, y, 3)), iterate(r, x, 3))
-    assert inverted == []
+    for n in (3, -2, 0):
+        assert quotient_at(r, y, r, x, n) == numerator_quotient(r, y, r, x, n)
 
 
 def two_rotation_cocycle(space, angles):
@@ -645,14 +650,15 @@ def test_quotient_composes_float_mixed_and_pl_products(full2, rng, monkeypatch):
     monkeypatch.setattr(cocycles, "compose", counted)
     x = random_point(full2, rng)
     y = x.shift(2)
-    for A, B in ((floats, floats), (exact, floats), (floats, exact), (pl, pl), (exact, pl)):
+    pairs = ((floats, floats), (exact, floats), (floats, exact), (pl, pl), (exact, pl),
+             (exact, exact))
+    for A, B in pairs:
         for n in (3, -2):
             want = compose(invert(iterate(A, y, n)), iterate(B, x, n))  # folds the products
             composed.clear()
             assert quotient_at(A, y, B, x, n) == want and len(composed) == 1
-    composed.clear()
-    quotient_at(exact, y, exact, x, 3)
-    assert composed == []
+    # an exact pair's quotient is the rotation by its numerator difference
+    assert quotient_at(exact, y, exact, x, 3) == numerator_quotient(exact, y, exact, x, 3)
 
 
 @functools.cache

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -42,9 +43,10 @@ from cocyclelab.errors import (
     NotStablePair,
     NotUnstablePair,
     PeriodicDataMismatch,
+    ResourceLimit,
 )
-from cocyclelab.cocycles import dominated_pair
-from cocyclelab.symbolic import distance_exponent
+from cocyclelab.cocycles import dominated_pair, quotient_numerators
+from cocyclelab.symbolic import distance_exponent, periodic_points
 from cocyclelab.transfer import cohomology_residuals
 from cocyclelab.fixtures import (
     conjugated_pair,
@@ -100,6 +102,46 @@ def test_periodic_data_perturbation_detected(family):
     assert rep.worst == pytest.approx(
         min((6 * 0.01) % 1, 1 - (6 * 0.01) % 1), abs=0.06
     )
+
+
+def periodic_oracle(f, g, max_period):
+    """check_periodic_data's rows, each product folded and measured on its own."""
+    return [((pt, n), float(uniform_distance(iterate(f, pt, n), iterate(g, pt, n))))
+            for pt in periodic_points(f.space, max_period)
+            for n in range(pt.period, max_period + 1, pt.period)]
+
+
+def test_periodic_data_rows_match_the_folded_oracle():
+    space, rnd = SFTSpace.full_shift(2), random.Random(4)
+    # rotation tables whose common denominator passes 2**53 read numerators
+    f, g = random_rotation_table(space, 1, 2**61 - 1, rnd), random_rotation_table(space, 0, 3**35, rnd)
+    x = SymbolicPoint.fixed(space, 0)
+    assert quotient_numerators(f, x, g, x, (1,))[0] >= 2**53
+    # PL tables fold
+    p, q = pl_dominated_cocycle(space, 1, 0.4, seed=3), pl_dominated_cocycle(space, 0, 0.4, seed=5)
+    for a, b, top in ((f, g, 6), (p, q, 4)):
+        rows = check_periodic_data(a, b, top).rows
+        assert list(rows) == periodic_oracle(a, b, top)
+        assert min(r for _, r in rows) > 0
+
+
+def test_periodic_data_past_the_denominator_cap_folds_to_the_cap(monkeypatch):
+    from cocyclelab import cocycles
+
+    monkeypatch.setattr(cocycles, "DENOMINATOR_BITS_CAP", 8)
+    space = SFTSpace.full_shift(3)
+    f, g = (CocycleSpec(space, 0, {bytes((s,)): PLMap.rotation(Fraction(k, q))
+                                   for s, (k, q) in enumerate(zip(ks, (7, 11, 13)))})
+            for ks in ((1, 1, 1), (2, 1, 1)))
+    x = SymbolicPoint.fixed(space, 0)
+    # the common denominator 1001 has 10 bits; products over two symbols have at most 8
+    assert quotient_numerators(f, x, g, x, (1,)) is None
+    assert list(check_periodic_data(f, g, 2).rows) == periodic_oracle(f, g, 2)
+    with pytest.raises(ResourceLimit) as want:
+        periodic_oracle(f, g, 3)
+    assert "10-bit denominators at step 3 (cap 8)" in str(want.value)
+    with pytest.raises(ResourceLimit, match=re.escape(str(want.value))):
+        check_periodic_data(f, g, 3)
 
 
 def test_build_rejects_mismatch(family):
