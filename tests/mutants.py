@@ -14,7 +14,7 @@ outcome and exits 1 if a mutant survived or a run could not be judged:
 
     python3 tests/mutants.py [NAME ...]
 
-The whole set (65 mutants) took 308 s on a 2-core Linux machine with Python
+The whole set (67 mutants) took 328 s on a 2-core Linux machine with Python
 3.11 (one test process at a time); every mutant was killed.
 """
 
@@ -136,6 +136,9 @@ MUTANTS = (
     Mutant("holonomy-tail-at-the-same-index", "holonomy.py",
            "(sign * n_used, sign * (n_used + n0))", "(sign * n_used, sign * n_used)",
            ("tests/test_holonomy.py",)),
+    Mutant("limit-tail-without-arc-min", "holonomy.py",
+           "n_used, rotation_arc(q - q_next, den)", "n_used, (q - q_next) % den / den",
+           ("tests/test_holonomy.py",)),
     Mutant("numerator-sum-past-denominator-cap", "cocycles.py",
            "if rot is not None and rot[0].bit_length() <= DENOMINATOR_BITS_CAP and BREAKPOINT_CAP >= 1:",
            "if rot is not None and BREAKPOINT_CAP >= 1:", COCYCLES),
@@ -177,6 +180,9 @@ MUTANTS = (
            "for q in sums[1]]", "for q in sums[1][::-1]]", TRANSFER),
     Mutant("regression-rotation-distance-plus", "transfer.py",
            "rotation_arc(num[f] - num[g], den)", "rotation_arc(num[f] + num[g], den)", TRANSFER),
+    Mutant("regression-rotation-distance-float-quotient", "transfer.py",
+           "r = rotation_arc(num[f] - num[g], den)",
+           "r = (lambda d: float(min(d, den - d)) / float(den))((num[f] - num[g]) % den)", TRANSFER),
     Mutant("residual-term-sign-flipped", "transfer.py",
            "+ num[ids[3]], den)", "- num[ids[3]], den)", TRANSFER),
     Mutant("residual-integer-path-with-a-pl-row", "transfer.py",
