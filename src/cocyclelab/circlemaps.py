@@ -133,10 +133,11 @@ class PLMap:
 
     @classmethod
     def from_json(cls, doc: dict) -> "PLMap":
-        def load(xs):
-            return [_exact_coordinate(e) if isinstance(e, (list, tuple)) else float(e) for e in xs]
+        def load(field):
+            return [_exact_coordinate(e) if isinstance(e, (list, tuple)) else _float_coordinate(e, field)
+                    for e in doc[field]]
 
-        return cls.make(load(doc["breakpoints"]), load(doc["values"]))
+        return cls.make(load("breakpoints"), load("values"))
 
 
 def _exact_coordinate(e) -> Fraction:
@@ -146,6 +147,13 @@ def _exact_coordinate(e) -> Fraction:
         raise ValueError(f"exact coordinate {list(e)!r}: expected [numerator, denominator], "
                          "two ints with a nonzero denominator")
     return Fraction(*e)
+
+
+def _float_coordinate(e, field: str) -> float:
+    """A float coordinate of ``field``: an int or a float, not a bool or a string."""
+    if type(e) not in (int, float):
+        raise ValueError(f"{field}: coordinate {e!r} is not a number or [numerator, denominator]")
+    return float(e)
 
 
 def _slopes(breaks: tuple, vals: tuple) -> tuple:

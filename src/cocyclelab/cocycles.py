@@ -13,6 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
 from . import symbolic
 from .circlemaps import PLMap, compose, invert, lipschitz_metric, rotation_numerators
 from .errors import NotDominated, ResourceLimit
@@ -112,7 +115,10 @@ class CocycleSpec:
             except ValueError:  # a symbol that is not an int, or not a byte
                 raise ValueError(f"table key {key!r}: symbols must be ints from 0 to 255") from None
             table[word] = PLMap.from_json(m)
-        return cls(space, whole_number(doc["window"], "window"), table, doc.get("alpha", 1))
+        alpha = doc.get("alpha", 1)
+        if type(alpha) not in (int, float):
+            raise ValueError(f"alpha: expected a number in (0, 1], got {alpha!r}")
+        return cls(space, whole_number(doc["window"], "window"), table, alpha)
 
 
 def _check_caps(h: PLMap, step: int) -> None:
@@ -259,29 +265,94 @@ def iterate(c: CocycleSpec, x: SymbolicPoint, n: int) -> PLMap:
     return h
 
 
-def quotient_numerators(A: CocycleSpec, y: SymbolicPoint, B: CocycleSpec, x: SymbolicPoint, ns):
+def _stacked_words(points, w: int, top: int, bottom: int):
+    """The points' ``_orbit_words`` for ``top`` and ``bottom`` at window w,
+    stacked into two uint8 matrices, one row per point."""
+    return [np.frombuffer(b"".join(ws), np.uint8).reshape(len(points), -1)
+            for ws in zip(*(_orbit_words(p, w, top, bottom) for p in points))]
+
+
+def _distinct_windows(words, cut: int, steps: int, span: int):
+    """The distinct length-``span`` windows that start at columns cut ..
+    cut+steps-1 of the matrix ``words``, as bytes in lexicographic order,
+    and an array of shape (rows, steps) of each window's index among them."""
+    if not steps:
+        return [], np.zeros((len(words), 0), np.intp)
+    wins = sliding_window_view(words, span, axis=1)[:, cut : cut + steps].reshape(-1, span)
+    order = np.lexsort(wins.T[::-1])
+    ranked = wins[order]
+    first = np.ones(len(ranked), bool)  # where a run of equal windows starts
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=first[1:])
+    index = np.empty(len(ranked), np.intp)
+    index[order] = np.cumsum(first) - 1
+    return [w.tobytes() for w in ranked[first]], index.reshape(len(words), steps)
+
+
+def _stacked_numerators(terms, ns, top: int, bottom: int, den: int):
+    """The numerator rows of ``quotient_numerators`` over point sequences.
+
+    ``terms`` holds, for A and then B, the cocycle, its window numerators,
+    its scale (negative for A), its stacked words (``_stacked_words``) and
+    the column its windows start at.  Each distinct window's numerator is
+    read once and scaled, the per-step differences are summed along the
+    rows, and column n - bottom of the sums is index n, so each point's
+    indices are picked out in one step.  The sums are int64 when ``den``
+    and every partial sum fit, else Python ints in an object array.
+    """
+    reads = []  # per cocycle and direction: (scaled distinct numerators, window indices)
+    for c, nums, scale, words, cut in terms:
+        for mat, steps in zip(words, (top, -bottom)):
+            keys, index = _distinct_windows(mat, cut, steps, 2 * c.window + 1)
+            reads.append(([nums[key] * scale for key in keys], index))
+    bound = max(top, -bottom) * sum(max(map(abs, vals), default=0) for vals, _ in reads)
+    dtype = np.int64 if max(den, bound) < 2**63 else object
+    fa, ba, fb, bb = (np.array(vals, dtype)[index] for vals, index in reads)
+    # step j back reads the window at column -bottom - j, and f^-n negates
+    back = -np.cumsum((ba + bb)[:, ::-1], axis=1)[:, ::-1]
+    sums = np.concatenate([back, np.zeros((len(ns), 1), dtype), np.cumsum(fa + fb, axis=1)], axis=1)
+    return (sums[np.arange(len(ns))[:, None], ns - bottom] % den).tolist()
+
+
+def quotient_numerators(A: CocycleSpec, y, B: CocycleSpec, x, ns):
     """``(den, numerators)`` when both tables pass ``_rotation_sums``, else None.
 
-    (A^n_y)^-1 B^n_x for the i-th n in ``ns`` is then the rotation by
-    numerators[i] / den, with 0 <= numerators[i] < den and den the lcm of the
-    two tables' denominators: one integer difference of the two cocycles'
-    prefix sums (``_prefix_sums``), each point's orbit words read once for
-    all of ``ns``.  When y is x they are read once, at the wider of the two
-    windows, and both cocycles read them.
+    For points y and x, (A^n_y)^-1 B^n_x for the i-th n in ``ns`` is then
+    the rotation by numerators[i] / den, with 0 <= numerators[i] < den and
+    den the lcm of the two tables' denominators: one integer difference of
+    the two cocycles' prefix sums (``_prefix_sums``), each point's orbit
+    words read once for all of ``ns``.  When y is x they are read once, at
+    the wider of the two windows, and both cocycles read them.
+
+    y and x may also be equal-length sequences of points, with ``ns`` one
+    row of indices per point.  numerators[i] is then the row of y[i] and
+    x[i], all read in one vectorised pass (``_stacked_numerators``).  A
+    single pair keeps the loop, given alone or as the one pair of a
+    sequence: numpy's cost per call is about ten times one pair's sums.
     """
+    if not isinstance(y, SymbolicPoint) and len(y) == 1:
+        sums = quotient_numerators(A, y[0], B, x[0], ns[0])
+        return None if sums is None else (sums[0], [sums[1]])
     ra, rb = _rotation_sums(A), _rotation_sums(B)
     if ra is None or rb is None:
         return None
     den = math.lcm(ra[0], rb[0])
     ua, ub = den // ra[0], den // rb[0]
-    top, bottom = max(ns), min(ns)
     wa, wb = A.window, B.window
-    if y is x:
-        wy = wx = max(wa, wb)
-        words_y = words_x = _orbit_words(y, wy, top, bottom)
+    wy, wx = (max(wa, wb),) * 2 if y is x else (wa, wb)
+    stacked = not isinstance(y, SymbolicPoint)
+    if stacked:
+        if not y:
+            return den, []
+        ns = np.asarray(ns, dtype=np.int64).reshape(len(y), -1)
+        top, bottom = max(int(ns.max()), 0), min(int(ns.min()), 0)
     else:
-        wy, wx = wa, wb
-        words_y, words_x = _orbit_words(y, wa, top, bottom), _orbit_words(x, wb, top, bottom)
+        top, bottom = max(ns), min(ns)
+    read = _stacked_words if stacked else _orbit_words
+    words_y = read(y, wy, top, bottom)
+    words_x = words_y if y is x else read(x, wx, top, bottom)
+    if stacked:
+        return den, _stacked_numerators(((A, ra[1], -ua, words_y, wy - wa),
+                                         (B, rb[1], ub, words_x, wx - wb)), ns, top, bottom, den)
     fa, ba = _prefix_sums(A, ra[1], words_y, wy - wa, top, bottom)
     fb, bb = _prefix_sums(B, rb[1], words_x, wx - wb, top, bottom)
     return den, [(fb[n] * ub - fa[n] * ua if n >= 0 else bb[-n] * ub - ba[-n] * ua) % den
@@ -396,8 +467,6 @@ def check_bounded_distortion(c: CocycleSpec, horizon: int, samples) -> Distortio
     certified = all(m.is_rotation for m in c.table.values())
     growth = False
     if not certified and horizon >= 4 and k_est > 1.0:
-        import numpy as np
-
         logs = np.log(np.maximum(per_step, 1.0))
         slope = np.polyfit(range(1, horizon + 1), logs, 1)[0]
         half = horizon // 2

@@ -104,9 +104,13 @@ def _limit(pair, side: str, start, n0: int, tol: float, what, memo: dict, key):
         if len(memo) >= cocycles.ORBIT_MEMO_CAP:
             memo.clear()
         memo[key] = held
-    if held[2] > tol:
-        raise NoConvergence(f"{what()}: residual tail {held[2]:.3e} exceeds tol {tol:.3e}")
+    _check_tail(held[2], tol, what)
     return held
+
+
+def _check_tail(tail: float, tol: float, what) -> None:
+    if tail > tol:
+        raise NoConvergence(f"{what()}: residual tail {tail:.3e} exceeds tol {tol:.3e}")
 
 
 def _holonomy(c: CocycleSpec, x, y, side: str, tol: float, n0: int):
@@ -160,26 +164,49 @@ def transport(
 
 
 def conjugacy_quotient(
-    F: CocycleSpec, G: CocycleSpec, x: SymbolicPoint, y: SymbolicPoint, side: str,
+    F: CocycleSpec, G: CocycleSpec, x: SymbolicPoint, ys, side: str,
     tol: float = 1e-8, n0: int = 1,
-) -> PLMap:
-    """``transport(F, G, x, y, side)`` read as the one quotient (F^n_y)^-1 G^n_y.
+) -> list:
+    """``[transport(F, G, x, y, side) for y in ys]``, each read as the one
+    quotient (F^n_y)^-1 G^n_y.
 
     Valid when sigma^n0 fixes x and F^n0_x == G^n0_x.  Then F^n_x == G^n_x
     at every multiple n of n0, and that factor cancels from
     h^F_{xy} (h^G_{xy})^-1 = (F^n_y)^-1 F^n_x (G^n_x)^-1 G^n_y.  At the index
     of the wider window both holonomies have stabilised, so in exact mode the
     result is ``==`` to the transport.  The checks are the holonomies': each
-    cocycle dominated on ``side``, the onset, the iteration cap and the tail.
+    cocycle dominated on ``side``, each point's onset, the iteration cap and
+    the tail, and a failure raises for the first point that fails.  When
+    both tables are rotation-summable, the points up to the first past the
+    cap are read in one ``quotient_numerators`` call over the set; otherwise
+    each point takes ``_limit``.
     """
     _margin(F, side, n0)
-    start = _onset(x, y, side) + max(F.window, G.window)
+    w = max(F.window, G.window)
+    starts = [_onset(x, y, side) + w for y in ys]
     _margin(G, side, n0)
-    h, _, _ = _limit(
-        (F, y, G, y), side, lambda: start, n0, tol,
-        lambda: f"{side}-conjugacy quotient of ({x!r}, {y!r})", {}, None,  # phi_at holds these
-    )
-    return h
+
+    def what(i):
+        return lambda: f"{side}-conjugacy quotient of ({x!r}, {ys[i]!r})"
+
+    def limit(i):  # phi_at holds the values, so _limit's memo is a throwaway
+        return _limit((F, ys[i], G, ys[i]), side, lambda: starts[i], n0, tol, what(i), {}, None)[0]
+
+    n_used = [max(0, math.ceil(start / n0)) * n0 for start in starts]
+    ok = next((i for i, n in enumerate(n_used) if n > HOLONOMY_ITER_CAP), len(ys))
+    sign = 1 if side == "s" else -1
+    pts = ys[:ok]
+    sums = quotient_numerators(F, pts, G, pts, [(sign * n, sign * (n + n0)) for n in n_used[:ok]])
+    if sums is None:
+        return [limit(i) for i in range(len(ys))]
+    den, rows = sums
+    out = []
+    for i, (q, q_next) in enumerate(rows):
+        _check_tail(rotation_arc(q - q_next, den), tol, what(i))
+        out.append(PLMap((_ZERO,), (Fraction(q, den),)))
+    if ok < len(ys):
+        limit(ok)  # raises the cap's NoConvergence
+    return out
 
 
 @dataclass(frozen=True)

@@ -136,21 +136,46 @@ class TransferMap:
             return self.samples[y]
         if y in self._cache:
             return self._cache[y]
-        carry = conjugacy_quotient if self._equal_returns else transport
-        args = (self.F, self.G, self.base_point, y)
+        args = (self.F, self.G, self.base_point)
+
+        def carry(side):
+            if self._equal_returns:
+                return conjugacy_quotient(*args, (y,), side, tol=self.tol, n0=self.period)[0]
+            return transport(*args, y, side, tol=self.tol, n0=self.period)
+
         try:
-            phi = carry(*args, "s", tol=self.tol, n0=self.period)
+            phi = carry("s")
         except NotStablePair:
             try:
-                phi = carry(*args, "u", tol=self.tol, n0=self.period)
+                phi = carry("u")
             except NotUnstablePair:
                 raise MissingSample(
                     "point is not asymptotic to the base point in either direction"
                 ) from None
+        self._hold(y, phi)
+        return phi
+
+    def prefetch(self, points) -> None:
+        """Read phi at the points that neither ``samples`` nor ``_cache``
+        holds in one stable-side ``conjugacy_quotient`` call, when
+        ``_equal_returns``, and hold the values in ``_cache``.  When one of
+        the points is not a stable pair nothing is read, and ``phi_at``
+        takes each point's own side."""
+        fresh = [y for y in dict.fromkeys(points) if y not in self.samples and y not in self._cache]
+        if not fresh or not self._equal_returns:
+            return
+        try:
+            values = conjugacy_quotient(self.F, self.G, self.base_point, fresh, "s",
+                                        tol=self.tol, n0=self.period)
+        except NotStablePair:
+            return
+        for y, phi in zip(fresh, values):
+            self._hold(y, phi)
+
+    def _hold(self, y: SymbolicPoint, phi: PLMap) -> None:
         if len(self._cache) >= PHI_CACHE_CAP:
             self._cache.clear()
         self._cache[y] = phi
-        return phi
 
 
 def build_transfer(
@@ -179,6 +204,7 @@ def build_transfer(
     alpha = float(F.alpha)
     beta = gamma_budget(dom_f.theta_s, alpha) * gamma_budget(dom_g.theta_s, float(G.alpha))
     T = TransferMap(F, G, x0, n0, {}, beta, tol, class_points=tuple(pts), periodic_data=pd)
+    T.prefetch(pts)
     for y in pts:
         T.samples[y] = T.phi_at(y)
     T._cache.clear()  # each class value is held once, in samples
@@ -211,8 +237,10 @@ def cohomology_residuals(F: CocycleSpec, G: CocycleSpec, phi, points) -> list:
 
 
 def verify_cohomology(T: TransferMap, points=None, tol: float = 1e-6) -> ResidualReport:
-    """Residuals of f_y = phi(sigma y) g_y phi(y)^-1 over the sampled class."""
+    """Residuals of f_y = phi(sigma y) g_y phi(y)^-1 over the sampled class.
+    phi at the shifted points is read first, in one ``prefetch``."""
     pts = list(T.class_points if points is None else points)
+    T.prefetch(y.shift(1) for y in pts)
     return ResidualReport.of(zip(pts, cohomology_residuals(T.F, T.G, T.phi_at, pts)), tol)
 
 

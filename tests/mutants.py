@@ -14,7 +14,7 @@ outcome and exits 1 if a mutant survived or a run could not be judged:
 
     python3 tests/mutants.py [NAME ...]
 
-The whole set (67 mutants) took 328 s on a 2-core Linux machine with Python
+The whole set (69 mutants) took 394 s on a 2-core Linux machine with Python
 3.11 (one test process at a time); every mutant was killed.
 """
 
@@ -133,9 +133,14 @@ MUTANTS = (
            "for j in range(cut, cut + top)])", "for j in range(cut, cut + top - 1)])", COCYCLES),
     Mutant("quotients-scale-swapped", "cocycles.py",
            "ua, ub = den // ra[0], den // rb[0]", "ua, ub = den // rb[0], den // ra[0]", COCYCLES),
+    Mutant("stacked-numerators-b-unscaled", "cocycles.py",
+           "(B, rb[1], ub, words_x, wx - wb)", "(B, rb[1], 1, words_x, wx - wb)", COCYCLES),
     Mutant("holonomy-tail-at-the-same-index", "holonomy.py",
            "(sign * n_used, sign * (n_used + n0))", "(sign * n_used, sign * n_used)",
            ("tests/test_holonomy.py",)),
+    Mutant("conjugacy-set-tail-at-the-same-index", "holonomy.py",
+           "[(sign * n, sign * (n + n0)) for n in n_used[:ok]]",
+           "[(sign * n, sign * n) for n in n_used[:ok]]", TRANSFER),
     Mutant("limit-tail-without-arc-min", "holonomy.py",
            "n_used, rotation_arc(q - q_next, den)", "n_used, (q - q_next) % den / den",
            ("tests/test_holonomy.py",)),

@@ -101,6 +101,15 @@ ALLOWED = (
             "rs = [float(uniform_distance(iterate(f, pt, n), iterate(g, pt, n))) for n in ns]",
             "check_periodic_data's fold branch: every pair an entry point checks is two "
             "exact-rotation tables (ROADMAP 1)"),
+    Allowed("holonomy.py", "return [limit(i) for i in range(len(ys))]",
+            "conjugacy_quotient on tables that are not both rotation-summable: every pair "
+            "an entry point builds on is two exact-rotation tables (ROADMAP 1)"),
+    Allowed("holonomy.py", "return _limit((F, ys[i], G, ys[i])",
+            "conjugacy_quotient's per-point _limit, which only the loop above and a point "
+            "past HOLONOMY_ITER_CAP call"),
+    Allowed("transfer.py", "return transport(*args, y, side, tol=self.tol, n0=self.period)",
+            "phi_at's holonomy transport: every pair an entry point builds on has equal "
+            "exact return maps (ROADMAP 1)"),
     # float-mode edges
     Allowed("circlemaps.py", "vals = tuple(v - 1 for v in vals)",
             "a float lift value that rounds up to 1; no exact map reaches it"),
@@ -108,6 +117,8 @@ ALLOWED = (
             "a float wrap segment shorter than SEGMENT_EPS"),
     Allowed("circlemaps.py", 'return {"breakpoints": list(self.breaks), "values": list(self.vals)}',
             "to_json of a float map: every written table is exact"),
+    Allowed("circlemaps.py", "if type(e) not in (int, float):",
+            "a float coordinate read from a config: every table an entry point reads is exact"),
     # API edges
     Allowed("circlemaps.py", "angle = Fraction(angle)",
             "rotation of an int angle; callers pass Fractions or floats"),
@@ -123,6 +134,11 @@ ALLOWED = (
             "metric-suite's repeated three-slope draw, 1 in 4998 per pair"),
     Allowed("symbolic.py", 'yield b""',
             "words(0); the shortest word an entry point enumerates has length 1"),
+    Allowed("cocycles.py", "return den, []",
+            "quotient_numerators over no points: conjugacy_quotient whose first point is "
+            "past HOLONOMY_ITER_CAP"),
+    Allowed("holonomy.py", "limit(ok)  # raises the cap's NoConvergence",
+            "a class point past HOLONOMY_ITER_CAP: entry points' onsets are a few steps"),
     Allowed("symbolic.py", "return [], None",
             "agreement data of an empty point list"),
     Allowed("transfer.py", "return (math.inf, 0.0)",

@@ -453,6 +453,35 @@ def test_run_refuses_a_count_that_is_not_a_whole_number(tmp_path, capsys, field,
     assert cfg.digest() == ExperimentConfig.from_json(distortion_doc(rotation)).digest()
 
 
+@pytest.mark.parametrize("alpha", [True, "0.5", None, [1]], ids=["bool", "string", "null", "list"])
+def test_run_refuses_an_alpha_that_is_not_a_number(tmp_path, capsys, alpha):
+    # true ran as alpha = 1; "0.5" ended in a TypeError from the range check
+    doc = distortion_doc({"breakpoints": [[0, 1]], "values": [[1, 5]]})
+    doc["cocycles"]["C"]["alpha"] = alpha
+    assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cocycles.C: alpha: expected a number in (0, 1], got {alpha!r}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, coordinate", [
+    ("breakpoints", "0.0"), ("values", "0.25"), ("values", False), ("breakpoints", None),
+], ids=["string-break", "string-value", "bool", "null"])
+def test_run_refuses_a_float_coordinate_that_is_not_a_number(tmp_path, capsys, field,
+                                                             coordinate):
+    # float() read "0.0" and "0.25" as numbers and false as 0.0: the run exited 0
+    entry = {"breakpoints": [0.0], "values": [0.25]}
+    entry[field] = [coordinate]
+    doc = distortion_doc(entry)
+    assert main(["run", "--config", str(write_config(tmp_path, doc))]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cocycles.C: {field}: coordinate {coordinate!r} is not a number" in err
+    assert "Traceback" not in err
+    # an int coordinate still reads as a float one
+    entry[field] = [0]
+    assert ExperimentConfig.from_json(distortion_doc(entry)).cocycles["C"].table[b"\0"].is_exact is False
+
+
 def test_failure_exit_code(tmp_path, capsys):
     # a mismatched pair fails the experiment (exit 1) with named rows
     from cocyclelab import SFTSpace

@@ -606,6 +606,43 @@ def test_quotient_numerators_match_the_composed_quotients(dens, window_a, window
         assert want == compose(invert(fresh_fold(A, y, n)), fresh_fold(B, x, n))
 
 
+@given(
+    st.sampled_from(["full2", "golden"]),
+    st.sampled_from(((7, 9), (8, 15), (2**61 - 1, 3), (3**40, 2**64))), st.integers(0, 2),
+    st.integers(0, 2),
+    st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)), min_size=1, max_size=6),
+    st.integers(0, 10_000), st.booleans(),
+)
+# den = 3**40 * 2**64 is past int64 and (2**61 - 1) * 3 fits but its sums do
+# not: both take the object-dtype sums
+@example("full2", (3**40, 2**64), 2, 1, [(0, 5), (-7, 5), (3, 3)], 3, False)
+@example("golden", (2**61 - 1, 3), 1, 0, [(8, -8), (1, 2)], 5, True)
+@example("golden", (7, 9), 0, 2, [(4, 6), (5, 7)], 8, True)  # no backward index
+@example("full2", (8, 15), 1, 1, [(-4, -2)], 2, False)  # no forward index
+@settings(max_examples=40, deadline=None)
+def test_stacked_quotient_numerators_match_the_loop_and_the_composed_quotients(
+        name, dens, window_a, window_b, rows, seed, same):
+    space = SFTSpace.full_shift(2) if name == "full2" else SFTSpace.golden_mean()
+    rnd, rng = random.Random(seed), np.random.default_rng(seed)
+    A, B = (random_rotation_table(space, w, q, rnd) for w, q in zip((window_a, window_b), dens))
+    ys = [random_point(space, rng) for _ in rows]
+    xs = ys if same else [random_point(space, rng) for _ in rows]
+    den, got = quotient_numerators(A, ys, B, xs, rows)
+    assert got == [quotient_numerators(A, y, B, x, ns)[1] for y, x, ns in zip(ys, xs, rows)]
+    assert den == quotient_numerators(A, ys[0], B, xs[0], rows[0])[0]
+    assert all(type(q) is int for row in got for q in row)
+    for y, x, ns, qs in zip(ys, xs, rows, got):
+        assert [PLMap.rotation(Fraction(q, den)) for q in qs] == quotients(A, y, B, x, ns)
+    assert quotient_numerators(A, [], B, [], []) == (den, [])
+
+
+def test_stacked_quotient_numerators_need_two_summable_tables(full2, rng):
+    rot, pl = rotation_cocycle(full2, 1, seed=4), pl_dominated_cocycle(full2, 1, 0.4, seed=9)
+    pts = [random_point(full2, rng) for _ in range(3)]
+    for A, B in ((rot, pl), (pl, rot), (rot, float_cocycle(rot))):
+        assert quotient_numerators(A, pts, B, pts, [(2, -1)] * 3) is None
+
+
 def test_quotient_numerators_read_one_point_once(full2, monkeypatch):
     # y's words are read once per sign, at the wider window, when both cocycles read y
     reads = []

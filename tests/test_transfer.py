@@ -45,8 +45,13 @@ from cocyclelab.errors import (
     PeriodicDataMismatch,
     ResourceLimit,
 )
-from cocyclelab.cocycles import dominated_pair, quotient_numerators
-from cocyclelab.symbolic import distance_exponent, periodic_points
+from cocyclelab.cocycles import dominated_pair, quotient_numerators, quotients
+from cocyclelab.symbolic import (
+    distance_exponent,
+    periodic_points,
+    stable_agreement_onset,
+    unstable_agreement_onset,
+)
 from cocyclelab.transfer import cohomology_residuals
 from cocyclelab.fixtures import (
     conjugated_pair,
@@ -550,6 +555,92 @@ def test_phi_at_cache_is_bounded(family, monkeypatch):
         assert T.phi_at(y) == _transported(T, y)
         sizes.append(len(T._cache))
     assert sizes == [1, 2, 3, 1, 2, 3, 1]
+
+
+def _on_side(x0, y, side):
+    """Whether y lies on x0's stable (side "s") or unstable ("u") set."""
+    try:
+        (stable_agreement_onset if side == "s" else unstable_agreement_onset)(x0, y)
+    except (NotStablePair, NotUnstablePair):
+        return False
+    return True
+
+
+@given(
+    st.sampled_from(["full2", "golden"]), st.sampled_from((1, 2)),
+    st.sampled_from(((360, 20), (7, 9), (2**61 - 1, 3), (3**40, 2**64))), st.integers(0, 1),
+    st.integers(0, 2), st.integers(0, 10_000),
+)
+@settings(max_examples=12, deadline=None)
+def test_conjugacy_quotient_over_a_set_matches_the_per_point_oracle(name, period, dens, wf,
+                                                                    wp, seed):
+    """One set call equals, point by point, the stabilised quotient read
+    through ``quotients`` (the iterate oracle) and through the single-pair
+    reader, and the transport it stands for, on both sides; a set that
+    mixes stable and unstable-only points is left to ``phi_at``, which reads
+    each on its own side.  The last two dens give object-dtype sums."""
+    space = _FULL2 if name == "full2" else _GOLDEN
+    rnd = random.Random(seed)
+    F = random_rotation_table(space, wf, dens[0], rnd)
+    psi = WindowRule(wp, {w: PLMap.rotation(Fraction(rnd.randrange(dens[1]), dens[1]))
+                          for w in space.words(2 * wp + 1)})
+    G = conjugated_pair(F, psi)
+    x0 = SymbolicPoint.fixed(space, 0) if period == 1 else SymbolicPoint.periodic(space, (0, 1))
+    if name == "full2":
+        other = SymbolicPoint.fixed(space, 1)
+    else:  # the golden mean has no 1^inf
+        other = SymbolicPoint.periodic(space, (0, 1) if period == 1 else (0,))
+    probes = _probes(x0, other, 2)
+    w, tol = max(F.window, G.window), 1e-9
+    for side, sign in (("s", 1), ("u", -1)):
+        pts = [y for y in probes if _on_side(x0, y, side)]
+        got = holonomy.conjugacy_quotient(F, G, x0, pts, side, tol=tol, n0=period)
+        for y, h in zip(pts, got, strict=True):
+            onset = (stable_agreement_onset if side == "s" else unstable_agreement_onset)(x0, y)
+            n = sign * max(0, math.ceil((onset + w) / period)) * period
+            den, (q,) = quotient_numerators(F, y, G, y, (n,))
+            assert h == PLMap.rotation(Fraction(q, den)) == quotients(F, y, G, y, (n,))[0]
+            assert h == holonomy.transport(F, G, x0, y, side, tol=tol, n0=period)
+    mixed = [y for y in probes if _on_side(x0, y, "s") or _on_side(x0, y, "u")]
+    assert not all(_on_side(x0, y, "s") for y in mixed)
+    with pytest.raises(NotStablePair):
+        holonomy.conjugacy_quotient(F, G, x0, mixed, "s", tol=tol, n0=period)
+    T = TransferMap(F, G, x0, period, {}, 0.0, tol)
+    T.prefetch(mixed)
+    assert not T._cache
+    assert [T.phi_at(y) for y in mixed] == [_transported(T, y) for y in mixed]
+    T = TransferMap(F, G, x0, period, {}, 0.0, tol)
+    stable = [y for y in mixed if _on_side(x0, y, "s")]
+    T.prefetch(stable)
+    assert list(T._cache) == list(dict.fromkeys(stable))
+    assert list(T._cache.values()) == [_transported(T, y) for y in T._cache]
+
+
+def test_conjugacy_quotient_raises_for_the_first_failing_point(family, monkeypatch):
+    """A set call raises the error the per-point calls raise first: a tail
+    past tol before a later point's cap, and a cap before a later tail."""
+    space, F, G, _, x0 = family
+    G_off = perturb_one_entry(G, Fraction(1, 1000))  # the return maps at x0 now differ
+    near = SymbolicPoint.make(space, (0,), (1,), (0,))  # n_used 5: G has window 4
+    far = near.shift(-3)  # n_used 8
+    monkeypatch.setattr(holonomy, "HOLONOMY_ITER_CAP", 7)
+
+    def first_error(pts):
+        for y in pts:
+            try:
+                holonomy.conjugacy_quotient(F, G_off, x0, (y,), "s", tol=1e-12)
+            except NoConvergence as e:
+                return str(e)
+
+    for pts, what in (([near, far], "residual tail"), ([far, near], "stabilisation index 8")):
+        with pytest.raises(NoConvergence) as err:
+            holonomy.conjugacy_quotient(F, G_off, x0, pts, "s", tol=1e-12)
+        assert what in str(err.value) and str(err.value) == first_error(pts)
+    # with equal return maps every tail is 0, and the cap is the first failure
+    with pytest.raises(NoConvergence, match="stabilisation index 8 exceeds cap 7"):
+        holonomy.conjugacy_quotient(F, G, x0, [near, far], "s", tol=1e-12)
+    assert holonomy.conjugacy_quotient(F, G, x0, [near, near], "s") == [
+        holonomy.transport(F, G, x0, near, "s")] * 2
 
 
 def test_missing_sample(family):
